@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	covbench [flags] fig6|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|compas-mups|compas-enhance|engine|persist|shard|plan|counts|registry|replica|wal|all
+//	covbench [flags] fig6|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|compas-mups|compas-enhance|engine|persist|shard|plan|registry|replica|wal|all
 //
 // Flags:
 //
@@ -50,7 +50,6 @@ type config struct {
 	persistOut  string
 	shardOut    string
 	planOut     string
-	countsOut   string
 	registryOut string
 	replicaOut  string
 	walOut      string
@@ -82,7 +81,6 @@ var experiments = []struct {
 	{"persist", "persistence micro-benchmarks (snapshot write/restore, WAL, warm boot vs rebuild) → JSON", persistBench},
 	{"shard", "shard-scaling sweep (append/MUP-search/repair at 1,2,4,8 shards) → JSON", shardBench},
 	{"plan", "remediation planner: incremental repair vs from-scratch at 1,4 workers → JSON", planBench},
-	{"counts", "count-store layouts (map/flat/dense × append/MUP-search/delete-repair at GOMAXPROCS=1) → JSON", countsBench},
 	{"registry", "multi-tenant registry (lease, park/restore, create/drop, pooled search) → JSON", registryBench},
 	{"replica", "delta snapshots + WAL-feed replication (delta vs full write, follower catch-up, bounded-staleness reads) → JSON", replicaBench},
 	{"wal", "group-commit write pipeline (grouped vs per-record fsync by writer count, streamed vs polled replication lag) → JSON", walBench},
@@ -100,7 +98,6 @@ func main() {
 	flag.StringVar(&cfg.persistOut, "persistout", "BENCH_persist.json", "output file for the persist experiment's JSON results")
 	flag.StringVar(&cfg.shardOut, "shardout", "BENCH_shard.json", "output file for the shard experiment's JSON results")
 	flag.StringVar(&cfg.planOut, "planout", "BENCH_plan.json", "output file for the plan experiment's JSON results")
-	flag.StringVar(&cfg.countsOut, "countsout", "BENCH_counts.json", "output file for the counts experiment's JSON results")
 	flag.StringVar(&cfg.registryOut, "registryout", "BENCH_registry.json", "output file for the registry experiment's JSON results")
 	flag.StringVar(&cfg.replicaOut, "replicaout", "BENCH_replica.json", "output file for the replica experiment's JSON results")
 	flag.StringVar(&cfg.walOut, "walout", "BENCH_wal.json", "output file for the wal experiment's JSON results")

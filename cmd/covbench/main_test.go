@@ -46,62 +46,8 @@ func TestExperimentRegistryNamesAreUnique(t *testing.T) {
 		}
 		seen[e.name] = true
 	}
-	if len(seen) != 20 {
-		t.Errorf("%d experiments registered, want 20 (one per figure/table, plus engine, persist, shard, plan, counts, registry, replica and wal)", len(seen))
-	}
-}
-
-// TestCountsBenchWritesJSON smokes the count-store comparison at toy
-// scale: the report must decode, hold one result per (schema,
-// workload, store) cell with the resolved layout recorded, and carry
-// the flat-vs-map and dense-vs-flat ratio summaries.
-func TestCountsBenchWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark runner takes seconds")
-	}
-	old := countsBenchReps
-	countsBenchReps = 1
-	defer func() { countsBenchReps = old }()
-	out := filepath.Join(t.TempDir(), "BENCH_counts.json")
-	countsBench(config{n: 1500, seed: 42, countsOut: out})
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep countsBenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("decoding %s: %v", out, err)
-	}
-	if rep.GoMaxProcs != 1 {
-		t.Errorf("gomaxprocs = %d, want 1 (the single-threaded layout comparison)", rep.GoMaxProcs)
-	}
-	if len(rep.Schemas) != 2 {
-		t.Fatalf("%d schemas, want 2", len(rep.Schemas))
-	}
-	// 4 workloads × (2 stores on the wide schema + 3 on the
-	// dense-eligible one).
-	if want := 4*2 + 4*3; len(rep.Results) != want {
-		t.Fatalf("%d results, want %d", len(rep.Results), want)
-	}
-	var denseResolved bool
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 || r.Iterations <= 0 || r.Resolved == "" {
-			t.Errorf("result %q = %+v", r.Name, r)
-		}
-		if r.Resolved == "dense" {
-			denseResolved = true
-		}
-	}
-	if !denseResolved {
-		t.Error("no cell resolved the dense store on the low-cardinality schema")
-	}
-	if len(rep.FlatVsMap) != 8 || len(rep.DenseVsFlat) != 4 {
-		t.Errorf("ratio summaries: flat_vs_map=%d dense_vs_flat=%d, want 8 and 4", len(rep.FlatVsMap), len(rep.DenseVsFlat))
-	}
-	for _, r := range append(append([]countsRatio{}, rep.FlatVsMap...), rep.DenseVsFlat...) {
-		if r.Ns <= 0 {
-			t.Errorf("ratio %s/%s has non-positive ns ratio %v", r.Schema, r.Workload, r.Ns)
-		}
+	if len(seen) != 19 {
+		t.Errorf("%d experiments registered, want 19 (one per figure/table, plus engine, persist, shard, plan, registry, replica and wal)", len(seen))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"coverage"
-	"coverage/internal/countstore"
 	"coverage/internal/engine"
 	"coverage/internal/registry"
 )
@@ -70,9 +69,8 @@ type createRequest struct {
 		Name   string   `json:"name"`
 		Values []string `json:"values"`
 	} `json:"attributes"`
-	Window     int    `json:"window,omitempty"`
-	Shards     int    `json:"shards,omitempty"`
-	CountStore string `json:"countstore,omitempty"`
+	Window int `json:"window,omitempty"`
+	Shards int `json:"shards,omitempty"`
 	// BudgetPerSec / BudgetBurst bound search-class requests for this
 	// tenant (absent: the registry default; explicit 0 disables).
 	BudgetPerSec *float64 `json:"budget_per_sec,omitempty"`
@@ -115,14 +113,6 @@ func (g *gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Window:         req.Window,
 		MaxBodyBytes:   req.MaxBodyBytes,
 		MaxStreamBytes: req.MaxStreamBytes,
-	}
-	if req.CountStore != "" {
-		kind, err := countstore.ParseKind(req.CountStore)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		topts.Engine.CountStore = kind
 	}
 	if req.BudgetPerSec != nil {
 		topts.Budget = &registry.BudgetConfig{PerSec: *req.BudgetPerSec, Burst: req.BudgetBurst}

@@ -93,6 +93,16 @@ func TestGatewayTenantLifecycle(t *testing.T) {
 	if w := doG(t, g, "PUT", "/datasets/bad*id", schemaA); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad id: status %d, want 400", w.Code)
 	}
+	// The count-table layout is not a tenant option: the field is
+	// rejected by name, not silently ignored.
+	withStore := strings.Replace(schemaA, "{", `{"countstore":"dense",`, 1)
+	if w := doG(t, g, "PUT", "/datasets/c", withStore); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), `unknown field \"countstore\"`) {
+		t.Fatalf("create with countstore: status %d, want 400 naming the field: %s", w.Code, w.Body)
+	}
+	if w := doG(t, g, "GET", "/datasets/c/stats", ""); w.Code != http.StatusNotFound {
+		t.Fatalf("rejected create left a tenant behind: status %d, want 404", w.Code)
+	}
 	if w := doG(t, g, "PUT", "/datasets/b", schemaB); w.Code != http.StatusCreated {
 		t.Fatalf("create b: status %d: %s", w.Code, w.Body)
 	}

@@ -34,7 +34,7 @@
 //
 // Usage:
 //
-//	covserve -csv data.csv [-columns sex,age,race] [-addr :8080] [-window 100000] [-shards 8] [-countstore auto]
+//	covserve -csv data.csv [-columns sex,age,race] [-addr :8080] [-window 100000] [-shards 8]
 //	covserve -demo compas|airbnb|bluenile [-addr :8080]
 //	covserve -data-dir /var/lib/covserve [-csv data.csv] [-snapshot-interval 5m] [-wal-sync=true]
 //	covserve -data-dir /var/lib/covserve [-max-resident-mb 512] [-search-slots 8] [-tenant-rps 50]
@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"coverage"
-	"coverage/internal/countstore"
 	"coverage/internal/datagen"
 	"coverage/internal/engine"
 	"coverage/internal/persist"
@@ -101,14 +100,12 @@ func defaultShards() int {
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		csvPath    = flag.String("csv", "", "CSV file to serve (first row is the header)")
-		columns    = flag.String("columns", "", "comma-separated attributes of interest (default: all)")
-		demo       = flag.String("demo", "", "serve a synthetic demo dataset instead: compas, airbnb or bluenile")
-		window     = flag.Int("window", 0, "sliding window: keep only the newest N rows (0 = unbounded)")
-		shards     = flag.Int("shards", 0, "shard cores to hash-partition the combo space across (0 = one per CPU, capped at 16)")
-		countStore = flag.String("countstore", "auto",
-			"count-store layout per shard: auto, map, flat or dense (auto picks dense for small packed-key spaces, flat otherwise)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		csvPath = flag.String("csv", "", "CSV file to serve (first row is the header)")
+		columns = flag.String("columns", "", "comma-separated attributes of interest (default: all)")
+		demo    = flag.String("demo", "", "serve a synthetic demo dataset instead: compas, airbnb or bluenile")
+		window  = flag.Int("window", 0, "sliding window: keep only the newest N rows (0 = unbounded)")
+		shards  = flag.Int("shards", 0, "shard cores to hash-partition the combo space across (0 = one per CPU, capped at 16)")
 
 		dataDir      = flag.String("data-dir", "", "directory for durable state (snapshots + WAL); empty serves in-memory only")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute,
@@ -143,11 +140,7 @@ func main() {
 		*shards = defaultShards()
 	}
 
-	storeKind, err := countstore.ParseKind(*countStore)
-	if err != nil {
-		fatal(err)
-	}
-	engOpts := engine.Options{Shards: *shards, CountStore: storeKind}
+	engOpts := engine.Options{Shards: *shards}
 
 	if *follow != "" {
 		if *dataDir == "" {

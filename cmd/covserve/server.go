@@ -284,9 +284,9 @@ type planCacheJSON struct {
 }
 
 // shardJSON is one shard core's counters on /stats. The store block
-// reports the count-store layout the core resolved to ("map", "flat"
-// or "dense"), its slot-fill ratio (0 for the slotless map) and the
-// resident bytes of its backing arrays.
+// reports the core's count table ("flat", or "map" on schemas wider
+// than 128 bits), its slot-fill ratio (0 for the slotless map) and the
+// resident bytes of its count and delta-position tables.
 type shardJSON struct {
 	Rows           int64   `json:"rows"`
 	Distinct       int     `json:"distinct_combinations"`

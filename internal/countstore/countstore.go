@@ -1,168 +1,39 @@
-// Package countstore provides the flat per-shard count stores backing
-// the engine's combo→multiplicity tables: signed 64-bit counts keyed by
-// two-word pattern.PackedKeys. Three layouts implement one Store
-// contract —
+// Package countstore provides the packed-key count tables behind the
+// engine's combo→multiplicity bookkeeping: signed 64-bit counts keyed
+// by two-word pattern.PackedKeys.
 //
-//   - Flat: an open-addressed, linear-probing table with inline
-//     key+count slots, tombstone-free deletion via backward shift, and
-//     an incremental rehash so growth never takes a multi-ms stall;
-//   - Dense: a direct-indexed count vector for schemas whose whole
-//     packed-key space fits a small bit budget (index = the packed key
-//     bits; bitvec-backed occupancy so empty slots cost one bit during
-//     iteration, not a hash probe);
-//   - Map: the map[PackedKey]int64 the engine used before, kept as the
-//     comparison baseline and the forced-layout escape hatch.
+//   - Flat is the mutable table under every shard core, batch
+//     accumulator and tombstone set: open-addressed linear probing with
+//     inline key+count slots, tombstone-free deletion via backward
+//     shift, and an incremental rehash so growth never takes a multi-ms
+//     stall.
+//   - Probe is the immutable table inside the base coverage oracles:
+//     built once, then probed by the deepest level of every MUP search.
 //
-// A count of zero is never stored: Add and Set delete the key when its
-// count reaches zero, so Len is always the number of live combos.
+// A count of zero is never stored: Flat's Add and Set delete the key
+// when its count reaches zero, so Len is always the number of live
+// combos.
 package countstore
 
-import (
-	"fmt"
+import "coverage/internal/pattern"
 
-	"coverage/internal/pattern"
-)
-
-// Kind names a count-store layout.
-type Kind uint8
-
-const (
-	// KindAuto resolves to Dense when the schema's packed-key space
-	// fits the dense bit budget, Flat otherwise.
-	KindAuto Kind = iota
-	// KindMap forces the map[PackedKey]int64 baseline layout.
-	KindMap
-	// KindFlat forces the open-addressed flat table.
-	KindFlat
-	// KindDense forces the direct-indexed dense vector (degrades to
-	// Flat when the schema's key space exceeds the budget).
-	KindDense
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindAuto:
-		return "auto"
-	case KindMap:
-		return "map"
-	case KindFlat:
-		return "flat"
-	case KindDense:
-		return "dense"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// ParseKind maps a layout name back to its Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "auto":
-		return KindAuto, nil
-	case "map":
-		return KindMap, nil
-	case "flat":
-		return KindFlat, nil
-	case "dense":
-		return KindDense, nil
-	}
-	return KindAuto, fmt.Errorf("countstore: unknown kind %q", s)
-}
-
-// DefaultDenseBits is the dense layout's default key-space budget:
-// schemas whose packed keys fit this many bits (1M combos) get the
-// direct-indexed vector under KindAuto.
-const DefaultDenseBits = 20
-
-// MaxDenseBits is the hard ceiling on the dense budget: 2^28 combos
-// means a 32 MiB occupancy bitvec per store, already generous. Resolve
-// clamps larger requests so a config typo (say 40 bits ≈ 137 GB of
-// occupancy alone) degrades to the flat table instead of an OOM.
-const MaxDenseBits = 28
-
-// Store is a signed multiplicity table over packed combination keys.
-// Implementations are not safe for concurrent mutation; the engine
-// serializes access per shard core exactly as it did for its maps.
-type Store interface {
-	// Get returns the count for k, zero when absent.
-	Get(k pattern.PackedKey) int64
-	// Add adds the signed n to k's count and returns the new count,
-	// deleting the key when it reaches zero.
-	Add(k pattern.PackedKey, n int64) int64
-	// Set stores the absolute count n for k; n == 0 deletes.
-	Set(k pattern.PackedKey, n int64)
-	// Len is the number of live (nonzero-count) keys.
-	Len() int
-	// Range calls fn for every live key. Mutating the store during
-	// Range is not allowed, except overwriting the visited key's
-	// count with another nonzero value.
-	Range(fn func(k pattern.PackedKey, n int64))
-	// Reserve pre-sizes for about extra further live keys so a batch
-	// of that many Adds does not regrow mid-flight.
-	Reserve(extra int)
-	// Negate flips the sign of every stored count in place.
-	Negate()
-	// Mem reports the layout and its resident footprint.
-	Mem() Mem
-}
-
-// Mem is a Store's self-reported footprint.
+// Mem is a table's self-reported footprint.
 type Mem struct {
-	Kind Kind
 	// Live is the number of stored keys (== Len).
 	Live int
-	// Slots is the allocated slot capacity (0 when the layout has no
-	// fixed slot array, i.e. Map).
+	// Slots is the allocated slot capacity.
 	Slots int
-	// Bytes estimates resident bytes of the store's backing arrays.
+	// Bytes estimates resident bytes of the table's backing arrays.
 	Bytes int64
 }
 
-// Occupancy is Live/Slots, the fill ratio of the slot array (0 for
-// slotless layouts).
+// Occupancy is Live/Slots, the fill ratio of the slot array (0 for a
+// table with no slots).
 func (m Mem) Occupancy() float64 {
 	if m.Slots == 0 {
 		return 0
 	}
 	return float64(m.Live) / float64(m.Slots)
-}
-
-// Resolve turns a requested kind into the concrete layout a schema can
-// support: KindAuto picks Dense when the codec packs every field into
-// one word of at most denseBits bits (denseBits <= 0 means
-// DefaultDenseBits; values above MaxDenseBits are clamped to it), Flat
-// otherwise; a forced KindDense quietly degrades to Flat when the key
-// space does not fit. The codec must be packable — non-packable
-// schemas stay on the caller's string-keyed fallback and never reach
-// this package.
-func Resolve(kind Kind, codec *pattern.Codec, denseBits int) Kind {
-	switch kind {
-	case KindMap, KindFlat:
-		return kind
-	}
-	if denseBits <= 0 {
-		denseBits = DefaultDenseBits
-	} else if denseBits > MaxDenseBits {
-		denseBits = MaxDenseBits
-	}
-	bits, oneWord := codec.PackedBits()
-	if oneWord && bits <= denseBits {
-		return KindDense
-	}
-	return KindFlat
-}
-
-// New builds a store of the resolved kind. hint pre-sizes Flat and Map;
-// Dense sizes itself from the codec's key space (and needs a packable,
-// one-word codec, i.e. kind must come from Resolve).
-func New(kind Kind, codec *pattern.Codec, denseBits, hint int) Store {
-	switch Resolve(kind, codec, denseBits) {
-	case KindMap:
-		return NewMap(hint)
-	case KindDense:
-		bits, _ := codec.PackedBits()
-		return NewDense(bits)
-	}
-	return NewFlat(hint)
 }
 
 // hashKey mixes the two key words into a well-distributed 64-bit hash

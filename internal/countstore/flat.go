@@ -199,8 +199,7 @@ func (f *Flat) insert(k pattern.PackedKey, n int64) {
 
 // grow starts an incremental rehash into a table sized for want keys at
 // half load. Any previous rehash is drained to completion first —
-// fully, not on the per-op budget: Reserve can force growth while a
-// prior drain has barely started, and reassigning old below would
+// fully, not on the per-op budget: reassigning old below would
 // silently drop whatever entries remain in it. One migrate pass over
 // the old table costs at most one step per slot scanned plus one per
 // live entry removed, so len(old)+oldLive covers a full drain; the
@@ -288,21 +287,13 @@ func (f *Flat) Range(fn func(k pattern.PackedKey, n int64)) {
 	}
 }
 
-func (f *Flat) Reserve(extra int) {
-	if (f.live+f.oldLive+extra)*4 > len(f.slots)*3 {
-		f.grow(f.live + f.oldLive + extra)
-	}
-}
-
 // ExpectInserts announces that about n mutating operations are about
-// to stream in, without allocating anything. Unlike Reserve — which
-// sizes a whole new slot array for the announced keys even when most
-// of them turn out to already be present — it only raises the
-// incremental-rehash drain budget so any in-progress (or soon to
-// start) rehash retires its old array within the announced batch.
-// Growth itself stays insert-driven: the table doubles only when live
-// load actually crosses 3/4, so a batch that mostly updates existing
-// keys allocates nothing at all.
+// to stream in, without allocating anything: it only raises the
+// incremental-rehash drain budget so an in-progress rehash retires its
+// old array within the announced batch. Growth itself stays
+// insert-driven: the table doubles only when live load actually
+// crosses 3/4, so a batch that mostly updates existing keys allocates
+// nothing at all.
 func (f *Flat) ExpectInserts(n int) {
 	if n <= 0 || f.old == nil {
 		return
@@ -324,7 +315,6 @@ func (f *Flat) Negate() {
 
 func (f *Flat) Mem() Mem {
 	return Mem{
-		Kind:  KindFlat,
 		Live:  f.Len(),
 		Slots: len(f.slots) + len(f.old),
 		Bytes: int64(len(f.slots)+len(f.old)) * flatSlotBytes,

@@ -173,14 +173,10 @@ func TestFlatRehashBudgetBoundsStall(t *testing.T) {
 }
 
 func TestFlatReserveAvoidsMidBatchGrowth(t *testing.T) {
-	f := NewFlat(0)
-	f.Reserve(10_000)
+	// Capacity is reserved at construction: a table born with the
+	// batch's size as its hint never grows during the batch.
+	f := NewFlat(10_000)
 	grows := f.Grows()
-	for f.Draining() { // let any reserve-triggered rehash finish
-		f.Add(key(1<<41, 3), 1)
-		f.Add(key(1<<41, 3), -1)
-	}
-	grows = f.Grows()
 	for i := uint64(0); i < 10_000; i++ {
 		f.Add(key(i, 3), 1)
 	}
@@ -194,29 +190,29 @@ func TestFlatGrowMidDrainKeepsAllEntries(t *testing.T) {
 	// a budget of only len(old) slots — short by up to oldLive steps,
 	// since a full drain pays one step per scanned slot plus one per
 	// removal — then overwrite f.old, silently dropping whatever
-	// remained. Reserve right after a growth starts (old table still
-	// nearly full) hit exactly that window.
+	// remained. A forced growth right after one starts (old table still
+	// nearly full) hits exactly that window.
 	f := NewFlat(0)
 	want := map[pattern.PackedKey]int64{}
 	for i := uint64(0); !f.Draining(); i++ {
 		f.Add(key(i, 9), int64(i)+1)
 		want[key(i, 9)] = int64(i) + 1
 	}
-	f.Reserve(1000)
+	f.grow(f.Len() + 1000)
 	if f.Len() != len(want) {
-		t.Fatalf("Len=%d after Reserve mid-drain, want %d", f.Len(), len(want))
+		t.Fatalf("Len=%d after growth mid-drain, want %d", f.Len(), len(want))
 	}
 	for k, v := range want {
 		if got := f.Get(k); got != v {
 			t.Fatalf("Get(%v)=%d want %d: entry dropped by mid-drain growth", k, got, v)
 		}
 	}
-	// A second forced growth while the first Reserve's rehash may still
-	// be draining must preserve everything too.
-	f.Reserve(100_000)
+	// A second forced growth while the first one's rehash may still be
+	// draining must preserve everything too.
+	f.grow(f.Len() + 100_000)
 	for k, v := range want {
 		if got := f.Get(k); got != v {
-			t.Fatalf("after chained Reserve: Get(%v)=%d want %d", k, got, v)
+			t.Fatalf("after chained growth: Get(%v)=%d want %d", k, got, v)
 		}
 	}
 }

@@ -7,59 +7,37 @@ import (
 )
 
 // FuzzStoreEquivalence interprets the fuzz input as an op tape run
-// against all three layouts over a 12-bit key space; any divergence
-// from the map baseline is a bug in flat or dense.
+// against Flat over a 12-bit key space; any divergence from the plain
+// map oracle is a bug in the table.
 func FuzzStoreEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x81, 3, 4, 0xFF, 0, 0, 7})
 	f.Add([]byte{0x20, 0x20, 0x40, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		const keyBits = 12
-		stores := newStores(keyBits)
-		names := []string{"map", "flat", "dense"}
+		flat, ref := NewFlat(0), refMap{}
 		for pos := 0; pos+3 <= len(tape); pos += 3 {
 			op, lo, hi := tape[pos], tape[pos+1], tape[pos+2]
 			k := pattern.PackedKey{uint64(lo) | uint64(hi&0xF)<<8, 0}
 			n := int64(int8(hi)) // signed payload reusing hi
 			switch op % 6 {
 			case 0, 1, 2:
-				var got [3]int64
-				for i, name := range names {
-					got[i] = stores[name].Add(k, n)
-				}
-				if got[0] != got[1] || got[0] != got[2] {
-					t.Fatalf("Add(%v,%d): map=%d flat=%d dense=%d", k, n, got[0], got[1], got[2])
+				if got, want := flat.Add(k, n), ref.add(k, n); got != want {
+					t.Fatalf("Add(%v,%d) = %d, oracle %d", k, n, got, want)
 				}
 			case 3:
-				for _, name := range names {
-					stores[name].Set(k, n)
-				}
+				flat.Set(k, n)
+				ref.set(k, n)
 			case 4:
-				for _, name := range names {
-					stores[name].Negate()
-				}
+				flat.Negate()
+				ref.negate()
 			case 5:
-				want := stores["map"].Get(k)
-				for _, name := range names[1:] {
-					if got := stores[name].Get(k); got != want {
-						t.Fatalf("Get(%v): %s=%d map=%d", k, name, got, want)
-					}
+				if got, want := flat.Get(k), ref[k]; got != want {
+					t.Fatalf("Get(%v) = %d, oracle %d", k, got, want)
 				}
 			}
-			if l0, l1, l2 := stores["map"].Len(), stores["flat"].Len(), stores["dense"].Len(); l0 != l1 || l0 != l2 {
-				t.Fatalf("Len: map=%d flat=%d dense=%d", l0, l1, l2)
+			if flat.Len() != len(ref) {
+				t.Fatalf("Len = %d, oracle %d", flat.Len(), len(ref))
 			}
 		}
-		want := snapshot(stores["map"])
-		for _, name := range names[1:] {
-			got := snapshot(stores[name])
-			if len(got) != len(want) {
-				t.Fatalf("%s holds %d keys, map %d", name, len(got), len(want))
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("%s[%v]=%d want %d", name, k, got[k], v)
-				}
-			}
-		}
+		checkContents(t, flat, ref)
 	})
 }

@@ -200,19 +200,3 @@ func (p *Probe) Range(fn func(k pattern.PackedKey, n int64)) {
 		}
 	}
 }
-
-// probeSlotBytes is a slot's footprint: key, count and control byte.
-const probeSlotBytes = 25
-
-// Mem reports the table's live/slot/byte footprint. The layout
-// reports as KindFlat: it is the flat store family's read-only
-// specialization, and everything keyed on the resolved store kind
-// (bench labels, rebuild plumbing) should treat it as such.
-func (p *Probe) Mem() Mem {
-	return Mem{
-		Kind:  KindFlat,
-		Live:  p.live,
-		Slots: len(p.keys),
-		Bytes: int64(len(p.keys)) * probeSlotBytes,
-	}
-}

@@ -57,9 +57,6 @@ func TestProbeVsMapReference(t *testing.T) {
 			t.Fatalf("Range saw %v=%d, want %d", k, ranged[k], want)
 		}
 	}
-	if m := p.Mem(); m.Kind != KindFlat || m.Live != len(ref) {
-		t.Fatalf("Mem() = %+v, want KindFlat with %d live", m, len(ref))
-	}
 }
 
 // TestProbeGetRaw proves the fused raw-byte probe is equivalent to

@@ -2,43 +2,68 @@ package countstore
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"coverage/internal/pattern"
 )
 
-// newStores builds one store per layout over the same small one-word
-// key space so all three can run the same schedule.
-func newStores(keyBits int) map[string]Store {
-	return map[string]Store{
-		"map":   NewMap(0),
-		"flat":  NewFlat(0),
-		"dense": NewDense(keyBits),
+// refMap is the oracle Flat is checked against: a plain map under the
+// same never-store-zero contract.
+type refMap map[pattern.PackedKey]int64
+
+func (m refMap) add(k pattern.PackedKey, n int64) int64 {
+	c := m[k] + n
+	m.set(k, c)
+	return c
+}
+
+func (m refMap) set(k pattern.PackedKey, n int64) {
+	if n == 0 {
+		delete(m, k)
+		return
+	}
+	m[k] = n
+}
+
+func (m refMap) negate() {
+	for k, n := range m {
+		m[k] = -n
 	}
 }
 
-func snapshot(s Store) map[pattern.PackedKey]int64 {
-	out := map[pattern.PackedKey]int64{}
-	s.Range(func(k pattern.PackedKey, n int64) {
+// checkContents compares Flat's full Range contents and self-reported
+// footprint against the oracle.
+func checkContents(t *testing.T, f *Flat, want refMap) {
+	t.Helper()
+	got := map[pattern.PackedKey]int64{}
+	f.Range(func(k pattern.PackedKey, n int64) {
 		if n == 0 {
-			panic("Range yielded zero count")
+			t.Fatalf("Range yielded zero count for %v", k)
 		}
-		out[k] = n
+		got[k] = n
 	})
-	return out
+	if len(got) != len(want) {
+		t.Fatalf("Range yields %d keys, oracle holds %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("flat[%v]=%d want %d", k, got[k], n)
+		}
+	}
+	if m := f.Mem(); m.Live != len(want) {
+		t.Fatalf("Mem.Live=%d want %d", m.Live, len(want))
+	}
 }
 
-// TestStoreEquivalenceSchedule drives flat and dense through a
-// randomized schedule of signed adds, absolute sets, deletes-to-zero,
-// negations and reserves, comparing Get/Add returns/Len after every
-// step and the full Range contents at the end against the map baseline.
+// TestStoreEquivalenceSchedule drives Flat through a randomized
+// schedule of signed adds, absolute sets, deletes-to-zero, negations
+// and drain announcements, comparing Get/Add returns/Len after every
+// step and the full Range contents at the end against the map oracle.
 func TestStoreEquivalenceSchedule(t *testing.T) {
 	const keyBits = 10
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		stores := newStores(keyBits)
-		names := []string{"map", "flat", "dense"}
+		flat, ref := NewFlat(0), refMap{}
 		keys := make([]pattern.PackedKey, 64)
 		for i := range keys {
 			keys[i] = pattern.PackedKey{uint64(rng.Intn(1 << keyBits)), 0}
@@ -48,156 +73,31 @@ func TestStoreEquivalenceSchedule(t *testing.T) {
 			switch op := rng.Intn(20); {
 			case op < 10: // signed add
 				n := int64(rng.Intn(9) - 4)
-				var got [3]int64
-				for i, name := range names {
-					got[i] = stores[name].Add(k, n)
-				}
-				if got[0] != got[1] || got[0] != got[2] {
-					t.Fatalf("seed %d step %d: Add(%v,%d) returns diverge: map=%d flat=%d dense=%d",
-						seed, step, k, n, got[0], got[1], got[2])
+				if got, want := flat.Add(k, n), ref.add(k, n); got != want {
+					t.Fatalf("seed %d step %d: Add(%v,%d) = %d, oracle %d", seed, step, k, n, got, want)
 				}
 			case op < 13: // absolute set
 				n := int64(rng.Intn(5) - 2)
-				for _, name := range names {
-					stores[name].Set(k, n)
-				}
+				flat.Set(k, n)
+				ref.set(k, n)
 			case op < 15: // delete to zero
-				c := stores["map"].Get(k)
-				for _, name := range names {
-					stores[name].Add(k, -c)
-				}
+				c := ref[k]
+				flat.Add(k, -c)
+				ref.add(k, -c)
 			case op < 16:
-				for _, name := range names {
-					stores[name].Negate()
-				}
+				flat.Negate()
+				ref.negate()
 			case op < 17:
-				for _, name := range names {
-					stores[name].Reserve(rng.Intn(200))
-				}
+				flat.ExpectInserts(rng.Intn(200))
 			default: // read
-				want := stores["map"].Get(k)
-				for _, name := range names[1:] {
-					if got := stores[name].Get(k); got != want {
-						t.Fatalf("seed %d step %d: Get(%v) %s=%d map=%d", seed, step, k, name, got, want)
-					}
+				if got, want := flat.Get(k), ref[k]; got != want {
+					t.Fatalf("seed %d step %d: Get(%v) = %d, oracle %d", seed, step, k, got, want)
 				}
 			}
-			if l0, l1, l2 := stores["map"].Len(), stores["flat"].Len(), stores["dense"].Len(); l0 != l1 || l0 != l2 {
-				t.Fatalf("seed %d step %d: Len diverges map=%d flat=%d dense=%d", seed, step, l0, l1, l2)
+			if flat.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: Len = %d, oracle %d", seed, step, flat.Len(), len(ref))
 			}
 		}
-		want := snapshot(stores["map"])
-		for _, name := range names[1:] {
-			got := snapshot(stores[name])
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: %s Range yields %d keys, map %d", seed, name, len(got), len(want))
-			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Fatalf("seed %d: %s[%v]=%d want %d", seed, name, k, got[k], n)
-				}
-			}
-			m := stores[name].Mem()
-			if m.Live != len(want) {
-				t.Fatalf("seed %d: %s Mem.Live=%d want %d", seed, name, m.Live, len(want))
-			}
-		}
+		checkContents(t, flat, ref)
 	}
-}
-
-func TestResolve(t *testing.T) {
-	low := pattern.NewCodec([]int{3, 3, 3, 3}) // 4×2 bits = 8 ≤ 20 → dense
-	cards := make([]int, 13)
-	for i := range cards {
-		cards[i] = 20 // 13×5 = 65 bits: packable but two words → flat
-	}
-	wide := pattern.NewCodec(cards)
-	cases := []struct {
-		kind  Kind
-		codec *pattern.Codec
-		want  Kind
-	}{
-		{KindAuto, low, KindDense},
-		{KindAuto, wide, KindFlat},
-		{KindDense, wide, KindFlat}, // forced dense degrades
-		{KindDense, low, KindDense},
-		{KindFlat, low, KindFlat},
-		{KindMap, low, KindMap},
-	}
-	for _, c := range cases {
-		if got := Resolve(c.kind, c.codec, 0); got != c.want {
-			t.Errorf("Resolve(%v, bits=%v) = %v want %v", c.kind, c.codec.Dim(), got, c.want)
-		}
-	}
-}
-
-func TestResolveClampsDenseBits(t *testing.T) {
-	// 5×7-bit fields pack to 35 one-word bits: above the MaxDenseBits
-	// ceiling, so even a config budget that nominally admits them must
-	// resolve flat — NewDense(35) would size its occupancy bitvec and
-	// page directory from the budgeted key space (~4 GiB of occupancy).
-	wide := pattern.NewCodec([]int{64, 64, 64, 64, 64})
-	if got := Resolve(KindAuto, wide, 40); got != KindFlat {
-		t.Errorf("Resolve(auto, 35-bit codec, budget 40) = %v, want flat", got)
-	}
-	if got := Resolve(KindDense, wide, 1<<20); got != KindFlat {
-		t.Errorf("Resolve(dense, 35-bit codec, huge budget) = %v, want flat", got)
-	}
-	// Schemas at or under the ceiling still go dense, oversized budget
-	// or not; budgets between the default and the ceiling are honored.
-	within := pattern.NewCodec([]int{64, 64, 64}) // 21 bits
-	if got := Resolve(KindAuto, within, 40); got != KindDense {
-		t.Errorf("Resolve(auto, 21-bit codec, budget 40) = %v, want dense", got)
-	}
-	if got := Resolve(KindAuto, within, 24); got != KindDense {
-		t.Errorf("Resolve(auto, 21-bit codec, budget 24) = %v, want dense", got)
-	}
-	if got := Resolve(KindAuto, within, 0); got != KindFlat {
-		t.Errorf("Resolve(auto, 21-bit codec, default budget) = %v, want flat", got)
-	}
-}
-
-func TestKindRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindAuto, KindMap, KindFlat, KindDense} {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind(bogus) succeeded")
-	}
-}
-
-func TestDenseMemAndPaging(t *testing.T) {
-	d := NewDense(16) // 65536 keys, 16 pages
-	base := d.Mem().Bytes
-	if want := int64(65536/8 + 16*4); base != want {
-		t.Fatalf("empty dense bytes=%d want %d (occupancy bits + page-live counters)", base, want)
-	}
-	d.Add(pattern.PackedKey{0, 0}, 1)
-	d.Add(pattern.PackedKey{1, 0}, 1) // same page
-	if got := d.Mem().Bytes; got != base+densePageSize*8 {
-		t.Fatalf("one touched page: bytes=%d want %d", got, base+densePageSize*8)
-	}
-	d.Add(pattern.PackedKey{densePageSize, 0}, 1) // second page
-	if got := d.Mem().Bytes; got != base+2*densePageSize*8 {
-		t.Fatalf("two touched pages: bytes=%d want %d", got, base+2*densePageSize*8)
-	}
-	var seen []uint64
-	d.Range(func(k pattern.PackedKey, n int64) { seen = append(seen, k[0]) })
-	sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != densePageSize {
-		t.Fatalf("Range keys = %v", seen)
-	}
-}
-
-func TestDenseRejectsOutOfSpaceKey(t *testing.T) {
-	d := NewDense(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-space key")
-		}
-	}()
-	d.Add(pattern.PackedKey{1 << 9, 0}, 1)
 }

@@ -55,7 +55,6 @@ func shardOfRow(row []uint8, n int) int {
 type shardCore struct {
 	schema *dataset.Schema
 	keys   *keyCodec
-	tables *tableFactory
 	opts   Options
 
 	base     *index.Index
@@ -69,14 +68,13 @@ type shardCore struct {
 }
 
 // newShardCore returns an empty core over the schema.
-func newShardCore(schema *dataset.Schema, keys *keyCodec, tables *tableFactory, opts Options) *shardCore {
+func newShardCore(schema *dataset.Schema, keys *keyCodec, opts Options) *shardCore {
 	c := &shardCore{
 		schema:   schema,
 		keys:     keys,
-		tables:   tables,
 		opts:     opts,
-		counts:   tables.newCounts(0),
-		deltaPos: tables.newBatch(0),
+		counts:   keys.newTable(0),
+		deltaPos: keys.newTable(0),
 	}
 	c.rebuild()
 	c.compactions = 0 // the initial empty build is not a compaction
@@ -89,7 +87,7 @@ func newShardCore(schema *dataset.Schema, keys *keyCodec, tables *tableFactory, 
 func (c *shardCore) seed(counts countTable) {
 	c.counts = counts
 	counts.each(func(_ comboKey, n int64) { c.rows += n })
-	c.base = index.BuildFromCountsKind(c.schema, c.stringCounts(), c.tables.indexKind(), c.tables.denseBits)
+	c.base = index.BuildFromCounts(c.schema, c.stringCounts())
 	c.pool = c.base.NewPool()
 }
 
@@ -141,6 +139,13 @@ func (c *shardCore) applyBatch(muts countTable) {
 	c.maybeCompact()
 }
 
+// storeBytes is the core's resident table footprint: the count table
+// plus the pending delta-position table. Stats and ResidentBytes both
+// report it, so /stats and the registry's eviction signal agree.
+func (c *shardCore) storeBytes() int64 {
+	return c.counts.mem().Bytes + c.deltaPos.mem().Bytes
+}
+
 // multiplicity returns the live count of one combination key.
 func (c *shardCore) multiplicity(k comboKey) int64 { return c.counts.get(k) }
 
@@ -158,10 +163,10 @@ func (c *shardCore) maybeCompact() {
 // rebuild rebuilds the base oracle from the full count table and
 // clears the delta.
 func (c *shardCore) rebuild() {
-	c.base = index.BuildFromCountsKind(c.schema, c.stringCounts(), c.tables.indexKind(), c.tables.denseBits)
+	c.base = index.BuildFromCounts(c.schema, c.stringCounts())
 	c.pool = c.base.NewPool()
 	c.delta = nil
-	c.deltaPos = c.tables.newBatch(0)
+	c.deltaPos = c.keys.newTable(0)
 	c.compactions++
 }
 

@@ -5,13 +5,13 @@ import (
 	"coverage/internal/pattern"
 )
 
-// countTable is the engine's uniform view over one combo→count table.
-// On packable schemas it is backed by the flat or dense packed-key
-// stores of internal/countstore (or their map baseline when forced);
-// past the 128-bit packing limit it falls back to the historical
-// map[comboKey]int64. The zero count is never stored — add and set
-// delete a key the moment its count reaches zero, exactly the pruning
-// discipline the signed mutation path already relied on.
+// countTable is the engine's uniform view over one combo→count table,
+// with exactly two implementations chosen by keyCodec.packed: a
+// countstore.Flat over packed keys on packable schemas, and a
+// map[comboKey]int64 over raw byte strings past the 128-bit packing
+// limit. The zero count is never stored — add and set delete a key the
+// moment its count reaches zero, exactly the pruning discipline the
+// signed mutation path relies on.
 type countTable interface {
 	get(k comboKey) int64
 	// add adds the signed n and returns the new count.
@@ -22,9 +22,9 @@ type countTable interface {
 	// each calls fn for every live key; mutating the table during
 	// iteration is not allowed.
 	each(fn func(k comboKey, n int64))
-	// reserve announces about extra upcoming mutations. Layouts with
-	// incremental rehash use it to pace their drain (no allocation —
-	// growth stays insert-driven); the rest ignore it.
+	// reserve announces about extra upcoming mutations so a flat
+	// table's incremental rehash paces its drain (no allocation —
+	// growth stays insert-driven); the map ignores it.
 	reserve(extra int)
 	// negate flips every count's sign in place (the delete path builds
 	// a batch of positive needs, validates, then negates it wholesale).
@@ -32,68 +32,26 @@ type countTable interface {
 	mem() countstore.Mem
 }
 
-// tableFactory resolves the engine's store layout once — at
-// construction or restore — and stamps out tables for shard cores,
-// batch accumulators and tombstone sets. kind is the resolved
-// long-lived layout; transient batch accumulators use flat tables on
-// packed schemas regardless (a dense accumulator would pay the whole
-// key-space occupancy bitmap per batch).
-type tableFactory struct {
-	keys      *keyCodec
-	kind      countstore.Kind
-	denseBits int
-}
-
-func newTableFactory(keys *keyCodec, opts Options) *tableFactory {
-	f := &tableFactory{keys: keys, denseBits: opts.denseKeyBits()}
-	if !keys.packed {
-		f.kind = countstore.KindMap
-		return f
-	}
-	f.kind = countstore.Resolve(opts.CountStore, keys.codec, f.denseBits)
-	if f.kind != countstore.KindDense {
-		// Hashed layouts (flat, map) never index by key bits, so the
-		// bit-compact codec buys nothing; the byte-aligned raw codec
-		// packs row bytes with two word loads instead of a
-		// per-attribute loop. Dense keeps the compact layout — its key
-		// space is the packed bit range. Resolved once here, before any
-		// core exists, so every comboKey in the engine uses one layout.
-		if raw := pattern.NewRawCodec(keys.codec.Dim()); raw.Packable() {
-			keys.codec = raw
-		}
-	}
-	return f
-}
-
-// newCounts builds a long-lived per-shard count table of the resolved
-// layout.
-func (f *tableFactory) newCounts(hint int) countTable {
-	switch f.kind {
-	case countstore.KindFlat:
-		return flatTable{countstore.NewFlat(hint)}
-	case countstore.KindDense:
-		bits, _ := f.keys.codec.PackedBits()
-		return denseTable{countstore.NewDense(bits)}
-	}
-	return make(comboMap, hint)
-}
-
-// newBatch builds a transient accumulator (batch counting, delta
-// positions, tombstones): flat on packed schemas, map otherwise.
-func (f *tableFactory) newBatch(hint int) countTable {
-	if f.kind == countstore.KindFlat || f.kind == countstore.KindDense {
+// newTable builds a count table for about hint keys in the engine's
+// key representation — shard cores, batch accumulators, delta
+// positions and tombstone sets all use the same one.
+func (kc *keyCodec) newTable(hint int) countTable {
+	if kc.packed {
 		return flatTable{countstore.NewFlat(hint)}
 	}
 	return make(comboMap, hint)
 }
 
-// indexKind is the combo-store layout the base oracles should build
-// with, matching the engine's resolved layout so probes stay on one
-// code path end to end.
-func (f *tableFactory) indexKind() countstore.Kind { return f.kind }
+// tableName is what Stats reports for the tables newTable builds.
+func (kc *keyCodec) tableName() string {
+	if kc.packed {
+		return "flat"
+	}
+	return "map"
+}
 
 // flatTable adapts countstore.Flat to comboKey (packed representation
-// only — the factory never hands it out on string-keyed engines).
+// only — newTable never hands it out on string-keyed engines).
 type flatTable struct{ t *countstore.Flat }
 
 func (f flatTable) get(k comboKey) int64          { return f.t.Get(k.pk) }
@@ -107,22 +65,9 @@ func (f flatTable) each(fn func(k comboKey, n int64)) {
 	f.t.Range(func(pk pattern.PackedKey, n int64) { fn(comboKey{pk: pk}, n) })
 }
 
-// denseTable adapts countstore.Dense the same way.
-type denseTable struct{ t *countstore.Dense }
-
-func (d denseTable) get(k comboKey) int64          { return d.t.Get(k.pk) }
-func (d denseTable) add(k comboKey, n int64) int64 { return d.t.Add(k.pk, n) }
-func (d denseTable) set(k comboKey, n int64)       { d.t.Set(k.pk, n) }
-func (d denseTable) size() int                     { return d.t.Len() }
-func (d denseTable) reserve(extra int)             { d.t.Reserve(extra) }
-func (d denseTable) negate()                       { d.t.Negate() }
-func (d denseTable) mem() countstore.Mem           { return d.t.Mem() }
-func (d denseTable) each(fn func(k comboKey, n int64)) {
-	d.t.Range(func(pk pattern.PackedKey, n int64) { fn(comboKey{pk: pk}, n) })
-}
-
-// comboMap is the historical map layout: the baseline for forced-map
-// comparison runs and the only layout for >128-bit schemas.
+// comboMap is the byte-string fallback: the only table for schemas
+// wider than 128 bits, and the reference side of the packed-vs-string
+// equivalence suite.
 type comboMap map[comboKey]int64
 
 func (m comboMap) get(k comboKey) int64 { return m[k] }
@@ -167,5 +112,5 @@ func (m comboMap) negate() {
 const comboMapEntryBytes = 64
 
 func (m comboMap) mem() countstore.Mem {
-	return countstore.Mem{Kind: countstore.KindMap, Live: len(m), Bytes: int64(len(m)) * comboMapEntryBytes}
+	return countstore.Mem{Live: len(m), Bytes: int64(len(m)) * comboMapEntryBytes}
 }

@@ -1,231 +1,80 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"coverage/internal/countstore"
-	"coverage/internal/mup"
-	"coverage/internal/pattern"
 )
 
-// TestStoreKindEngineEquivalence drives one randomized mutation
-// schedule into three engines forced onto each count-store layout —
-// the historical map, the open-addressed flat table and the dense
-// direct-indexed vector — over a dense-eligible schema: every
-// statistic, coverage answer, MUP set and exported state must be
-// identical, and each state must restore onto any other layout
-// unchanged. The layout is a memory/speed choice, never a semantic
-// one.
-func TestStoreKindEngineEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cards := []int{3, 4, 2, 3} // 9 packed bits: dense-eligible
-			schema := testSchema(t, cards)
-			kinds := []countstore.Kind{countstore.KindMap, countstore.KindFlat, countstore.KindDense}
-			es := make([]*Engine, len(kinds))
-			for i, k := range kinds {
-				opts := Options{CompactMinDistinct: 2, CompactFraction: 0.2, CountStore: k}
-				es[i] = NewSharded(schema, shards, opts)
-			}
-			for i, k := range kinds {
-				if got := es[i].Stats().Shards[0].Store; got != k.String() {
-					t.Fatalf("forced %v engine reports shard store %q", k, got)
-				}
-			}
-			ref := es[0] // the map engine is the baseline
-			rng := rand.New(rand.NewSource(int64(23 * shards)))
-			const tau = 4
-			for step := 0; step < 25; step++ {
-				switch {
-				case step == 10:
-					for _, e := range es {
-						e.SetWindow(60)
-					}
-				case rng.Intn(3) > 0 || ref.Rows() == 0:
-					batch := randomRows(rng, cards, 5+rng.Intn(20))
-					for _, e := range es {
-						if err := e.Append(batch); err != nil {
-							t.Fatal(err)
-						}
-					}
-				default:
-					batch := drawDeletableEngine(rng, ref, 1+rng.Intn(5))
-					if len(batch) == 0 {
-						continue
-					}
-					for _, e := range es {
-						if err := e.Delete(batch); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				var ps []pattern.Pattern
-				pattern.EnumerateAll(cards, func(p pattern.Pattern) bool {
-					ps = append(ps, p.Clone())
-					return true
-				})
-				want, err := ref.CoverageBatch(ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wres, err := ref.MUPs(mup.Options{Threshold: tau})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rst := ref.Stats()
-				for i := 1; i < len(es); i++ {
-					est := es[i].Stats()
-					if est.Rows != rst.Rows || est.Distinct != rst.Distinct || est.Tombstones != rst.Tombstones {
-						t.Fatalf("step %d: %v stats diverge: rows/distinct/tombstones %d/%d/%d, map %d/%d/%d",
-							step, kinds[i], est.Rows, est.Distinct, est.Tombstones, rst.Rows, rst.Distinct, rst.Tombstones)
-					}
-					got, err := es[i].CoverageBatch(ps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := range ps {
-						if want[j] != got[j] {
-							t.Fatalf("step %d: cov(%v) = %d on %v, %d on map", step, ps[j], got[j], kinds[i], want[j])
-						}
-					}
-					gres, err := es[i].MUPs(mup.Options{Threshold: tau})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(gres.MUPs) != len(wres.MUPs) {
-						t.Fatalf("step %d: %d MUPs on %v, %d on map", step, len(gres.MUPs), kinds[i], len(wres.MUPs))
-					}
-					for j := range wres.MUPs {
-						if !wres.MUPs[j].Equal(gres.MUPs[j]) {
-							t.Fatalf("step %d: MUPs[%d] = %v on %v, %v on map", step, j, gres.MUPs[j], kinds[i], wres.MUPs[j])
-						}
-					}
-				}
-			}
-			// The serialized states agree key for key, and each restores
-			// onto every other layout unchanged (persistence is layout-
-			// blind: the State boundary stays string-keyed).
-			states := make([]*State, len(es))
-			for i, e := range es {
-				states[i] = e.ExportState()
-			}
-			for i := 1; i < len(states); i++ {
-				if len(states[i].Counts) != len(states[0].Counts) {
-					t.Fatalf("exported %d counts on %v, %d on map", len(states[i].Counts), kinds[i], len(states[0].Counts))
-				}
-				for k, c := range states[0].Counts {
-					if states[i].Counts[k] != c {
-						t.Fatalf("exported count of %v: %d on %v, %d on map", pattern.Pattern(k), states[i].Counts[k], kinds[i], c)
-					}
-				}
-			}
-			for i := range kinds {
-				from := states[i]
-				onto := kinds[(i+1)%len(kinds)]
-				restored, err := NewFromState(from, Options{CountStore: onto})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if restored.Rows() != ref.Rows() {
-					t.Fatalf("%v restore of %v state: rows = %d, want %d", onto, kinds[i], restored.Rows(), ref.Rows())
-				}
-				got, err := restored.CoverageBatch([]pattern.Pattern{pattern.All(len(cards))})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[0] != ref.Rows() {
-					t.Fatalf("%v restore of %v state: cov(root) = %d, want %d", onto, kinds[i], got[0], ref.Rows())
-				}
-			}
-		})
-	}
-}
-
-// TestStoreKindDenseDegradesToFlat pins the resolution heuristic: a
-// schema whose packed-key space exceeds the dense budget silently
-// degrades a forced (or auto-selected) dense layout to flat rather
-// than allocating the oversized vector.
-func TestStoreKindDenseDegradesToFlat(t *testing.T) {
-	cards := []int{64, 64, 64, 64} // 24 packed bits > the 10-bit budget below
-	schema := testSchema(t, cards)
-	e := NewSharded(schema, 1, Options{CountStore: countstore.KindDense, DenseKeyBits: 10})
-	if got := e.Stats().Shards[0].Store; got != "flat" {
-		t.Fatalf("oversized dense request resolved to %q, want flat", got)
-	}
-	auto := NewSharded(schema, 1, Options{DenseKeyBits: 10})
-	if got := auto.Stats().Shards[0].Store; got != "flat" {
-		t.Fatalf("auto resolution on an oversized key space picked %q, want flat", got)
-	}
-	small := NewSharded(testSchema(t, []int{2, 2, 2}), 1, Options{})
-	if got := small.Stats().Shards[0].Store; got != "dense" {
-		t.Fatalf("auto resolution on a 3-bit key space picked %q, want dense", got)
-	}
-}
-
-// TestBaseOracleMatchesShardStoreKind pins the end-to-end layout
-// consistency the tentpole promised: the base oracles build their
-// full-combo tables on the same layout the shard stores resolved to.
-// Regression: the index builder used to hardcode the default dense
-// budget, so an engine whose DenseKeyBits admitted the schema above 20
-// bits ran dense shard stores over flat base oracles.
-func TestBaseOracleMatchesShardStoreKind(t *testing.T) {
-	cards := []int{64, 64, 64} // 21 packed bits: dense only above the default budget
-	schema := testSchema(t, cards)
-	e := NewSharded(schema, 2, Options{DenseKeyBits: 24, CompactMinDistinct: 1, CompactFraction: 0.01})
-	if got := e.Stats().Shards[0].Store; got != "dense" {
-		t.Fatalf("shard store = %q, want dense under a 24-bit budget", got)
-	}
-	rng := rand.New(rand.NewSource(3))
-	if err := e.Append(randomRows(rng, cards, 200)); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range e.cores {
-		if got := c.base.ComboStoreKind(); got != countstore.KindDense {
-			t.Fatalf("core %d base oracle combo store = %v, want dense to match the shard store", i, got)
-		}
-	}
-	// The budget clamp end to end: a 35-bit schema is past the 28-bit
-	// ceiling, so even an absurd budget degrades to flat everywhere
-	// instead of sizing dense vectors from the raw config value.
-	wideCards := []int{64, 64, 64, 64, 64}
-	wide := NewSharded(testSchema(t, wideCards), 1, Options{DenseKeyBits: 60, CompactMinDistinct: 1, CompactFraction: 0.01})
-	if got := wide.Stats().Shards[0].Store; got != "flat" {
-		t.Fatalf("35-bit schema under clamped budget: shard store = %q, want flat", got)
-	}
-	if err := wide.Append(randomRows(rng, wideCards, 50)); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range wide.cores {
-		if got := c.base.ComboStoreKind(); got != countstore.KindFlat {
-			t.Fatalf("core %d base oracle combo store = %v, want flat under the clamp", i, got)
-		}
-	}
-}
-
-// TestStatsStoreFields pins the store observability surface: occupancy
-// stays a ratio in (0,1] for slotted layouts and resident bytes grow
-// with the live set.
+// TestStatsStoreFields pins the store observability surface: the table
+// name follows the key representation, occupancy stays a ratio in
+// (0,1] for the slotted table (0 for the map), resident bytes grow
+// with the live set, and the per-shard bytes sum to exactly the
+// ResidentBytes the registry evicts on — with a pending delta, so the
+// delta-position tables are part of both.
 func TestStatsStoreFields(t *testing.T) {
-	cards := []int{4, 4, 4}
-	schema := testSchema(t, cards)
-	e := NewSharded(schema, 2, Options{CountStore: countstore.KindFlat})
-	rng := rand.New(rand.NewSource(7))
-	if err := e.Append(randomRows(rng, cards, 200)); err != nil {
-		t.Fatal(err)
-	}
-	for i, sh := range e.Stats().Shards {
-		if sh.Store != "flat" {
-			t.Fatalf("shard %d store = %q, want flat", i, sh.Store)
+	for _, tc := range []struct {
+		cards []int
+		store string
+	}{
+		{[]int{4, 4, 4}, "flat"},
+		{wideCards(), "map"},
+	} {
+		e := NewSharded(testSchema(t, tc.cards), 2, Options{})
+		rng := rand.New(rand.NewSource(7))
+		if err := e.Append(randomRows(rng, tc.cards, 200)); err != nil {
+			t.Fatal(err)
 		}
-		if sh.Distinct > 0 {
-			if sh.StoreOccupancy <= 0 || sh.StoreOccupancy > 1 {
+		st := e.Stats()
+		if st.DeltaDistinct == 0 {
+			t.Fatal("precondition: the append should leave a pending delta")
+		}
+		var sum int64
+		for i, sh := range st.Shards {
+			if sh.Store != tc.store {
+				t.Fatalf("shard %d store = %q, want %q", i, sh.Store, tc.store)
+			}
+			if tc.store == "flat" && (sh.StoreOccupancy <= 0 || sh.StoreOccupancy > 1) {
 				t.Errorf("shard %d occupancy = %v, want in (0,1]", i, sh.StoreOccupancy)
+			}
+			if tc.store == "map" && sh.StoreOccupancy != 0 {
+				t.Errorf("shard %d occupancy = %v, want 0 for the slotless map", i, sh.StoreOccupancy)
 			}
 			if sh.StoreBytes <= 0 {
 				t.Errorf("shard %d store bytes = %d, want > 0", i, sh.StoreBytes)
 			}
+			sum += sh.StoreBytes
 		}
+		if rb := e.ResidentBytes(); sum != rb {
+			t.Errorf("%s: shard store bytes sum to %d, ResidentBytes() = %d", tc.store, sum, rb)
+		}
+	}
+}
+
+// TestRestoreKeepsMutationLogKeys is the regression test for a restore
+// that imported the removed/added logs through the bit-compact codec
+// and then swapped the engine to the byte-aligned one, so the logs
+// came back as garbage keys.
+func TestRestoreKeepsMutationLogKeys(t *testing.T) {
+	cards := []int{64, 64, 64, 4}
+	e := NewSharded(testSchema(t, cards), 2, Options{})
+	rows := randomRows(rand.New(rand.NewSource(1)), cards, 50)
+	if err := e.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Delete(rows[:5]); err != nil {
+		t.Fatal(err)
+	}
+	st := e.ExportState()
+	if len(st.Removed.Recs) == 0 || len(st.Added.Recs) == 0 {
+		t.Fatal("precondition: both mutation logs should be populated")
+	}
+	restored, err := NewFromState(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restored.ExportState()
+	if !reflect.DeepEqual(got.Removed, st.Removed) || !reflect.DeepEqual(got.Added, st.Added) {
+		t.Fatal("mutation logs changed across ExportState → NewFromState → ExportState")
 	}
 }

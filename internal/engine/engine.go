@@ -59,7 +59,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"coverage/internal/countstore"
 	"coverage/internal/dataset"
 	"coverage/internal/index"
 	"coverage/internal/mup"
@@ -125,23 +124,6 @@ type Options struct {
 	// search, so larger logs tolerate longer gaps between queries on
 	// delete-heavy streams. 0 means 8192.
 	RemovedLogSize int
-	// CountStore selects the layout of the per-shard count stores (and
-	// the base oracles' full-combo tables): countstore.KindAuto (the
-	// default) picks the dense direct-indexed vector when the schema's
-	// whole packed-key space fits DenseKeyBits bits, the open-addressed
-	// flat table otherwise, and the historical map only past the
-	// 128-bit packing limit. KindMap/KindFlat/KindDense force a layout
-	// (kinds the schema cannot support degrade the same way: dense →
-	// flat on wide key spaces, everything → map past 128 bits). All
-	// layouts are observably identical; the forced kinds exist for
-	// benchmark comparisons.
-	CountStore countstore.Kind
-	// DenseKeyBits is the dense layout's key-space budget in bits; 0
-	// means countstore.DefaultDenseBits (20, i.e. 1M combos). Values
-	// above countstore.MaxDenseBits (28) are clamped to it — the dense
-	// vector sizes its occupancy bitmap as 1<<bits, so an unbounded
-	// budget would be an OOM footgun.
-	DenseKeyBits int
 	// FullSearchRemovedFraction is the bulk-retraction cutoff: when
 	// the distinct combinations removed since a cached MUP set exceed
 	// this fraction of the engine's distinct combinations, the repair
@@ -214,16 +196,6 @@ func (o Options) removedLogSize() int {
 	return 8192
 }
 
-func (o Options) denseKeyBits() int {
-	if o.DenseKeyBits > countstore.MaxDenseBits {
-		return countstore.MaxDenseBits
-	}
-	if o.DenseKeyBits > 0 {
-		return o.DenseKeyBits
-	}
-	return countstore.DefaultDenseBits
-}
-
 func (o Options) fullSearchRemovedFraction() float64 {
 	if o.FullSearchRemovedFraction > 0 {
 		return o.FullSearchRemovedFraction
@@ -233,16 +205,17 @@ func (o Options) fullSearchRemovedFraction() float64 {
 
 // ShardStat describes one shard core: its partition's live rows, its
 // live distinct combinations, its pending delta size, how many times
-// it has compacted, and which count-store layout it runs on.
+// it has compacted, and which count table it runs on.
 type ShardStat struct {
 	Rows          int64
 	Distinct      int
 	DeltaDistinct int
 	Compactions   int64
-	// Store is the core's count-store layout ("map", "flat" or
-	// "dense"); StoreOccupancy is its live-keys/slot-capacity fill
-	// ratio (0 for the slotless map layout) and StoreBytes the
-	// resident bytes of its backing arrays.
+	// Store is the core's count table ("flat", or "map" on the
+	// byte-string fallback for schemas wider than 128 bits);
+	// StoreOccupancy is its live-keys/slot-capacity fill ratio (0 for
+	// the slotless map) and StoreBytes the resident bytes of the
+	// core's count and pending delta-position tables.
 	Store          string
 	StoreOccupancy float64
 	StoreBytes     int64
@@ -344,7 +317,6 @@ type ShardedEngine struct {
 	cards  []int
 	opts   Options
 	keys   *keyCodec
-	tables *tableFactory
 	cores  []*shardCore
 
 	// comboRate is an EWMA of distinct combinations per row measured
@@ -526,9 +498,8 @@ func New(schema *dataset.Schema, opts Options) *Engine {
 		cache:     make(map[searchKey]*cachedSearch),
 		planCache: make(map[planKey]*cachedPlan),
 	}
-	e.tables = newTableFactory(e.keys, opts)
 	for i := range e.cores {
-		e.cores[i] = newShardCore(schema, e.keys, e.tables, opts)
+		e.cores[i] = newShardCore(schema, e.keys, opts)
 	}
 	return e
 }
@@ -550,7 +521,7 @@ func NewFromDataset(ds *dataset.Dataset, opts Options) *Engine {
 	dd := ds.Distinct()
 	parts := make([]countTable, n)
 	for i := range parts {
-		parts[i] = e.tables.newCounts(len(dd.Combos)/n + 1)
+		parts[i] = e.keys.newTable(len(dd.Combos)/n + 1)
 	}
 	for k, combo := range dd.Combos {
 		parts[shardOfRow(combo, n)].set(e.keys.ofRow(combo), dd.Counts[k])
@@ -623,15 +594,14 @@ func (e *ShardedEngine) Stats() Stats {
 		Shards:               make([]ShardStat, len(e.cores)),
 	}
 	for i, c := range e.cores {
-		m := c.counts.mem()
 		st.Shards[i] = ShardStat{
 			Rows:           c.rows,
 			Distinct:       c.counts.size(),
 			DeltaDistinct:  len(c.delta),
 			Compactions:    c.compactions,
-			Store:          m.Kind.String(),
-			StoreOccupancy: m.Occupancy(),
-			StoreBytes:     m.Bytes,
+			Store:          e.keys.tableName(),
+			StoreOccupancy: c.counts.mem().Occupancy(),
+			StoreBytes:     c.storeBytes(),
 		}
 		st.Distinct += c.counts.size()
 		st.DeltaDistinct += len(c.delta)
@@ -641,16 +611,15 @@ func (e *ShardedEngine) Stats() Stats {
 }
 
 // ResidentBytes reports the engine's resident count-store footprint:
-// the per-shard count tables plus pending delta-position tables — the
-// same per-shard store-bytes accounting Stats reports, summed without
-// materializing the full Stats block. Registries use it as the signal
-// for LRU byte-budget eviction across tenants.
+// the sum of Stats().Shards[i].StoreBytes, without materializing the
+// full Stats block. Registries use it as the signal for LRU
+// byte-budget eviction across tenants.
 func (e *ShardedEngine) ResidentBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var b int64
 	for _, c := range e.cores {
-		b += c.counts.mem().Bytes + c.deltaPos.mem().Bytes
+		b += c.storeBytes()
 	}
 	return b
 }
@@ -686,7 +655,7 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 	if n == 1 {
 		shards := e.shardCounts(rows, e.opts.workers())
 		if len(shards) == 0 {
-			return []countTable{e.tables.newBatch(0)}
+			return []countTable{e.keys.newTable(0)}
 		}
 		merged := shards[0]
 		merged.reserve(len(rows) - merged.size())
@@ -709,13 +678,13 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		if len(parts[i]) == 0 {
-			out[i] = e.tables.newBatch(0)
+			out[i] = e.keys.newTable(0)
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m := e.tables.newBatch(e.batchHint(len(parts[i])))
+			m := e.keys.newTable(e.batchHint(len(parts[i])))
 			for _, k := range parts[i] {
 				m.add(k, 1)
 			}
@@ -789,7 +758,7 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
 		wg.Add(1)
 		go func(w int, part [][]uint8) {
 			defer wg.Done()
-			m := e.tables.newBatch(e.batchHint(len(part)))
+			m := e.keys.newTable(e.batchHint(len(part)))
 			for _, row := range part {
 				m.add(e.keys.ofRow(row), 1)
 			}
@@ -925,14 +894,14 @@ func (e *ShardedEngine) Delete(rows [][]uint8) error {
 // rows beyond it are evicted oldest-first on every subsequent append.
 // maxRows <= 0 removes the window (and drops the row log). Rows already
 // present when the window is first enabled have no recorded arrival
-// order; they are treated as oldest — ordered by ascending dense-page
-// occupancy (sparsest key-space pages evict first, emptying near-empty
-// count-store pages fastest; ties by page then combination), or in
-// plain sorted combination order on schemas too wide to pack — and
-// evicted before any row appended afterwards. The ordering is a pure
-// function of the schema and the live combination set, so it is
-// identical across shard counts, store layouts and key
-// representations.
+// order; they are treated as oldest — ordered by ascending key-space
+// page occupancy (sparsest pages evict first; ties by page then
+// combination), or in plain sorted combination order on schemas too
+// wide to pack — and evicted before any row appended afterwards. The
+// ordering is a pure function of the schema and the live combination
+// set, so it is identical across shard counts and key representations
+// — and across versions: SetWindow is a WAL-logged mutation, so a log
+// written by an older binary must replay to the same eviction order.
 //
 // Every SetWindow call advances the generation, whether or not it
 // evicts: window changes are logged mutations, and a unique generation
@@ -956,7 +925,7 @@ func (e *ShardedEngine) SetWindow(maxRows int) {
 	e.window = maxRows
 	if e.log == nil {
 		e.log = &rowLog{}
-		e.pendingDeletes = e.tables.newBatch(0)
+		e.pendingDeletes = e.keys.newTable(0)
 		e.windowEpoch++
 		e.windowEvicted = 0
 		keys := make([]string, 0, e.distinctLocked())
@@ -976,41 +945,48 @@ func (e *ShardedEngine) SetWindow(maxRows int) {
 	if e.rows > int64(e.window) {
 		muts := make([]countTable, len(e.cores))
 		for i := range muts {
-			muts[i] = e.tables.newBatch(0)
+			muts[i] = e.keys.newTable(0)
 		}
 		e.evictIntoLocked(muts)
 		e.applyCoresLocked(muts)
 	}
 }
 
+// windowPageShift fixes the page granularity of the initial-window
+// eviction order: 4096 consecutive canonical packed keys per page.
+// Frozen — changing it would reorder the replay of logged SetWindow
+// records.
+const windowPageShift = 12
+
+// windowPageOf maps a canonical packed key to its page index, a pure
+// function of the key alone.
+func windowPageOf(k pattern.PackedKey) uint64 {
+	return k[0]>>windowPageShift | k[1]<<(64-windowPageShift)
+}
+
 // orderInitialWindow sorts the initial window log's distinct keys into
-// eviction order: ascending live-combo count of each key's dense page
-// (the per-page occupancy the dense count store maintains; tallied in
-// one pass on other layouts), ties broken by page then raw key. On
-// schemas whose canonical packed form does not exist the order is the
-// historical sorted one. The canonical compact codec — not the
-// engine's resolved key codec, which flat layouts swap for a raw
-// byte-aligned one — keys the pages, so every layout computes the same
-// order.
+// eviction order: ascending live-combo count of each key's page, ties
+// broken by page then raw key. On schemas whose canonical packed form
+// does not exist the order is the plain sorted one. The canonical
+// compact codec — not the engine's key codec, which is the raw
+// byte-aligned one where the schema fits — keys the pages, so the
+// order depends on the schema and the live set alone.
 func (e *ShardedEngine) orderInitialWindow(keys []string) {
 	canon := pattern.NewCodec(e.cards)
 	if !canon.Packable() {
 		sort.Strings(keys)
 		return
 	}
-	live := make(map[uint64]int, len(keys)/countstore.PageSize+1)
-	if !e.sumDensePages(live) {
-		for _, k := range keys {
-			live[countstore.PageOf(canon.PackedKeyString(k))]++
-		}
-	}
 	type entry struct {
 		page uint64
 		key  string
 	}
 	entries := make([]entry, len(keys))
+	live := make(map[uint64]int, len(keys)>>windowPageShift+1)
 	for i, k := range keys {
-		entries[i] = entry{page: countstore.PageOf(canon.PackedKeyString(k)), key: k}
+		page := windowPageOf(canon.PackedKeyString(k))
+		entries[i] = entry{page: page, key: k}
+		live[page]++
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
@@ -1025,26 +1001,6 @@ func (e *ShardedEngine) orderInitialWindow(keys []string) {
 	for i := range entries {
 		keys[i] = entries[i].key
 	}
-}
-
-// sumDensePages sums the per-page live counters of the cores' dense
-// count stores into live, reporting whether every core had one. Dense
-// stores index by the canonical compact codec, so their page counters
-// are exactly the canonical tally — summed across shards because each
-// shard's store covers the whole key space for its disjoint partition.
-func (e *ShardedEngine) sumDensePages(live map[uint64]int) bool {
-	for _, c := range e.cores {
-		dt, ok := c.counts.(denseTable)
-		if !ok {
-			return false
-		}
-		for p := 0; p < dt.t.NumPages(); p++ {
-			if n := dt.t.PageLive(p); n > 0 {
-				live[uint64(p)] += n
-			}
-		}
-	}
-	return true
 }
 
 // Window returns the configured sliding-window bound (0 = unbounded).
@@ -1204,7 +1160,7 @@ func (e *ShardedEngine) Index() *index.Index {
 			union[e.keys.str(k)] = n
 		})
 	}
-	return index.BuildFromCountsKind(e.schema, union, e.tables.indexKind(), e.tables.denseBits)
+	return index.BuildFromCounts(e.schema, union)
 }
 
 // Oracle folds any pending deltas and returns a coverage oracle over

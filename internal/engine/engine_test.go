@@ -26,6 +26,16 @@ func testSchema(t testing.TB, cards []int) *dataset.Schema {
 	return dataset.MustSchema(attrs)
 }
 
+// wideCards is a schema past the 128-bit packing limit (17 × 8 bits),
+// which runs the engine on its byte-string fallback.
+func wideCards() []int {
+	cards := make([]int, 17)
+	for i := range cards {
+		cards[i] = 200
+	}
+	return cards
+}
+
 func randomRows(rng *rand.Rand, cards []int, n int) [][]uint8 {
 	rows := make([][]uint8, n)
 	for i := range rows {

@@ -28,7 +28,18 @@ type keyCodec struct {
 
 func newKeyCodec(cards []int, forceString bool) *keyCodec {
 	c := pattern.NewCodec(cards)
-	return &keyCodec{codec: c, packed: c.Packable() && !forceString}
+	kc := &keyCodec{codec: c, packed: c.Packable() && !forceString}
+	if kc.packed {
+		// The tables only hash their keys, so the bit-compact layout
+		// buys nothing: where the schema fits, the byte-aligned raw
+		// codec packs row bytes with two word loads instead of a
+		// per-attribute loop. Resolved here, before any key exists, so
+		// every comboKey in the engine uses one layout.
+		if raw := pattern.NewRawCodec(len(cards)); raw.Packable() {
+			kc.codec = raw
+		}
+	}
+	return kc
 }
 
 // ofRow returns the key of one full value combination held as raw row

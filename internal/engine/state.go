@@ -608,7 +608,6 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 	e.cacheHits.Store(st.Counters.CacheHits)
 	e.planProbes.Store(st.Counters.PlanProbes)
 	e.planHits.Store(st.Counters.PlanHits)
-	e.tables = newTableFactory(keys, opts)
 
 	shardKeys := st.ShardCountKeys
 	switch {
@@ -635,7 +634,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			core := newShardCore(schema, keys, e.tables, opts)
+			core := newShardCore(schema, keys, opts)
 			core.compactions = 0
 			part := shardKeys[i]
 			core.counts.reserve(len(part))
@@ -654,7 +653,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			// deterministic order BuildFromCounts would sort into —
 			// build the oracle directly and skip the O(n log n)
 			// re-sort.
-			core.base = index.BuildFromDistinctKind(dd, e.tables.indexKind(), e.tables.denseBits)
+			core.base = index.BuildFromDistinct(dd)
 			core.pool = core.base.NewPool()
 			e.cores[i] = core
 		}(i)
@@ -663,7 +662,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 
 	if st.Window > 0 {
 		e.log = &rowLog{keys: append([]string(nil), st.WindowLog...)}
-		e.pendingDeletes = e.tables.newBatch(len(st.PendingDeletes))
+		e.pendingDeletes = keys.newTable(len(st.PendingDeletes))
 		for k, c := range st.PendingDeletes {
 			e.pendingDeletes.set(keys.ofString(k), c)
 		}

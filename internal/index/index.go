@@ -22,10 +22,8 @@ import (
 // separate Probers.
 //
 // The full-combo multiplicity table — hit by every deepest-level probe
-// of the MUP descent — lives in exactly one of three layouts: a flat
-// open-addressed table or dense direct-indexed vector over packed keys
-// (internal/countstore) for packable schemas, or the legacy string map
-// for schemas past 128 bits and KindMap-forced builds.
+// of the MUP descent — is a countstore.Probe over packed keys on
+// packable schemas, and a string map on schemas past 128 bits.
 type Index struct {
 	schema  *dataset.Schema
 	cards   []int
@@ -33,9 +31,8 @@ type Index struct {
 	density [][]int            // [attribute][value] → set-bit count of the vector
 	counts  []int64            // multiplicity per distinct combo
 	combos  map[string]int64   // full combo → multiplicity (string fallback)
-	flat    *countstore.Probe  // full combo → multiplicity (packed, flat family)
-	dense   *countstore.Dense  // full combo → multiplicity (packed, dense)
-	codec   *pattern.Codec     // set iff flat or dense is
+	flat    *countstore.Probe  // full combo → multiplicity (packed)
+	codec   *pattern.Codec     // set iff flat is
 	rawKeys bool               // flat uses the raw byte-aligned codec
 	total   int64
 	nDist   int
@@ -47,19 +44,8 @@ func Build(d *dataset.Dataset) *Index {
 }
 
 // BuildFromDistinct constructs the oracle from an already
-// deduplicated dataset, auto-selecting the combo-store layout.
+// deduplicated dataset.
 func BuildFromDistinct(dd *dataset.Distinct) *Index {
-	return BuildFromDistinctKind(dd, countstore.KindAuto, 0)
-}
-
-// BuildFromDistinctKind is BuildFromDistinct with a forced combo-store
-// layout, so an engine that pinned a per-shard store kind builds its
-// base oracles to match. denseBits is the dense layout's key-space
-// budget (0 means countstore.DefaultDenseBits) — engines thread their
-// resolved budget through so the oracle picks the same layout as the
-// shard stores. Kinds the schema cannot support degrade the usual way
-// (dense → flat; everything → string map past 128 bits).
-func BuildFromDistinctKind(dd *dataset.Distinct, kind countstore.Kind, denseBits int) *Index {
 	cards := dd.Schema.Cards()
 	ix := &Index{
 		schema: dd.Schema,
@@ -68,7 +54,7 @@ func BuildFromDistinctKind(dd *dataset.Distinct, kind countstore.Kind, denseBits
 		counts: dd.Counts,
 		nDist:  len(dd.Combos),
 	}
-	ix.initComboStore(kind, denseBits, len(dd.Combos))
+	ix.initComboStore(len(dd.Combos))
 	for i, c := range cards {
 		ix.vecs[i] = make([]*bitvec.Vector, c)
 		for v := 0; v < c; v++ {
@@ -92,74 +78,44 @@ func BuildFromDistinctKind(dd *dataset.Distinct, kind countstore.Kind, denseBits
 	return ix
 }
 
-// initComboStore picks and allocates the full-combo count store.
-func (ix *Index) initComboStore(kind Kind, denseBits, hint int) {
+// initComboStore allocates the full-combo count table.
+func (ix *Index) initComboStore(hint int) {
 	codec := pattern.NewCodec(ix.cards)
-	if !codec.Packable() || kind == countstore.KindMap {
+	if !codec.Packable() {
 		ix.combos = make(map[string]int64, hint)
 		return
 	}
-	switch countstore.Resolve(kind, codec, denseBits) {
-	case countstore.KindDense:
-		ix.codec = codec
-		bits, _ := codec.PackedBits()
-		ix.dense = countstore.NewDense(bits)
-	default:
-		// The flat table only hashes its keys, so it trades the
-		// bit-compact layout for the byte-aligned raw one when the
-		// schema fits: every deepest-level probe then packs with two
-		// word loads instead of a per-attribute shift-and-mask loop.
-		if raw := pattern.NewRawCodec(len(ix.cards)); raw.Packable() {
-			codec = raw
-			ix.rawKeys = true
-		}
-		ix.codec = codec
-		ix.flat = countstore.NewProbe(hint)
+	// The table only hashes its keys, so it trades the bit-compact
+	// layout for the byte-aligned raw one when the schema fits: every
+	// deepest-level probe then packs with two word loads instead of a
+	// per-attribute shift-and-mask loop.
+	if raw := pattern.NewRawCodec(len(ix.cards)); raw.Packable() {
+		codec = raw
+		ix.rawKeys = true
 	}
+	ix.codec = codec
+	ix.flat = countstore.NewProbe(hint)
 }
 
-// Kind aliases countstore.Kind for callers forcing a combo-store
-// layout at build time.
-type Kind = countstore.Kind
-
 func (ix *Index) setCombo(combo []uint8, n int64) {
-	switch {
-	case ix.flat != nil:
+	if ix.flat != nil {
 		ix.flat.Set(ix.codec.PackedKey(pattern.Pattern(combo)), n)
-	case ix.dense != nil:
-		ix.dense.Set(ix.codec.PackedKey(pattern.Pattern(combo)), n)
-	default:
-		ix.combos[string(combo)] = n
+		return
 	}
+	ix.combos[string(combo)] = n
 }
 
 // fullCount is the full-combo multiplicity lookup backing ComboCount
 // and the deepest-level probe fast path: a packed-key table probe on
 // packable schemas, a string-map lookup otherwise.
 func (ix *Index) fullCount(p pattern.Pattern) int64 {
-	switch {
-	case ix.flat != nil:
+	if ix.flat != nil {
 		if ix.rawKeys {
 			return ix.flat.GetRaw(p)
 		}
 		return ix.flat.Get(ix.codec.PackedKey(p))
-	case ix.dense != nil:
-		return ix.dense.Get(ix.codec.PackedKey(p))
 	}
 	return ix.combos[string(p)]
-}
-
-// ComboStoreKind reports which layout holds the full-combo counts
-// (KindMap covers both forced-map builds and the >128-bit string
-// fallback).
-func (ix *Index) ComboStoreKind() Kind {
-	switch {
-	case ix.flat != nil:
-		return countstore.KindFlat
-	case ix.dense != nil:
-		return countstore.KindDense
-	}
-	return countstore.KindMap
 }
 
 // BuildFromCounts constructs the oracle from a combo→multiplicity map
@@ -174,12 +130,6 @@ func (ix *Index) ComboStoreKind() Kind {
 // occupy a bit-vector column, or NumDistinct and the probe windows
 // would keep paying for rows that no longer exist.
 func BuildFromCounts(schema *dataset.Schema, counts map[string]int64) *Index {
-	return BuildFromCountsKind(schema, counts, countstore.KindAuto, 0)
-}
-
-// BuildFromCountsKind is BuildFromCounts with a forced combo-store
-// layout and dense-budget (see BuildFromDistinctKind).
-func BuildFromCountsKind(schema *dataset.Schema, counts map[string]int64, kind countstore.Kind, denseBits int) *Index {
 	keys := make([]string, 0, len(counts))
 	for k, c := range counts {
 		if c <= 0 {
@@ -197,7 +147,7 @@ func BuildFromCountsKind(schema *dataset.Schema, counts map[string]int64, kind c
 		dd.Combos[i] = []uint8(k)
 		dd.Counts[i] = counts[k]
 	}
-	return BuildFromDistinctKind(dd, kind, denseBits)
+	return BuildFromDistinct(dd)
 }
 
 // Schema returns the schema the oracle was built over.
@@ -233,24 +183,17 @@ func (ix *Index) Coverage(p pattern.Pattern) int64 {
 // concurrently with probes — this is how the engine snapshots its bulk
 // state without copying the combo map under a lock.
 func (ix *Index) Range(fn func(combo string, count int64)) {
-	switch {
-	case ix.flat != nil:
-		buf := make([]uint8, 0, len(ix.cards))
-		ix.flat.Range(func(k pattern.PackedKey, c int64) {
-			buf = ix.codec.AppendUnpack(buf[:0], k)
-			fn(string(buf), c)
-		})
-	case ix.dense != nil:
-		buf := make([]uint8, 0, len(ix.cards))
-		ix.dense.Range(func(k pattern.PackedKey, c int64) {
-			buf = ix.codec.AppendUnpack(buf[:0], k)
-			fn(string(buf), c)
-		})
-	default:
+	if ix.flat == nil {
 		for k, c := range ix.combos {
 			fn(k, c)
 		}
+		return
 	}
+	buf := make([]uint8, 0, len(ix.cards))
+	ix.flat.Range(func(k pattern.PackedKey, c int64) {
+		buf = ix.codec.AppendUnpack(buf[:0], k)
+		fn(string(buf), c)
+	})
 }
 
 // Prober performs allocation-free repeated coverage probes against an

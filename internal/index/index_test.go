@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,10 +102,9 @@ func TestMatchVector(t *testing.T) {
 	}
 }
 
-// randomDataset builds a dataset with random rows over random
+// randomDataset builds a dataset with random rows over d random
 // low-cardinality attributes.
-func randomDataset(r *rand.Rand) *dataset.Dataset {
-	d := 1 + r.Intn(5)
+func randomDataset(r *rand.Rand, d int) *dataset.Dataset {
 	attrs := make([]dataset.Attribute, d)
 	for i := range attrs {
 		c := 2 + r.Intn(3)
@@ -112,7 +112,7 @@ func randomDataset(r *rand.Rand) *dataset.Dataset {
 		for v := range values {
 			values[v] = string(rune('a' + v))
 		}
-		attrs[i] = dataset.Attribute{Name: string(rune('A' + i)), Values: values}
+		attrs[i] = dataset.Attribute{Name: fmt.Sprintf("A%d", i), Values: values}
 	}
 	ds := dataset.New(dataset.MustSchema(attrs))
 	n := r.Intn(200)
@@ -126,30 +126,52 @@ func randomDataset(r *rand.Rand) *dataset.Dataset {
 	return ds
 }
 
+// TestQuickCoverageEqualsLiteralScan checks cov(P) against a literal
+// row scan on both full-combo tables: the packed one (1–5 attributes)
+// and the string fallback (65 attributes of at least 2 bits each
+// exceed the 128-bit packing limit). Every third pattern is a stored
+// row in full, so the full-combo lookup is probed with hits, not only
+// with absent keys.
 func TestQuickCoverageEqualsLiteralScan(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ds := randomDataset(r)
-		ix := Build(ds)
-		pr := ix.NewProber()
-		cards := ds.Cards()
-		for trial := 0; trial < 30; trial++ {
-			p := make(pattern.Pattern, ds.Dim())
-			for i := range p {
-				if r.Intn(2) == 0 {
-					p[i] = pattern.Wildcard
+	for _, tc := range []struct {
+		name           string
+		minDim, maxDim int
+		packed         bool
+	}{
+		{"packed", 1, 5, true},
+		{"string", 65, 65, false},
+	} {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			ds := randomDataset(r, tc.minDim+r.Intn(tc.maxDim-tc.minDim+1))
+			ix := Build(ds)
+			if (ix.flat != nil) != tc.packed {
+				t.Fatalf("%s: packed combo table = %v, want %v", tc.name, ix.flat != nil, tc.packed)
+			}
+			pr := ix.NewProber()
+			cards := ds.Cards()
+			for trial := 0; trial < 30; trial++ {
+				p := make(pattern.Pattern, ds.Dim())
+				if trial%3 == 0 && ds.NumRows() > 0 {
+					copy(p, ds.Row(r.Intn(ds.NumRows())))
 				} else {
-					p[i] = uint8(r.Intn(cards[i]))
+					for i := range p {
+						if r.Intn(2) == 0 {
+							p[i] = pattern.Wildcard
+						} else {
+							p[i] = uint8(r.Intn(cards[i]))
+						}
+					}
+				}
+				if pr.Coverage(p) != ds.CountMatches(p) {
+					return false
 				}
 			}
-			if pr.Coverage(p) != ds.CountMatches(p) {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

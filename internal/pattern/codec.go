@@ -68,9 +68,9 @@ const RawKeyDim = 16
 // of a pattern is literally its bytes loaded little-endian into the
 // two key words — PackedKey costs two word loads instead of a
 // per-attribute shift-and-mask loop. The layout spends 8 bits per
-// field no matter the cardinality, so it suits hashed stores (flat,
-// map), never the dense direct-indexed vector, and only schemas of at
-// most RawKeyDim attributes are packable this way.
+// field no matter the cardinality, which costs a hashed table nothing,
+// and only schemas of at most RawKeyDim attributes are packable this
+// way.
 func NewRawCodec(dim int) *Codec {
 	c := &Codec{
 		shift: make([]uint, dim),
@@ -96,26 +96,6 @@ func (c *Codec) Packable() bool { return c.packable }
 
 // Raw reports whether this is the byte-aligned raw layout.
 func (c *Codec) Raw() bool { return c.raw }
-
-// PackedBits returns the total packed field width in bits and whether
-// every field landed in the first of the two key words. A one-word
-// layout means the whole key lives in PackedKey[0], so the key space is
-// exactly [0, 1<<bits) — the precondition for direct-indexed (dense)
-// count stores. Only meaningful on packable codecs.
-func (c *Codec) PackedBits() (bits int, oneWord bool) {
-	oneWord = true
-	for i := range c.shift {
-		w := bits2(c.mask[i])
-		bits += w
-		if c.word[i] != 0 {
-			oneWord = false
-		}
-	}
-	return bits, oneWord
-}
-
-// bits2 returns the width of a low-bit mask (mask = 1<<w - 1).
-func bits2(mask uint64) int { return bits.Len64(mask) }
 
 // PackedKey returns the packed key of p without allocating. It must
 // only be called on packable codecs; p must use the codec's

@@ -228,12 +228,6 @@ func (r *Registry) mergeEngine(o engine.Options) engine.Options {
 	if o.Workers == 0 {
 		o.Workers = d.Workers
 	}
-	if o.CountStore == 0 {
-		o.CountStore = d.CountStore
-	}
-	if o.DenseKeyBits == 0 {
-		o.DenseKeyBits = d.DenseKeyBits
-	}
 	return o
 }
 
