@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -129,12 +130,12 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON sends v as compact JSON. The three list replies — /mups,
+// /coverage, /plan — are hand-encoded instead (wire.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -429,6 +430,11 @@ type coverageRequest struct {
 	Threshold int64    `json:"threshold,omitempty"`
 }
 
+// patternCoverage, coverageResponse and — below — mupsResponse and
+// planResponse with their elements declare the shape of the three list
+// replies. The handlers do not marshal them: wireBuf's encoders write
+// the same bytes without reflection, and TestWireBodiesMatchMarshal
+// holds the two together.
 type patternCoverage struct {
 	Pattern     string `json:"pattern"`
 	Description string `json:"description"`
@@ -468,16 +474,9 @@ func (s *server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := coverageResponse{Rows: s.an.NumRows(), Results: make([]patternCoverage, len(ps))}
-	for i, p := range ps {
-		pc := patternCoverage{Pattern: p.String(), Description: schema.DescribePattern(p), Coverage: covs[i]}
-		if req.Threshold > 0 {
-			covered := covs[i] >= req.Threshold
-			pc.Covered = &covered
-		}
-		resp.Results[i] = pc
-	}
-	writeJSON(w, http.StatusOK, resp)
+	b := newWireBuf()
+	b.coverage(schema, s.an.NumRows(), ps, covs, req.Threshold)
+	b.send(w)
 }
 
 type mupJSON struct {
@@ -536,24 +535,18 @@ func (s *server) handleMUPs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer release()
 	rep, err := s.an.FindMUPs(opts)
+	// The slots cover the search only: encoding and writing a
+	// multi-megabyte reply to a slow reader must not pin capacity other
+	// tenants are queued for.
+	release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := mupsResponse{
-		Rows:      s.an.NumRows(),
-		Threshold: rep.Threshold,
-		TotalMUPs: len(rep.MUPs),
-		MUPs:      make([]mupJSON, 0, len(rep.MUPs)),
-		Algorithm: rep.Stats.Algorithm,
-		Probes:    rep.Stats.CoverageProbes,
-	}
-	for i, p := range rep.MUPs {
-		resp.MUPs = append(resp.MUPs, mupJSON{Pattern: p.String(), Level: p.Level(), Description: rep.Describe(i)})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	b := newWireBuf()
+	b.mups(s.an.Dataset().Schema(), s.an.NumRows(), rep)
+	b.send(w)
 }
 
 // mutateRequest carries rows to append or delete, either as value
@@ -561,7 +554,7 @@ func (s *server) handleMUPs(w http.ResponseWriter, r *http.Request) {
 // ("codes"). The two forms may be mixed in one request.
 type mutateRequest struct {
 	Rows  [][]string `json:"rows,omitempty"`
-	Codes [][]uint8  `json:"codes,omitempty"`
+	Codes codeRows   `json:"codes"`
 }
 
 type mutateResponse struct {
@@ -589,16 +582,15 @@ func (s *server) rowFromLabels(n int, labels []string) ([]uint8, error) {
 }
 
 // decodeMutateBatch parses a JSON mutate request into a code batch.
-// Both label and code rows are validated against the schema here, so
-// a malformed request is always a 400 and handlers can reserve other
-// statuses for genuine state conflicts.
+// Both label and code rows are validated against the schema here (code
+// rows as they are decoded), so a malformed request is always a 400
+// and handlers can reserve other statuses for genuine state conflicts.
 func (s *server) decodeMutateBatch(w http.ResponseWriter, r *http.Request, verb string) ([][]uint8, bool) {
-	var req mutateRequest
+	req := mutateRequest{Codes: codeRows{schema: s.an.Dataset().Schema()}}
 	if !s.decodeBody(w, r, &req) {
 		return nil, false
 	}
-	schema := s.an.Dataset().Schema()
-	batch := make([][]uint8, 0, len(req.Rows)+len(req.Codes))
+	batch := make([][]uint8, 0, len(req.Rows)+len(req.Codes.rows))
 	for n, labels := range req.Rows {
 		row, err := s.rowFromLabels(n, labels)
 		if err != nil {
@@ -607,23 +599,7 @@ func (s *server) decodeMutateBatch(w http.ResponseWriter, r *http.Request, verb 
 		}
 		batch = append(batch, row)
 	}
-	cards := schema.Cards()
-	for n, row := range req.Codes {
-		if len(row) != len(cards) {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("codes row %d has %d values, schema has %d attributes", n, len(row), len(cards)))
-			return nil, false
-		}
-		for i, v := range row {
-			if int(v) >= cards[i] {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("codes row %d: value %d for attribute %q exceeds cardinality %d",
-						n, v, schema.Attr(i).Name, cards[i]))
-				return nil, false
-			}
-		}
-		batch = append(batch, row)
-	}
+	batch = append(batch, req.Codes.rows...)
 	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%s needs rows or codes", verb))
 		return nil, false
@@ -640,6 +616,36 @@ const ndjsonBatchRows = 4096
 // bulk ingest, so the cap is far above the JSON body cap.
 const maxStreamBytes = 1 << 30
 
+// ndjsonRow decodes one non-blank NDJSON line — value labels or raw
+// codes — into a row, cutting code rows from slab.
+func (s *server) ndjsonRow(slab *rowSlab, line int, raw []byte) ([]uint8, error) {
+	row, rest, ok := scanCodeRow(slab.next(), raw)
+	ok = ok && len(skipJSONSpace(rest)) == 0
+	if !ok || bytes.IndexByte(raw, 'n') >= 0 {
+		// Not a plain code row. Decide as encoding/json always has
+		// here: labels first — a []string takes null elements too —
+		// then codes, which adds the base64 string a []uint8 accepts.
+		var labels []string
+		if json.Unmarshal(raw, &labels) == nil {
+			return s.rowFromLabels(line, labels)
+		}
+		if !ok {
+			var decoded []uint8 // not &row: that would move the hot path's row to the heap
+			if raw[0] != '"' || json.Unmarshal(raw, &decoded) != nil {
+				return nil, fmt.Errorf("line %d: not a JSON array of labels or codes: %q", line, raw)
+			}
+			row = decoded
+		}
+	}
+	if err := checkCodeRow(s.an.Dataset().Schema(), row); err != nil {
+		return nil, fmt.Errorf("line %d: %w", line, err)
+	}
+	if ok {
+		slab.keep(row)
+	}
+	return row, nil
+}
+
 // appendNDJSON consumes an application/x-ndjson body: one JSON array
 // per line, either value labels (["male","white"]) or raw codes
 // ([1,2]), fed to the engine in batches. Rows accepted before a
@@ -647,6 +653,7 @@ const maxStreamBytes = 1 << 30
 func (s *server) appendNDJSON(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.streamLimit()))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	slab := rowSlab{dim: s.an.Dataset().Schema().Dim(), rows: ndjsonBatchRows}
 	batch := make([][]uint8, 0, ndjsonBatchRows)
 	appended := 0
 	flush := func() error {
@@ -667,26 +674,16 @@ func (s *server) appendNDJSON(w http.ResponseWriter, r *http.Request) {
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		var labels []string
-		if err := json.Unmarshal([]byte(raw), &labels); err == nil {
-			row, err := s.rowFromLabels(line, labels)
-			if err != nil {
-				fail(err)
-				return
-			}
-			batch = append(batch, row)
-		} else {
-			var codes []uint8
-			if err := json.Unmarshal([]byte(raw), &codes); err != nil {
-				fail(fmt.Errorf("line %d: not a JSON array of labels or codes: %q", line, raw))
-				return
-			}
-			batch = append(batch, codes)
+		row, err := s.ndjsonRow(&slab, line, raw)
+		if err != nil {
+			fail(err)
+			return
 		}
+		batch = append(batch, row)
 		if len(batch) >= ndjsonBatchRows {
 			if err := flush(); err != nil {
 				fail(err)
@@ -837,9 +834,9 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer release()
 	rep, err := s.an.FindMUPs(coverage.FindOptions{Threshold: req.Tau, ThresholdRate: req.Rate})
 	if err != nil {
+		release()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -851,6 +848,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		MinValueCount: req.MinValueCount,
 		Workers:       req.Workers,
 	})
+	release()
 	if err != nil {
 		status := http.StatusBadRequest
 		if r.Context().Err() != nil {
@@ -859,23 +857,9 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	schema := s.an.Dataset().Schema()
-	resp := planResponse{
-		Threshold:   rep.Threshold,
-		Targets:     len(plan.Targets),
-		Tuples:      plan.NumTuples(),
-		Algorithm:   plan.Stats.Algorithm,
-		Suggestions: make([]suggestionJSON, 0, len(plan.Suggestions)),
-	}
-	for _, sg := range plan.Suggestions {
-		resp.Suggestions = append(resp.Suggestions, suggestionJSON{
-			Collect:     sg.Collect.String(),
-			Description: schema.DescribePattern(sg.Collect),
-			Combo:       coverage.Pattern(sg.Combo).String(),
-			GapsClosed:  len(sg.Hits),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	b := newWireBuf()
+	b.plan(s.an.Dataset().Schema(), rep.Threshold, plan)
+	b.send(w)
 }
 
 // Replication feed. A follower bootstraps by downloading the snapshot

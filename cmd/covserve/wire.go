@@ -1,0 +1,393 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+
+	"coverage"
+)
+
+// The wire path. The bodies that scale with the data — code rows in,
+// MUP, coverage and plan lists out — do not go through encoding/json's
+// reflection: rows are scanned byte by byte into slabs, and the three
+// list replies are appended into a pooled buffer. Everything else
+// (small requests, small replies, label rows) stays on encoding/json.
+
+// skipJSONSpace drops leading JSON whitespace. The first comparison
+// settles every byte that is not: the scanner calls this twice a code.
+func skipJSONSpace(b []byte) []byte {
+	for len(b) > 0 && b[0] <= ' ' && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
+		b = b[1:]
+	}
+	return b
+}
+
+var jsonNull = []byte("null")
+
+// scanCodeRow decodes the JSON value at the head of data the way
+// encoding/json decodes an array into a []uint8: integers 0–255 with no
+// sign, fraction, exponent or leading zero, and null, which leaves a 0
+// (a bare null is the empty row). It appends the codes to dst and
+// returns the bytes after the value. ok is false for everything else:
+// malformed or out-of-range input, and the one other form
+// encoding/json takes — a base64 string — which callers leave to it.
+func scanCodeRow(dst []uint8, data []byte) (row []uint8, rest []byte, ok bool) {
+	data = skipJSONSpace(data)
+	if rest, null := bytes.CutPrefix(data, jsonNull); null {
+		return dst, rest, true
+	}
+	if len(data) == 0 || data[0] != '[' {
+		return nil, nil, false
+	}
+	data = skipJSONSpace(data[1:])
+	if len(data) > 0 && data[0] == ']' {
+		return dst, data[1:], true
+	}
+	for {
+		if len(data) == 0 {
+			return nil, nil, false
+		}
+		var v uint
+		switch c := data[0]; {
+		case c == '0':
+			// A leading zero is the whole number: "01" fails below,
+			// where a ',' or ']' must follow.
+			data = data[1:]
+		case '1' <= c && c <= '9':
+			v = uint(c - '0')
+			data = data[1:]
+			for len(data) > 0 && '0' <= data[0] && data[0] <= '9' {
+				if v = v*10 + uint(data[0]-'0'); v > 255 {
+					return nil, nil, false
+				}
+				data = data[1:]
+			}
+		default:
+			var null bool
+			if data, null = bytes.CutPrefix(data, jsonNull); !null {
+				return nil, nil, false
+			}
+		}
+		dst = append(dst, uint8(v))
+		data = skipJSONSpace(data)
+		if len(data) == 0 {
+			return nil, nil, false
+		}
+		switch data[0] {
+		case ',':
+			data = skipJSONSpace(data[1:])
+		case ']':
+			return dst, data[1:], true
+		default:
+			return nil, nil, false
+		}
+	}
+}
+
+// rowSlab carves row buffers out of one allocation per `rows` rows. A
+// slab is never recycled: the rows cut from it go to the engine and the
+// commit queue, which may hold them past the call.
+type rowSlab struct {
+	buf       []uint8
+	dim, rows int
+}
+
+// next returns an empty buffer with room for exactly one row. A scan
+// that overruns it (a row wider than the schema, rejected afterwards)
+// reallocates and leaves the slab untouched.
+func (s *rowSlab) next() []uint8 {
+	if cap(s.buf)-len(s.buf) < s.dim {
+		s.buf = make([]uint8, 0, s.rows*s.dim)
+	}
+	return s.buf[len(s.buf) : len(s.buf) : len(s.buf)+s.dim]
+}
+
+// keep commits row, scanned into the last next(), unless it overran
+// that buffer and lives elsewhere.
+func (s *rowSlab) keep(row []uint8) {
+	if len(row) <= s.dim {
+		s.buf = s.buf[:len(s.buf)+len(row)]
+	}
+}
+
+// checkCodeRow validates one row of raw codes against the schema. The
+// engine checks again; this is where the client hears which row.
+func checkCodeRow(schema *coverage.Schema, row []uint8) error {
+	cards := schema.Cards()
+	if len(row) != len(cards) {
+		return fmt.Errorf("%d values for a %d-attribute schema", len(row), len(cards))
+	}
+	for i, v := range row {
+		if int(v) >= cards[i] {
+			return fmt.Errorf("value %d for attribute %q exceeds cardinality %d", v, schema.Attr(i).Name, cards[i])
+		}
+	}
+	return nil
+}
+
+// codeRows is the "codes" field of a mutate request: rows of raw value
+// codes, decoded by scanCodeRow and checked against the schema the
+// request was built with.
+type codeRows struct {
+	schema *coverage.Schema
+	rows   [][]uint8
+}
+
+func (c *codeRows) UnmarshalJSON(data []byte) error {
+	rows, ok := scanCodeRows(data, c.schema.Dim())
+	if !ok {
+		// Off the scanner's grammar — a base64 row, or not rows at all:
+		// encoding/json accepts or words the refusal, as it always has.
+		rows = nil
+		if err := json.Unmarshal(data, &rows); err != nil {
+			return err
+		}
+	}
+	for n, row := range rows {
+		if err := checkCodeRow(c.schema, row); err != nil {
+			return fmt.Errorf("codes row %d: %w", n, err)
+		}
+	}
+	c.rows = rows
+	return nil
+}
+
+// scanCodeRows decodes a JSON array of code rows (or null) whose rows
+// are all on scanCodeRow's grammar.
+func scanCodeRows(data []byte, dim int) ([][]uint8, bool) {
+	data = skipJSONSpace(data)
+	if rest, null := bytes.CutPrefix(data, jsonNull); null {
+		return nil, len(skipJSONSpace(rest)) == 0
+	}
+	if len(data) == 0 || data[0] != '[' {
+		return nil, false
+	}
+	// A row of dim codes takes at least 2·dim+2 bytes with its comma;
+	// the hint sizes small bodies exactly and caps large ones at the
+	// NDJSON batch.
+	hint := min(ndjsonBatchRows, len(data)/(2*dim+2)+1)
+	slab := rowSlab{dim: dim, rows: hint}
+	rows := make([][]uint8, 0, hint)
+	data = skipJSONSpace(data[1:])
+	if len(data) > 0 && data[0] == ']' {
+		return rows, len(skipJSONSpace(data[1:])) == 0
+	}
+	for {
+		row, rest, ok := scanCodeRow(slab.next(), data)
+		if !ok {
+			return nil, false
+		}
+		slab.keep(row)
+		rows = append(rows, row)
+		data = skipJSONSpace(rest)
+		if len(data) == 0 {
+			return nil, false
+		}
+		switch data[0] {
+		case ',':
+			data = data[1:]
+		case ']':
+			return rows, len(skipJSONSpace(data[1:])) == 0
+		default:
+			return nil, false
+		}
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonPlain marks the ASCII bytes encoding/json copies into a string
+// unescaped under its default (HTML-safe) settings.
+var jsonPlain = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendJSONString appends s as a JSON string, byte for byte what
+// json.Marshal writes: control characters, quotes, backslashes, the
+// HTML trio and U+2028/U+2029 escaped, invalid UTF-8 as U+FFFD.
+func appendJSONString[S []byte | string](dst []byte, s S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonPlain[c] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		// The conversion of at most UTFMax bytes stays on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// wireBuf is what a hand-encoded reply is built in: the body, and one
+// pattern description at a time on its way to being escaped into it.
+type wireBuf struct{ body, desc []byte }
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// maxPooledBody is the largest body buffer returned to the pool; a
+// bigger one is dropped so that one huge /mups reply does not pin its
+// memory for the life of the process.
+const maxPooledBody = 4 << 20
+
+func (b *wireBuf) raw(s string) { b.body = append(b.body, s...) }
+func (b *wireBuf) int(v int64)  { b.body = strconv.AppendInt(b.body, v, 10) }
+func (b *wireBuf) str(s string) { b.body = appendJSONString(b.body, s) }
+
+// pattern writes p in compact notation; Pattern.AppendText guarantees
+// it needs no escaping.
+func (b *wireBuf) pattern(p coverage.Pattern) {
+	b.body = append(b.body, '"')
+	b.body = p.AppendText(b.body)
+	b.body = append(b.body, '"')
+}
+
+func (b *wireBuf) description(schema *coverage.Schema, p coverage.Pattern) {
+	b.desc = schema.AppendDescription(b.desc[:0], p)
+	b.body = appendJSONString(b.body, b.desc)
+}
+
+// The three encoders below write exactly what json.Marshal writes for
+// mupsResponse, coverageResponse and planResponse (plus the Encoder's
+// newline); TestWireBodiesMatchMarshal holds them to it.
+
+func (b *wireBuf) mups(schema *coverage.Schema, rows int64, rep *coverage.Report) {
+	b.raw(`{"rows":`)
+	b.int(rows)
+	b.raw(`,"threshold":`)
+	b.int(rep.Threshold)
+	b.raw(`,"total_mups":`)
+	b.int(int64(len(rep.MUPs)))
+	b.raw(`,"mups":[`)
+	for i, p := range rep.MUPs {
+		if i > 0 {
+			b.raw(",")
+		}
+		b.raw(`{"pattern":`)
+		b.pattern(p)
+		b.raw(`,"level":`)
+		b.int(int64(p.Level()))
+		b.raw(`,"description":`)
+		b.description(schema, p)
+		b.raw("}")
+	}
+	b.raw(`],"algorithm":`)
+	b.str(rep.Stats.Algorithm)
+	b.raw(`,"coverage_probes":`)
+	b.int(rep.Stats.CoverageProbes)
+	b.raw("}\n")
+}
+
+// coverage writes one result per pattern; threshold > 0 adds the
+// covered verdicts.
+func (b *wireBuf) coverage(schema *coverage.Schema, rows int64, ps []coverage.Pattern, covs []int64, threshold int64) {
+	b.raw(`{"rows":`)
+	b.int(rows)
+	b.raw(`,"results":[`)
+	for i, p := range ps {
+		if i > 0 {
+			b.raw(",")
+		}
+		b.raw(`{"pattern":`)
+		b.pattern(p)
+		b.raw(`,"description":`)
+		b.description(schema, p)
+		b.raw(`,"coverage":`)
+		b.int(covs[i])
+		if threshold > 0 {
+			b.raw(`,"covered":`)
+			b.body = strconv.AppendBool(b.body, covs[i] >= threshold)
+		}
+		b.raw("}")
+	}
+	b.raw("]}\n")
+}
+
+func (b *wireBuf) plan(schema *coverage.Schema, threshold int64, plan *coverage.Plan) {
+	b.raw(`{"threshold":`)
+	b.int(threshold)
+	b.raw(`,"targets":`)
+	b.int(int64(len(plan.Targets)))
+	b.raw(`,"tuples_to_collect":`)
+	b.int(int64(plan.NumTuples()))
+	b.raw(`,"algorithm":`)
+	b.str(plan.Stats.Algorithm)
+	b.raw(`,"suggestions":[`)
+	for i, sg := range plan.Suggestions {
+		if i > 0 {
+			b.raw(",")
+		}
+		b.raw(`{"collect":`)
+		b.pattern(sg.Collect)
+		b.raw(`,"description":`)
+		b.description(schema, sg.Collect)
+		b.raw(`,"example_combination":`)
+		b.pattern(sg.Combo)
+		b.raw(`,"gaps_closed":`)
+		b.int(int64(len(sg.Hits)))
+		b.raw("}")
+	}
+	b.raw("]}\n")
+}
+
+// newWireBuf takes an empty buffer from the pool; send returns it.
+func newWireBuf() *wireBuf {
+	b := wireBufs.Get().(*wireBuf)
+	b.body = b.body[:0]
+	return b
+}
+
+// send writes the body as a 200 with its Content-Length and gives the
+// buffer back.
+func (b *wireBuf) send(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b.body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b.body)
+	if cap(b.body) > maxPooledBody {
+		b.body = nil
+	}
+	wireBufs.Put(b)
+}

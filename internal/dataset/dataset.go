@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 
 	"coverage/internal/pattern"
 )
@@ -118,24 +118,40 @@ func (s *Schema) ValueCode(i int, value string) (uint8, bool) {
 // e.g. "race=Hispanic, marital=widowed"; the all-wildcard pattern
 // renders as "(any)".
 func (s *Schema) DescribePattern(p pattern.Pattern) string {
+	return string(s.AppendDescription(nil, p))
+}
+
+// AppendDescription appends the DescribePattern form of p to dst and
+// returns the extended slice.
+func (s *Schema) AppendDescription(dst []byte, p pattern.Pattern) []byte {
 	if len(p) != s.Dim() {
-		return fmt.Sprintf("(invalid pattern %v for %d-attribute schema)", p, s.Dim())
+		dst = append(dst, "(invalid pattern "...)
+		dst = p.AppendText(dst)
+		dst = append(dst, " for "...)
+		dst = strconv.AppendInt(dst, int64(s.Dim()), 10)
+		return append(dst, "-attribute schema)"...)
 	}
-	var parts []string
+	start := len(dst)
 	for i, v := range p {
 		if v == pattern.Wildcard {
 			continue
 		}
-		label := fmt.Sprintf("#%d", v)
-		if int(v) < len(s.attrs[i].Values) {
-			label = s.attrs[i].Values[v]
+		if len(dst) > start {
+			dst = append(dst, ", "...)
 		}
-		parts = append(parts, fmt.Sprintf("%s=%s", s.attrs[i].Name, label))
+		dst = append(dst, s.attrs[i].Name...)
+		dst = append(dst, '=')
+		if int(v) < len(s.attrs[i].Values) {
+			dst = append(dst, s.attrs[i].Values[v]...)
+		} else {
+			dst = append(dst, '#')
+			dst = strconv.AppendUint(dst, uint64(v), 10)
+		}
 	}
-	if len(parts) == 0 {
-		return "(any)"
+	if len(dst) == start {
+		dst = append(dst, "(any)"...)
 	}
-	return strings.Join(parts, ", ")
+	return dst
 }
 
 // Project returns the sub-schema over the given attribute positions.

@@ -432,12 +432,19 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 	// Seed pass. The expansion waves hold nodes known to be uncovered
 	// in the old state (old MUPs and, transitively, their descendants —
 	// a child of a formerly uncovered node was uncovered too).
+	//
+	// The maximality checks below blank one element of a node's pattern
+	// at a time, in place. The old MUPs are the caller's cached result —
+	// a second repair from the same seed, or a reader of that result,
+	// may be looking at them — so the seed wave works on copies.
 	visited := make(map[K]bool, len(old.MUPs))
 	wave := make([]repairNode, 0, len(old.MUPs))
+	seeds := make([]uint8, 0, len(old.MUPs)*len(cards))
 	for i, m := range old.MUPs {
 		if k := key(m); !visited[k] {
 			visited[k] = true
-			wave = append(wave, repairNode{p: m, seed: i})
+			seeds = append(seeds, m...)
+			wave = append(wave, repairNode{p: seeds[len(seeds)-len(m) : len(seeds) : len(seeds)], seed: i})
 		}
 	}
 

@@ -13,6 +13,7 @@ package pattern
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -151,19 +152,26 @@ func FromKey(key string) Pattern {
 // element, 'X' for wildcards, the decimal digit for values 0-9, and a
 // bracketed decimal (e.g. "[12]") for larger value codes.
 func (p Pattern) String() string {
-	var b strings.Builder
-	b.Grow(len(p))
+	return string(p.AppendText(make([]byte, 0, len(p))))
+}
+
+// AppendText appends the String form of p to dst and returns the
+// extended slice. The text is ASCII from the set "X0123456789[]", so
+// encoders may copy it into quoted output unescaped.
+func (p Pattern) AppendText(dst []byte) []byte {
 	for _, v := range p {
 		switch {
 		case v == Wildcard:
-			b.WriteByte('X')
+			dst = append(dst, 'X')
 		case v < 10:
-			b.WriteByte('0' + v)
+			dst = append(dst, '0'+v)
 		default:
-			fmt.Fprintf(&b, "[%d]", v)
+			dst = append(dst, '[')
+			dst = strconv.AppendUint(dst, uint64(v), 10)
+			dst = append(dst, ']')
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Parse parses the compact notation produced by String. 'X', 'x' and
