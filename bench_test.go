@@ -12,6 +12,7 @@ package coverage_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -448,12 +449,13 @@ func BenchmarkEngineWindowAppend(b *testing.B) {
 // BenchmarkEngineDeleteRepairMUPs compares the engine's delete-then-
 // bidirectional-repair path against the from-scratch recomputation it
 // replaces: per iteration, retract a batch and re-answer the same MUP
-// query. Repair cost scales with the removal-touched cone of the
-// lattice, so the small batch (the streaming steady state) must be
-// measurably faster than full recomputation, while the bulk batch —
-// 1% of all rows, touching most shallow patterns — shows where the
-// advantage erodes (past Options.FullSearchRemovedFraction the engine
-// falls back to the full search on its own).
+// query. Repair cost is one ancestor cube per distinct removed
+// combination plus a linear pass over the cached MUPs, so both the
+// small batch (the streaming steady state) and the bulk batch — 1% of
+// all rows — must be measurably faster than full recomputation (past
+// Options.FullSearchRemovedFraction the engine falls back to the full
+// search on its own). The repair cell reports its allocations: a
+// regression there has shown up as resident memory end to end before.
 func BenchmarkEngineDeleteRepairMUPs(b *testing.B) {
 	const tau = int64(0.001 * benchN)
 	full := datagen.AirBnB(benchN, 13, 42)
@@ -469,6 +471,7 @@ func BenchmarkEngineDeleteRepairMUPs(b *testing.B) {
 			if _, err := eng.MUPs(mup.Options{Threshold: tau}); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			var res *mup.Result
 			for i := 0; i < b.N; i++ {
@@ -519,6 +522,47 @@ func BenchmarkEngineDeleteRepairMUPs(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(res.MUPs)), "MUPs")
 		})
+	}
+}
+
+// TestDeleteRepairAllocCeiling bounds the garbage of the repair a
+// small retraction triggers — Engine.Delete of 100 rows, then MUPs —
+// on a 20 000 × 13 AirBnB-shaped table at τ = 100 (7 213 MUPs). The
+// level-synchronous descent this path used to run over the
+// removal-touched sub-lattice allocated 83.6 MB in 120.7 k objects and
+// issued 185 293 oracle probes per repair (245–303 ms); the ancestor
+// cube allocates 4.1 MB in 15.0 k objects and issues none (15–21 ms).
+// The ceiling is a fifth of the former.
+func TestDeleteRepairAllocCeiling(t *testing.T) {
+	const ceiling = 83_600_000 / 5
+	full := datagen.AirBnB(20000, 13, 42)
+	eng := engine.NewFromDataset(full, engine.Options{})
+	opts := mup.Options{Threshold: 100}
+	if _, err := eng.MUPs(opts); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]uint8, 100)
+	for i := range batch {
+		batch[i] = full.Row(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := eng.Delete(batch); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.MUPs(opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Algorithm != "bidirectional-repair" || res.Stats.CoverageProbes != 0 {
+		t.Errorf("delete repair ran %q with %d oracle probes, want bidirectional-repair with none", res.Stats.Algorithm, res.Stats.CoverageProbes)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("delete + repair allocated %d bytes, ceiling %d", got, ceiling)
+	}
+	if err := mup.VerifyResult(eng.Oracle(), opts.Threshold, res); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -290,8 +290,9 @@ func (a *Analyzer) Append(rows [][]uint8) error { return a.eng.Append(rows) }
 // if any row's value combination lacks the multiplicity to delete, no
 // row is removed and an error is returned. Deletions break the
 // monotonicity appends enjoy — previously covered patterns can fall
-// back below τ — so cached MUP sets are repaired bidirectionally
-// (climbing to the newly uncovered frontier) rather than recomputed.
+// back below τ — so cached MUP sets are repaired bidirectionally (the
+// newly uncovered frontier read off one ancestor cube per retracted
+// combination, at no oracle probe) rather than recomputed.
 func (a *Analyzer) Delete(rows [][]uint8) error { return a.eng.Delete(rows) }
 
 // SetWindow bounds the analyzed data to a sliding window of the most

@@ -17,24 +17,29 @@ var benchCards = []int{8, 6, 5, 4, 7, 3, 5, 6, 4, 3, 5, 4, 6}
 // shard-local route, fan-out apply — at 1 and 4 shard cores. Run with
 // -cpu 1,4: with one processor the sharded cells price the routing
 // overhead alone; with four they measure the parallel win the packed
-// keys and the contiguous per-core slices exist to unlock.
+// keys and the contiguous per-core slices exist to unlock. batch=100 is
+// the size a WAL record usually carries, under inlineBatchRows: it runs
+// on the calling goroutine, so its sharded cells price routing alone at
+// any processor count.
 func BenchmarkEngineAppend(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	seed := randomRows(rng, benchCards, 20000)
-	batch := randomRows(rng, benchCards, 1000)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := NewSharded(testSchema(b, benchCards), shards, Options{})
-			if err := e.Append(seed); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.Append(batch); err != nil {
+	for _, rows := range []int{100, 1000} {
+		batch := randomRows(rng, benchCards, rows)
+		for _, shards := range []int{1, 4} {
+			b.Run(fmt.Sprintf("batch=%d/shards=%d", rows, shards), func(b *testing.B) {
+				e := NewSharded(testSchema(b, benchCards), shards, Options{})
+				if err := e.Append(seed); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := e.Append(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -13,8 +13,9 @@
 // per-core signed maps and fanned out in parallel — each core merges
 // its slice under the coordinator's single write lock, so a batch is
 // atomic for readers while the per-core map merges (the ingest
-// bottleneck) run on separate goroutines. Point coverage queries merge
-// base and delta on read, summed across cores.
+// bottleneck) run on separate goroutines; a batch too small to repay
+// the thread wake-ups (inlineBatchRows) stays on the caller's. Point
+// coverage queries merge base and delta on read, summed across cores.
 //
 // MUP searches are cached per (threshold, level bound) at the
 // coordinator. Searches run as level-synchronous descents against an
@@ -43,10 +44,13 @@
 // monotonicity — coverage can fall back below τ — so every retracted
 // combination is recorded (with its net multiplicity) in a bounded
 // removed-combination log; a cached MUP set older than a deletion is
-// repaired with mup.RepairBidirectional (climbing to the newly
-// uncovered frontier as well as re-expanding covered subtrees),
-// falling back to a full search only when the log's horizon has passed
-// the cached generation.
+// repaired with mup.RepairBidirectional (one ancestor cube per removed
+// combination finds the newly uncovered frontier, a pass over the
+// cached MUPs re-expands the covered subtrees: the cost of what was
+// removed plus one look at each cached MUP, and no oracle probe for a
+// pure deletion), falling back to a full search only when the log's
+// horizon has passed the cached generation or most of the distinct
+// combinations were retracted.
 package engine
 
 import (
@@ -124,13 +128,15 @@ type Options struct {
 	// search, so larger logs tolerate longer gaps between queries on
 	// delete-heavy streams. 0 means 8192.
 	RemovedLogSize int
-	// FullSearchRemovedFraction is the bulk-retraction cutoff: when
+	// FullSearchRemovedFraction is the bulk-retraction cutoff: the
+	// repair builds one ancestor cube per removed combination, so once
 	// the distinct combinations removed since a cached MUP set exceed
-	// this fraction of the engine's distinct combinations, the repair
-	// would have to re-probe most of the lattice anyway (every
-	// ancestor of a removed combination is suspect), so the engine
-	// runs a fresh parallel search instead. 0 means 0.05; values ≥ 1
-	// never fall back.
+	// this fraction of the engine's distinct combinations a fresh
+	// parallel search is cheaper and the engine runs that instead.
+	// 0 means 0.5 (the measured crossover is near 0.7: 100 000-row
+	// AirBnB-shaped tables of 13 and 16 attributes both still repair
+	// 1.5× faster than they search at 0.67 and 0.48); values ≥ 1 never
+	// fall back.
 	FullSearchRemovedFraction float64
 
 	// stringKeys forces the byte-string combo-key representation even
@@ -200,7 +206,7 @@ func (o Options) fullSearchRemovedFraction() float64 {
 	if o.FullSearchRemovedFraction > 0 {
 		return o.FullSearchRemovedFraction
 	}
-	return 0.05
+	return 0.5
 }
 
 // ShardStat describes one shard core: its partition's live rows, its
@@ -356,8 +362,8 @@ type ShardedEngine struct {
 	// removed records combinations whose multiplicity decreased (by
 	// delete or eviction) and added those whose multiplicity grew —
 	// with the net change per generation — so cached MUP sets can be
-	// repaired with probes confined to the mutated cone of the lattice
-	// and their cached coverage values delta-updated without probing.
+	// repaired from the mutated combinations alone and their cached
+	// coverage values delta-updated without probing.
 	// A cache older than the removed log's horizon must run a full
 	// search; an added log past its horizon only costs extra probes.
 	removed mutLog
@@ -412,7 +418,9 @@ type mutLog struct {
 
 // record appends one mutation at gen, trimming the oldest half (on
 // whole-generation boundaries, so the horizon stays exact) when the
-// log outgrows max.
+// log outgrows max. The survivors move to the front of the same array,
+// so a log that has reached max allocates nothing more: ingest and WAL
+// replay record every combination they mutate.
 func (l *mutLog) record(gen uint64, k comboKey, count int64, max int) {
 	l.recs = append(l.recs, mutRec{gen: gen, key: k, count: count})
 	if len(l.recs) <= max {
@@ -423,7 +431,7 @@ func (l *mutLog) record(gen uint64, k comboKey, count int64, max int) {
 		cut++
 	}
 	l.horizon = l.recs[cut-1].gen
-	l.recs = append([]mutRec(nil), l.recs[cut:]...)
+	l.recs = l.recs[:copy(l.recs, l.recs[cut:])]
 }
 
 // since returns the net multiplicity change per distinct combination
@@ -650,10 +658,16 @@ func (e *ShardedEngine) validateRows(rows [][]uint8) error {
 // contiguous key slice and its map is built by its own goroutine —
 // the map inserts, which dominate ingest, run fully in parallel with
 // no cross-core merge and hash two-word keys instead of byte strings.
+// A batch under inlineBatchRows is counted on the calling goroutine.
 func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 	n := len(e.cores)
+	inline := len(rows) < inlineBatchRows
 	if n == 1 {
-		shards := e.shardCounts(rows, e.opts.workers())
+		workers := e.opts.workers()
+		if inline {
+			workers = 1
+		}
+		shards := e.shardCounts(rows, workers)
 		if len(shards) == 0 {
 			return []countTable{e.keys.newTable(0)}
 		}
@@ -675,21 +689,27 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 		parts[s] = append(parts[s], e.keys.ofRow(row))
 	}
 	out := make([]countTable, n)
+	count := func(i int) {
+		m := e.keys.newTable(e.batchHint(len(parts[i])))
+		for _, k := range parts[i] {
+			m.add(k, 1)
+		}
+		out[i] = m
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if len(parts[i]) == 0 {
+		switch {
+		case len(parts[i]) == 0:
 			out[i] = e.keys.newTable(0)
-			continue
+		case inline:
+			count(i)
+		default:
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				count(i)
+			}(i)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := e.keys.newTable(e.batchHint(len(parts[i])))
-			for _, k := range parts[i] {
-				m.add(k, 1)
-			}
-			out[i] = m
-		}(i)
 	}
 	wg.Wait()
 	distinct := 0
@@ -699,6 +719,14 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 	e.observeRate(distinct, len(rows))
 	return out
 }
+
+// inlineBatchRows is the batch size below which a mutation is counted
+// and applied on the calling goroutine instead of one goroutine per
+// core: waking another thread for a few dozen rows costs more than
+// counting them (a 100-row Append on two cores takes 26 µs here and
+// 57 through the fan-out), and every WAL record a restart replays
+// would pay the wake-up again.
+const inlineBatchRows = 512
 
 // defaultComboRate seeds the distinct-combos-per-row estimate before
 // any batch has been measured — the historical len/4 pre-sizing guess.
@@ -748,6 +776,17 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
 	// a live table (the merge in countBatch iterates them all).
 	nChunks := (len(rows) + chunk - 1) / chunk
 	shards := make([]countTable, nChunks)
+	count := func(w int, part [][]uint8) {
+		m := e.keys.newTable(e.batchHint(len(part)))
+		for _, row := range part {
+			m.add(e.keys.ofRow(row), 1)
+		}
+		shards[w] = m
+	}
+	if nChunks == 1 {
+		count(0, rows)
+		return shards
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < nChunks; w++ {
 		lo := w * chunk
@@ -758,11 +797,7 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
 		wg.Add(1)
 		go func(w int, part [][]uint8) {
 			defer wg.Done()
-			m := e.keys.newTable(e.batchHint(len(part)))
-			for _, row := range part {
-				m.add(e.keys.ofRow(row), 1)
-			}
-			shards[w] = m
+			count(w, part)
 		}(w, rows[lo:hi])
 	}
 	wg.Wait()
@@ -770,22 +805,31 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
 }
 
 // applyCoresLocked fans the per-core signed mutation maps out to the
-// cores — in parallel when more than one core has work. Caller holds
-// the write lock, which is what makes the cross-core batch atomic for
-// readers.
+// cores — in parallel when more than one core has work and the batch
+// holds at least inlineBatchRows combinations, one after another on
+// the calling goroutine otherwise. Caller holds the write lock, which
+// is what makes the cross-core batch atomic for readers.
 func (e *ShardedEngine) applyCoresLocked(muts []countTable) {
 	busy := 0
 	last := -1
+	combos := 0
 	for i, m := range muts {
 		if m.size() > 0 {
 			busy++
 			last = i
+			combos += m.size()
 		}
 	}
 	switch {
 	case busy == 0:
 	case busy == 1:
 		e.cores[last].applyBatch(muts[last])
+	case combos < inlineBatchRows:
+		for i, m := range muts {
+			if m.size() > 0 {
+				e.cores[i].applyBatch(m)
+			}
+		}
 	default:
 		var wg sync.WaitGroup
 		for i, m := range muts {
@@ -804,10 +848,11 @@ func (e *ShardedEngine) applyCoresLocked(muts []countTable) {
 
 // Append validates and adds a batch of rows. The batch is counted into
 // per-core signed maps outside the lock (parallel, one goroutine per
-// core), then fanned out to the cores under the write lock. No base
-// oracle is rebuilt unless a core's accumulated delta crosses the
-// compaction threshold. With a sliding window configured, rows beyond
-// the bound are evicted oldest-first in the same mutation.
+// core, from inlineBatchRows rows up), then fanned out to the cores
+// under the write lock. No base oracle is rebuilt unless a core's
+// accumulated delta crosses the compaction threshold. With a sliding
+// window configured, rows beyond the bound are evicted oldest-first in
+// the same mutation.
 func (e *ShardedEngine) Append(rows [][]uint8) error {
 	if len(rows) == 0 {
 		return nil
@@ -1261,13 +1306,12 @@ func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
 
 	oracle := oracleFor(e.schema, bases)
 
-	// Bulk retraction: when the removed set covers a large fraction of
-	// the distinct combinations, every shallow pattern is suspect and
-	// the repair degenerates into a full re-search with extra
-	// bookkeeping — run the parallel search directly instead. The
-	// floor keeps small absolute batches on the repair path no matter
-	// how small the dataset: repairing a handful of combinations is
-	// always cheaper than a search.
+	// Bulk retraction: the repair costs one ancestor cube per removed
+	// combination, so when the removed set covers most of the distinct
+	// combinations the parallel search is cheaper — run it directly
+	// instead. The floor keeps small absolute batches on the repair
+	// path no matter how small the dataset: repairing a handful of
+	// combinations is always cheaper than a search.
 	const bulkRemovedFloor = 64
 	if frac := e.opts.fullSearchRemovedFraction(); frac < 1 && len(removed) >= bulkRemovedFloor &&
 		float64(len(removed)) > frac*float64(oracle.NumDistinct()) {

@@ -569,10 +569,10 @@ func TestMutateEquivalence(t *testing.T) {
 	}
 }
 
-// TestBulkDeleteFallsBackToFullSearch: retracting a large fraction of
-// the distinct combinations makes every shallow pattern suspect, so
-// the engine must run a fresh search instead of a repair that would
-// re-probe most of the lattice — and still answer correctly.
+// TestBulkDeleteFallsBackToFullSearch: retracting most of the distinct
+// combinations makes the repair (one ancestor cube per removed
+// combination) dearer than a search, so the engine must run a fresh
+// search instead — and still answer correctly.
 func TestBulkDeleteFallsBackToFullSearch(t *testing.T) {
 	cards := []int{5, 5, 5}
 	schema := testSchema(t, cards)
@@ -592,7 +592,7 @@ func TestBulkDeleteFallsBackToFullSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete one row of 100 of the 125 combos: 80% of the distinct
-	// combinations, far past the 5% default cutoff (and the 64 floor).
+	// combinations, past the 50% default cutoff (and the 64 floor).
 	batch := rows[:200:200]
 	dedup := make(map[string]bool)
 	var del [][]uint8
@@ -1014,6 +1014,114 @@ func TestAppendSmallBatchManyWorkers(t *testing.T) {
 			if got := e.Stats().Rows; got != int64(rows) {
 				t.Fatalf("rows=%d workers=%d: engine holds %d rows", rows, workers, got)
 			}
+			// Append counts a batch this small on one worker, so ask
+			// for the chunking itself as well.
+			counted := 0
+			for w, m := range e.shardCounts(batch, workers) {
+				if m == nil {
+					t.Fatalf("rows=%d workers=%d: chunk %d has no table", rows, workers, w)
+				}
+				m.each(func(_ comboKey, n int64) { counted += int(n) })
+			}
+			if counted != rows {
+				t.Fatalf("rows=%d workers=%d: chunks count %d rows", rows, workers, counted)
+			}
 		}
+	}
+}
+
+// TestInlineBatchThreshold: a batch is counted and applied on the
+// calling goroutine below inlineBatchRows and fanned out to the cores
+// from there on; either way the engine ends in the state the same rows
+// leave when they arrive one at a time.
+func TestInlineBatchThreshold(t *testing.T) {
+	cards := []int{4, 3, 5, 2, 3}
+	schema := testSchema(t, cards)
+	opts := mup.Options{Threshold: 3}
+	for _, shards := range []int{1, 3} {
+		for _, workers := range []int{1, 4} {
+			for _, rows := range []int{inlineBatchRows - 1, inlineBatchRows, 3 * inlineBatchRows} {
+				ctx := fmt.Sprintf("shards=%d workers=%d rows=%d", shards, workers, rows)
+				batch := randomRows(rand.New(rand.NewSource(int64(rows))), cards, rows)
+				e := NewSharded(schema, shards, Options{Workers: workers})
+				ref := NewSharded(schema, shards, Options{Workers: workers})
+				if err := e.Append(batch); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				for _, row := range batch {
+					if err := ref.Append([][]uint8{row}); err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+				}
+				compare := func(step string) {
+					t.Helper()
+					got, want := e.Stats(), ref.Stats()
+					if got.Rows != want.Rows || got.Distinct != want.Distinct {
+						t.Fatalf("%s after %s: %d rows / %d distinct, want %d / %d", ctx, step, got.Rows, got.Distinct, want.Rows, want.Distinct)
+					}
+					gm, err := e.MUPs(opts)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					wm, err := ref.MUPs(opts)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					mustEqualResults(t, ctx+" after "+step, gm, wm)
+				}
+				compare("append")
+				half := batch[:rows/2]
+				if err := e.Delete(half); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				for _, row := range half {
+					if err := ref.Delete([][]uint8{row}); err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+				}
+				compare("delete")
+			}
+		}
+	}
+}
+
+// TestMutLogTrimsInPlace: a log past its bound keeps the newest half on
+// a whole-generation boundary, reports the generation it cut at as its
+// horizon, and — the part that matters to ingest and WAL replay, which
+// record every mutated combination — allocates nothing once it has
+// reached the bound.
+func TestMutLogTrimsInPlace(t *testing.T) {
+	keys := newKeyCodec([]int{4, 4}, false)
+	key := func(i int) comboKey { return keys.ofRow([]uint8{uint8(i % 4), uint8(i / 4 % 4)}) }
+	const max = 8
+	var l mutLog
+	// Generations of three records each: the ninth record overflows the
+	// log, the cut at 9 - max/2 = 5 falls inside generation 2 and moves
+	// up to its end.
+	for i := 0; i < 9; i++ {
+		l.record(uint64(1+i/3), key(i), int64(i+1), max)
+	}
+	if l.horizon != 2 || len(l.recs) != 3 {
+		t.Fatalf("horizon %d with %d records, want 2 with 3", l.horizon, len(l.recs))
+	}
+	for i, r := range l.recs {
+		if want := 6 + i; r.gen != 3 || r.key != key(want) || r.count != int64(want+1) {
+			t.Fatalf("recs[%d] = %+v, want record %d of generation 3", i, r, want)
+		}
+	}
+	if _, _, ok := l.since(1, keys); ok {
+		t.Fatal("since(1) answered from behind the horizon")
+	}
+	if deltas, exact, ok := l.since(2, keys); !ok || !exact || len(deltas) != 3 {
+		t.Fatalf("since(2) = %d deltas, exact %v, ok %v, want 3, true, true", len(deltas), exact, ok)
+	}
+	gen := uint64(3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		gen++
+		for i := 0; i < 3; i++ {
+			l.record(gen, key(i), 1, max)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per recorded generation on a full log, want 0", allocs)
 	}
 }

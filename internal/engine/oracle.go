@@ -50,6 +50,15 @@ func (o *shardOracle) ComboCount(combo []uint8) int64 {
 	return o.bases[shardOfRow(combo, len(o.bases))].ComboCount(combo)
 }
 
+// MatchHistogram accumulates every shard's histogram into hist: the
+// shards' combinations are disjoint, so the sum is the histogram of
+// the whole dataset.
+func (o *shardOracle) MatchHistogram(combo []uint8, hist []int64) {
+	for _, b := range o.bases {
+		b.MatchHistogram(combo, hist)
+	}
+}
+
 // NewCoverageProber returns a prober holding one per-core prober; each
 // probe resolves the per-shard counts and merges them by summation.
 func (o *shardOracle) NewCoverageProber() index.CoverageProber {

@@ -170,6 +170,27 @@ func (ix *Index) ComboCount(combo []uint8) int64 {
 	return ix.fullCount(pattern.Pattern(combo))
 }
 
+// MatchHistogram adds every distinct combination's multiplicity to
+// hist[m], m being the set of attributes on which it agrees with combo
+// (see Oracle). Each agreeing (combination, attribute) pair is one set
+// bit of the per-value vector vecs[j][combo[j]], so the pass costs the
+// densities of combo's d values plus one add per distinct combination —
+// no stored rows needed.
+func (ix *Index) MatchHistogram(combo []uint8, hist []int64) {
+	if len(combo) != len(ix.cards) || len(hist) != 1<<len(combo) {
+		panic(fmt.Sprintf("index: match histogram of %d cells for a %d-attribute combination over a %d-attribute schema",
+			len(hist), len(combo), len(ix.cards)))
+	}
+	masks := make([]uint32, ix.nDist)
+	for j, v := range combo {
+		bit := uint32(1) << j
+		ix.vecs[j][v].ForEach(func(k int) { masks[k] |= bit })
+	}
+	for k, m := range masks {
+		hist[m] += ix.counts[k]
+	}
+}
+
 // Coverage returns cov(P). It allocates a probe buffer per call; hot
 // loops should hold a Prober instead.
 func (ix *Index) Coverage(p pattern.Pattern) int64 {

@@ -27,6 +27,15 @@ type Oracle interface {
 	// ComboCount returns the multiplicity of one full value combination
 	// (zero if absent) — the level-d fast path of the bottom-up search.
 	ComboCount(combo []uint8) int64
+	// MatchHistogram adds the multiplicity of every distinct value
+	// combination t to hist[m], where bit j of m is set iff
+	// t[j] == combo[j]. len(hist) must be 1<<len(combo). The ancestors
+	// of combo are exactly "combo with a subset S of its attributes
+	// kept", and cov(S) is the sum of hist over the supersets of S, so
+	// one histogram prices all 2^d of them. It accumulates rather than
+	// overwrites because it is additive across partitions like every
+	// other quantity here.
+	MatchHistogram(combo []uint8, hist []int64)
 	// NewCoverageProber returns a fresh prober for repeated coverage
 	// probes. A prober is not safe for concurrent use; create one per
 	// goroutine.

@@ -13,6 +13,7 @@ package mup
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"coverage/internal/index"
@@ -94,6 +95,42 @@ func sortResult(r *Result) {
 		r.Cov = nil
 	}
 	sort.Sort(resultSorter{r})
+}
+
+// sortResultTail is sortResult for the output of a repair: the first n
+// entries are the survivors of an already sorted result, still in its
+// order, so only the patterns the repair discovered are sorted, then
+// merged in from the back — one binary search per discovered pattern,
+// the survivors moved in blocks. A head that is not in order (a
+// hand-built seed set) gets the full sort.
+func sortResultTail(r *Result, n int) {
+	if r.Cov != nil && len(r.Cov) != len(r.MUPs) {
+		r.Cov = nil
+	}
+	if !sort.IsSorted(resultSorter{&Result{MUPs: r.MUPs[:n]}}) {
+		sort.Sort(resultSorter{r})
+		return
+	}
+	tail := Result{MUPs: r.MUPs[n:]}
+	if r.Cov != nil {
+		tail.Cov = r.Cov[n:]
+	}
+	sort.Sort(resultSorter{&tail})
+	found, foundCov := slices.Clone(tail.MUPs), slices.Clone(tail.Cov)
+	for j := len(found) - 1; j >= 0; j-- {
+		// r.MUPs[:n] are the survivors not yet placed; those after the
+		// insertion point move up past the j+1 discovered patterns
+		// still to come.
+		p := found[j]
+		pos := sort.Search(n, func(i int) bool { return patternLess(p, r.MUPs[i]) })
+		copy(r.MUPs[pos+j+1:], r.MUPs[pos:n])
+		r.MUPs[pos+j] = p
+		if r.Cov != nil {
+			copy(r.Cov[pos+j+1:], r.Cov[pos:n])
+			r.Cov[pos+j] = foundCov[j]
+		}
+		n = pos
+	}
 }
 
 // LevelHistogram returns the number of MUPs per level, indexed by

@@ -1,6 +1,7 @@
 package mup
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -144,6 +145,18 @@ type batchCountingOracle struct {
 	index.Oracle
 	probes  atomic.Int64
 	batches atomic.Int64
+
+	mu     sync.Mutex
+	probed []pattern.Pattern // every pattern asked, in no particular order
+}
+
+func (o *batchCountingOracle) record(ps ...pattern.Pattern) {
+	o.probes.Add(int64(len(ps)))
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, p := range ps {
+		o.probed = append(o.probed, p.Clone())
+	}
 }
 
 func (o *batchCountingOracle) NewCoverageProber() index.CoverageProber {
@@ -156,12 +169,12 @@ type batchCountingProber struct {
 }
 
 func (p *batchCountingProber) Coverage(q pattern.Pattern) int64 {
-	p.o.probes.Add(1)
+	p.o.record(q)
 	return p.inner.Coverage(q)
 }
 
 func (p *batchCountingProber) CoverageBatch(ps []pattern.Pattern, out []int64) {
-	p.o.probes.Add(int64(len(ps)))
+	p.o.record(ps...)
 	p.o.batches.Add(1)
 	p.inner.CoverageBatch(ps, out)
 }
@@ -251,20 +264,25 @@ func comboCountsPlus(ix *index.Index, combo []uint8, n int64) map[string]int64 {
 	return counts
 }
 
-// TestRepairBidirectionalBatchesPerLevel pins the merged probing of
-// the bidirectional repair: every probe a seed wave needs goes through
-// a handful of CoverageAll batches per wave (classification, parent
-// maximality, covFill) and the frontier descent batches once per level
-// per worker — never one oracle fan-out per pattern.
+// TestRepairBidirectionalBatchesPerLevel pins the oracle traffic of
+// the bidirectional repair. A pure-deletion repair with exact deltas
+// and cached coverage values issues no probe and no batch at all: the
+// newly uncovered MUPs come from the ancestor cube of each removed
+// combination (a MatchHistogram pass, not probes), the seeds' coverage
+// from arithmetic and their maximality from the dominance indexes. A
+// mixed add+delete repair probes only under the seeds an append
+// lifted, in merged CoverageAll batches — never one oracle fan-out per
+// pattern — and the same patterns whatever the worker count.
 func TestRepairBidirectionalBatchesPerLevel(t *testing.T) {
 	ix, old := probeFixture(t)
 	opts := ParallelOptions{Options: Options{Threshold: 2}, Workers: 1}
+	retracted := []Delta{{Combo: pattern.Pattern{0, 0, 0}, Count: -3}}
 
-	// Retract every row of one covered combination: the frontier pass
-	// must descend to the newly uncovered {0,0,0} and emit it.
+	// Retract every row of one covered combination: the cube pass must
+	// find the newly uncovered {0,0,0}.
 	after := index.BuildFromCounts(ix.Schema(), comboCountsPlus(ix, []uint8{0, 0, 0}, -3))
 	bo := &batchCountingOracle{Oracle: after}
-	res, err := RepairBidirectional(bo, old, []Delta{{Combo: pattern.Pattern{0, 0, 0}, Count: -3}}, []Delta{}, opts)
+	res, err := RepairBidirectional(bo, old, retracted, []Delta{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,22 +292,15 @@ func TestRepairBidirectionalBatchesPerLevel(t *testing.T) {
 	if len(res.MUPs) != len(old.MUPs)+1 {
 		t.Fatalf("full retraction found %d MUPs, want %d (old set plus {0,0,0})", len(res.MUPs), len(old.MUPs)+1)
 	}
-	// One worker, exact deltas: the seed wave classifies probe-free and
-	// needs a single parent-maximality batch (the shared root); the
-	// frontier descends through all four levels of the removal-touched
-	// cone with one batch each. 1 + 4 = 5 merged batches.
-	if b := bo.batches.Load(); b != 5 {
-		t.Errorf("single-delete repair issued %d merged batches, want 5 (1 seed wave + 4 frontier levels)", b)
+	if b, n := bo.batches.Load(), bo.probes.Load(); b != 0 || n != 0 || res.Stats.CoverageProbes != 0 {
+		t.Errorf("pure-deletion repair issued %d probes in %d batches (reports %d), want none", n, b, res.Stats.CoverageProbes)
 	}
-	// The logical probe count stays what the scalar path paid: the
-	// mutated cone (8 ancestors of {0,0,0}) plus the seeds' shared root
-	// check.
-	if got := bo.probes.Load(); got > 16 {
-		t.Errorf("single-delete repair issued %d logical probes, want ≤ 16 (the mutated cone)", got)
+	// One removed combination is one 2^3-cell cube, plus the seeds.
+	if want := int64(8 + len(old.MUPs)); res.Stats.NodesVisited != want {
+		t.Errorf("pure-deletion repair visited %d nodes, want %d (8 cube cells + %d seeds)", res.Stats.NodesVisited, want, len(old.MUPs))
 	}
 
-	// No mutations at all: classification is probe-free, there is no
-	// frontier, and no empty batch may be issued.
+	// No mutations at all: no cube, no probe, no empty batch.
 	bo = &batchCountingOracle{Oracle: ix}
 	res, err = RepairBidirectional(bo, old, []Delta{}, []Delta{}, opts)
 	if err != nil {
@@ -298,38 +309,113 @@ func TestRepairBidirectionalBatchesPerLevel(t *testing.T) {
 	if err := VerifyResult(ix, 2, res); err != nil {
 		t.Fatal(err)
 	}
-	if b := bo.batches.Load(); b != 0 {
-		t.Errorf("no-op repair issued %d merged batches, want 0 (no pending probes, no batch)", b)
+	if b, n := bo.batches.Load(), bo.probes.Load(); b != 0 || n != 0 {
+		t.Errorf("no-op repair issued %d probes in %d batches, want none", n, b)
 	}
-	if got := bo.probes.Load(); got != 0 {
-		t.Errorf("no-op repair issued %d probes, want 0", got)
+
+	// Mixed: the same retraction plus two rows of {2,0,0}, which lift
+	// the old MUP 2XX to τ. Its subtree is re-expanded (the new MUPs are
+	// 21X and 2X1) and every probe falls on 2XX or below.
+	lifted := pattern.Pattern{2, pattern.Wildcard, pattern.Wildcard}
+	counts := comboCountsPlus(ix, []uint8{0, 0, 0}, -3)
+	counts[string([]uint8{2, 0, 0})] += 2
+	after = index.BuildFromCounts(ix.Schema(), counts)
+	appended := []Delta{{Combo: pattern.Pattern{2, 0, 0}, Count: 2}}
+	var probes [2]int64
+	for i, workers := range []int{1, 4} {
+		bo = &batchCountingOracle{Oracle: after}
+		opts.Workers = workers
+		res, err = RepairBidirectional(bo, old, retracted, appended, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyResult(after, 2, res); err != nil {
+			t.Fatal(err)
+		}
+		if got := keys(res.MUPs); len(got) != 5 {
+			t.Fatalf("mixed repair found %v, want 5 MUPs (X2X, XX2, 21X, 2X1, 000)", got)
+		}
+		for _, q := range bo.probed {
+			if !lifted.Dominates(q) {
+				t.Errorf("workers=%d: mixed repair probed %v, which is not under the lifted seed %v", workers, q, lifted)
+			}
+		}
+		probes[i] = bo.probes.Load()
+		if probes[i] == 0 || probes[i] != res.Stats.CoverageProbes {
+			t.Errorf("workers=%d: %d probes counted, %d reported, want equal and non-zero", workers, probes[i], res.Stats.CoverageProbes)
+		}
+		// Three waves (the seeds, 2XX's children, their children) of at
+		// most three merged batches per worker.
+		if b := bo.batches.Load(); b == 0 || b > int64(9*workers) {
+			t.Errorf("workers=%d: %d merged batches, want between 1 and %d", workers, b, 9*workers)
+		}
+	}
+	if probes[0] != probes[1] {
+		t.Errorf("mixed repair issued %d probes with 1 worker and %d with 4, want the same", probes[0], probes[1])
 	}
 }
 
-// TestRepairBidirectionalDeltaProbes pins the bidirectional analog: a
-// delete touching some MUPs repairs with probes bounded by the
-// mutated cone (seed classification is probe-free given exact deltas
-// and Cov; only the frontier descent and maximality checks probe).
+// TestRepairBidirectionalDeltaProbes pins how the probe count degrades
+// with what the caller knows, the bidirectional analog of
+// TestRepairSkipsUntouchedProbes. The cube pass needs neither the old
+// coverage values nor the removed magnitudes, so the newly uncovered
+// MUP costs no probe in any of the cases; only the surviving seeds do.
 func TestRepairBidirectionalDeltaProbes(t *testing.T) {
 	ix, old := probeFixture(t)
 	opts := ParallelOptions{Options: Options{Threshold: 2}}
+	combo := pattern.Pattern{0, 0, 0}
 
-	// Retract one row of a covered combination: the seed pass must not
-	// probe any seed (exact deltas + Cov), only the frontier pass and
-	// the removal-touched maximality checks may.
-	after := index.BuildFromCounts(ix.Schema(), comboCountsPlus(ix, []uint8{0, 0, 0}, -1))
-	co := &countingOracle{Oracle: after}
-	res, err := RepairBidirectional(co, old, []Delta{{Combo: pattern.Pattern{0, 0, 0}, Count: -1}}, []Delta{}, opts)
-	if err != nil {
-		t.Fatal(err)
+	// Retract two of the three rows of a covered combination: {0,0,0}
+	// falls to 1 < τ while its parents stay covered.
+	after := index.BuildFromCounts(ix.Schema(), comboCountsPlus(ix, combo, -2))
+	repair := func(old *Result, removed, added []Delta) (*Result, int64) {
+		t.Helper()
+		co := &countingOracle{Oracle: after}
+		res, err := RepairBidirectional(co, old, removed, added, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyResult(after, 2, res); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.MUPs) != len(old.MUPs)+1 {
+			t.Fatalf("repair found %d MUPs, want %d (old set plus %v)", len(res.MUPs), len(old.MUPs)+1, combo)
+		}
+		return res, co.probes.Load()
 	}
-	if err := VerifyResult(after, 2, res); err != nil {
-		t.Fatal(err)
+
+	// Exact deltas and Cov: nothing to ask the oracle.
+	res, got := repair(old, []Delta{{Combo: combo, Count: -2}}, []Delta{})
+	if got != 0 {
+		t.Errorf("exact single-delete repair issued %d probes, want 0", got)
 	}
-	// The frontier descent is confined to ancestors of 000 (2^3 = 8
-	// patterns); seeds are classified without probes. Allow the
-	// maximality checks a handful more.
-	if got := co.probes.Load(); got > 16 {
-		t.Errorf("single-delete bidirectional repair issued %d probes, want ≤ 16 (the mutated cone)", got)
+	if res.Cov == nil {
+		t.Error("exact single-delete repair dropped Cov")
+	}
+
+	// Unknown magnitude: the surviving seeds' values can no longer be
+	// delta-updated and are re-probed, one probe each, to keep Cov.
+	res, got = repair(old, []Delta{{Combo: combo}}, []Delta{})
+	if got == 0 || got > int64(len(old.MUPs)) {
+		t.Errorf("magnitude-less repair issued %d probes, want >0 and ≤ %d (one per surviving seed)", got, len(old.MUPs))
+	}
+	if res.Cov == nil {
+		t.Error("magnitude-less repair dropped Cov")
+	}
+
+	// Without the Cov cache there is nothing to keep exact: no probes,
+	// and no Cov in the result.
+	res, got = repair(&Result{MUPs: old.MUPs}, []Delta{{Combo: combo, Count: -2}}, []Delta{})
+	if got != 0 {
+		t.Errorf("cov-less repair issued %d probes, want 0", got)
+	}
+	if res.Cov != nil {
+		t.Errorf("cov-less repair invented Cov %v", res.Cov)
+	}
+
+	// With an unknown added set every seed may have been lifted and
+	// costs a probe.
+	if _, got = repair(old, []Delta{{Combo: combo, Count: -2}}, nil); got < int64(len(old.MUPs)) {
+		t.Errorf("unknown-added repair issued %d probes for %d seeds, want ≥ one each", got, len(old.MUPs))
 	}
 }

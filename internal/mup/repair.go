@@ -2,6 +2,7 @@ package mup
 
 import (
 	"fmt"
+	"math/bits"
 
 	"coverage/internal/index"
 	"coverage/internal/mupindex"
@@ -12,8 +13,8 @@ import (
 // since a cached MUP result was computed, with the net signed change:
 // Count > 0 means net rows added, Count < 0 net rows removed, and
 // Count == 0 means the fact of the mutation is known but its magnitude
-// is not (repairs then fall back from delta-updating coverage values
-// to probing, while still confining probes to the mutated cone).
+// is not (repairs then fall back from delta-updating the coverage
+// values of the surviving MUPs to probing them).
 type Delta struct {
 	Combo pattern.Pattern
 	Count int64
@@ -197,7 +198,8 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 	}
 
 	covValid := true
-	for len(wave) > 0 {
+	survivors := 0 // seeds the first wave emits, still in old's order
+	for first := true; len(wave) > 0; first = false {
 		outs := make([]waveOut, workers)
 		for i := range outs {
 			outs[i].covValid = true
@@ -299,6 +301,9 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 				}
 			}
 		}
+		if first {
+			survivors = len(res.MUPs)
+		}
 		wave = next
 	}
 
@@ -310,8 +315,27 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 	for _, pr := range probers {
 		res.Stats.CoverageProbes += pr.Probes()
 	}
-	sortResult(res)
+	sortResultTail(res, survivors)
 	return res, nil
+}
+
+// cubeMaxDim bounds the ancestor cube of RepairBidirectional: 2^d int64
+// cells per worker, 8 MiB at d = 20. A wider schema runs the full
+// search instead.
+const cubeMaxDim = 20
+
+// supersetSums replaces h, a table indexed by attribute subset, with
+// its superset sums in place: h[S] = Σ h[T] over T ⊇ S (the zeta
+// transform, d·2^(d−1) adds for 2^d cells).
+func supersetSums(h []int64) {
+	for bit := 1; bit < len(h); bit <<= 1 {
+		for base := 0; base < len(h); base += bit << 1 {
+			lo, hi := h[base:base+bit], h[base+bit:base+2*bit]
+			for i := range lo {
+				lo[i] += hi[i]
+			}
+		}
+	}
 }
 
 // RepairBidirectional updates a previously computed MUP result after
@@ -326,45 +350,48 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 // multiplicity decreased since old was computed (nil means none);
 // added, when non-nil, every one whose multiplicity increased (nil
 // means unknown). Counts carry the net change. A Count of 0 marks the
-// magnitude as unknown: the combination still gates which patterns
-// are re-probed, but coverage delta-updates are disabled. With old.Cov
-// present and every magnitude known, the deltas are arithmetic inputs
-// (cov' = cov + added − removed), so they must be the true nets —
-// extra combinations or duplicated entries are harmless only while
-// some magnitude is unknown or old.Cov is absent (the probe paths,
-// where membership alone matters). old must be the complete MUP result
-// of the earlier state under the same Options; ix must reflect the
-// current state. The result is identical to a from-scratch search.
+// magnitude as unknown, which only disables the coverage delta-updates
+// of the surviving seeds. With old.Cov present and every magnitude
+// known, the deltas are arithmetic inputs (cov' = cov + added −
+// removed), so they must be the true nets — extra combinations or
+// duplicated entries are harmless only while some magnitude is unknown
+// or old.Cov is absent. old must be the complete MUP result of the
+// earlier state under the same Options; ix must reflect the current
+// state. The result is identical to a from-scratch search.
 //
-// The repair runs in two phases, each confined to the part of the
-// lattice a mutation could have changed:
+// The repair runs in two passes:
 //
-//   - The seed pass revisits the old MUPs. An old MUP untouched by the
-//     added set is still uncovered without a probe; its parents were
-//     covered, so only removal-touched parents need one. A seed that
-//     became covered re-expands its subtree downward (Repair's walk);
-//     one that lost maximality is dropped — its new dominator is found
-//     by the frontier pass.
+//   - The cube pass finds the newly uncovered MUPs: patterns that were
+//     covered and are maximal uncovered now. Such a pattern lost
+//     coverage, so it is an ancestor of some removed combination c, and
+//     the ancestors of c are exactly "c with a subset S of its
+//     attributes kept": 2^d patterns, closed under parents. One
+//     index.Oracle.MatchHistogram pass over the distinct combinations
+//     followed by an in-place superset-sum transform gives the exact
+//     current coverage of all of them, and a cell below τ whose parent
+//     cells — the same table — are all at least τ is a MUP by
+//     definition. That needs neither the old verdicts nor the removed
+//     magnitudes, and no oracle probe.
 //
-//   - The frontier pass discovers newly uncovered MUPs: patterns that
-//     were covered and fell below τ. Such a pattern is an ancestor of a
-//     removed combination, and so are all its ancestors, so a top-down
-//     PATTERN-BREAKER restricted to the removal-touched sub-lattice
-//     (which is closed under parents and Rule 1 generation) finds every
-//     one, probing only removal-touched candidates and stopping at the
-//     uncovered frontier like any breaker descent.
+//   - The seed pass revisits the old MUPs, as Repair does. A seed that
+//     became covered re-expands its subtree downward; one that stayed
+//     uncovered is still a MUP unless a parent fell below τ — and a
+//     parent that was covered is uncovered now iff a newly uncovered
+//     MUP from the cube pass dominates it, so that check is one probe
+//     of a dominance index over those few patterns, not of the oracle.
+//     Only a parent that was uncovered before (which the Appendix-B
+//     dominance index over the old MUPs decides) and that an append
+//     may have lifted needs the oracle.
 //
-// Probes against the (large) current oracle are issued only where a
-// mutation could have changed the old verdict: two mini-oracles over
-// the removed/added combinations decide whether a pattern's coverage
-// could have dropped or risen, the Appendix-B dominance index over the
-// old MUPs answers old-state questions in the seed pass for free, and
-// when the delta magnitudes and old.Cov are available the surviving
-// seeds' coverage is delta-updated (cov' = cov + added − removed)
-// without probing at all. Both passes are level-chunked across
-// popts.Workers goroutines. Repair cost therefore scales with the
-// mutated cone of the lattice, not with the dataset or the size of the
-// surviving MUP set.
+// The oracle is therefore probed only under seeds an append lifted; a
+// pure-deletion repair with exact deltas and old.Cov issues no probe at
+// all (the surviving seeds' coverage is cov' = cov − removed). The cube
+// pass costs R·(D·d + d·2^d) word operations for R removed and D
+// distinct combinations, chunked across popts.Workers; the seed pass is
+// linear in the old MUP set. Past cubeMaxDim attributes a deletion runs
+// the full parallel search instead. Stats.CoverageProbes and
+// Stats.NodesVisited (cube cells plus seed-pass nodes) do not depend on
+// the worker count.
 func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions) (*Result, error) {
 	codec := pattern.NewCodec(ix.Cards())
 	if codec.Packable() {
@@ -374,17 +401,19 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 }
 
 // repairBidirectionalKeyed is the algorithm body, generic over the
-// coverage-cache key representation (packed keys avoid string hashing
-// in the hot maps, exactly as in the breaker variants).
+// pattern-key representation (packed keys avoid string hashing in the
+// hot maps, exactly as in the breaker variants).
 func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions, key func(pattern.Pattern) K) (*Result, error) {
 	opts := popts.Options
+	tau := opts.Threshold
 	cards := ix.Cards()
+	d := len(cards)
 	res := &Result{Stats: Stats{Algorithm: "bidirectional-repair"}}
-	if opts.Threshold <= 0 {
+	if tau <= 0 {
 		res.Cov = []int64{}
 		return res, nil // every pattern is covered
 	}
-	bound := opts.levelBound(len(cards))
+	bound := opts.levelBound(d)
 	workers := popts.workers()
 
 	rem, err := prepDeltas(ix, removed, "bidirectional repair removed", false)
@@ -394,6 +423,9 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 	add, err := prepDeltas(ix, added, "bidirectional repair added", true)
 	if err != nil {
 		return nil, err
+	}
+	if len(removed) > 0 && d > cubeMaxDim {
+		return parallelBreakerKeyed(ix, popts, key)
 	}
 
 	// The Appendix-B dominance index over the old MUPs: DominatedBy
@@ -406,6 +438,84 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 			return nil, fmt.Errorf("mup: bidirectional repair seed %v: %w", m, err)
 		}
 		oldDom.Add(m)
+	}
+	oldProbers := make([]*mupindex.Prober, workers)
+	for w := range oldProbers {
+		oldProbers[w] = oldDom.NewProber()
+	}
+
+	// The seed pass's first wave. Its maximality checks blank one
+	// element of a node's pattern at a time, in place, and the old MUPs
+	// are the caller's cached result — a second repair from the same
+	// seed, or a reader of that result, may be looking at them — so the
+	// wave works on one slab copy, which the surviving seeds of the
+	// result then share.
+	visited := make(map[K]bool, len(old.MUPs))
+	wave := make([]repairNode, 0, len(old.MUPs))
+	seeds := make([]uint8, 0, len(old.MUPs)*d)
+	for i, m := range old.MUPs {
+		if k := key(m); !visited[k] {
+			visited[k] = true
+			seeds = append(seeds, m...)
+			wave = append(wave, repairNode{p: seeds[len(seeds)-d : len(seeds) : len(seeds)], seed: i})
+		}
+	}
+
+	// Cube pass: the newly uncovered MUPs, each with its coverage.
+	// Old-uncovered cells are left to the seed pass, which reaches every
+	// MUP inside the old uncovered region from its own seed.
+	var fresh emitBuf
+	newDom := mupindex.New(cards)
+	if len(removed) > 0 {
+		outs := make([]emitBuf, workers)
+		runChunks(removed, workers, func(w int, part []Delta, _ int) {
+			out, wasUncovered := &outs[w], oldProbers[w]
+			cube := make([]int64, 1<<d)
+			p := make(pattern.Pattern, d)
+			for _, r := range part {
+				clear(cube)
+				ix.MatchHistogram(r.Combo, cube)
+				supersetSums(cube)
+			cells:
+				for s, c := range cube {
+					if c >= tau || bits.OnesCount(uint(s)) > bound {
+						continue
+					}
+					for rest := s; rest != 0; rest &= rest - 1 {
+						if cube[s&^(rest&-rest)] < tau {
+							continue cells // an uncovered parent: not maximal
+						}
+					}
+					for j := range p {
+						p[j] = pattern.Wildcard
+						if s>>j&1 != 0 {
+							p[j] = r.Combo[j]
+						}
+					}
+					// Nearly every MUP cell is an old MUP; the key
+					// lookup spares those the dominance probe.
+					if !visited[key(p)] && !wasUncovered.DominatedBy(p) {
+						out.emit(p, c, true)
+					}
+				}
+			}
+		})
+		res.Stats.NodesVisited += int64(len(removed)) << d
+		seen := make(map[K]bool)
+		for w := range outs {
+			for i, p := range outs[w].mups {
+				if k := key(p); !seen[k] {
+					seen[k] = true
+					newDom.Add(p)
+					fresh.mups = append(fresh.mups, p)
+					fresh.covs = append(fresh.covs, outs[w].covs[i])
+				}
+			}
+		}
+	}
+	newProbers := make([]*mupindex.Prober, workers)
+	for w := range newProbers {
+		newProbers[w] = newDom.NewProber()
 	}
 
 	oldCov := old.Cov
@@ -421,129 +531,59 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 	// coverage values the probe-free skips of PR 2 are kept instead.
 	covFill := oldCov != nil
 
+	// Every oracle answer of the seed pass lives in memo. The workers of
+	// a phase only read it and queue what they miss; between phases
+	// resolve probes the queued patterns — deduplicated across workers,
+	// so the probe count does not depend on the chunking — in one merged
+	// CoverageAll batch per worker.
 	probers := make([]index.CoverageProber, workers)
-	domProbers := make([]*mupindex.Prober, workers)
 	for w := range probers {
 		probers[w] = ix.NewCoverageProber()
-		domProbers[w] = oldDom.NewProber()
 	}
-	covGlobal := make(map[K]int64)
-
-	// Seed pass. The expansion waves hold nodes known to be uncovered
-	// in the old state (old MUPs and, transitively, their descendants —
-	// a child of a formerly uncovered node was uncovered too).
-	//
-	// The maximality checks below blank one element of a node's pattern
-	// at a time, in place. The old MUPs are the caller's cached result —
-	// a second repair from the same seed, or a reader of that result,
-	// may be looking at them — so the seed wave works on copies.
-	visited := make(map[K]bool, len(old.MUPs))
-	wave := make([]repairNode, 0, len(old.MUPs))
-	seeds := make([]uint8, 0, len(old.MUPs)*len(cards))
-	for i, m := range old.MUPs {
-		if k := key(m); !visited[k] {
-			visited[k] = true
-			seeds = append(seeds, m...)
-			wave = append(wave, repairNode{p: seeds[len(seeds)-len(m) : len(seeds) : len(seeds)], seed: i})
-		}
-	}
-
-	type waveOut struct {
-		emitBuf
-		probed   map[K]int64
-		children []pattern.Pattern
-		nodes    int64
-	}
-
-	emitted := make(map[K]bool)
-	covValid := true
-	var allCovs []int64
-	merge := func(out *waveOut) {
-		for k, c := range out.probed {
-			covGlobal[k] = c
-		}
-		res.Stats.NodesVisited += out.nodes
-		covValid = covValid && out.covValid
-		for i, p := range out.mups {
-			if k := key(p); !emitted[k] {
-				emitted[k] = true
-				res.MUPs = append(res.MUPs, p)
-				allCovs = append(allCovs, out.covs[i])
-			}
-		}
-	}
-
-	for len(wave) > 0 {
-		outs := make([]waveOut, workers)
-		for i := range outs {
-			outs[i].covValid = true
-		}
-		runChunks(wave, workers, func(w int, part []repairNode, _ int) {
-			out := &outs[w]
-			out.probed = make(map[K]int64)
-			pr := probers[w]
-			dom := domProbers[w]
-
-			// The wave is processed in phases so every probe the wave
-			// needs is issued through a handful of merged CoverageAll
-			// batches instead of one oracle fan-out per pattern: a
-			// batching prober (the sharded engine's) then walks its
-			// partitions shard-major once per batch. Batch membership
-			// is deduplicated against the cross-wave memo (covGlobal +
-			// out.probed) and within the pending batch itself.
-			var batchPats []pattern.Pattern
-			var batchKeys []K
-			var batchCovs []int64
-			queued := make(map[K]struct{})
-			lookup := func(k K) (int64, bool) {
-				if c, ok := covGlobal[k]; ok {
-					return c, true
-				}
-				c, ok := out.probed[k]
-				return c, ok
-			}
-			collect := func(p pattern.Pattern) {
+	memo := make(map[K]int64)
+	asks := make([][]pattern.Pattern, workers)
+	resolve := func() {
+		var pats []pattern.Pattern
+		var keys []K
+		for w := range asks {
+			for _, p := range asks[w] {
 				k := key(p)
-				if _, ok := lookup(k); ok {
-					return
+				if _, ok := memo[k]; !ok {
+					memo[k] = 0
+					pats, keys = append(pats, p), append(keys, k)
 				}
-				if _, ok := queued[k]; ok {
-					return
-				}
-				queued[k] = struct{}{}
-				batchPats = append(batchPats, p.Clone())
-				batchKeys = append(batchKeys, k)
 			}
-			flush := func() {
-				if len(batchPats) == 0 {
-					return // no pending probes: no batch issued
-				}
-				if cap(batchCovs) < len(batchPats) {
-					batchCovs = make([]int64, len(batchPats))
-				}
-				batchCovs = batchCovs[:len(batchPats)]
-				index.CoverageAll(pr, batchPats, batchCovs)
-				for i, k := range batchKeys {
-					out.probed[k] = batchCovs[i]
-				}
-				batchPats, batchKeys = batchPats[:0], batchKeys[:0]
-				clear(queued)
-			}
+			asks[w] = asks[w][:0]
+		}
+		covs := make([]int64, len(pats))
+		runChunks(pats, workers, func(w int, part []pattern.Pattern, lo int) {
+			index.CoverageAll(probers[w], part, covs[lo:lo+len(part)])
+		})
+		for i, k := range keys {
+			memo[k] = covs[i]
+		}
+	}
 
-			// Phase A — classify each node: still/again uncovered, and
-			// its coverage if it can be had without a probe. Nodes whose
-			// verdict needs the oracle contribute to the first batch.
-			type nodeState struct {
-				c        int64
-				covKnown bool
-				uncNow   bool
-			}
-			states := make([]nodeState, len(part))
-			for i := range part {
-				n := part[i]
-				p := n.p
-				out.nodes++
-				st := &states[i]
+	// Seed pass. The waves hold nodes known to be uncovered in the old
+	// state (old MUPs and, transitively, their descendants — a child of
+	// a formerly uncovered node was uncovered too).
+	type nodeState struct {
+		c        int64
+		covKnown bool
+		uncNow   bool
+		asked    bool // a verdict waits on the phase's probes
+		emit     bool
+	}
+	covValid := true
+	survivors := 0 // seeds the first wave emits, still in old's order
+	for first := true; len(wave) > 0; first = false {
+		states := make([]nodeState, len(wave))
+
+		// Phase A — classify each node: still/again uncovered, and its
+		// coverage if it can be had without a probe.
+		runChunks(wave, workers, func(w int, part []repairNode, lo int) {
+			for i, n := range part {
+				st, p := &states[lo+i], n.p
 				isSeed := n.seed >= 0
 				switch {
 				case isSeed && exact:
@@ -559,226 +599,130 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 					// old-uncovered expansion node) is still uncovered.
 					st.uncNow = true
 				default:
-					collect(p)
+					st.asked = true
+					asks[w] = append(asks[w], p)
 				}
 			}
-			flush()
-			for i := range part {
-				st := &states[i]
-				if st.uncNow {
-					continue // probe-free verdict, coverage unknown
-				}
-				if !st.covKnown {
-					st.c, _ = lookup(key(part[i].p))
-					st.covKnown = true
-				}
-				st.uncNow = st.c < opts.Threshold
-			}
+		})
+		resolve()
 
-			// Phase B — collect the parent probes the uncovered nodes'
-			// maximality checks need. An old MUP's parents were all
-			// covered, so only removal-touched ones can have dropped;
-			// an expansion node's parents carry no such guarantee and
-			// fall back to the dominance index.
-			for i := range part {
-				if !states[i].uncNow {
+		// Phase B — maximality of the uncovered nodes. A parent that was
+		// covered is uncovered now iff a newly uncovered MUP dominates
+		// it, and then that MUP dominates the node too. An old MUP has
+		// no other kind of parent; an expansion node's old-uncovered
+		// parents are still uncovered unless an append lifted them.
+		runChunks(wave, workers, func(w int, part []repairNode, lo int) {
+			wasUncovered, fellBelow := oldProbers[w], newProbers[w]
+			for i, n := range part {
+				st, p := &states[lo+i], n.p
+				if st.asked {
+					st.c, st.covKnown, st.asked = memo[key(p)], true, false
+				}
+				if st.covKnown {
+					st.uncNow = st.c < tau
+				}
+				if !st.uncNow || p.Level() > bound || fellBelow.DominatedBy(p) {
 					continue
 				}
-				n := part[i]
-				p := n.p
-				isSeed := n.seed >= 0
+				st.emit = true
+				if n.seed >= 0 {
+					continue
+				}
 				for j, v := range p {
 					if v == pattern.Wildcard {
 						continue
 					}
 					p[j] = pattern.Wildcard
-					need := false
-					switch {
-					case !isSeed && dom.DominatedBy(p):
-						// Uncovered in the old state: a probe decides
-						// only if an append could have lifted it.
-						need = add.touched(p)
-					case !rem.touched(p):
-						// Was covered, could not have dropped: no probe.
-					default:
-						need = true
-					}
-					if need {
-						collect(p)
-					}
-					p[j] = v
-				}
-			}
-			flush()
-
-			// Phase C — resolve maximality from the memo, expand the
-			// covered nodes, emit the maximal ones. Emitted patterns
-			// whose coverage is still unknown (probe-free verdicts
-			// under covFill) form one last small batch.
-			var emitPend []int
-			for i := range part {
-				n := part[i]
-				p := n.p
-				st := &states[i]
-				lvl := p.Level()
-				if !st.uncNow {
-					// Became covered: new MUPs under it sit strictly
-					// below.
-					if lvl < bound {
-						out.children = append(out.children, p.Children(cards)...)
-					}
-					continue
-				}
-				isSeed := n.seed >= 0
-				maximal := true
-				for j, v := range p {
-					if v == pattern.Wildcard {
-						continue
-					}
-					p[j] = pattern.Wildcard
-					var qUnc bool
-					switch {
-					case !isSeed && dom.DominatedBy(p):
-						if !add.touched(p) {
-							qUnc = true
+					if wasUncovered.DominatedBy(p) {
+						if add.touched(p) {
+							st.asked = true
+							asks[w] = append(asks[w], p.Clone())
 						} else {
-							c, _ := lookup(key(p))
-							qUnc = c < opts.Threshold
+							st.emit = false
 						}
-					case !rem.touched(p):
-						qUnc = false
-					default:
-						c, _ := lookup(key(p))
-						qUnc = c < opts.Threshold
 					}
 					p[j] = v
-					if qUnc {
-						// Not maximal. The new dominator is either
-						// inside the old uncovered region (found from
-						// its own old-MUP seed) or newly uncovered
-						// (found by the frontier pass) — no climb
-						// needed.
-						maximal = false
+					if !st.emit {
 						break
 					}
 				}
-				if !maximal || lvl > bound {
-					continue
-				}
-				if !st.covKnown && covFill {
-					collect(p)
-					emitPend = append(emitPend, i)
-					continue
-				}
-				out.emit(p, st.c, st.covKnown)
-			}
-			flush()
-			for _, i := range emitPend {
-				p := part[i].p
-				c, _ := lookup(key(p))
-				out.emit(p, c, true)
 			}
 		})
+		resolve()
 
-		var next []repairNode
-		for w := range outs {
-			merge(&outs[w])
-			for _, child := range outs[w].children {
-				if k := key(child); !visited[k] {
-					visited[k] = true
-					next = append(next, repairNode{p: child, seed: -1})
+		// Phase C — settle the verdicts that waited on a probe, expand
+		// the covered nodes, and ask for the coverage of the MUPs that
+		// were classified without one.
+		children := make([][]pattern.Pattern, workers)
+		runChunks(wave, workers, func(w int, part []repairNode, lo int) {
+			for i, n := range part {
+				st, p := &states[lo+i], n.p
+				if !st.uncNow {
+					// Became covered: new MUPs under it sit strictly
+					// below.
+					if p.Level() < bound {
+						children[w] = append(children[w], p.Children(cards)...)
+					}
+					continue
 				}
-			}
-		}
-		wave = next
-	}
-
-	// Frontier pass: a PATTERN-BREAKER over the removal-touched
-	// sub-lattice. Untouched subtrees cannot hold newly uncovered
-	// patterns, and the descent stops at the uncovered frontier, so
-	// the probe set is the touched slice of a full breaker's. Each
-	// level is chunked across the workers like ParallelPatternBreaker.
-	if rem.pool != nil {
-		level := []pattern.Pattern{pattern.All(len(cards))}
-		covered := make(map[K]struct{})
-		for lvl := 0; lvl <= bound && len(level) > 0; lvl++ {
-			outs := make([]waveOut, workers)
-			for i := range outs {
-				outs[i].covValid = true
-			}
-			coveredKeys := make([][]K, workers)
-			runChunks(level, workers, func(w int, part []pattern.Pattern, _ int) {
-				out := &outs[w]
-				pr := probers[w]
-				// Pass 1: parent pre-checks, no probes. Every parent is
-				// touched (the touched region is closed under parents),
-				// so each was a candidate in the previous round.
-				live := make([]pattern.Pattern, 0, len(part))
-				for _, p := range part {
-					out.nodes++
-					ok := true
+				if st.asked {
 					for j, v := range p {
 						if v == pattern.Wildcard {
 							continue
 						}
 						p[j] = pattern.Wildcard
-						_, in := covered[key(p)]
+						c, probed := memo[key(p)]
 						p[j] = v
-						if !in {
-							ok = false
+						if probed && c < tau {
+							st.emit = false
 							break
 						}
 					}
-					if ok {
-						live = append(live, p)
-					}
 				}
-				// One merged probe for the worker's level slice. Each
-				// candidate reaches this point once, so the seed pass's
-				// memo map would only add hash traffic.
-				covs := make([]int64, len(live))
-				index.CoverageAll(pr, live, covs)
-				// Pass 2: classify.
-				var childBuf []pattern.Pattern
-				for i, p := range live {
-					if c := covs[i]; c < opts.Threshold {
-						out.emit(p, c, true) // uncovered with all parents covered: a MUP
-						continue
-					}
-					coveredKeys[w] = append(coveredKeys[w], key(p))
-					if lvl < bound {
-						childBuf = p.AppendRule1Children(childBuf[:0], cards)
-						for _, child := range childBuf {
-							if rem.touched(child) {
-								out.children = append(out.children, child)
-							}
-						}
-					}
+				if st.emit && !st.covKnown && covFill {
+					asks[w] = append(asks[w], p)
 				}
-			})
-			coveredNow := make(map[K]struct{})
-			var next []pattern.Pattern
-			for w := range outs {
-				merge(&outs[w])
-				for _, k := range coveredKeys[w] {
-					coveredNow[k] = struct{}{}
-				}
-				next = append(next, outs[w].children...)
 			}
-			covered = coveredNow
-			level = next
+		})
+		resolve()
+
+		for i, n := range wave {
+			st := &states[i]
+			if !st.emit {
+				continue
+			}
+			if !st.covKnown && covFill {
+				st.c, st.covKnown = memo[key(n.p)], true
+			}
+			covValid = covValid && st.covKnown
+			res.MUPs = append(res.MUPs, n.p)
+			res.Cov = append(res.Cov, st.c)
+		}
+		if first {
+			survivors = len(res.MUPs)
+		}
+		res.Stats.NodesVisited += int64(len(wave))
+		wave = wave[:0]
+		for _, list := range children {
+			for _, child := range list {
+				if k := key(child); !visited[k] {
+					visited[k] = true
+					wave = append(wave, repairNode{p: child, seed: -1})
+				}
+			}
 		}
 	}
 
-	if covValid {
-		res.Cov = allCovs
-		if res.Cov == nil {
-			res.Cov = []int64{}
-		}
+	res.MUPs = append(res.MUPs, fresh.mups...)
+	res.Cov = append(res.Cov, fresh.covs...)
+	if !covValid {
+		res.Cov = nil
+	} else if res.Cov == nil {
+		res.Cov = []int64{}
 	}
 	for _, pr := range probers {
 		res.Stats.CoverageProbes += pr.Probes()
 	}
-	sortResult(res)
+	sortResultTail(res, survivors)
 	return res, nil
 }

@@ -256,10 +256,13 @@ func parseWALRecord(data []byte, off int64, dim int) (rec walRecord, next int64,
 		if dim <= 0 || nrows64 > uint64(len(rest)) || nrows64*uint64(dim) != uint64(len(rest)) {
 			return rec, 0, false
 		}
-		nrows := int(nrows64)
-		rec.rows = make([][]uint8, nrows)
-		for i := 0; i < nrows; i++ {
-			rec.rows[i] = append([]uint8(nil), rest[i*dim:(i+1)*dim]...)
+		// One copy of the payload for the whole record, the rows
+		// capacity-clipped views of it. The slab is never recycled: the
+		// engine's window ring may keep the rows.
+		slab := append([]uint8(nil), rest...)
+		rec.rows = make([][]uint8, nrows64)
+		for i := range rec.rows {
+			rec.rows[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
 		}
 	case opWindow:
 		maxRows, n := binary.Uvarint(rest)

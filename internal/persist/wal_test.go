@@ -410,3 +410,50 @@ func TestDecodeWALStreamTornTail(t *testing.T) {
 		}
 	}
 }
+
+// TestParseWALRecordAllocs pins the decode cost recovery and the
+// follower's feed pay per record: one slab for the rows plus the slice
+// of views into it, whatever the row count — not one buffer per row —
+// with every row an exact, capacity-clipped copy of its bytes.
+func TestParseWALRecordAllocs(t *testing.T) {
+	const dim = 5
+	w := &walWriter{dim: dim}
+	frame := func(nrows int) []byte {
+		rows := make([][]uint8, nrows)
+		for i := range rows {
+			rows[i] = []uint8{uint8(i), uint8(i >> 8), 2, 3, 4}
+		}
+		buf, err := w.encodeRecord(nil, opAppend, 7, rows, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	var allocs [2]float64
+	for i, nrows := range []int{3, 3000} {
+		data := frame(nrows)
+		rec, next, ok := parseWALRecord(data, 0, dim)
+		if !ok || next != int64(len(data)) || len(rec.rows) != nrows {
+			t.Fatalf("%d-row record: ok=%v next=%d of %d, %d rows", nrows, ok, next, len(data), len(rec.rows))
+		}
+		for r, row := range rec.rows {
+			if len(row) != dim || cap(row) != dim || row[0] != uint8(r) || row[1] != uint8(r>>8) || row[4] != 4 {
+				t.Fatalf("%d-row record: row %d = %v (cap %d)", nrows, r, row, cap(row))
+			}
+		}
+		// The rows must not alias the log bytes, which the caller drops.
+		data[len(data)-1] ^= 0xff
+		if last := rec.rows[nrows-1]; last[dim-1] != 4 {
+			t.Fatalf("%d-row record: rows alias the input buffer", nrows)
+		}
+		data[len(data)-1] ^= 0xff
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, _, ok := parseWALRecord(data, 0, dim); !ok {
+				t.Fatal("re-parse failed")
+			}
+		})
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 2 {
+		t.Errorf("parseWALRecord allocates %.0f times for 3 rows and %.0f for 3000, want the same and ≤ 2", allocs[0], allocs[1])
+	}
+}
