@@ -284,16 +284,14 @@ type planCacheJSON struct {
 	CachedPlans   int   `json:"cached_plans"`
 }
 
-// shardJSON is one shard core's counters on /stats. The store block
-// reports the core's count table ("flat", or "map" on schemas wider
-// than 128 bits), its slot-fill ratio (0 for the slotless map) and the
-// resident bytes of its count and delta-position tables.
+// shardJSON is one shard core's counters on /stats. The store fields
+// report its count table's slot-fill ratio and the resident bytes of
+// its count and delta-position tables.
 type shardJSON struct {
 	Rows           int64   `json:"rows"`
 	Distinct       int     `json:"distinct_combinations"`
 	DeltaDistinct  int     `json:"delta_combinations"`
 	Compactions    int64   `json:"compactions"`
-	Store          string  `json:"store"`
 	StoreOccupancy float64 `json:"store_occupancy"`
 	StoreBytes     int64   `json:"store_bytes"`
 }
@@ -364,7 +362,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Distinct:       sh.Distinct,
 			DeltaDistinct:  sh.DeltaDistinct,
 			Compactions:    sh.Compactions,
-			Store:          sh.Store,
 			StoreOccupancy: sh.StoreOccupancy,
 			StoreBytes:     sh.StoreBytes,
 		}

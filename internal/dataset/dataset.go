@@ -40,7 +40,11 @@ type Schema struct {
 
 // NewSchema validates and builds a schema. Attribute names must be
 // unique and non-empty; every attribute needs at least one value and
-// at most pattern.MaxCardinality - 1.
+// at most pattern.MaxCardinality - 1, with no label repeated. The
+// attributes together must fit a two-word pattern.PackedKey
+// (pattern.KeyBits at most pattern.MaxKeyBits): every combination is
+// identified by its packed key downstream, so this is the one place the
+// limit is enforced.
 func NewSchema(attrs []Attribute) (*Schema, error) {
 	s := &Schema{
 		attrs: make([]Attribute, len(attrs)),
@@ -61,9 +65,23 @@ func NewSchema(attrs []Attribute) (*Schema, error) {
 			return nil, fmt.Errorf("dataset: attribute %q has %d values, max is %d",
 				a.Name, len(a.Values), pattern.MaxCardinality-1)
 		}
+		// A repeated label would make ValueCode resolve every row to its
+		// first code, leaving the other code uncovered by construction.
+		seen := make(map[string]bool, len(a.Values))
+		for _, v := range a.Values {
+			if seen[v] {
+				return nil, fmt.Errorf("dataset: attribute %q has duplicate value %q", a.Name, v)
+			}
+			seen[v] = true
+		}
 		s.attrs[i] = Attribute{Name: a.Name, Values: append([]string(nil), a.Values...)}
 		s.cards[i] = len(a.Values)
 		s.index[a.Name] = i
+	}
+	if b := pattern.KeyBits(s.cards); b > pattern.MaxKeyBits {
+		return nil, fmt.Errorf("dataset: %d attributes need a %d-bit combination key, max is %d; "+
+			"select the attributes of interest (CSVOptions.Columns, covserve -columns)",
+			len(attrs), b, pattern.MaxKeyBits)
 	}
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -56,6 +57,94 @@ func TestSchemaValidation(t *testing.T) {
 	}
 	if _, ok := s.ValueCode(0, "other"); ok {
 		t.Error("ValueCode(other) found a value")
+	}
+}
+
+// TestSchemaDuplicateValueLabels: a repeated label would send every row
+// labelled with it to the first code, so the other code — a value no row
+// could ever take — would be reported uncovered. The schema
+// a ∈ {y, y}, b ∈ {p, q} with five rows all labelled a=y used to yield
+// the MUP a=y at τ = 1; NewSchema now refuses it.
+func TestSchemaDuplicateValueLabels(t *testing.T) {
+	_, err := NewSchema([]Attribute{
+		{Name: "a", Values: []string{"y", "y"}},
+		{Name: "b", Values: []string{"p", "q"}},
+	})
+	if err == nil || !strings.Contains(err.Error(), `duplicate value "y"`) {
+		t.Fatalf("NewSchema with a repeated label: error %v, want one naming the value", err)
+	}
+	if _, err := NewSchema([]Attribute{{Name: "a", Values: []string{"y", "Y", ""}}}); err != nil {
+		t.Fatalf("distinct labels rejected: %v", err)
+	}
+}
+
+// TestSchemaKeyWidthLimit pins the one schema limit past the
+// per-attribute ones: the combination key, Σ⌈log2(ci+1)⌉ bits, must fit
+// pattern.MaxKeyBits. 64 binary attributes and 16 of 254 values fill
+// exactly 128 bits; one more attribute is refused, with an error that
+// names the width and the way out.
+func TestSchemaKeyWidthLimit(t *testing.T) {
+	wide := func(d, card int) []Attribute {
+		attrs := make([]Attribute, d)
+		for i := range attrs {
+			attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i), Values: make([]string, card)}
+			for v := range attrs[i].Values {
+				attrs[i].Values[v] = fmt.Sprintf("v%d", v)
+			}
+		}
+		return attrs
+	}
+	for _, ok := range []struct{ d, card int }{{64, 2}, {16, 254}, {42, 4}} {
+		if _, err := NewSchema(wide(ok.d, ok.card)); err != nil {
+			t.Errorf("%d attributes of %d values (128 bits or fewer) rejected: %v", ok.d, ok.card, err)
+		}
+	}
+	for _, bad := range []struct {
+		d, card, bits int
+	}{{65, 2, 130}, {17, 254, 136}, {43, 4, 129}} {
+		_, err := NewSchema(wide(bad.d, bad.card))
+		if err == nil {
+			t.Errorf("%d attributes of %d values (%d bits) accepted", bad.d, bad.card, bad.bits)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("%d-bit", bad.bits), "CSVOptions.Columns", "-columns"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%d attributes of %d values: error %q does not mention %q", bad.d, bad.card, err, want)
+			}
+		}
+	}
+}
+
+// TestReadCSVSelectsBeforeTheWidthLimit: ReadCSV projects onto the
+// attributes of interest before it builds the schema, so a CSV wider
+// than the key limit loads once its columns are selected.
+func TestReadCSVSelectsBeforeTheWidthLimit(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 70; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "c%d", i)
+	}
+	for r := 0; r < 4; r++ {
+		sb.WriteByte('\n')
+		for i := 0; i < 70; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString([]string{"no", "yes"}[(r+i)%2])
+		}
+	}
+	csv := sb.String()
+	if _, err := ReadCSV(strings.NewReader(csv), CSVOptions{}); err == nil || !strings.Contains(err.Error(), "CSVOptions.Columns") {
+		t.Fatalf("70 binary columns, none selected: error %v, want the width limit naming CSVOptions.Columns", err)
+	}
+	ds, err := ReadCSV(strings.NewReader(csv), CSVOptions{Columns: []string{"c3", "c40", "c69"}})
+	if err != nil {
+		t.Fatalf("3 selected columns: %v", err)
+	}
+	if ds.Dim() != 3 || ds.NumRows() != 4 {
+		t.Fatalf("projected CSV holds %d rows × %d attributes, want 4 × 3", ds.NumRows(), ds.Dim())
 	}
 }
 

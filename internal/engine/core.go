@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"coverage/internal/countstore"
 	"coverage/internal/dataset"
 	"coverage/internal/index"
 	"coverage/internal/pattern"
@@ -59,9 +60,9 @@ type shardCore struct {
 
 	base     *index.Index
 	pool     *index.Pool
-	counts   countTable // partition combo→multiplicity (base + delta)
+	counts   *countstore.Flat // partition combo→multiplicity (base + delta)
 	delta    []deltaEntry
-	deltaPos countTable // combo → 1+position in delta (0 = absent)
+	deltaPos *countstore.Flat // combo → 1+position in delta (0 = absent)
 	rows     int64
 
 	compactions int64
@@ -73,8 +74,8 @@ func newShardCore(schema *dataset.Schema, keys *keyCodec, opts Options) *shardCo
 		schema:   schema,
 		keys:     keys,
 		opts:     opts,
-		counts:   keys.newTable(0),
-		deltaPos: keys.newTable(0),
+		counts:   countstore.NewFlat(0),
+		deltaPos: countstore.NewFlat(0),
 	}
 	c.rebuild()
 	c.compactions = 0 // the initial empty build is not a compaction
@@ -84,19 +85,19 @@ func newShardCore(schema *dataset.Schema, keys *keyCodec, opts Options) *shardCo
 // seed installs the core's partition of a pre-deduplicated dataset and
 // builds the base directly, bypassing the delta (construction path).
 // The table is adopted, not copied — the caller hands over ownership.
-func (c *shardCore) seed(counts countTable) {
+func (c *shardCore) seed(counts *countstore.Flat) {
 	c.counts = counts
-	counts.each(func(_ comboKey, n int64) { c.rows += n })
+	counts.Range(func(_ pattern.PackedKey, n int64) { c.rows += n })
 	c.base = index.BuildFromCounts(c.schema, c.stringCounts())
 	c.pool = c.base.NewPool()
 }
 
 // stringCounts materializes the live count table in its raw key-string
 // form — the index builder's input. Rebuild-path only; the hot paths
-// never leave the comboKey representation.
+// never leave the packed-key representation.
 func (c *shardCore) stringCounts() map[string]int64 {
-	m := make(map[string]int64, c.counts.size())
-	c.counts.each(func(k comboKey, n int64) {
+	m := make(map[string]int64, c.counts.Len())
+	c.counts.Range(func(k pattern.PackedKey, n int64) {
 		m[c.keys.str(k)] = n
 	})
 	return m
@@ -105,14 +106,14 @@ func (c *shardCore) stringCounts() map[string]int64 {
 // applySigned merges one signed multiplicity change into the count
 // table and the delta; the table prunes the combination the moment it
 // reaches zero so compaction never rebuilds ghosts.
-func (c *shardCore) applySigned(k comboKey, n int64) {
-	c.counts.add(k, n)
-	if pos := c.deltaPos.get(k); pos > 0 {
+func (c *shardCore) applySigned(k pattern.PackedKey, n int64) {
+	c.counts.Add(k, n)
+	if pos := c.deltaPos.Get(k); pos > 0 {
 		c.delta[pos-1].count += n
 		return
 	}
 	c.delta = append(c.delta, deltaEntry{combo: c.keys.pattern(k), count: n})
-	c.deltaPos.set(k, int64(len(c.delta)))
+	c.deltaPos.Set(k, int64(len(c.delta)))
 }
 
 // applyBatch applies a whole signed mutation table atomically from the
@@ -126,10 +127,10 @@ func (c *shardCore) applySigned(k comboKey, n int64) {
 // exist, so up-front sizing for all of them systematically
 // over-allocated, while the announced budget just guarantees any
 // in-progress rehash retires within the batch.
-func (c *shardCore) applyBatch(muts countTable) {
-	c.counts.reserve(muts.size())
-	c.deltaPos.reserve(muts.size())
-	muts.each(func(k comboKey, n int64) {
+func (c *shardCore) applyBatch(muts *countstore.Flat) {
+	c.counts.ExpectInserts(muts.Len())
+	c.deltaPos.ExpectInserts(muts.Len())
+	muts.Range(func(k pattern.PackedKey, n int64) {
 		if n == 0 {
 			return
 		}
@@ -143,11 +144,11 @@ func (c *shardCore) applyBatch(muts countTable) {
 // plus the pending delta-position table. Stats and ResidentBytes both
 // report it, so /stats and the registry's eviction signal agree.
 func (c *shardCore) storeBytes() int64 {
-	return c.counts.mem().Bytes + c.deltaPos.mem().Bytes
+	return c.counts.Mem().Bytes + c.deltaPos.Mem().Bytes
 }
 
 // multiplicity returns the live count of one combination key.
-func (c *shardCore) multiplicity(k comboKey) int64 { return c.counts.get(k) }
+func (c *shardCore) multiplicity(k pattern.PackedKey) int64 { return c.counts.Get(k) }
 
 // maybeCompact rebuilds the base when the accumulated delta crosses
 // the compaction threshold. Thresholds apply per core: each partition
@@ -166,7 +167,7 @@ func (c *shardCore) rebuild() {
 	c.base = index.BuildFromCounts(c.schema, c.stringCounts())
 	c.pool = c.base.NewPool()
 	c.delta = nil
-	c.deltaPos = c.keys.newTable(0)
+	c.deltaPos = countstore.NewFlat(0)
 	c.compactions++
 }
 

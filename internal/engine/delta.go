@@ -220,8 +220,8 @@ func (e *ShardedEngine) CaptureDelta(base *DeltaBaseline) (*StateDelta, *DeltaBa
 			return nil, nil, false // baseline claims entries past our tail
 		}
 		d.WindowAppend = append([]string(nil), e.log.keys[e.log.head+off:]...)
-		d.PendingDeletes = make(map[string]int64, e.pendingDeletes.size())
-		e.pendingDeletes.each(func(k comboKey, c int64) {
+		d.PendingDeletes = make(map[string]int64, e.pendingDeletes.Len())
+		e.pendingDeletes.Range(func(k pattern.PackedKey, c int64) {
 			d.PendingDeletes[e.keys.str(k)] = c
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"coverage/internal/dataset"
 	"coverage/internal/mup"
 )
 
@@ -312,63 +313,47 @@ func TestDeltaApplyRejectsMismatch(t *testing.T) {
 }
 
 // TestWindowOrderByPageOccupancy pins the initial-window eviction order
-// to golden sequences captured at the commit before the dense and map
-// layouts were deleted. SetWindow is a WAL-logged mutation, so a log
+// to the golden sequence captured at the commit before the dense and
+// map layouts were deleted. SetWindow is a WAL-logged mutation, so a log
 // written by that binary must replay to the same order: ascending
-// key-space page occupancy on a packable schema (page 0 holds 12 live
-// combos, page 2 holds 13, page 1 holds 15 — not the plain sorted
-// order), plain sorted order on a schema wider than 128 bits — whatever
-// the shard count or key representation.
+// key-space page occupancy (page 0 holds 12 live combos, page 2 holds
+// 13, page 1 holds 15 — not the plain sorted order), whatever the shard
+// count. That binary ordered schemas wider than 128 bits by plain sort;
+// dataset.NewSchema refuses such schemas, so no log can hold one.
 func TestWindowOrderByPageOccupancy(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		cards  []int
-		rows   int
-		packed bool
-		want   string
-	}{
-		{"packable", []int{15, 15, 15, 3}, 40, true, "" +
-			"00010100 01030100 01030100 01040200 010b0a00 03010a00 030d0a00 030d0a00 " +
-			"060a0a00 07090b00 0c000000 0c050100 0c050100 0d000a00 0d0d0500 00050a02 " +
-			"00050a02 010d0402 010d0502 05050102 05050102 06060702 07010c02 07090702 " +
-			"09080302 09080302 0b0e0002 0c040302 0c0b0902 0d030402 0d0b0002 00010801 " +
-			"00090b01 000e0201 03050e01 030d0101 050a0201 050a0201 070a0201 080c0101 " +
-			"080c0101 09030901 090b0c01 0d050601 0d050601 0d080301 0d0a0d01 0e020101 " +
-			"0e020101 0e020b01",
-		},
-		{"wide", wideCards(), 10, false, "" +
-			"105db34abf011108770818a408aa72424d 14a895660b81393d279e2baa410655bd2f " +
-			"4f583d963d1a8b9d966196398743a00590 6981b570ae8ac1b77f3cab10230a510d5b " +
-			"74b7aabcc3542e8d854700062f2e61aec4 8c36704b83019d18299a8d3ba5a3071d8a " +
-			"9f34ba082812748aa86a4b7e6a6e584985 b96e3f4967c7ba6ca0940450ad06285485 " +
-			"b9af4b98386c9c69903aad1d280525198a b9af4b98386c9c69903aad1d280525198a " +
-			"c5ab086dc506bf0dc3158ec39b010e62c1 c5ab086dc506bf0dc3158ec39b010e62c1",
-		},
-	} {
-		schema := testSchema(t, tc.cards)
-		rng := rand.New(rand.NewSource(17))
-		rows := randomRows(rng, tc.cards, tc.rows)
-		rows = append(rows, rows[:tc.rows/4]...) // some multiplicities above one
-		for _, shards := range []int{1, 3} {
-			for _, stringKeys := range []bool{false, true} {
-				e := NewSharded(schema, shards, Options{stringKeys: stringKeys})
-				if want := tc.packed && !stringKeys; e.keys.packed != want {
-					t.Fatalf("%s: packed = %v, want %v", tc.name, e.keys.packed, want)
-				}
-				if err := e.Append(rows); err != nil {
-					t.Fatal(err)
-				}
-				e.SetWindow(1000)
-				log := e.log.keys[e.log.head:]
-				got := make([]string, len(log))
-				for i, k := range log {
-					got[i] = hex.EncodeToString([]byte(k))
-				}
-				if g := strings.Join(got, " "); g != tc.want {
-					t.Errorf("%s shards=%d stringKeys=%v: eviction order\n got %s\nwant %s",
-						tc.name, shards, stringKeys, g, tc.want)
-				}
-			}
+	const want = "" +
+		"00010100 01030100 01030100 01040200 010b0a00 03010a00 030d0a00 030d0a00 " +
+		"060a0a00 07090b00 0c000000 0c050100 0c050100 0d000a00 0d0d0500 00050a02 " +
+		"00050a02 010d0402 010d0502 05050102 05050102 06060702 07010c02 07090702 " +
+		"09080302 09080302 0b0e0002 0c040302 0c0b0902 0d030402 0d0b0002 00010801 " +
+		"00090b01 000e0201 03050e01 030d0101 050a0201 050a0201 070a0201 080c0101 " +
+		"080c0101 09030901 090b0c01 0d050601 0d050601 0d080301 0d0a0d01 0e020101 " +
+		"0e020101 0e020b01"
+	cards := []int{15, 15, 15, 3}
+	schema := testSchema(t, cards)
+	rows := randomRows(rand.New(rand.NewSource(17)), cards, 40)
+	rows = append(rows, rows[:10]...) // some multiplicities above one
+	for _, shards := range []int{1, 3} {
+		e := NewSharded(schema, shards, Options{})
+		if err := e.Append(rows); err != nil {
+			t.Fatal(err)
 		}
+		e.SetWindow(1000)
+		log := e.log.keys[e.log.head:]
+		got := make([]string, len(log))
+		for i, k := range log {
+			got[i] = hex.EncodeToString([]byte(k))
+		}
+		if g := strings.Join(got, " "); g != want {
+			t.Errorf("shards=%d: eviction order\n got %s\nwant %s", shards, g, want)
+		}
+	}
+
+	wide := make([]int, 17)
+	for i := range wide {
+		wide[i] = 200
+	}
+	if _, err := dataset.NewSchema(testAttrs(wide)); err == nil || !strings.Contains(err.Error(), "136-bit") {
+		t.Fatalf("17 attributes of 200 values: NewSchema error %v, want one naming the 136-bit key", err)
 	}
 }

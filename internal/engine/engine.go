@@ -63,6 +63,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"coverage/internal/countstore"
 	"coverage/internal/dataset"
 	"coverage/internal/index"
 	"coverage/internal/mup"
@@ -138,13 +139,6 @@ type Options struct {
 	// 1.5× faster than they search at 0.67 and 0.48); values ≥ 1 never
 	// fall back.
 	FullSearchRemovedFraction float64
-
-	// stringKeys forces the byte-string combo-key representation even
-	// on schemas that fit pattern.PackedKey — the test hook the
-	// packed-vs-string equivalence suite uses to drive both paths over
-	// one schema. Unexported: external callers always get the cheapest
-	// representation.
-	stringKeys bool
 }
 
 func (o Options) shardCount() int {
@@ -211,18 +205,15 @@ func (o Options) fullSearchRemovedFraction() float64 {
 
 // ShardStat describes one shard core: its partition's live rows, its
 // live distinct combinations, its pending delta size, how many times
-// it has compacted, and which count table it runs on.
+// it has compacted, and the footprint of its count table.
 type ShardStat struct {
 	Rows          int64
 	Distinct      int
 	DeltaDistinct int
 	Compactions   int64
-	// Store is the core's count table ("flat", or "map" on the
-	// byte-string fallback for schemas wider than 128 bits);
-	// StoreOccupancy is its live-keys/slot-capacity fill ratio (0 for
-	// the slotless map) and StoreBytes the resident bytes of the
-	// core's count and pending delta-position tables.
-	Store          string
+	// StoreOccupancy is the count table's live-keys/slot-capacity fill
+	// ratio and StoreBytes the resident bytes of the core's count and
+	// pending delta-position tables.
 	StoreOccupancy float64
 	StoreBytes     int64
 }
@@ -354,7 +345,7 @@ type ShardedEngine struct {
 	// drop/append pair and forces a full snapshot.
 	window         int
 	log            *rowLog
-	pendingDeletes countTable
+	pendingDeletes *countstore.Flat
 	tombstones     int64
 	windowEvicted  uint64
 	windowEpoch    uint64
@@ -403,7 +394,7 @@ type Engine = ShardedEngine
 // did not record magnitudes).
 type mutRec struct {
 	gen   uint64
-	key   comboKey
+	key   pattern.PackedKey
 	count int64
 }
 
@@ -421,7 +412,7 @@ type mutLog struct {
 // log outgrows max. The survivors move to the front of the same array,
 // so a log that has reached max allocates nothing more: ingest and WAL
 // replay record every combination they mutate.
-func (l *mutLog) record(gen uint64, k comboKey, count int64, max int) {
+func (l *mutLog) record(gen uint64, k pattern.PackedKey, count int64, max int) {
 	l.recs = append(l.recs, mutRec{gen: gen, key: k, count: count})
 	if len(l.recs) <= max {
 		return
@@ -445,8 +436,8 @@ func (l *mutLog) since(gen uint64, keys *keyCodec) (deltas []mup.Delta, exact, o
 	if gen < l.horizon {
 		return nil, false, false
 	}
-	sums := make(map[comboKey]int64)
-	unknown := make(map[comboKey]bool)
+	sums := make(map[pattern.PackedKey]int64)
+	unknown := make(map[pattern.PackedKey]bool)
 	for i := len(l.recs) - 1; i >= 0 && l.recs[i].gen > gen; i-- {
 		r := l.recs[i]
 		if r.count == 0 {
@@ -501,7 +492,7 @@ func New(schema *dataset.Schema, opts Options) *Engine {
 		schema:    schema,
 		cards:     schema.Cards(),
 		opts:      opts,
-		keys:      newKeyCodec(schema.Cards(), opts.stringKeys),
+		keys:      newKeyCodec(schema.Cards()),
 		cores:     make([]*shardCore, n),
 		cache:     make(map[searchKey]*cachedSearch),
 		planCache: make(map[planKey]*cachedPlan),
@@ -527,17 +518,17 @@ func NewFromDataset(ds *dataset.Dataset, opts Options) *Engine {
 	e := New(ds.Schema(), opts)
 	n := len(e.cores)
 	dd := ds.Distinct()
-	parts := make([]countTable, n)
+	parts := make([]*countstore.Flat, n)
 	for i := range parts {
-		parts[i] = e.keys.newTable(len(dd.Combos)/n + 1)
+		parts[i] = countstore.NewFlat(len(dd.Combos)/n + 1)
 	}
 	for k, combo := range dd.Combos {
-		parts[shardOfRow(combo, n)].set(e.keys.ofRow(combo), dd.Counts[k])
+		parts[shardOfRow(combo, n)].Set(e.keys.ofRow(combo), dd.Counts[k])
 	}
 	var wg sync.WaitGroup
 	for i, c := range e.cores {
 		wg.Add(1)
-		go func(c *shardCore, part countTable) {
+		go func(c *shardCore, part *countstore.Flat) {
 			defer wg.Done()
 			c.seed(part)
 		}(c, parts[i])
@@ -604,14 +595,13 @@ func (e *ShardedEngine) Stats() Stats {
 	for i, c := range e.cores {
 		st.Shards[i] = ShardStat{
 			Rows:           c.rows,
-			Distinct:       c.counts.size(),
+			Distinct:       c.counts.Len(),
 			DeltaDistinct:  len(c.delta),
 			Compactions:    c.compactions,
-			Store:          e.keys.tableName(),
-			StoreOccupancy: c.counts.mem().Occupancy(),
+			StoreOccupancy: c.counts.Mem().Occupancy(),
 			StoreBytes:     c.storeBytes(),
 		}
-		st.Distinct += c.counts.size()
+		st.Distinct += c.counts.Len()
 		st.DeltaDistinct += len(c.delta)
 		st.Compactions += c.compactions
 	}
@@ -653,13 +643,12 @@ func (e *ShardedEngine) validateRows(rows [][]uint8) error {
 // core, outside the engine lock. With one core the batch is chunked
 // across workers and merged (the classic parallel count); with many,
 // a single lightweight partition pass routes each row to its core as
-// an already-packed comboKey (one hash plus one pack per row, no
-// per-row allocation on the packed path), so every core receives one
-// contiguous key slice and its map is built by its own goroutine —
-// the map inserts, which dominate ingest, run fully in parallel with
-// no cross-core merge and hash two-word keys instead of byte strings.
+// an already-packed key (one hash plus one pack per row, no per-row
+// allocation), so every core receives one contiguous key slice and its
+// table is built by its own goroutine — the inserts, which dominate
+// ingest, run fully in parallel with no cross-core merge.
 // A batch under inlineBatchRows is counted on the calling goroutine.
-func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
+func (e *ShardedEngine) countBatch(rows [][]uint8) []*countstore.Flat {
 	n := len(e.cores)
 	inline := len(rows) < inlineBatchRows
 	if n == 1 {
@@ -669,30 +658,30 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 		}
 		shards := e.shardCounts(rows, workers)
 		if len(shards) == 0 {
-			return []countTable{e.keys.newTable(0)}
+			return []*countstore.Flat{countstore.NewFlat(0)}
 		}
 		merged := shards[0]
-		merged.reserve(len(rows) - merged.size())
+		merged.ExpectInserts(len(rows) - merged.Len())
 		for _, m := range shards[1:] {
-			m.each(func(k comboKey, c int64) { merged.add(k, c) })
+			m.Range(func(k pattern.PackedKey, c int64) { merged.Add(k, c) })
 		}
-		e.observeRate(merged.size(), len(rows))
-		return []countTable{merged}
+		e.observeRate(merged.Len(), len(rows))
+		return []*countstore.Flat{merged}
 	}
-	parts := make([][]comboKey, n)
+	parts := make([][]pattern.PackedKey, n)
 	per := len(rows)/n + 16
 	for i := range parts {
-		parts[i] = make([]comboKey, 0, per)
+		parts[i] = make([]pattern.PackedKey, 0, per)
 	}
 	for _, row := range rows {
 		s := shardOfRow(row, n)
 		parts[s] = append(parts[s], e.keys.ofRow(row))
 	}
-	out := make([]countTable, n)
+	out := make([]*countstore.Flat, n)
 	count := func(i int) {
-		m := e.keys.newTable(e.batchHint(len(parts[i])))
+		m := countstore.NewFlat(e.batchHint(len(parts[i])))
 		for _, k := range parts[i] {
-			m.add(k, 1)
+			m.Add(k, 1)
 		}
 		out[i] = m
 	}
@@ -700,7 +689,7 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 	for i := 0; i < n; i++ {
 		switch {
 		case len(parts[i]) == 0:
-			out[i] = e.keys.newTable(0)
+			out[i] = countstore.NewFlat(0)
 		case inline:
 			count(i)
 		default:
@@ -714,7 +703,7 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []countTable {
 	wg.Wait()
 	distinct := 0
 	for _, m := range out {
-		distinct += m.size()
+		distinct += m.Len()
 	}
 	e.observeRate(distinct, len(rows))
 	return out
@@ -763,7 +752,7 @@ func (e *ShardedEngine) observeRate(distinct, rows int) {
 // and counts each chunk's combinations into a private table. An empty
 // batch (or a non-positive worker count) returns no shards rather
 // than indexing one that does not exist.
-func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
+func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []*countstore.Flat {
 	if workers > len(rows) {
 		workers = len(rows)
 	}
@@ -775,11 +764,11 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
 	// the shard slice by the chunks actually spawned so every entry is
 	// a live table (the merge in countBatch iterates them all).
 	nChunks := (len(rows) + chunk - 1) / chunk
-	shards := make([]countTable, nChunks)
+	shards := make([]*countstore.Flat, nChunks)
 	count := func(w int, part [][]uint8) {
-		m := e.keys.newTable(e.batchHint(len(part)))
+		m := countstore.NewFlat(e.batchHint(len(part)))
 		for _, row := range part {
-			m.add(e.keys.ofRow(row), 1)
+			m.Add(e.keys.ofRow(row), 1)
 		}
 		shards[w] = m
 	}
@@ -809,15 +798,15 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []countTable {
 // holds at least inlineBatchRows combinations, one after another on
 // the calling goroutine otherwise. Caller holds the write lock, which
 // is what makes the cross-core batch atomic for readers.
-func (e *ShardedEngine) applyCoresLocked(muts []countTable) {
+func (e *ShardedEngine) applyCoresLocked(muts []*countstore.Flat) {
 	busy := 0
 	last := -1
 	combos := 0
 	for i, m := range muts {
-		if m.size() > 0 {
+		if m.Len() > 0 {
 			busy++
 			last = i
-			combos += m.size()
+			combos += m.Len()
 		}
 	}
 	switch {
@@ -826,18 +815,18 @@ func (e *ShardedEngine) applyCoresLocked(muts []countTable) {
 		e.cores[last].applyBatch(muts[last])
 	case combos < inlineBatchRows:
 		for i, m := range muts {
-			if m.size() > 0 {
+			if m.Len() > 0 {
 				e.cores[i].applyBatch(m)
 			}
 		}
 	default:
 		var wg sync.WaitGroup
 		for i, m := range muts {
-			if m.size() == 0 {
+			if m.Len() == 0 {
 				continue
 			}
 			wg.Add(1)
-			go func(c *shardCore, m countTable) {
+			go func(c *shardCore, m *countstore.Flat) {
 				defer wg.Done()
 				c.applyBatch(m)
 			}(e.cores[i], m)
@@ -868,7 +857,7 @@ func (e *ShardedEngine) Append(rows [][]uint8) error {
 	e.appends++
 	logSize := e.opts.removedLogSize()
 	for _, m := range muts {
-		m.each(func(k comboKey, c int64) {
+		m.Range(func(k pattern.PackedKey, c int64) {
 			e.added.record(e.gen, k, c, logSize)
 		})
 	}
@@ -902,7 +891,7 @@ func (e *ShardedEngine) Delete(rows [][]uint8) error {
 	defer e.mu.Unlock()
 	for i, m := range need {
 		var err error
-		m.each(func(k comboKey, c int64) {
+		m.Range(func(k pattern.PackedKey, c int64) {
 			if err != nil {
 				return
 			}
@@ -919,16 +908,16 @@ func (e *ShardedEngine) Delete(rows [][]uint8) error {
 	e.deletes++
 	logSize := e.opts.removedLogSize()
 	for _, m := range need {
-		m.each(func(k comboKey, c int64) {
+		m.Range(func(k pattern.PackedKey, c int64) {
 			e.removed.record(e.gen, k, -c, logSize)
 			if e.log != nil {
-				e.pendingDeletes.add(k, c)
+				e.pendingDeletes.Add(k, c)
 				e.tombstones += c
 			}
 		})
 		// The batch held the positive multiplicities to validate
 		// against; the cores apply it as a retraction.
-		m.negate()
+		m.Negate()
 	}
 	e.rows -= int64(len(rows))
 	e.applyCoresLocked(need)
@@ -941,12 +930,11 @@ func (e *ShardedEngine) Delete(rows [][]uint8) error {
 // present when the window is first enabled have no recorded arrival
 // order; they are treated as oldest — ordered by ascending key-space
 // page occupancy (sparsest pages evict first; ties by page then
-// combination), or in plain sorted combination order on schemas too
-// wide to pack — and evicted before any row appended afterwards. The
+// combination) — and evicted before any row appended afterwards. The
 // ordering is a pure function of the schema and the live combination
-// set, so it is identical across shard counts and key representations
-// — and across versions: SetWindow is a WAL-logged mutation, so a log
-// written by an older binary must replay to the same eviction order.
+// set, so it is identical across shard counts — and across versions:
+// SetWindow is a WAL-logged mutation, so a log written by an older
+// binary must replay to the same eviction order.
 //
 // Every SetWindow call advances the generation, whether or not it
 // evicts: window changes are logged mutations, and a unique generation
@@ -970,12 +958,12 @@ func (e *ShardedEngine) SetWindow(maxRows int) {
 	e.window = maxRows
 	if e.log == nil {
 		e.log = &rowLog{}
-		e.pendingDeletes = e.keys.newTable(0)
+		e.pendingDeletes = countstore.NewFlat(0)
 		e.windowEpoch++
 		e.windowEvicted = 0
 		keys := make([]string, 0, e.distinctLocked())
 		for _, c := range e.cores {
-			c.counts.each(func(k comboKey, _ int64) {
+			c.counts.Range(func(k pattern.PackedKey, _ int64) {
 				keys = append(keys, e.keys.str(k))
 			})
 		}
@@ -988,9 +976,9 @@ func (e *ShardedEngine) SetWindow(maxRows int) {
 		}
 	}
 	if e.rows > int64(e.window) {
-		muts := make([]countTable, len(e.cores))
+		muts := make([]*countstore.Flat, len(e.cores))
 		for i := range muts {
-			muts[i] = e.keys.newTable(0)
+			muts[i] = countstore.NewFlat(0)
 		}
 		e.evictIntoLocked(muts)
 		e.applyCoresLocked(muts)
@@ -1011,17 +999,12 @@ func windowPageOf(k pattern.PackedKey) uint64 {
 
 // orderInitialWindow sorts the initial window log's distinct keys into
 // eviction order: ascending live-combo count of each key's page, ties
-// broken by page then raw key. On schemas whose canonical packed form
-// does not exist the order is the plain sorted one. The canonical
-// compact codec — not the engine's key codec, which is the raw
-// byte-aligned one where the schema fits — keys the pages, so the
-// order depends on the schema and the live set alone.
+// broken by page then raw key. The canonical compact codec — not the
+// engine's key codec, which is the raw byte-aligned one where the
+// schema has one — keys the pages, so the order depends on the schema
+// and the live set alone.
 func (e *ShardedEngine) orderInitialWindow(keys []string) {
 	canon := pattern.NewCodec(e.cards)
-	if !canon.Packable() {
-		sort.Strings(keys)
-		return
-	}
 	type entry struct {
 		page uint64
 		key  string
@@ -1062,7 +1045,7 @@ func (e *ShardedEngine) Window() int {
 // each core as one atomic signed batch) and recorded in the removed
 // log with their net counts. Caller holds the write lock with the
 // generation already advanced for this mutation.
-func (e *ShardedEngine) evictIntoLocked(muts []countTable) {
+func (e *ShardedEngine) evictIntoLocked(muts []*countstore.Flat) {
 	if e.window <= 0 || e.log == nil {
 		return
 	}
@@ -1071,8 +1054,8 @@ func (e *ShardedEngine) evictIntoLocked(muts []countTable) {
 	for e.rows > int64(e.window) {
 		k := e.log.pop()
 		e.windowEvicted++
-		if ck := e.keys.ofString(k); e.pendingDeletes.get(ck) > 0 {
-			e.pendingDeletes.add(ck, -1)
+		if ck := e.keys.ofString(k); e.pendingDeletes.Get(ck) > 0 {
+			e.pendingDeletes.Add(ck, -1)
 			e.tombstones--
 			continue
 		}
@@ -1083,7 +1066,7 @@ func (e *ShardedEngine) evictIntoLocked(muts []countTable) {
 	logSize := e.opts.removedLogSize()
 	for k, c := range evicted {
 		ck := e.keys.ofString(k)
-		muts[shardOf(k, n)].add(ck, -c)
+		muts[shardOf(k, n)].Add(ck, -c)
 		e.removed.record(e.gen, ck, -c, logSize)
 	}
 }
@@ -1092,7 +1075,7 @@ func (e *ShardedEngine) evictIntoLocked(muts []countTable) {
 func (e *ShardedEngine) distinctLocked() int {
 	n := 0
 	for _, c := range e.cores {
-		n += c.counts.size()
+		n += c.counts.Len()
 	}
 	return n
 }
@@ -1201,7 +1184,7 @@ func (e *ShardedEngine) Index() *index.Index {
 	e.foldLocked()
 	union := make(map[string]int64, e.distinctLocked())
 	for _, c := range e.cores {
-		c.counts.each(func(k comboKey, n int64) {
+		c.counts.Range(func(k pattern.PackedKey, n int64) {
 			union[e.keys.str(k)] = n
 		})
 	}

@@ -15,6 +15,11 @@ import (
 
 func testSchema(t testing.TB, cards []int) *dataset.Schema {
 	t.Helper()
+	return dataset.MustSchema(testAttrs(cards))
+}
+
+// testAttrs names attribute i "a<i>" and its values "v0", "v1", ….
+func testAttrs(cards []int) []dataset.Attribute {
 	attrs := make([]dataset.Attribute, len(cards))
 	for i, c := range cards {
 		vals := make([]string, c)
@@ -23,17 +28,7 @@ func testSchema(t testing.TB, cards []int) *dataset.Schema {
 		}
 		attrs[i] = dataset.Attribute{Name: fmt.Sprintf("a%d", i), Values: vals}
 	}
-	return dataset.MustSchema(attrs)
-}
-
-// wideCards is a schema past the 128-bit packing limit (17 × 8 bits),
-// which runs the engine on its byte-string fallback.
-func wideCards() []int {
-	cards := make([]int, 17)
-	for i := range cards {
-		cards[i] = 200
-	}
-	return cards
+	return attrs
 }
 
 func randomRows(rng *rand.Rand, cards []int, n int) [][]uint8 {
@@ -1021,7 +1016,7 @@ func TestAppendSmallBatchManyWorkers(t *testing.T) {
 				if m == nil {
 					t.Fatalf("rows=%d workers=%d: chunk %d has no table", rows, workers, w)
 				}
-				m.each(func(_ comboKey, n int64) { counted += int(n) })
+				m.Range(func(_ pattern.PackedKey, n int64) { counted += int(n) })
 			}
 			if counted != rows {
 				t.Fatalf("rows=%d workers=%d: chunks count %d rows", rows, workers, counted)
@@ -1091,8 +1086,8 @@ func TestInlineBatchThreshold(t *testing.T) {
 // record every mutated combination — allocates nothing once it has
 // reached the bound.
 func TestMutLogTrimsInPlace(t *testing.T) {
-	keys := newKeyCodec([]int{4, 4}, false)
-	key := func(i int) comboKey { return keys.ofRow([]uint8{uint8(i % 4), uint8(i / 4 % 4)}) }
+	keys := newKeyCodec([]int{4, 4})
+	key := func(i int) pattern.PackedKey { return keys.ofRow([]uint8{uint8(i % 4), uint8(i / 4 % 4)}) }
 	const max = 8
 	var l mutLog
 	// Generations of three records each: the ninth record overflows the

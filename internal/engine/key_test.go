@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"coverage/internal/index"
-	"coverage/internal/mup"
 	"coverage/internal/pattern"
 )
 
@@ -74,8 +73,8 @@ func TestShardCountsEmptyBatch(t *testing.T) {
 			t.Fatalf("countBatch(no rows) on %d cores returned %d maps", shards, len(muts))
 		}
 		for i, m := range muts {
-			if m.size() != 0 {
-				t.Fatalf("countBatch(no rows) core %d map has %d entries", i, m.size())
+			if m.Len() != 0 {
+				t.Fatalf("countBatch(no rows) core %d map has %d entries", i, m.Len())
 			}
 		}
 	}
@@ -120,115 +119,5 @@ func TestShardProberCoverageBatch(t *testing.T) {
 	}
 	if sp.batches != 1 {
 		t.Errorf("batch counted %d merged passes, want 1", sp.batches)
-	}
-}
-
-// TestPackedVsStringEngineEquivalence drives the same randomized
-// mutation schedule into a packed-key engine and a string-key engine
-// (the test-only representation override) over one packable schema:
-// every coverage answer, MUP set, statistic and exported state must be
-// identical — the key representation is invisible above the maps.
-func TestPackedVsStringEngineEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cards := []int{3, 4, 2, 3}
-			schema := testSchema(t, cards)
-			opts := Options{CompactMinDistinct: 2, CompactFraction: 0.2}
-			sopts := opts
-			sopts.stringKeys = true
-			packed := NewSharded(schema, shards, opts)
-			str := NewSharded(schema, shards, sopts)
-			if !packed.keys.packed {
-				t.Fatal("precondition: default engine should use packed keys on this schema")
-			}
-			if str.keys.packed {
-				t.Fatal("precondition: stringKeys override ignored")
-			}
-			rng := rand.New(rand.NewSource(int64(17 * shards)))
-			const tau = 4
-			for step := 0; step < 25; step++ {
-				switch {
-				case step == 10:
-					packed.SetWindow(60)
-					str.SetWindow(60)
-				case rng.Intn(3) > 0 || packed.Rows() == 0:
-					batch := randomRows(rng, cards, 5+rng.Intn(20))
-					if err := packed.Append(batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := str.Append(batch); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					batch := drawDeletableEngine(rng, packed, 1+rng.Intn(5))
-					if len(batch) == 0 {
-						continue
-					}
-					if err := packed.Delete(batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := str.Delete(batch); err != nil {
-						t.Fatal(err)
-					}
-				}
-				pst, sst := packed.Stats(), str.Stats()
-				if pst.Rows != sst.Rows || pst.Distinct != sst.Distinct || pst.Tombstones != sst.Tombstones {
-					t.Fatalf("step %d: stats diverge: packed rows/distinct/tombstones %d/%d/%d, string %d/%d/%d",
-						step, pst.Rows, pst.Distinct, pst.Tombstones, sst.Rows, sst.Distinct, sst.Tombstones)
-				}
-				var ps []pattern.Pattern
-				pattern.EnumerateAll(cards, func(p pattern.Pattern) bool {
-					ps = append(ps, p.Clone())
-					return true
-				})
-				want, err := str.CoverageBatch(ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := packed.CoverageBatch(ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range ps {
-					if want[i] != got[i] {
-						t.Fatalf("step %d: cov(%v) = %d packed, %d string-keyed", step, ps[i], got[i], want[i])
-					}
-				}
-				wres, err := str.MUPs(mup.Options{Threshold: tau})
-				if err != nil {
-					t.Fatal(err)
-				}
-				gres, err := packed.MUPs(mup.Options{Threshold: tau})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(wres.MUPs) != len(gres.MUPs) {
-					t.Fatalf("step %d: %d MUPs packed, %d string-keyed", step, len(gres.MUPs), len(wres.MUPs))
-				}
-				for i := range wres.MUPs {
-					if !wres.MUPs[i].Equal(gres.MUPs[i]) {
-						t.Fatalf("step %d: MUPs[%d] = %v packed, %v string-keyed", step, i, gres.MUPs[i], wres.MUPs[i])
-					}
-				}
-			}
-			// The serialized states must agree key for key, and each
-			// restores onto the other representation unchanged.
-			pstate, sstate := packed.ExportState(), str.ExportState()
-			if len(pstate.Counts) != len(sstate.Counts) {
-				t.Fatalf("exported %d packed counts, %d string-keyed", len(pstate.Counts), len(sstate.Counts))
-			}
-			for k, c := range sstate.Counts {
-				if pstate.Counts[k] != c {
-					t.Fatalf("exported count of %v: %d packed, %d string-keyed", pattern.Pattern(k), pstate.Counts[k], c)
-				}
-			}
-			restored, err := NewFromState(pstate, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Rows() != packed.Rows() {
-				t.Fatalf("string-keyed restore of packed state: rows = %d, want %d", restored.Rows(), packed.Rows())
-			}
-		})
 	}
 }

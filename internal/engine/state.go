@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"coverage/internal/countstore"
 	"coverage/internal/dataset"
 	"coverage/internal/enhance"
 	"coverage/internal/index"
@@ -247,8 +248,8 @@ func (e *ShardedEngine) CaptureState() *Capture {
 	if e.log != nil {
 		st.WindowLog = make([]string, 0, e.log.len())
 		st.WindowLog = append(st.WindowLog, e.log.keys[e.log.head:]...)
-		st.PendingDeletes = make(map[string]int64, e.pendingDeletes.size())
-		e.pendingDeletes.each(func(k comboKey, c int64) {
+		st.PendingDeletes = make(map[string]int64, e.pendingDeletes.Len())
+		e.pendingDeletes.Range(func(k pattern.PackedKey, c int64) {
 			st.PendingDeletes[e.keys.str(k)] = c
 		})
 	}
@@ -574,7 +575,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		n = 1
 	}
 
-	keys := newKeyCodec(cards, opts.stringKeys)
+	keys := newKeyCodec(cards)
 	e := &ShardedEngine{
 		schema:    schema,
 		cards:     cards,
@@ -637,7 +638,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			core := newShardCore(schema, keys, opts)
 			core.compactions = 0
 			part := shardKeys[i]
-			core.counts.reserve(len(part))
+			core.counts.ExpectInserts(len(part))
 			dd := &dataset.Distinct{
 				Schema: schema,
 				Combos: make([][]uint8, len(part)),
@@ -646,7 +647,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			for j, k := range part {
 				dd.Combos[j] = []uint8(k)
 				dd.Counts[j] = st.Counts[k]
-				core.counts.set(keys.ofString(k), st.Counts[k])
+				core.counts.Set(keys.ofString(k), st.Counts[k])
 				core.rows += st.Counts[k]
 			}
 			// The key lists are sorted, which is exactly the
@@ -662,9 +663,9 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 
 	if st.Window > 0 {
 		e.log = &rowLog{keys: append([]string(nil), st.WindowLog...)}
-		e.pendingDeletes = keys.newTable(len(st.PendingDeletes))
+		e.pendingDeletes = countstore.NewFlat(len(st.PendingDeletes))
 		for k, c := range st.PendingDeletes {
-			e.pendingDeletes.set(keys.ofString(k), c)
+			e.pendingDeletes.Set(keys.ofString(k), c)
 		}
 		e.tombstones = st.Tombstones
 	}

@@ -22,18 +22,15 @@ import (
 // separate Probers.
 //
 // The full-combo multiplicity table — hit by every deepest-level probe
-// of the MUP descent — is a countstore.Probe over packed keys on
-// packable schemas, and a string map on schemas past 128 bits.
+// of the MUP descent — is a countstore.Probe over packed keys.
 type Index struct {
 	schema  *dataset.Schema
 	cards   []int
 	vecs    [][]*bitvec.Vector // [attribute][value] → bits over distinct combos
 	density [][]int            // [attribute][value] → set-bit count of the vector
 	counts  []int64            // multiplicity per distinct combo
-	combos  map[string]int64   // full combo → multiplicity (string fallback)
-	flat    *countstore.Probe  // full combo → multiplicity (packed)
-	codec   *pattern.Codec     // set iff flat is
-	rawKeys bool               // flat uses the raw byte-aligned codec
+	flat    *countstore.Probe  // full combo → multiplicity
+	codec   *pattern.Codec     // flat's key layout
 	total   int64
 	nDist   int
 }
@@ -78,44 +75,30 @@ func BuildFromDistinct(dd *dataset.Distinct) *Index {
 	return ix
 }
 
-// initComboStore allocates the full-combo count table.
+// initComboStore allocates the full-combo count table. The table only
+// hashes its keys, so it takes the byte-aligned raw layout where the
+// schema has one: every deepest-level probe then packs with two word
+// loads instead of a per-attribute shift-and-mask loop.
 func (ix *Index) initComboStore(hint int) {
-	codec := pattern.NewCodec(ix.cards)
-	if !codec.Packable() {
-		ix.combos = make(map[string]int64, hint)
-		return
+	if len(ix.cards) <= pattern.RawKeyDim {
+		ix.codec = pattern.NewRawCodec(len(ix.cards))
+	} else {
+		ix.codec = pattern.NewCodec(ix.cards)
 	}
-	// The table only hashes its keys, so it trades the bit-compact
-	// layout for the byte-aligned raw one when the schema fits: every
-	// deepest-level probe then packs with two word loads instead of a
-	// per-attribute shift-and-mask loop.
-	if raw := pattern.NewRawCodec(len(ix.cards)); raw.Packable() {
-		codec = raw
-		ix.rawKeys = true
-	}
-	ix.codec = codec
 	ix.flat = countstore.NewProbe(hint)
 }
 
 func (ix *Index) setCombo(combo []uint8, n int64) {
-	if ix.flat != nil {
-		ix.flat.Set(ix.codec.PackedKey(pattern.Pattern(combo)), n)
-		return
-	}
-	ix.combos[string(combo)] = n
+	ix.flat.Set(ix.codec.PackedKey(pattern.Pattern(combo)), n)
 }
 
 // fullCount is the full-combo multiplicity lookup backing ComboCount
-// and the deepest-level probe fast path: a packed-key table probe on
-// packable schemas, a string-map lookup otherwise.
+// and the deepest-level probe fast path.
 func (ix *Index) fullCount(p pattern.Pattern) int64 {
-	if ix.flat != nil {
-		if ix.rawKeys {
-			return ix.flat.GetRaw(p)
-		}
-		return ix.flat.Get(ix.codec.PackedKey(p))
+	if ix.codec.Raw() {
+		return ix.flat.GetRaw(p)
 	}
-	return ix.combos[string(p)]
+	return ix.flat.Get(ix.codec.PackedKey(p))
 }
 
 // BuildFromCounts constructs the oracle from a combo→multiplicity map
@@ -204,12 +187,6 @@ func (ix *Index) Coverage(p pattern.Pattern) int64 {
 // concurrently with probes — this is how the engine snapshots its bulk
 // state without copying the combo map under a lock.
 func (ix *Index) Range(fn func(combo string, count int64)) {
-	if ix.flat == nil {
-		for k, c := range ix.combos {
-			fn(k, c)
-		}
-		return
-	}
 	buf := make([]uint8, 0, len(ix.cards))
 	ix.flat.Range(func(k pattern.PackedKey, c int64) {
 		buf = ix.codec.AppendUnpack(buf[:0], k)

@@ -127,26 +127,26 @@ func randomDataset(r *rand.Rand, d int) *dataset.Dataset {
 }
 
 // TestQuickCoverageEqualsLiteralScan checks cov(P) against a literal
-// row scan on both full-combo tables: the packed one (1–5 attributes)
-// and the string fallback (65 attributes of at least 2 bits each
-// exceed the 128-bit packing limit). Every third pattern is a stored
-// row in full, so the full-combo lookup is probed with hits, not only
-// with absent keys.
+// row scan under both key layouts of the full-combo table: the
+// byte-aligned raw one (1–5 attributes) and the bit-compact one (17–40
+// attributes of 2–3 bits each, past the raw layout's 16). Every third
+// pattern is a stored row in full, so the full-combo lookup is probed
+// with hits, not only with absent keys.
 func TestQuickCoverageEqualsLiteralScan(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		minDim, maxDim int
-		packed         bool
+		raw            bool
 	}{
-		{"packed", 1, 5, true},
-		{"string", 65, 65, false},
+		{"raw", 1, 5, true},
+		{"compact", pattern.RawKeyDim + 1, 40, false},
 	} {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			ds := randomDataset(r, tc.minDim+r.Intn(tc.maxDim-tc.minDim+1))
 			ix := Build(ds)
-			if (ix.flat != nil) != tc.packed {
-				t.Fatalf("%s: packed combo table = %v, want %v", tc.name, ix.flat != nil, tc.packed)
+			if ix.codec.Raw() != tc.raw {
+				t.Fatalf("%s: raw key layout = %v, want %v", tc.name, ix.codec.Raw(), tc.raw)
 			}
 			pr := ix.NewProber()
 			cards := ds.Cards()

@@ -5,62 +5,13 @@ import (
 
 	"coverage/internal/datagen"
 	"coverage/internal/index"
-	"coverage/internal/pattern"
 )
 
-// Ablation: packed two-word map keys versus byte-string keys in the
-// traversal bookkeeping (the covered sets of PATTERN-BREAKER and the
-// coverage cache of DEEPDIVER dominate their map traffic).
-//
-// Run with: go test -bench=KeyAblation ./internal/mup
-
-func keyAblationIndex(b *testing.B) *index.Index {
+// airbnbIndex is the benchmarks' workload: 100 000 AirBnB-shaped rows
+// over 13 binary attributes.
+func airbnbIndex(b *testing.B) *index.Index {
 	b.Helper()
 	return index.Build(datagen.AirBnB(100000, 13, 42))
-}
-
-func BenchmarkKeyAblationBreakerPacked(b *testing.B) {
-	ix := keyAblationIndex(b)
-	codec := pattern.NewCodec(ix.Cards())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := breakerKeyed(ix, Options{Threshold: 100}, codec.PackedKey); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKeyAblationBreakerString(b *testing.B) {
-	ix := keyAblationIndex(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := breakerKeyed(ix, Options{Threshold: 100},
-			func(p pattern.Pattern) string { return string(p) }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKeyAblationDeepDiverPacked(b *testing.B) {
-	ix := keyAblationIndex(b)
-	codec := pattern.NewCodec(ix.Cards())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := deepDiverKeyed(ix, Options{Threshold: 100}, codec.PackedKey); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKeyAblationDeepDiverString(b *testing.B) {
-	ix := keyAblationIndex(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := deepDiverKeyed(ix, Options{Threshold: 100},
-			func(p pattern.Pattern) string { return string(p) }); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // Ablation: the parallel level-synchronous PATTERN-BREAKER versus the
@@ -75,7 +26,7 @@ func BenchmarkParallelBreakerWorkersAll(b *testing.B) {
 }
 
 func benchParallelBreaker(b *testing.B, workers int) {
-	ix := keyAblationIndex(b)
+	ix := airbnbIndex(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParallelPatternBreaker(ix, ParallelOptions{

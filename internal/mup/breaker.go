@@ -15,18 +15,8 @@ import (
 // (large thresholds); its cost is proportional to the covered region
 // it must cross.
 func PatternBreaker(ix index.Oracle, opts Options) (*Result, error) {
-	codec := pattern.NewCodec(ix.Cards())
-	if codec.Packable() {
-		return breakerKeyed(ix, opts, codec.PackedKey)
-	}
-	return breakerKeyed(ix, opts, func(p pattern.Pattern) string { return string(p) })
-}
-
-// breakerKeyed is the algorithm body, generic over the map-key
-// representation: two-word packed keys for schemas that fit 128 bits,
-// byte strings otherwise.
-func breakerKeyed[K comparable](ix index.Oracle, opts Options, key func(pattern.Pattern) K) (*Result, error) {
 	cards := ix.Cards()
+	key := pattern.NewCodec(cards).PackedKey
 	d := len(cards)
 	res := &Result{Stats: Stats{Algorithm: "pattern-breaker"}, Cov: []int64{}}
 	pr := ix.NewCoverageProber()
@@ -39,13 +29,13 @@ func breakerKeyed[K comparable](ix index.Oracle, opts Options, key func(pattern.
 	// and all covered patterns of a level are guaranteed to have been
 	// generated (every ancestor of a covered pattern is covered), so
 	// membership in covered is exactly "parent covered".
-	covered := make(map[K]struct{})
+	covered := make(map[pattern.PackedKey]struct{})
 	var live []pattern.Pattern
 	var covs []int64
 
 	for level := 0; level <= bound && len(queue) > 0; level++ {
 		var next []pattern.Pattern
-		coveredNow := make(map[K]struct{})
+		coveredNow := make(map[pattern.PackedKey]struct{})
 		// Pass 1: parent checks, no probes. A candidate with an
 		// uncovered parent is dominated by an uncovered pattern: it is
 		// uncovered but not maximal, and its subtree holds no MUPs

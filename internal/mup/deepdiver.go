@@ -21,17 +21,8 @@ import (
 // are covered), so such nodes are treated as covered here — which is
 // the pruning §III-E's prose describes. See DESIGN.md.
 func DeepDiver(ix index.Oracle, opts Options) (*Result, error) {
-	codec := pattern.NewCodec(ix.Cards())
-	if codec.Packable() {
-		return deepDiverKeyed(ix, opts, codec.PackedKey)
-	}
-	return deepDiverKeyed(ix, opts, func(p pattern.Pattern) string { return string(p) })
-}
-
-// deepDiverKeyed is the algorithm body, generic over the coverage-
-// cache key representation.
-func deepDiverKeyed[K comparable](ix index.Oracle, opts Options, key func(pattern.Pattern) K) (*Result, error) {
 	cards := ix.Cards()
+	key := pattern.NewCodec(cards).PackedKey
 	d := len(cards)
 	res := &Result{Stats: Stats{Algorithm: "deepdiver"}}
 	pr := ix.NewCoverageProber()
@@ -40,7 +31,7 @@ func deepDiverKeyed[K comparable](ix index.Oracle, opts Options, key func(patter
 
 	// covCache memoizes probes: climbs inspect parents that the DFS
 	// may pop again later.
-	covCache := make(map[K]int64)
+	covCache := make(map[pattern.PackedKey]int64)
 	coverage := func(p pattern.Pattern) int64 {
 		k := key(p)
 		if c, ok := covCache[k]; ok {

@@ -62,29 +62,22 @@ func runChunks[T any](items []T, workers int, fn func(w int, part []T, lo int)) 
 // every worker owns a private prober (the coverage oracle itself is
 // immutable). The output is identical to PatternBreaker.
 func ParallelPatternBreaker(ix index.Oracle, popts ParallelOptions) (*Result, error) {
-	codec := pattern.NewCodec(ix.Cards())
-	if codec.Packable() {
-		return parallelBreakerKeyed(ix, popts, codec.PackedKey)
-	}
-	return parallelBreakerKeyed(ix, popts, func(p pattern.Pattern) string { return string(p) })
-}
-
-func parallelBreakerKeyed[K comparable](ix index.Oracle, popts ParallelOptions, key func(pattern.Pattern) K) (*Result, error) {
 	opts := popts.Options
 	workers := popts.workers()
 	cards := ix.Cards()
+	key := pattern.NewCodec(cards).PackedKey
 	d := len(cards)
 	res := &Result{Stats: Stats{Algorithm: "parallel-pattern-breaker"}, Cov: []int64{}}
 	bound := opts.levelBound(d)
 
 	queue := []pattern.Pattern{pattern.All(d)}
-	covered := make(map[K]struct{})
+	covered := make(map[pattern.PackedKey]struct{})
 
 	// Per-worker state, merged after each level.
 	type shard struct {
 		mups    []pattern.Pattern
 		covs    []int64
-		covered []K
+		covered []pattern.PackedKey
 		next    []pattern.Pattern
 		nodes   int64
 	}
@@ -147,7 +140,7 @@ func parallelBreakerKeyed[K comparable](ix index.Oracle, popts ParallelOptions, 
 			liveBufs[w], covBufs[w] = live, covs
 		})
 
-		coveredNow := make(map[K]struct{})
+		coveredNow := make(map[pattern.PackedKey]struct{})
 		var next []pattern.Pattern
 		for w := range shards {
 			sh := &shards[w]

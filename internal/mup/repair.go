@@ -20,8 +20,6 @@ type Delta struct {
 	Count int64
 }
 
-func stringKey(p pattern.Pattern) string { return string(p) }
-
 // deltaSet is a prepared mini coverage oracle over one direction's
 // mutation deltas: membership tests ("could cov(P) have changed this
 // way?") and, when every magnitude is known, the exact per-pattern
@@ -143,16 +141,9 @@ func (b *emitBuf) emit(p pattern.Pattern, c int64, known bool) {
 // popts.Workers goroutines (the ParallelPatternBreaker pool pattern).
 // The result is identical to a from-scratch search.
 func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) (*Result, error) {
-	codec := pattern.NewCodec(ix.Cards())
-	if codec.Packable() {
-		return repairKeyed(ix, old, added, popts, codec.PackedKey)
-	}
-	return repairKeyed(ix, old, added, popts, stringKey)
-}
-
-func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popts ParallelOptions, key func(pattern.Pattern) K) (*Result, error) {
 	opts := popts.Options
 	cards := ix.Cards()
+	key := pattern.NewCodec(cards).PackedKey
 	res := &Result{Stats: Stats{Algorithm: "incremental-repair"}}
 	bound := opts.levelBound(len(cards))
 	workers := popts.workers()
@@ -168,7 +159,7 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 	// exact: a touched seed's coverage is old value + added matches.
 	exact := oldCov != nil && add.known && add.exact
 
-	visited := make(map[K]bool, len(old.MUPs))
+	visited := make(map[pattern.PackedKey]bool, len(old.MUPs))
 	wave := make([]repairNode, 0, len(old.MUPs))
 	for i, p := range old.MUPs {
 		if err := p.Validate(cards); err != nil {
@@ -188,11 +179,11 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 	// parents shared across many candidates. Workers read the merged
 	// map of previous waves and record fresh probes privately; the
 	// private maps are merged between waves.
-	covGlobal := make(map[K]int64)
+	covGlobal := make(map[pattern.PackedKey]int64)
 
 	type waveOut struct {
 		emitBuf
-		probed   map[K]int64
+		probed   map[pattern.PackedKey]int64
 		children []pattern.Pattern
 		nodes    int64
 	}
@@ -206,7 +197,7 @@ func repairKeyed[K comparable](ix index.Oracle, old *Result, added []Delta, popt
 		}
 		runChunks(wave, workers, func(w int, part []repairNode, _ int) {
 			out := &outs[w]
-			out.probed = make(map[K]int64)
+			out.probed = make(map[pattern.PackedKey]int64)
 			pr := probers[w]
 			coverage := func(p pattern.Pattern) int64 {
 				k := key(p)
@@ -393,20 +384,10 @@ func supersetSums(h []int64) {
 // Stats.NodesVisited (cube cells plus seed-pass nodes) do not depend on
 // the worker count.
 func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions) (*Result, error) {
-	codec := pattern.NewCodec(ix.Cards())
-	if codec.Packable() {
-		return repairBidirectionalKeyed(ix, old, removed, added, popts, codec.PackedKey)
-	}
-	return repairBidirectionalKeyed(ix, old, removed, added, popts, stringKey)
-}
-
-// repairBidirectionalKeyed is the algorithm body, generic over the
-// pattern-key representation (packed keys avoid string hashing in the
-// hot maps, exactly as in the breaker variants).
-func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions, key func(pattern.Pattern) K) (*Result, error) {
 	opts := popts.Options
 	tau := opts.Threshold
 	cards := ix.Cards()
+	key := pattern.NewCodec(cards).PackedKey
 	d := len(cards)
 	res := &Result{Stats: Stats{Algorithm: "bidirectional-repair"}}
 	if tau <= 0 {
@@ -425,7 +406,7 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 		return nil, err
 	}
 	if len(removed) > 0 && d > cubeMaxDim {
-		return parallelBreakerKeyed(ix, popts, key)
+		return ParallelPatternBreaker(ix, popts)
 	}
 
 	// The Appendix-B dominance index over the old MUPs: DominatedBy
@@ -450,7 +431,7 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 	// seed, or a reader of that result, may be looking at them — so the
 	// wave works on one slab copy, which the surviving seeds of the
 	// result then share.
-	visited := make(map[K]bool, len(old.MUPs))
+	visited := make(map[pattern.PackedKey]bool, len(old.MUPs))
 	wave := make([]repairNode, 0, len(old.MUPs))
 	seeds := make([]uint8, 0, len(old.MUPs)*d)
 	for i, m := range old.MUPs {
@@ -501,7 +482,7 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 			}
 		})
 		res.Stats.NodesVisited += int64(len(removed)) << d
-		seen := make(map[K]bool)
+		seen := make(map[pattern.PackedKey]bool)
 		for w := range outs {
 			for i, p := range outs[w].mups {
 				if k := key(p); !seen[k] {
@@ -540,11 +521,11 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 	for w := range probers {
 		probers[w] = ix.NewCoverageProber()
 	}
-	memo := make(map[K]int64)
+	memo := make(map[pattern.PackedKey]int64)
 	asks := make([][]pattern.Pattern, workers)
 	resolve := func() {
 		var pats []pattern.Pattern
-		var keys []K
+		var keys []pattern.PackedKey
 		for w := range asks {
 			for _, p := range asks[w] {
 				k := key(p)

@@ -2,43 +2,70 @@ package pattern
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 )
 
 // PackedKey is a compact, comparable map key for patterns: two machine
 // words that hash and compare in a handful of instructions, versus the
-// variable-length byte string of Pattern.Key. Produced by a Codec for
-// schemas whose total field width fits 128 bits.
+// variable-length byte string of Pattern.Key. Every schema
+// dataset.NewSchema accepts has one (see KeyBits).
 type PackedKey [2]uint64
+
+// MaxKeyBits is the widest packed key: the two words of a PackedKey.
+const MaxKeyBits = 128
+
+// KeyBits returns the packed key width of a cardinality vector,
+// Σ⌈log2(ci+1)⌉: each attribute's values plus the wildcard. This is the
+// schema limit: dataset.NewSchema refuses a schema whose KeyBits exceeds
+// MaxKeyBits, so every codec can take the fit as given.
+func KeyBits(cards []int) int {
+	n := 0
+	for _, card := range cards {
+		n += bits.Len(uint(card))
+	}
+	return n
+}
 
 // Codec packs patterns over a fixed cardinality vector into PackedKeys.
 // Each attribute occupies ⌈log2(ci+1)⌉ bits (its values plus the
-// wildcard, encoded as the value ci); fields never straddle the two
-// words. Schemas needing more than 128 bits are not packable and
-// callers fall back to string keys. The zero Codec is not valid; use
-// NewCodec.
+// wildcard, encoded as the value ci), placed first-fit: in word 0 while
+// it has room, else in word 1. A field that fits in neither word — only
+// possible when the widths sum to within a few bits of MaxKeyBits —
+// straddles them: its low bits fill the top of word 0 and the rest start
+// at word 1's next free bit; every later field then lands in word 1.
+// The zero Codec is not valid; use NewCodec or NewRawCodec.
 type Codec struct {
-	shift    []uint
-	word     []uint8
-	xcode    []uint8
-	mask     []uint64
-	packable bool
+	shift []uint
+	word  []uint8
+	xcode []uint8
+	mask  []uint64
+	// split is the attribute whose field straddles the two words, or -1.
+	// Its low splitLo bits sit at shift[split] in word 0, the remaining
+	// ones at splitShift in word 1.
+	split      int
+	splitLo    uint
+	splitShift uint
 	// raw marks the byte-aligned layout of NewRawCodec: every field is
 	// one whole byte, so PackedKey degenerates to two little-endian
 	// word loads of the pattern's raw bytes.
 	raw bool
 }
 
-// NewCodec builds a codec for the cardinality vector.
+// NewCodec builds the bit-compact codec for the cardinality vector,
+// which must fit a PackedKey: KeyBits(cards) <= MaxKeyBits.
 func NewCodec(cards []int) *Codec {
+	if b := KeyBits(cards); b > MaxKeyBits {
+		panic(fmt.Sprintf("pattern: %d-bit key for a %d-attribute schema exceeds %d bits", b, len(cards), MaxKeyBits))
+	}
 	c := &Codec{
 		shift: make([]uint, len(cards)),
 		word:  make([]uint8, len(cards)),
 		xcode: make([]uint8, len(cards)),
 		mask:  make([]uint64, len(cards)),
+		split: -1,
 	}
 	var used [2]uint
-	c.packable = true
 	for i, card := range cards {
 		c.xcode[i] = uint8(card)
 		w := uint(bits.Len(uint(card))) // values 0..card need this many bits
@@ -51,8 +78,12 @@ func NewCodec(cards []int) *Codec {
 			c.shift[i], c.word[i] = used[1], 1
 			used[1] += w
 		default:
-			c.packable = false
-			return c
+			// The widths fit 128 bits in total, so the two words'
+			// leftovers hold this field between them.
+			c.shift[i], c.word[i] = used[0], 0
+			c.split, c.splitLo, c.splitShift = i, 64-used[0], used[1]
+			used[1] += w - c.splitLo
+			used[0] = 64
 		}
 	}
 	return c
@@ -63,25 +94,25 @@ func NewCodec(cards []int) *Codec {
 const RawKeyDim = 16
 
 // NewRawCodec builds the byte-aligned codec for a dim-attribute
-// schema: each field occupies one whole byte (shift 8·(i mod 8), word
-// i/8) and the wildcard keeps its raw 0xFF encoding, so the packed key
-// of a pattern is literally its bytes loaded little-endian into the
-// two key words — PackedKey costs two word loads instead of a
-// per-attribute shift-and-mask loop. The layout spends 8 bits per
-// field no matter the cardinality, which costs a hashed table nothing,
-// and only schemas of at most RawKeyDim attributes are packable this
-// way.
+// schema, dim <= RawKeyDim: each field occupies one whole byte (shift
+// 8·(i mod 8), word i/8) and the wildcard keeps its raw 0xFF encoding,
+// so the packed key of a pattern is literally its bytes loaded
+// little-endian into the two key words — PackedKey costs two word loads
+// instead of a per-attribute shift-and-mask loop. The layout spends 8
+// bits per field no matter the cardinality, which costs a hashed table
+// nothing.
 func NewRawCodec(dim int) *Codec {
+	if dim > RawKeyDim {
+		panic(fmt.Sprintf("pattern: raw codec for %d attributes, max is %d", dim, RawKeyDim))
+	}
 	c := &Codec{
 		shift: make([]uint, dim),
 		word:  make([]uint8, dim),
 		xcode: make([]uint8, dim),
 		mask:  make([]uint64, dim),
+		split: -1,
+		raw:   true,
 	}
-	if dim > RawKeyDim {
-		return c
-	}
-	c.packable, c.raw = true, true
 	for i := 0; i < dim; i++ {
 		c.shift[i] = uint(8 * (i % 8))
 		c.word[i] = uint8(i / 8)
@@ -91,15 +122,32 @@ func NewRawCodec(dim int) *Codec {
 	return c
 }
 
-// Packable reports whether PackedKey may be used for this schema.
-func (c *Codec) Packable() bool { return c.packable }
-
 // Raw reports whether this is the byte-aligned raw layout.
 func (c *Codec) Raw() bool { return c.raw }
 
-// PackedKey returns the packed key of p without allocating. It must
-// only be called on packable codecs; p must use the codec's
-// cardinality vector.
+// splitHigh returns the word-1 bits of the straddling field holding v.
+// The word-0 bits come from the per-field loop: a left shift drops
+// whatever passes bit 63.
+func (c *Codec) splitHigh(v uint8) uint64 {
+	code := uint64(v)
+	if v == Wildcard {
+		code = uint64(c.xcode[c.split])
+	}
+	return code >> c.splitLo << c.splitShift
+}
+
+// splitValue decodes the straddling field from both words.
+func (c *Codec) splitValue(k PackedKey) uint8 {
+	i := c.split
+	code := uint8((k[0]>>c.shift[i] | k[1]>>c.splitShift<<c.splitLo) & c.mask[i])
+	if code == c.xcode[i] {
+		return Wildcard
+	}
+	return code
+}
+
+// PackedKey returns the packed key of p without allocating; p must use
+// the codec's cardinality vector.
 func (c *Codec) PackedKey(p Pattern) PackedKey {
 	if c.raw {
 		return rawKeyBytes(p)
@@ -111,6 +159,9 @@ func (c *Codec) PackedKey(p Pattern) PackedKey {
 			code = uint64(c.xcode[i])
 		}
 		k[c.word[i]] |= code << c.shift[i]
+	}
+	if c.split >= 0 {
+		k[1] |= c.splitHigh(p[c.split])
 	}
 	return k
 }
@@ -198,6 +249,9 @@ func (c *Codec) PackedKeyString(s string) PackedKey {
 		}
 		k[c.word[i]] |= code << c.shift[i]
 	}
+	if c.split >= 0 {
+		k[1] |= c.splitHigh(s[c.split])
+	}
 	return k
 }
 
@@ -205,31 +259,26 @@ func (c *Codec) PackedKeyString(s string) PackedKey {
 func (c *Codec) Dim() int { return len(c.shift) }
 
 // Unpack decodes a key produced by PackedKey back into the pattern it
-// encodes. Like PackedKey it must only be called on packable codecs;
-// the key must have been produced by this codec (or one built over the
-// same cardinality vector).
+// encodes. The key must have been produced by this codec (or one built
+// over the same cardinality vector).
 func (c *Codec) Unpack(k PackedKey) Pattern {
-	p := make(Pattern, len(c.shift))
-	for i := range c.shift {
-		code := uint8(k[c.word[i]] >> c.shift[i] & c.mask[i])
-		if code == c.xcode[i] {
-			code = Wildcard
-		}
-		p[i] = code
-	}
-	return p
+	return c.AppendUnpack(make(Pattern, 0, len(c.shift)), k)
 }
 
 // AppendUnpack is Unpack into a caller-provided buffer: it appends the
 // decoded pattern's elements to dst and returns the extended slice.
 // Hot loops reuse one buffer across decodes instead of allocating.
 func (c *Codec) AppendUnpack(dst []uint8, k PackedKey) []uint8 {
+	start := len(dst)
 	for i := range c.shift {
 		code := uint8(k[c.word[i]] >> c.shift[i] & c.mask[i])
 		if code == c.xcode[i] {
 			code = Wildcard
 		}
 		dst = append(dst, code)
+	}
+	if c.split >= 0 {
+		dst[start+c.split] = c.splitValue(k)
 	}
 	return dst
 }

@@ -23,8 +23,8 @@ func TestRawCodecMatchesGenericLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for dim := 1; dim <= RawKeyDim; dim++ {
 		c := NewRawCodec(dim)
-		if !c.Packable() || !c.Raw() {
-			t.Fatalf("dim %d: raw codec not packable", dim)
+		if !c.Raw() {
+			t.Fatalf("dim %d: raw codec reports the compact layout", dim)
 		}
 		for trial := 0; trial < 200; trial++ {
 			p := make(Pattern, dim)
@@ -53,11 +53,11 @@ func TestRawCodecMatchesGenericLayout(t *testing.T) {
 // TestRawCodecDimensionLimit pins the layout's capacity: 16 one-byte
 // fields fit the two key words, 17 do not.
 func TestRawCodecDimensionLimit(t *testing.T) {
-	if !NewRawCodec(RawKeyDim).Packable() {
-		t.Errorf("dim %d should be raw-packable", RawKeyDim)
+	if mustPanic(func() { NewRawCodec(RawKeyDim) }) {
+		t.Errorf("dim %d should have a raw codec", RawKeyDim)
 	}
-	if NewRawCodec(RawKeyDim + 1).Packable() {
-		t.Errorf("dim %d should not be raw-packable", RawKeyDim+1)
+	if !mustPanic(func() { NewRawCodec(RawKeyDim + 1) }) {
+		t.Errorf("dim %d should have no raw codec", RawKeyDim+1)
 	}
 }
 

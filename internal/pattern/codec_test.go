@@ -9,9 +9,6 @@ import (
 func TestCodecPackableKeysAreInjective(t *testing.T) {
 	for _, cards := range [][]int{{2, 2, 2}, {10, 4, 7, 8, 3, 3, 5}, {2, 3, 2, 4, 2}} {
 		c := NewCodec(cards)
-		if !c.Packable() {
-			t.Fatalf("cards %v should be packable", cards)
-		}
 		seen := make(map[PackedKey]string)
 		EnumerateAll(cards, func(p Pattern) bool {
 			k := c.PackedKey(p)
@@ -35,9 +32,6 @@ func TestCodecWideBinarySchemaStaysPackable(t *testing.T) {
 		cards[i] = 2
 	}
 	c := NewCodec(cards)
-	if !c.Packable() {
-		t.Fatal("35 binary attributes should be packable into 128 bits")
-	}
 	r := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
 		_ = seed
@@ -65,9 +59,6 @@ func TestCodecRandomSchemasInjectiveRoundTrip(t *testing.T) {
 		}
 		cards[r.Intn(d)] = MaxCardinality - 1
 		c := NewCodec(cards)
-		if !c.Packable() {
-			t.Fatalf("trial %d: cards %v should be packable", trial, cards)
-		}
 		if c.Dim() != d {
 			t.Fatalf("trial %d: Dim() = %d, want %d", trial, c.Dim(), d)
 		}
@@ -97,16 +88,16 @@ func TestCodecRandomSchemasInjectiveRoundTrip(t *testing.T) {
 func TestCodecMaxCardinalityExactFit(t *testing.T) {
 	// 16 attributes at cardinality MaxCardinality-1 = 254 need 8 bits
 	// each (values 0..253 plus the wildcard code 254): exactly 128
-	// bits, the widest packable schema at that cardinality. One more
-	// attribute must trip the fallback.
+	// bits, the widest schema at that cardinality. One more attribute
+	// passes the limit.
 	cards := make([]int, 16)
 	for i := range cards {
 		cards[i] = MaxCardinality - 1
 	}
-	c := NewCodec(cards)
-	if !c.Packable() {
-		t.Fatal("16 attributes of cardinality 254 should pack into exactly 128 bits")
+	if b := KeyBits(cards); b != MaxKeyBits {
+		t.Fatalf("KeyBits = %d, want %d", b, MaxKeyBits)
 	}
+	c := NewCodec(cards)
 	r := rand.New(rand.NewSource(7))
 	for n := 0; n < 2000; n++ {
 		p := quickPattern(r, cards)
@@ -114,14 +105,22 @@ func TestCodecMaxCardinalityExactFit(t *testing.T) {
 			t.Fatalf("round trip of %v gave %v", p, got)
 		}
 	}
-	if NewCodec(append(cards, 2)).Packable() {
+	if KeyBits(append(cards, 2)) <= MaxKeyBits {
 		t.Fatal("17th attribute must overflow the 128-bit budget")
 	}
 }
 
-func TestCodecRandomWideSchemasFallBack(t *testing.T) {
-	// Schemas whose field widths sum past 128 bits must consistently
-	// report unpackable, whatever the attribute mix.
+// mustPanic reports whether fn panics.
+func mustPanic(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+func TestCodecRandomWideSchemasRefused(t *testing.T) {
+	// Schemas whose field widths sum past 128 bits must report their
+	// width through KeyBits and be refused by NewCodec, whatever the
+	// attribute mix.
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
 		var cards []int
@@ -135,21 +134,67 @@ func TestCodecRandomWideSchemasFallBack(t *testing.T) {
 			cards = append(cards, card)
 			bits += w
 		}
-		if NewCodec(cards).Packable() {
-			t.Fatalf("trial %d: cards %v (%d bits) should not be packable", trial, cards, bits)
+		if got := KeyBits(cards); got != bits {
+			t.Fatalf("trial %d: KeyBits(%v) = %d, want %d", trial, cards, got, bits)
+		}
+		if !mustPanic(func() { NewCodec(cards) }) {
+			t.Fatalf("trial %d: NewCodec accepted cards %v (%d bits)", trial, cards, bits)
 		}
 	}
 }
 
 func TestCodecUnpackableSchema(t *testing.T) {
-	// 70 binary attributes need 140 bits: the codec must report
-	// unpackable so callers fall back to string keys.
+	// 70 binary attributes need 140 bits: past the limit, so no codec.
 	cards := make([]int, 70)
 	for i := range cards {
 		cards[i] = 2
 	}
-	if NewCodec(cards).Packable() {
-		t.Fatal("70 binary attributes cannot pack into 128 bits")
+	if b := KeyBits(cards); b != 140 {
+		t.Fatalf("KeyBits = %d, want 140", b)
+	}
+	if !mustPanic(func() { NewCodec(cards) }) {
+		t.Fatal("NewCodec accepted 70 binary attributes")
+	}
+}
+
+func TestCodecStraddlesWordBoundary(t *testing.T) {
+	// 18 seven-bit fields fill 63 bits of each word; the two-bit field
+	// after them fits neither word alone, so it straddles bit 64: the
+	// widths sum to exactly 128 and the schema must still pack, round
+	// trip and stay injective.
+	cards := make([]int, 19)
+	for i := range cards {
+		cards[i] = 100
+	}
+	cards[18] = 3
+	if b := KeyBits(cards); b != MaxKeyBits {
+		t.Fatalf("KeyBits = %d, want %d", b, MaxKeyBits)
+	}
+	c := NewCodec(cards)
+	if c.split != 18 || c.splitLo != 1 || c.splitShift != 63 {
+		t.Fatalf("split field %d (%d low bits, word-1 shift %d), want 18 (1, 63)", c.split, c.splitLo, c.splitShift)
+	}
+	r := rand.New(rand.NewSource(5))
+	seen := make(map[PackedKey]string)
+	for n := 0; n < 5000; n++ {
+		p := quickPattern(r, cards)
+		if n%4 == 0 {
+			p[18] = uint8(n / 4 % 4) // every code of the split field, wildcard (3) included
+			if p[18] == 3 {
+				p[18] = Wildcard
+			}
+		}
+		k := c.PackedKey(p)
+		if prev, dup := seen[k]; dup && prev != p.Key() {
+			t.Fatalf("patterns %v and %v share key %v", FromKey(prev), p, k)
+		}
+		seen[k] = p.Key()
+		if got := c.Unpack(k); !got.Equal(p) {
+			t.Fatalf("Unpack(PackedKey(%v)) = %v", p, got)
+		}
+		if ks := c.PackedKeyString(p.Key()); ks != k {
+			t.Fatalf("PackedKeyString(%v) = %v, PackedKey = %v", p, ks, k)
+		}
 	}
 }
 
