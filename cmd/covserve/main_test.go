@@ -414,6 +414,26 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMUPsUnboundedLevelSpellings checks that every way of asking for
+// no level bound over the 2-attribute fixture (0, negative, d, past d)
+// is one cold search and one cache entry.
+func TestMUPsUnboundedLevelSpellings(t *testing.T) {
+	s := serveFixture(t)
+	for _, level := range []string{"0", "-1", "2", "99"} {
+		w := do(t, s, "GET", "/mups?tau=1&maxlevel="+level, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("maxlevel=%s: status %d: %s", level, w.Code, w.Body)
+		}
+		if resp := decode[mupsResponse](t, w); resp.TotalMUPs != 1 {
+			t.Errorf("maxlevel=%s: %d MUPs, want 1", level, resp.TotalMUPs)
+		}
+	}
+	st := decode[statsResponse](t, do(t, s, "GET", "/stats", ""))
+	if st.FullSearches != 1 || st.CacheHits != 3 {
+		t.Errorf("full_searches %d, cache_hits %d; want 1 and 3", st.FullSearches, st.CacheHits)
+	}
+}
+
 // TestConcurrentTraffic races /coverage and /mups readers against
 // /append writers through the full HTTP stack; meaningful under -race.
 func TestConcurrentTraffic(t *testing.T) {

@@ -151,7 +151,10 @@ type FindOptions struct {
 	// ThresholdRate sets τ as a fraction of the dataset size (the
 	// paper's "threshold rate", e.g. 0.001 for 0.1%).
 	ThresholdRate float64
-	// Algorithm selects the search strategy; Auto uses DeepDiver.
+	// Algorithm selects the search strategy. Auto is the engine's
+	// cached search: a result cached per (τ, MaxLevel), repaired after
+	// mutations, and computed cold by mup.Search (the pattern cube where
+	// the lattice fits, the parallel PATTERN-BREAKER otherwise).
 	Algorithm Algorithm
 	// MaxLevel, when positive, restricts discovery to MUPs of at most
 	// that many deterministic attributes.

@@ -234,7 +234,7 @@ func (e *ShardedEngine) CaptureDelta(base *DeltaBaseline) (*StateDelta, *DeltaBa
 	// entries the baseline already holds at the same generation.
 	baseSearches := make(map[searchKey]uint64, len(base.Cache))
 	for _, r := range base.Cache {
-		baseSearches[searchKey{tau: r.Tau, maxLevel: r.MaxLevel}] = r.Gen
+		baseSearches[searchKey{tau: r.Tau, maxLevel: canonLevel(r.MaxLevel, len(e.cards))}] = r.Gen
 	}
 	for key, c := range e.cache {
 		if g, ok := baseSearches[key]; ok && g == c.gen {

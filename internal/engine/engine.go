@@ -18,12 +18,13 @@
 // coverage queries merge base and delta on read, summed across cores.
 //
 // MUP searches are cached per (threshold, level bound) at the
-// coordinator. Searches run as level-synchronous descents against an
-// oracle that resolves each candidate's count per shard and merges the
-// sums (index.Oracle over the folded per-core bases). After appends, a
-// cached set is repaired incrementally with mup.Repair — coverage is
-// monotone under insertion, so only the subtrees of newly covered MUPs
-// are re-expanded — instead of re-running a full search; the cached
+// coordinator. A cold search is mup.Search over an oracle that sums the
+// folded per-core bases: the pattern cube where the lattice fits, else
+// a level-synchronous descent that resolves each candidate's count per
+// shard and merges the sums. After appends, a cached set is repaired
+// incrementally with mup.Repair — coverage is monotone under
+// insertion, so only the subtrees of newly covered MUPs are
+// re-expanded — instead of re-running a full search; the cached
 // per-MUP coverage values are delta-updated from the mutation logs, so
 // untouched patterns cost no probes at all.
 //
@@ -283,10 +284,22 @@ type deltaEntry struct {
 	count int64
 }
 
-// searchKey identifies one cached MUP search configuration.
+// searchKey identifies one cached MUP search configuration. maxLevel
+// is canonical (see canonLevel), so every spelling of one answer shares
+// one entry.
 type searchKey struct {
 	tau      int64
 	maxLevel int
+}
+
+// canonLevel is the canonical form of a MUP level bound over d
+// attributes: a bound ≤ 0 or ≥ d excludes no pattern, so it is 0, the
+// unbounded search.
+func canonLevel(maxLevel, d int) int {
+	if maxLevel <= 0 || maxLevel >= d {
+		return 0
+	}
+	return maxLevel
 }
 
 // cachedSearch is a cached MUP result tagged with the data generation
@@ -1227,13 +1240,14 @@ func (e *ShardedEngine) Oracle() index.Oracle {
 // evictions, via mup.RepairBidirectional seeded with the net retracted
 // combinations (falling back to a full search once the removed log's
 // horizon has passed the cached generation); a configuration seen for
-// the first time runs a full parallel search.
+// the first time runs the cold mup.Search. A level bound of 0, below 0,
+// or at or past the attribute count is one configuration: the
+// unbounded search.
 //
-// The search itself runs as a level-synchronous descent on the
-// immutable per-core base snapshots outside the engine lock — each
-// candidate's count resolved per shard and merged — so long lattice
-// searches never stall concurrent readers or mutations; the result is
-// linearized to the generation sampled when the search started.
+// The search itself runs on the immutable per-core base snapshots
+// outside the engine lock, so long lattice searches never stall
+// concurrent readers or mutations; the result is linearized to the
+// generation sampled when the search started.
 // Concurrent first queries for the same configuration may duplicate
 // work (last store wins). The caller must not modify the returned
 // result.
@@ -1245,6 +1259,7 @@ func (e *ShardedEngine) MUPs(opts mup.Options) (*mup.Result, error) {
 // mupsGen is MUPs plus the data generation the returned result
 // reflects — what the plan cache tags its entries with.
 func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
+	opts.MaxLevel = canonLevel(opts.MaxLevel, len(e.cards))
 	key := searchKey{tau: opts.Threshold, maxLevel: opts.MaxLevel}
 	e.mu.RLock()
 	if c, ok := e.cache[key]; ok && c.gen == e.gen {
@@ -1306,7 +1321,7 @@ func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
 	var err error
 	switch {
 	case seed == nil:
-		res, err = mup.ParallelPatternBreaker(oracle, popts)
+		res, err = mup.Search(oracle, popts)
 	case len(removed) == 0:
 		res, err = mup.Repair(oracle, seed, added, popts)
 	default:

@@ -59,6 +59,15 @@ func (o *shardOracle) MatchHistogram(combo []uint8, hist []int64) {
 	}
 }
 
+// Range visits every shard's combinations in turn: the shards'
+// combination sets are disjoint, so no combination is visited twice and
+// no counts need summing.
+func (o *shardOracle) Range(fn func(combo string, count int64)) {
+	for _, b := range o.bases {
+		b.Range(fn)
+	}
+}
+
 // NewCoverageProber returns a prober holding one per-core prober; each
 // probe resolves the per-shard counts and merges them by summation.
 func (o *shardOracle) NewCoverageProber() index.CoverageProber {

@@ -46,10 +46,10 @@ type planKey struct {
 	costFP        string
 }
 
-func planKeyFor(mopts mup.Options, spec PlanSpec) planKey {
+func planKeyFor(mopts mup.Options, spec PlanSpec, d int) planKey {
 	return planKey{
 		tau:           mopts.Threshold,
-		mupMaxLevel:   mopts.MaxLevel,
+		mupMaxLevel:   canonLevel(mopts.MaxLevel, d),
 		maxLevel:      spec.MaxLevel,
 		minValueCount: spec.MinValueCount,
 		oracleFP:      spec.Oracle.Fingerprint(),
@@ -115,7 +115,7 @@ func diffMUPs(old, new []pattern.Pattern) (removed, added []pattern.Pattern) {
 // request returns ctx.Err() without storing anything. The caller must
 // not modify the returned plan.
 func (e *ShardedEngine) Plan(ctx context.Context, mopts mup.Options, spec PlanSpec) (*enhance.Plan, error) {
-	key := planKeyFor(mopts, spec)
+	key := planKeyFor(mopts, spec, len(e.cards))
 	e.planProbes.Add(1)
 	res, gen, err := e.mupsGen(mopts)
 	if err != nil {

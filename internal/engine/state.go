@@ -670,17 +670,23 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		e.tombstones = st.Tombstones
 	}
 	// Restored cache entries get fresh LRU stamps in slice order; the
-	// pre-restart recency ordering is not preserved.
+	// pre-restart recency ordering is not preserved. Level bounds are
+	// canonicalized, so two entries a snapshot holds for one answer
+	// collapse into one, the newer generation winning.
 	for _, c := range st.Cache {
 		if len(e.cache) >= opts.maxCachedSearches() {
 			break
+		}
+		key := searchKey{tau: c.Tau, maxLevel: canonLevel(c.MaxLevel, len(cards))}
+		if prev, ok := e.cache[key]; ok && prev.gen >= c.Gen {
+			continue
 		}
 		entry := &cachedSearch{
 			gen: c.Gen,
 			res: &mup.Result{MUPs: c.MUPs, Cov: c.Cov, Stats: c.Stats},
 		}
 		entry.lastUsed.Store(e.useClock.Add(1))
-		e.cache[searchKey{tau: c.Tau, maxLevel: c.MaxLevel}] = entry
+		e.cache[key] = entry
 	}
 	for _, p := range st.Plans {
 		if len(e.planCache) >= opts.maxCachedPlans() {
@@ -708,7 +714,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		entry.last.Store(e.useClock.Add(1))
 		e.planCache[planKey{
 			tau:           p.Tau,
-			mupMaxLevel:   p.MUPMaxLevel,
+			mupMaxLevel:   canonLevel(p.MUPMaxLevel, len(cards)),
 			maxLevel:      p.MaxLevel,
 			minValueCount: p.MinValueCount,
 			oracleFP:      p.OracleFP,

@@ -36,6 +36,11 @@ type Oracle interface {
 	// overwrites because it is additive across partitions like every
 	// other quantity here.
 	MatchHistogram(combo []uint8, hist []int64)
+	// Range calls fn once for every distinct value combination with its
+	// (positive) multiplicity, in unspecified order; the combo string is
+	// the raw value-code key. The cold search's pattern cube is built
+	// from it, one add per combination.
+	Range(fn func(combo string, count int64))
 	// NewCoverageProber returns a fresh prober for repeated coverage
 	// probes. A prober is not safe for concurrent use; create one per
 	// goroutine.

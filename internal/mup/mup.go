@@ -9,6 +9,13 @@
 // oracle) and produce the identical set of maximal uncovered patterns;
 // they differ only in traversal order and therefore cost, exactly as
 // the paper's evaluation studies.
+//
+// Search is the cold search the engine runs, and not one of the
+// paper's algorithms: where the whole pattern graph fits in
+// cubeMaxBytes it computes every pattern's coverage in one table and
+// reads the MUPs off by definition, with no probe; elsewhere it runs
+// ParallelPatternBreaker. Repair and RepairBidirectional update a
+// cached result after mutations instead of searching again.
 package mup
 
 import (

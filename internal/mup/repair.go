@@ -310,11 +310,6 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 	return res, nil
 }
 
-// cubeMaxDim bounds the ancestor cube of RepairBidirectional: 2^d int64
-// cells per worker, 8 MiB at d = 20. A wider schema runs the full
-// search instead.
-const cubeMaxDim = 20
-
 // supersetSums replaces h, a table indexed by attribute subset, with
 // its superset sums in place: h[S] = Σ h[T] over T ⊇ S (the zeta
 // transform, d·2^(d−1) adds for 2^d cells).
@@ -379,10 +374,10 @@ func supersetSums(h []int64) {
 // all (the surviving seeds' coverage is cov' = cov − removed). The cube
 // pass costs R·(D·d + d·2^d) word operations for R removed and D
 // distinct combinations, chunked across popts.Workers; the seed pass is
-// linear in the old MUP set. Past cubeMaxDim attributes a deletion runs
-// the full parallel search instead. Stats.CoverageProbes and
-// Stats.NodesVisited (cube cells plus seed-pass nodes) do not depend on
-// the worker count.
+// linear in the old MUP set. Where the ancestor cube would exceed
+// cubeMaxBytes (d > 20) a deletion runs the cold Search instead.
+// Stats.CoverageProbes and Stats.NodesVisited (cube cells plus
+// seed-pass nodes) do not depend on the worker count.
 func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions) (*Result, error) {
 	opts := popts.Options
 	tau := opts.Threshold
@@ -405,8 +400,8 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 	if err != nil {
 		return nil, err
 	}
-	if len(removed) > 0 && d > cubeMaxDim {
-		return ParallelPatternBreaker(ix, popts)
+	if len(removed) > 0 && !ancestorCubeFits(d) {
+		return Search(ix, popts)
 	}
 
 	// The Appendix-B dominance index over the old MUPs: DominatedBy
