@@ -357,3 +357,36 @@ func TestWindowOrderByPageOccupancy(t *testing.T) {
 		t.Fatalf("17 attributes of 200 values: NewSchema error %v, want one naming the 136-bit key", err)
 	}
 }
+
+// TestWindowEvictionRemovedLogDeterministic: engines with one mutation
+// history export one removed log. Eviction records the combinations it
+// retracts in the order it first popped them, so the log (and every
+// snapshot written from it) does not depend on map iteration order.
+func TestWindowEvictionRemovedLogDeterministic(t *testing.T) {
+	schema := testSchema(t, []int{2, 2, 2, 2})
+	all := make([][]uint8, 16)
+	for c := range all {
+		all[c] = []uint8{uint8(c >> 3 & 1), uint8(c >> 2 & 1), uint8(c >> 1 & 1), uint8(c & 1)}
+	}
+	var first MutationLog
+	for i := 0; i < 10; i++ {
+		e := New(schema, Options{})
+		e.SetWindow(16)
+		for round := 0; round < 2; round++ {
+			if err := e.Append(all); err != nil {
+				t.Fatal(err)
+			}
+		}
+		removed := e.ExportState().Removed
+		if i == 0 {
+			first = removed
+			if len(first.Recs) != 16 {
+				t.Fatalf("%d removed records, want one per evicted combination (16)", len(first.Recs))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(removed, first) {
+			t.Fatalf("engine %d exports a different removed log than engine 0:\n got %v\nwant %v", i, removed, first)
+		}
+	}
+}

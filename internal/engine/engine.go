@@ -1056,14 +1056,16 @@ func (e *ShardedEngine) Window() int {
 // value) as it goes. The retractions are merged into the per-core
 // mutation maps (so the whole append-plus-evictions mutation reaches
 // each core as one atomic signed batch) and recorded in the removed
-// log with their net counts. Caller holds the write lock with the
-// generation already advanced for this mutation.
+// log with their net counts, in first-pop order so that one mutation
+// history always yields one removed log. Caller holds the write lock
+// with the generation already advanced for this mutation.
 func (e *ShardedEngine) evictIntoLocked(muts []*countstore.Flat) {
 	if e.window <= 0 || e.log == nil {
 		return
 	}
 	n := len(e.cores)
 	evicted := make(map[string]int64)
+	var order []string
 	for e.rows > int64(e.window) {
 		k := e.log.pop()
 		e.windowEvicted++
@@ -1072,12 +1074,16 @@ func (e *ShardedEngine) evictIntoLocked(muts []*countstore.Flat) {
 			e.tombstones--
 			continue
 		}
+		if evicted[k] == 0 {
+			order = append(order, k)
+		}
 		evicted[k]++
 		e.rows--
 		e.evictions++
 	}
 	logSize := e.opts.removedLogSize()
-	for k, c := range evicted {
+	for _, k := range order {
+		c := evicted[k]
 		ck := e.keys.ofString(k)
 		muts[shardOf(k, n)].Add(ck, -c)
 		e.removed.record(e.gen, ck, -c, logSize)

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"coverage/internal/engine"
 )
 
 // TestGroupCommitConcurrentAppends hammers the pipeline from many
@@ -314,39 +312,6 @@ func TestAppendAsyncPipelines(t *testing.T) {
 	}
 	defer s2.Close()
 	assertEquivalent(t, eng, eng2)
-}
-
-// TestDisableGroupCommit pins the escape hatch: the inline path still
-// commits durably, one record per mutation, with no committer spawned.
-func TestDisableGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{DisableGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(testSchema(), engine.Options{})
-	if err := s.Attach(eng); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.committer.Load() != nil {
-		t.Fatal("committer spawned despite DisableGroupCommit")
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Append([][]uint8{{uint8(i % 2), 0, 0}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.WALRecords != 5 {
-		t.Fatalf("WAL records %d, want 5", st.WALRecords)
-	}
-	if st.WALGroupRecords != 5 || st.CoalescedAppends != 0 {
-		t.Fatalf("inline path stats: %+v", st)
-	}
-	if st.DurableGeneration != eng.Generation() {
-		t.Fatalf("durable generation %d, engine at %d", st.DurableGeneration, eng.Generation())
-	}
 }
 
 // TestCloseDrainsPipeline: mutations in flight when Close lands either

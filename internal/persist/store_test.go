@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -480,6 +481,72 @@ func TestStoreSyncWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEquivalent(t, eng, recovered)
+}
+
+// TestRecoverEvictingTailSnapshotsIdentically recovers one data
+// directory twice from a WAL tail whose appends evict through a sliding
+// window. Replay must rebuild the same removed log both times, so the
+// next full snapshot is byte-identical.
+func TestRecoverEvictingTailSnapshotsIdentically(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := attachFresh(t, dir)
+	var all [][]uint8
+	for a := uint8(0); a < 2; a++ {
+		for b := uint8(0); b < 3; b++ {
+			for c := uint8(0); c < 4; c++ {
+				all = append(all, []uint8{a, b, c})
+			}
+		}
+	}
+	if err := s.SetWindow(len(all)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if err := s.Append(all); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var images [2][]byte
+	for i := range images {
+		copyDir := t.TempDir()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(copyDir, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s2 := openStore(t, copyDir)
+		if _, _, err := s2.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s2.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Skipped || res.Delta {
+			t.Fatalf("recovery %d: snapshot %+v, want a full image", i, res)
+		}
+		if images[i], err = os.ReadFile(res.Path); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatal("two recoveries of one data directory wrote different snapshot bytes")
+	}
 }
 
 // TestStoreAccessors covers the trivial read surface the server leans
