@@ -28,7 +28,12 @@ func startLeader(t *testing.T, dir string, opts persist.Options) (*server, *http
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := coverage.NewAnalyzer(ds)
+	return startLeaderOver(t, dir, coverage.NewAnalyzer(ds), opts)
+}
+
+// startLeaderOver is startLeader over any analyzer.
+func startLeaderOver(t *testing.T, dir string, an *coverage.Analyzer, opts persist.Options) (*server, *httptest.Server) {
+	t.Helper()
 	store, err := persist.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

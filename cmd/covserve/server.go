@@ -47,6 +47,9 @@ type server struct {
 	store *persist.Store // nil when running without -data-dir
 	cfg   serverConfig
 	mux   *http.ServeMux
+	// desc is the schema's description table, shared by the three
+	// hand-encoded list replies.
+	desc *descTable
 	// replica, when set, contributes the replication section of
 	// /stats — a WAL-tailing follower installs it; leaders leave it
 	// nil.
@@ -61,7 +64,7 @@ func newServer(an *coverage.Analyzer, store *persist.Store) *server {
 }
 
 func newServerWith(an *coverage.Analyzer, store *persist.Store, cfg serverConfig) *server {
-	s := &server{an: an, store: store, cfg: cfg, mux: http.NewServeMux()}
+	s := &server{an: an, store: store, cfg: cfg, mux: http.NewServeMux(), desc: newDescTable(an.Dataset().Schema())}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("POST /coverage", s.handleCoverage)
@@ -233,6 +236,9 @@ type statsResponse struct {
 	BidirRepairs   int64  `json:"bidirectional_repairs"`
 	CacheHits      int64  `json:"cache_hits"`
 	CachedSearches int    `json:"cached_searches"`
+	// BodyBytes is the total length of the /mups replies kept with the
+	// cached searches, part of the tenant's resident bytes.
+	BodyBytes int64 `json:"cached_body_bytes"`
 	// Window is the sliding-window configuration: the maximum number
 	// of live rows (0 = unbounded) and the count of deleted rows whose
 	// window-log entries are still awaiting reconciliation.
@@ -343,6 +349,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BidirRepairs:   st.BidirectionalRepairs,
 		CacheHits:      st.CacheHits,
 		CachedSearches: st.CachedSearches,
+		BodyBytes:      st.BodyBytes,
 		Window:         st.Window,
 		Tombstones:     st.Tombstones,
 		ShardCount:     st.ShardCount,
@@ -472,7 +479,7 @@ func (s *server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := newWireBuf()
-	b.coverage(schema, s.an.NumRows(), ps, covs, req.Threshold)
+	b.coverage(s.desc, s.an.NumRows(), ps, covs, req.Threshold)
 	b.send(w)
 }
 
@@ -541,9 +548,15 @@ func (s *server) handleMUPs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	b := newWireBuf()
-	b.mups(s.an.Dataset().Schema(), s.an.NumRows(), rep)
-	b.send(w)
+	// A reply answered from the engine's cache is encoded once and kept
+	// with the cached result: every later hit writes the stored bytes.
+	// A result a racing search superseded has no entry to keep it.
+	build := func() []byte { return s.desc.mupsBody(rep) }
+	body := rep.Body(build)
+	if body == nil {
+		body = build()
+	}
+	writeBody(w, body)
 }
 
 // mutateRequest carries rows to append or delete, either as value
@@ -855,7 +868,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := newWireBuf()
-	b.plan(s.an.Dataset().Schema(), rep.Threshold, plan)
+	b.plan(s.desc, rep.Threshold, plan)
 	b.send(w)
 }
 

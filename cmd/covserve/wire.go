@@ -261,15 +261,109 @@ func appendJSONString[S []byte | string](dst []byte, s S) []byte {
 	return append(dst, '"')
 }
 
-// wireBuf is what a hand-encoded reply is built in: the body, and one
-// pattern description at a time on its way to being escaped into it.
-type wireBuf struct{ body, desc []byte }
+// descTable holds one schema's pattern descriptions taken apart: the
+// JSON-escaped text of every "name=value" term, built once per server.
+// A description is its terms joined by ", ", or "(any)" when every
+// attribute is a wildcard, and escaping commutes with that join: the
+// separators are ASCII, so no escape or UTF-8 sequence crosses a term
+// boundary. FuzzDescriptionFragments holds it to the escaped
+// AppendDescription.
+type descTable struct {
+	schema *coverage.Schema
+	terms  [][]string // terms[i][v]: attribute i at code v, escaped, unquoted
+	// elemLen[i][v] prices attribute i at code v in a /mups element, so
+	// that mupLen is one add an attribute: the code's compact notation,
+	// its term and a separator, plus termUnit; a wildcard is its "X"; a
+	// code past the schema is badCode.
+	elemLen [][256]int64
+}
+
+const (
+	termUnit = 1 << 40 // above any sum of lengths, so a sum's quotient counts its terms
+	badCode  = 1 << 55 // above any sum of ≤ 128 priced codes
+)
+
+func newDescTable(schema *coverage.Schema) *descTable {
+	d := &descTable{schema: schema, terms: make([][]string, schema.Dim()), elemLen: make([][256]int64, schema.Dim())}
+	var buf []byte
+	for i := range d.terms {
+		a := schema.Attr(i)
+		d.terms[i] = make([]string, len(a.Values))
+		for v := range d.elemLen[i] {
+			d.elemLen[i][v] = badCode
+		}
+		d.elemLen[i][coverage.Wildcard] = int64(len("X"))
+		for v, label := range a.Values {
+			buf = appendJSONString(buf[:0], a.Name+"="+label)
+			d.terms[i][v] = string(buf[1 : len(buf)-1])
+			d.elemLen[i][v] = int64(len(coverage.Pattern{uint8(v)}.String())+len(d.terms[i][v])+len(", ")) + termUnit
+		}
+	}
+	return d
+}
+
+// appendJSON appends p's description as a JSON string: the bytes
+// appendJSONString(dst, schema.AppendDescription(nil, p)) writes. A
+// pattern whose length or a code does not fit the schema (none a
+// server builds) takes that path itself.
+func (d *descTable) appendJSON(dst []byte, p coverage.Pattern) []byte {
+	if len(p) != len(d.terms) {
+		return appendJSONString(dst, d.schema.AppendDescription(nil, p))
+	}
+	dst = append(dst, '"')
+	start := len(dst)
+	for i, v := range p {
+		switch {
+		case v == coverage.Wildcard:
+			continue
+		case int(v) >= len(d.terms[i]):
+			return appendJSONString(dst[:start-1], d.schema.AppendDescription(nil, p))
+		case len(dst) > start:
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, d.terms[i][v]...)
+	}
+	if len(dst) == start {
+		dst = append(dst, "(any)"...)
+	}
+	return append(dst, '"')
+}
+
+// mupLen is the length of p's element in a /mups body past its fixed
+// text: its pattern, level and description.
+func (d *descTable) mupLen(p coverage.Pattern) int {
+	if len(p) == len(d.elemLen) {
+		var sum int64
+		for i, v := range p {
+			sum += d.elemLen[i][v]
+		}
+		if sum < badCode {
+			level, n := sum/termUnit, int(sum%termUnit)
+			if level == 0 {
+				return n + len(`0"(any)"`)
+			}
+			// Of the separators priced with the terms, all but one
+			// join them and the last pays for the two quotes.
+			return n + intLen(level)
+		}
+	}
+	return len(p.String()) + intLen(int64(p.Level())) + len(d.appendJSON(nil, p))
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int64) int {
+	var b [20]byte
+	return len(strconv.AppendInt(b[:0], v, 10))
+}
+
+// wireBuf is what a hand-encoded reply is built in.
+type wireBuf struct{ body []byte }
 
 var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
 
 // maxPooledBody is the largest body buffer returned to the pool; a
-// bigger one is dropped so that one huge /mups reply does not pin its
-// memory for the life of the process.
+// bigger one is dropped so that one huge reply does not pin its memory
+// for the life of the process.
 const maxPooledBody = 4 << 20
 
 func (b *wireBuf) raw(s string) { b.body = append(b.body, s...) }
@@ -284,18 +378,17 @@ func (b *wireBuf) pattern(p coverage.Pattern) {
 	b.body = append(b.body, '"')
 }
 
-func (b *wireBuf) description(schema *coverage.Schema, p coverage.Pattern) {
-	b.desc = schema.AppendDescription(b.desc[:0], p)
-	b.body = appendJSONString(b.body, b.desc)
+func (b *wireBuf) description(d *descTable, p coverage.Pattern) {
+	b.body = d.appendJSON(b.body, p)
 }
 
 // The three encoders below write exactly what json.Marshal writes for
 // mupsResponse, coverageResponse and planResponse (plus the Encoder's
 // newline); TestWireBodiesMatchMarshal holds them to it.
 
-func (b *wireBuf) mups(schema *coverage.Schema, rows int64, rep *coverage.Report) {
+func (b *wireBuf) mups(d *descTable, rep *coverage.Report) {
 	b.raw(`{"rows":`)
-	b.int(rows)
+	b.int(rep.Rows())
 	b.raw(`,"threshold":`)
 	b.int(rep.Threshold)
 	b.raw(`,"total_mups":`)
@@ -310,7 +403,7 @@ func (b *wireBuf) mups(schema *coverage.Schema, rows int64, rep *coverage.Report
 		b.raw(`,"level":`)
 		b.int(int64(p.Level()))
 		b.raw(`,"description":`)
-		b.description(schema, p)
+		b.description(d, p)
 		b.raw("}")
 	}
 	b.raw(`],"algorithm":`)
@@ -322,7 +415,7 @@ func (b *wireBuf) mups(schema *coverage.Schema, rows int64, rep *coverage.Report
 
 // coverage writes one result per pattern; threshold > 0 adds the
 // covered verdicts.
-func (b *wireBuf) coverage(schema *coverage.Schema, rows int64, ps []coverage.Pattern, covs []int64, threshold int64) {
+func (b *wireBuf) coverage(d *descTable, rows int64, ps []coverage.Pattern, covs []int64, threshold int64) {
 	b.raw(`{"rows":`)
 	b.int(rows)
 	b.raw(`,"results":[`)
@@ -333,7 +426,7 @@ func (b *wireBuf) coverage(schema *coverage.Schema, rows int64, ps []coverage.Pa
 		b.raw(`{"pattern":`)
 		b.pattern(p)
 		b.raw(`,"description":`)
-		b.description(schema, p)
+		b.description(d, p)
 		b.raw(`,"coverage":`)
 		b.int(covs[i])
 		if threshold > 0 {
@@ -345,7 +438,7 @@ func (b *wireBuf) coverage(schema *coverage.Schema, rows int64, ps []coverage.Pa
 	b.raw("]}\n")
 }
 
-func (b *wireBuf) plan(schema *coverage.Schema, threshold int64, plan *coverage.Plan) {
+func (b *wireBuf) plan(d *descTable, threshold int64, plan *coverage.Plan) {
 	b.raw(`{"threshold":`)
 	b.int(threshold)
 	b.raw(`,"targets":`)
@@ -362,7 +455,7 @@ func (b *wireBuf) plan(schema *coverage.Schema, threshold int64, plan *coverage.
 		b.raw(`{"collect":`)
 		b.pattern(sg.Collect)
 		b.raw(`,"description":`)
-		b.description(schema, sg.Collect)
+		b.description(d, sg.Collect)
 		b.raw(`,"example_combination":`)
 		b.pattern(sg.Combo)
 		b.raw(`,"gaps_closed":`)
@@ -370,6 +463,29 @@ func (b *wireBuf) plan(schema *coverage.Schema, threshold int64, plan *coverage.
 		b.raw("}")
 	}
 	b.raw("]}\n")
+}
+
+// mupsBody encodes the /mups reply for rep into a buffer of its own,
+// allocated at exactly its length: a body kept with the engine's cache
+// is never regrown and holds no slack.
+func (d *descTable) mupsBody(rep *coverage.Report) []byte {
+	b := wireBuf{body: make([]byte, 0, d.mupsBodySize(rep))}
+	b.mups(d, rep)
+	return b.body
+}
+
+// mupsBodySize is the length of rep's /mups body.
+func (d *descTable) mupsBodySize(rep *coverage.Report) int {
+	n := len(`{"rows":,"threshold":,"total_mups":,"mups":[],"algorithm":,"coverage_probes":}`+"\n") +
+		intLen(rep.Rows()) + intLen(rep.Threshold) + intLen(int64(len(rep.MUPs))) +
+		len(appendJSONString(nil, rep.Stats.Algorithm)) + intLen(rep.Stats.CoverageProbes)
+	for i, p := range rep.MUPs {
+		if i > 0 {
+			n++
+		}
+		n += len(`{"pattern":"","level":,"description":}`) + d.mupLen(p)
+	}
+	return n
 }
 
 // newWireBuf takes an empty buffer from the pool; send returns it.
@@ -382,12 +498,18 @@ func newWireBuf() *wireBuf {
 // send writes the body as a 200 with its Content-Length and gives the
 // buffer back.
 func (b *wireBuf) send(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b.body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(b.body)
+	writeBody(w, b.body)
 	if cap(b.body) > maxPooledBody {
 		b.body = nil
 	}
 	wireBufs.Put(b)
+}
+
+// writeBody writes an encoded JSON body as a 200 with its
+// Content-Length.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }

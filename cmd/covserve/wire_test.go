@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"coverage"
 	"coverage/internal/datagen"
 	"coverage/internal/dataset"
+	"coverage/internal/engine"
+	"coverage/internal/persist"
 	"coverage/internal/registry"
 )
 
@@ -142,6 +147,11 @@ func FuzzAppendJSONString(f *testing.F) {
 // third attribute has value codes past 9 (the "[12]" notation).
 func nastyServer(t *testing.T) *server {
 	t.Helper()
+	return newServer(coverage.NewAnalyzer(nastyDataset(t)), nil)
+}
+
+func nastyDataset(t *testing.T) *coverage.Dataset {
+	t.Helper()
 	wide := make([]string, 14)
 	for i := range wide {
 		wide[i] = "v" + strconv.Itoa(i)
@@ -161,7 +171,7 @@ func nastyServer(t *testing.T) *server {
 		ds.MustAppend([]uint8{uint8(i % 3), uint8(i / 3 % 3), uint8(i % 12)})
 	}
 	ds.MustAppend([]uint8{0, 0, 12})
-	return newServer(coverage.NewAnalyzer(ds), nil)
+	return ds
 }
 
 // TestWireBodiesMatchMarshal pins the three hand-written encoders to
@@ -258,6 +268,283 @@ func TestWireBodiesMatchMarshal(t *testing.T) {
 		t.Fatal("fixture plan is empty")
 	}
 	check("/plan", w, marshal(pr))
+}
+
+// freshMUPsBody is the /mups body json.Marshal writes for an answer
+// computed from scratch — the naive enumeration, past every cache —
+// over an's current rows, with the algorithm and probe count the
+// server reported (a hit reports the search that made its entry).
+func freshMUPsBody(t *testing.T, an *coverage.Analyzer, tau int64, algorithm string, probes int64) string {
+	t.Helper()
+	rep, err := an.FindMUPs(coverage.FindOptions{Threshold: tau, Algorithm: coverage.NaiveAlgorithm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := mupsResponse{Rows: rep.Rows(), Threshold: tau, TotalMUPs: len(rep.MUPs), MUPs: []mupJSON{},
+		Algorithm: algorithm, Probes: probes}
+	for i, p := range rep.MUPs {
+		resp.MUPs = append(resp.MUPs, mupJSON{Pattern: p.String(), Level: p.Level(), Description: rep.Describe(i)})
+	}
+	b, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
+}
+
+// TestStoredMUPsBodyNeverStale: a /mups body kept with the engine's
+// cached result is the reply a fresh computation encodes, over the
+// nasty-label fixture, after every way the data or the cache can move
+// under it.
+func TestStoredMUPsBodyNeverStale(t *testing.T) {
+	// check asks twice — the reply that stores the body, then the hit
+	// that writes it — and holds both to a fresh answer.
+	check := func(t *testing.T, step string, an *coverage.Analyzer, tau int64, get func(target string) *httptest.ResponseRecorder) {
+		t.Helper()
+		target := fmt.Sprintf("/mups?tau=%d", tau)
+		for _, reply := range []string{"first reply", "hit"} {
+			w := get(target)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s, %s: status %d: %s", step, reply, w.Code, w.Body)
+			}
+			got := decode[mupsResponse](t, w)
+			if want := freshMUPsBody(t, an, tau, got.Algorithm, got.Probes); w.Body.String() != want {
+				t.Errorf("%s, %s:\n got %s\nwant %s", step, reply, w.Body, want)
+			}
+		}
+		if an.Engine().Stats().BodyBytes == 0 {
+			t.Errorf("%s: no body stored with the cached result", step)
+		}
+	}
+	local := func(s *server) func(string) *httptest.ResponseRecorder {
+		return func(target string) *httptest.ResponseRecorder { return do(t, s, "GET", target, "") }
+	}
+
+	t.Run("mutations", func(t *testing.T) {
+		s := nastyServer(t)
+		check(t, "initial", s.an, 2, local(s))
+		for _, m := range []struct{ step, target, body string }{
+			{"append", "/append", `{"codes": [[1, 1, 13], [2, 2, 13]]}`},
+			{"delete", "/delete", `{"codes": [[0, 0, 12], [1, 1, 13]]}`},
+			{"window eviction", "/window", `{"max_rows": 40}`},
+			{"append past the window", "/append", `{"codes": [[0, 2, 12], [0, 2, 12], [1, 0, 13]]}`},
+		} {
+			if w := do(t, s, "POST", m.target, m.body); w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", m.step, w.Code, w.Body)
+			}
+			check(t, m.step, s.an, 2, local(s))
+		}
+	})
+
+	t.Run("snapshot restore", func(t *testing.T) {
+		s := nastyServer(t)
+		check(t, "before the snapshot", s.an, 2, local(s))
+		var snap bytes.Buffer
+		if _, err := s.an.SnapshotTo(&snap); err != nil {
+			t.Fatal(err)
+		}
+		an, err := coverage.RestoreAnalyzer(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := an.Engine().Stats(); st.CachedSearches == 0 || st.BodyBytes != 0 {
+			t.Fatalf("restored %d cached searches with %d body bytes, want the search without its body",
+				st.CachedSearches, st.BodyBytes)
+		}
+		restored := newServer(an, nil)
+		check(t, "restored", an, 2, local(restored))
+	})
+
+	t.Run("LRU eviction", func(t *testing.T) {
+		s := newServer(coverage.NewAnalyzerFromDataset(nastyDataset(t), engine.Options{MaxCachedSearches: 1}), nil)
+		check(t, "tau=2", s.an, 2, local(s))
+		check(t, "tau=3 evicting tau=2", s.an, 3, local(s))
+		do(t, s, "POST", "/append", `{"codes": [[1, 1, 13]]}`)
+		check(t, "tau=2 searched again", s.an, 2, local(s))
+	})
+
+	t.Run("follower", func(t *testing.T) {
+		leader, ts := startLeaderOver(t, t.TempDir(), coverage.NewAnalyzer(nastyDataset(t)), persist.Options{})
+		f := startFollower(t, ts)
+		follow := func(target string) *httptest.ResponseRecorder { return doF(t, f, "GET", target, "", nil) }
+		check(t, "bootstrapped", f.an, 2, follow)
+		do(t, leader, "POST", "/append", `{"codes": [[1, 1, 13], [2, 2, 13]]}`)
+		if applied, err := f.pollOnce(); err != nil || applied != 1 {
+			t.Fatalf("poll: applied %d records, err %v; want 1", applied, err)
+		}
+		check(t, "after a WAL record", f.an, 2, follow)
+	})
+}
+
+// TestResidentBytesCountsStoredBodies: the bodies kept with cached
+// results are resident bytes, so the engine counts them while their
+// entries live and stops when they go — replaced by a repair, evicted
+// past MaxCachedSearches, or dropped with their tenant.
+func TestResidentBytesCountsStoredBodies(t *testing.T) {
+	s := newServer(coverage.NewAnalyzerFromDataset(nastyDataset(t), engine.Options{MaxCachedSearches: 2}), nil)
+	e := s.an.Engine()
+	// bodies is what ResidentBytes counts past the count stores.
+	bodies := func() int64 {
+		b := e.ResidentBytes()
+		for _, sh := range e.Stats().Shards {
+			b -= sh.StoreBytes
+		}
+		return b
+	}
+	mups := func(tau int) int64 {
+		w := do(t, s, "GET", fmt.Sprintf("/mups?tau=%d", tau), "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("tau=%d: status %d: %s", tau, w.Code, w.Body)
+		}
+		return int64(w.Body.Len())
+	}
+	expect := func(step string, want int64) {
+		t.Helper()
+		if got := bodies(); got != want {
+			t.Errorf("%s: ResidentBytes counts %d body bytes, want %d", step, got, want)
+		}
+		if got := decode[statsResponse](t, do(t, s, "GET", "/stats", "")).BodyBytes; got != want {
+			t.Errorf("%s: /stats cached_body_bytes %d, want %d", step, got, want)
+		}
+	}
+
+	expect("before any /mups", 0)
+	b2 := mups(2)
+	expect("after /mups tau=2", b2)
+	mups(2)
+	expect("after a hit", b2)
+	do(t, s, "POST", "/append", `{"codes": [[1, 1, 13], [2, 2, 13], [2, 2, 13]]}`)
+	expect("after an append, before the repair", b2)
+	b2 = mups(2)
+	expect("after the repair replaced the entry", b2)
+	b3, b4 := mups(3), mups(4)
+	expect("after tau=4 evicted tau=2", b3+b4)
+
+	g, reg := gatewayFixture(t, false)
+	if w := doG(t, g, "PUT", "/datasets/a", schemaA); w.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", w.Code, w.Body)
+	}
+	doG(t, g, "POST", "/datasets/a/append", `{"codes": [[0, 0], [1, 2], [1, 2], [1, 1]]}`)
+	before := reg.Stats().ResidentBytes
+	body := doG(t, g, "GET", "/datasets/a/mups?tau=2", "").Body.Len()
+	if after := reg.Stats().ResidentBytes; after < before+int64(body) {
+		t.Errorf("registry resident bytes %d → %d after a %d-byte /mups body", before, after, body)
+	}
+	if w := doG(t, g, "DELETE", "/datasets/a", ""); w.Code != http.StatusOK {
+		t.Fatalf("drop: status %d: %s", w.Code, w.Body)
+	}
+	if after := reg.Stats().ResidentBytes; after != 0 {
+		t.Errorf("registry resident bytes %d after the only tenant was dropped", after)
+	}
+}
+
+// TestMUPsRowsMatchGeneration: a /mups reply's rows are those of the
+// generation its MUPs were found at. One writer appends 100-row
+// batches while readers ask; every reply's rows must be an
+// acknowledged count, and its MUPs the naive enumeration's over exactly
+// that prefix of the batches.
+func TestMUPsRowsMatchGeneration(t *testing.T) {
+	const (
+		batches   = 60
+		batchRows = 100
+		readers   = 3
+		tau       = 8
+	)
+	attrs := make([]coverage.Attribute, 4)
+	for i := range attrs {
+		attrs[i] = coverage.Attribute{Name: fmt.Sprint("a", i), Values: []string{"0", "1", "2", "3"}}
+	}
+	schema, err := coverage.NewSchema(attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Values lean towards 0, so combinations cross τ batch after batch
+	// and the MUP set keeps moving.
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]uint8, batches*batchRows)
+	for i := range rows {
+		rows[i] = make([]uint8, len(attrs))
+		for j := range rows[i] {
+			rows[i][j] = uint8(min(rng.Intn(4), rng.Intn(4)))
+		}
+	}
+	s := newServer(coverage.NewAnalyzer(coverage.NewDataset(schema)), nil)
+
+	type reply struct {
+		rows int64
+		mups []string
+	}
+	replies := make([][]reply, readers)
+	replied := make(chan struct{}, 1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/mups?tau=%d", tau), nil))
+				var resp mupsResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+					t.Errorf("reader %d: %v: %s", r, err, w.Body)
+					return
+				}
+				got := reply{rows: resp.Rows}
+				for _, m := range resp.MUPs {
+					got.mups = append(got.mups, m.Pattern)
+				}
+				replies[r] = append(replies[r], got)
+				select {
+				case replied <- struct{}{}:
+				default:
+				}
+			}
+		}(r)
+	}
+	// Each batch waits for a reply since the last, so the appends land
+	// among the searches rather than before them all.
+	for b := 0; b < batches; b++ {
+		<-replied
+		if err := s.an.Append(rows[b*batchRows : (b+1)*batchRows]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	want := make(map[int64][]string)
+	for _, rs := range replies {
+		for _, got := range rs {
+			if got.rows%batchRows != 0 || got.rows < 0 || got.rows > batches*batchRows {
+				t.Fatalf("reply reports %d rows, not an acknowledged count", got.rows)
+			}
+			if _, ok := want[got.rows]; !ok {
+				ds := coverage.NewDataset(schema)
+				for _, row := range rows[:got.rows] {
+					ds.MustAppend(row)
+				}
+				rep, err := coverage.NewAnalyzer(ds).FindMUPs(coverage.FindOptions{Threshold: tau, Algorithm: coverage.NaiveAlgorithm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[got.rows] = []string{}
+				for _, p := range rep.MUPs {
+					want[got.rows] = append(want[got.rows], p.String())
+				}
+			}
+			if !slices.Equal(got.mups, want[got.rows]) {
+				t.Fatalf("reply at %d rows lists %d MUPs, the naive enumeration over those rows %d:\n got %v\nwant %v",
+					got.rows, len(got.mups), len(want[got.rows]), got.mups, want[got.rows])
+			}
+		}
+	}
+	t.Logf("%d replies over %d row counts", len(replies[0])+len(replies[1])+len(replies[2]), len(want))
 }
 
 // TestCodeRowAcceptSet walks the code-row forms whose answer must not
@@ -553,8 +840,10 @@ func BenchmarkWireBulk(b *testing.B) {
 }
 
 // BenchmarkWireMUPsHit is a /mups answered from the engine's cache at
-// the refresh workload's shape (100 000 rows, τ=100: ~13 000 MUPs), so
-// the time is the reply's encoding.
+// the refresh workload's shape (100 000 rows, τ=100: ~13 000 MUPs). The
+// body was stored with the cached result by the first reply, so the
+// time is the handler writing stored bytes; BenchmarkWireMUPsEncode is
+// the encoding.
 func BenchmarkWireMUPsHit(b *testing.B) {
 	ds, _ := wireFixture(b, 100000)
 	s := newServer(coverage.NewAnalyzer(ds), nil)
@@ -571,4 +860,94 @@ func BenchmarkWireMUPsHit(b *testing.B) {
 		s.ServeHTTP(w, req)
 	}
 	b.ReportMetric(float64(w.bytes), "B/reply")
+}
+
+// BenchmarkWireMUPsEncode is a fresh /mups encode at the refresh
+// workload's shape, bypassing the body stored with the cached result:
+// the wire cost of every reply to a repaired search, which has no
+// stored body yet.
+func BenchmarkWireMUPsEncode(b *testing.B) {
+	ds, _ := wireFixture(b, 100000)
+	s := newServer(coverage.NewAnalyzer(ds), nil)
+	rep, err := s.an.FindMUPs(coverage.FindOptions{Threshold: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = s.desc.mupsBody(rep)
+	}
+	b.ReportMetric(float64(len(body)), "B/reply")
+	b.ReportMetric(float64(len(rep.MUPs)), "MUPs")
+}
+
+// FuzzDescriptionFragments holds the description table to the path it
+// replaced: for random attribute names and labels (quotes, backslashes,
+// the HTML trio, control bytes, U+2028/U+2029, invalid UTF-8 and
+// multi-byte runes at label edges) and random patterns (wrong lengths
+// and codes past the schema included), the joined fragments are
+// appendJSONString(schema.AppendDescription(p)) byte for byte, and a
+// /mups body holding the pattern is exactly as long as mupsBodySize
+// priced it.
+func FuzzDescriptionFragments(f *testing.F) {
+	// spec is attributes separated by \x1e, each a name and its labels
+	// separated by \x1f.
+	for _, seed := range []struct {
+		spec string
+		pat  []byte
+	}{
+		{"sex\x1ffemale\x1fmale\x1erace\x1fblack\x1fother\x1fwhite", []byte{1, 0}},
+		{"na\"me\x1fback\\slash\x1fnew\nline\x1ftab\tbell\a", []byte{2}},
+		{"bad\xffutf8\x1f<b>\x1fcafé\xe2\x80\x1f\u2029\x1ewide\x1f\u2028<&>\x1f日本", []byte{0, 255}},
+		{"\xe2\x80\x1f\x80x\x1e\x00\x1f\x1d\x1e\U0001F600\x1f\xf0\x9f\x98", []byte{1, 1, 1}},
+		{"a\x1fx\x1fy", []byte{255}},
+		{"a\x1fx\x1fy\x1eb\x1fz", []byte{7, 0}},
+		{"a\x1fx", []byte{0, 0, 0}},
+		{"a\x1fx", nil},
+	} {
+		f.Add(seed.spec, seed.pat)
+	}
+	f.Fuzz(func(t *testing.T, spec string, pat []byte) {
+		var attrs []coverage.Attribute
+		for _, a := range strings.Split(spec, "\x1e") {
+			fields := strings.Split(a, "\x1f")
+			attrs = append(attrs, coverage.Attribute{Name: fields[0], Values: fields[1:]})
+		}
+		schema, err := coverage.NewSchema(attrs)
+		if err != nil {
+			return
+		}
+		d := newDescTable(schema)
+		p := make(coverage.Pattern, min(len(pat), 64))
+		for i := range p {
+			// Mostly codes inside the schema, some past it, some wildcards.
+			switch c := pat[i]; {
+			case c == coverage.Wildcard || i >= schema.Dim():
+				p[i] = c
+			default:
+				p[i] = c % uint8(len(schema.Attr(i).Values)+2)
+			}
+		}
+		want := appendJSONString(nil, schema.AppendDescription(nil, p))
+		if got := d.appendJSON([]byte("x"), p); !bytes.Equal(got[1:], want) {
+			t.Fatalf("pattern %v: fragments %s, escaped description %s", p, got[1:], want)
+		}
+		rep := &coverage.Report{MUPs: []coverage.Pattern{p, p}, Threshold: int64(len(spec)),
+			Stats: coverage.MUPStats{Algorithm: spec, CoverageProbes: -int64(len(pat))}}
+		body := d.mupsBody(rep)
+		if len(body) != cap(body) {
+			t.Fatalf("pattern %v: %d-byte body in a buffer of %d", p, len(body), cap(body))
+		}
+		elem := mupJSON{Pattern: p.String(), Level: p.Level(), Description: string(schema.AppendDescription(nil, p))}
+		want, err = json.Marshal(mupsResponse{Threshold: rep.Threshold, TotalMUPs: 2, MUPs: []mupJSON{elem, elem},
+			Algorithm: spec, Probes: rep.Stats.CoverageProbes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, append(want, '\n')) {
+			t.Fatalf("pattern %v: body\n got %s\nwant %s", p, body, want)
+		}
+	})
 }

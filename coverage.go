@@ -172,7 +172,10 @@ type Report struct {
 	Stats MUPStats
 
 	schema *Schema
-	rows   int
+	// ans is the engine answer the report was built from: the row
+	// count the MUPs reflect and, on the Auto path, the cache entry a
+	// body can be kept with.
+	ans engine.Answer
 	// auto records that the report came from the engine's cached Auto
 	// path, and findMaxLevel the FindOptions.MaxLevel it ran under —
 	// together they let Plan route the report back through the
@@ -191,6 +194,23 @@ func (r *Report) LevelHistogram() []int {
 	return h
 }
 
+// Rows returns the number of live rows the MUPs were found over: the
+// row count of the same generation the search read, however many
+// mutations landed since.
+func (r *Report) Rows() int64 { return r.ans.Rows }
+
+// Body returns a serialized form of the report kept with the engine
+// cache entry it was answered from, calling build to make it the first
+// time that entry is asked. A server stores the reply it encoded this
+// way, so every later identical query writes stored bytes. build must
+// depend on nothing but the report and its schema, and the caller must
+// not modify the bytes. The body is dropped with its entry (on repair
+// or eviction), counted in the engine's ResidentBytes, and never
+// persisted. Body returns nil, without calling build, for a report no
+// cache entry holds: one from an explicit Algorithm, or one a racing
+// search superseded.
+func (r *Report) Body(build func() []byte) []byte { return r.ans.Body(build) }
+
 // Describe renders MUP i with attribute and value names.
 func (r *Report) Describe(i int) string {
 	return r.schema.DescribePattern(r.MUPs[i])
@@ -205,7 +225,7 @@ func (r *Report) Render(w io.Writer, format string) error {
 	}
 	audit := &report.Audit{
 		Schema:    r.schema,
-		Rows:      r.rows,
+		Rows:      int(r.ans.Rows),
 		Threshold: r.Threshold,
 		MUPs:      r.MUPs,
 		Stats:     r.Stats,
@@ -344,34 +364,40 @@ func (a *Analyzer) FindMUPs(opts FindOptions) (*Report, error) {
 		return nil, err
 	}
 	mopts := mup.Options{Threshold: tau, MaxLevel: opts.MaxLevel}
-	var res *mup.Result
-	switch opts.Algorithm {
-	case Auto:
+	var ans engine.Answer
+	if opts.Algorithm == Auto {
 		// The engine caches the result per (τ, MaxLevel) and repairs it
 		// incrementally after appends.
-		res, err = a.eng.MUPs(mopts)
-	case DeepDiver:
-		res, err = mup.DeepDiver(a.eng.Oracle(), mopts)
-	case PatternBreaker:
-		res, err = mup.PatternBreaker(a.eng.Oracle(), mopts)
-	case PatternCombiner:
-		res, err = mup.PatternCombiner(a.eng.Oracle(), mopts)
-	case Apriori:
-		res, err = mup.Apriori(a.eng.Oracle(), mopts)
-	case NaiveAlgorithm:
-		res, err = mup.Naive(a.eng.Oracle(), mopts)
-	default:
-		return nil, fmt.Errorf("coverage: unknown algorithm %q", opts.Algorithm)
+		ans, err = a.eng.MUPsAnswer(mopts)
+	} else {
+		// The oracle is one immutable generation: its total is the row
+		// count the search ran over.
+		oracle := a.eng.Oracle()
+		ans.Rows = oracle.Total()
+		switch opts.Algorithm {
+		case DeepDiver:
+			ans.Res, err = mup.DeepDiver(oracle, mopts)
+		case PatternBreaker:
+			ans.Res, err = mup.PatternBreaker(oracle, mopts)
+		case PatternCombiner:
+			ans.Res, err = mup.PatternCombiner(oracle, mopts)
+		case Apriori:
+			ans.Res, err = mup.Apriori(oracle, mopts)
+		case NaiveAlgorithm:
+			ans.Res, err = mup.Naive(oracle, mopts)
+		default:
+			return nil, fmt.Errorf("coverage: unknown algorithm %q", opts.Algorithm)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &Report{
-		MUPs:         res.MUPs,
+		MUPs:         ans.Res.MUPs,
 		Threshold:    tau,
-		Stats:        res.Stats,
+		Stats:        ans.Res.Stats,
 		schema:       a.ds.Schema(),
-		rows:         int(a.eng.Rows()),
+		ans:          ans,
 		auto:         opts.Algorithm == Auto,
 		findMaxLevel: opts.MaxLevel,
 	}, nil

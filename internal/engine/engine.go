@@ -249,8 +249,10 @@ type Stats struct {
 	BidirectionalRepairs int64
 	CacheHits            int64
 	// CachedSearches is the number of MUP configurations currently
-	// cached (bounded by Options.MaxCachedSearches).
+	// cached (bounded by Options.MaxCachedSearches), and BodyBytes the
+	// total length of the bodies kept with them (see Answer.Body).
 	CachedSearches int
+	BodyBytes      int64
 	// PlanProbes counts Plan requests; PlanHits those answered from
 	// the plan cache with no work at all. PlanBuilds counts plans
 	// expanded and searched from scratch, PlanRepairs target-set
@@ -303,12 +305,52 @@ func canonLevel(maxLevel, d int) int {
 }
 
 // cachedSearch is a cached MUP result tagged with the data generation
-// it reflects. lastUsed orders entries for LRU eviction; it is atomic
-// so cache hits under the read lock can touch it.
+// and the live row count it reflects. lastUsed orders entries for LRU
+// eviction; it is atomic so cache hits under the read lock can touch
+// it. body is the one serialized form of the result a caller may keep
+// with it (see Answer.Body): derived state that lives and dies with the
+// entry and is never exported, snapshotted or logged.
 type cachedSearch struct {
 	gen      uint64
+	rows     int64
 	res      *mup.Result
 	lastUsed atomic.Uint64
+	body     atomic.Pointer[[]byte]
+}
+
+// An Answer is a MUP result with the data generation and the live row
+// count it reflects, both read under the lock that linearized it.
+type Answer struct {
+	Res  *mup.Result
+	Gen  uint64
+	Rows int64
+	// entry is the cache entry holding Res; nil when a search the
+	// answer raced had already cached a newer result.
+	entry *cachedSearch
+}
+
+// Body returns the serialized form of the answer kept with its cache
+// entry, calling build to make it when the entry holds none yet. Every
+// later Answer from the same entry gets the same bytes without calling
+// build, so build must depend on nothing but the answer (and fixed
+// context such as the schema), and the caller must not modify the
+// bytes. The body lives as long as the entry: a repair or LRU eviction
+// drops it, ResidentBytes counts it, and no snapshot or log holds it.
+// Concurrent first callers may each build; one body is kept and
+// returned to all. Body returns nil, without calling build, for an
+// answer no cache entry holds.
+func (a Answer) Body(build func() []byte) []byte {
+	if a.entry == nil {
+		return nil
+	}
+	if b := a.entry.body.Load(); b != nil {
+		return *b
+	}
+	b := build()
+	if a.entry.body.CompareAndSwap(nil, &b) {
+		return b
+	}
+	return *a.entry.body.Load()
 }
 
 // ShardedEngine is the fan-out coordinator of the incremental coverage
@@ -594,6 +636,7 @@ func (e *ShardedEngine) Stats() Stats {
 		BidirectionalRepairs: e.bidirRepairs,
 		CacheHits:            e.cacheHits.Load(),
 		CachedSearches:       len(e.cache),
+		BodyBytes:            e.bodyBytesLocked(),
 		PlanProbes:           e.planProbes.Load(),
 		PlanHits:             e.planHits.Load(),
 		PlanBuilds:           e.planBuilds,
@@ -621,16 +664,30 @@ func (e *ShardedEngine) Stats() Stats {
 	return st
 }
 
-// ResidentBytes reports the engine's resident count-store footprint:
-// the sum of Stats().Shards[i].StoreBytes, without materializing the
-// full Stats block. Registries use it as the signal for LRU
-// byte-budget eviction across tenants.
+// ResidentBytes reports the engine's resident footprint as far as it is
+// counted: the shard count stores (the sum of Stats().Shards[i].
+// StoreBytes) plus the bodies kept with cached MUP results
+// (Stats().BodyBytes), without materializing the full Stats block.
+// Registries use it as the signal for LRU byte-budget eviction across
+// tenants.
 func (e *ShardedEngine) ResidentBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var b int64
+	b := e.bodyBytesLocked()
 	for _, c := range e.cores {
 		b += c.storeBytes()
+	}
+	return b
+}
+
+// bodyBytesLocked sums the lengths of the bodies kept with cached MUP
+// results. Caller holds the lock (either mode).
+func (e *ShardedEngine) bodyBytesLocked() int64 {
+	var b int64
+	for _, c := range e.cache {
+		if body := c.body.Load(); body != nil {
+			b += int64(len(*body))
+		}
 	}
 	return b
 }
@@ -1258,23 +1315,21 @@ func (e *ShardedEngine) Oracle() index.Oracle {
 // work (last store wins). The caller must not modify the returned
 // result.
 func (e *ShardedEngine) MUPs(opts mup.Options) (*mup.Result, error) {
-	res, _, err := e.mupsGen(opts)
-	return res, err
+	a, err := e.MUPsAnswer(opts)
+	return a.Res, err
 }
 
-// mupsGen is MUPs plus the data generation the returned result
-// reflects — what the plan cache tags its entries with.
-func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
+// MUPsAnswer is MUPs plus the generation and row count the result
+// reflects, and the cache entry holding it (see Answer.Body).
+func (e *ShardedEngine) MUPsAnswer(opts mup.Options) (Answer, error) {
 	opts.MaxLevel = canonLevel(opts.MaxLevel, len(e.cards))
 	key := searchKey{tau: opts.Threshold, maxLevel: opts.MaxLevel}
 	e.mu.RLock()
 	if c, ok := e.cache[key]; ok && c.gen == e.gen {
-		res := c.res
-		gen := c.gen
 		c.lastUsed.Store(e.useClock.Add(1))
 		e.mu.RUnlock()
 		e.cacheHits.Add(1)
-		return res, gen, nil
+		return c.answer(), nil
 	}
 	e.mu.RUnlock()
 
@@ -1286,10 +1341,10 @@ func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
 		c.lastUsed.Store(e.useClock.Add(1))
 		e.mu.Unlock()
 		e.cacheHits.Add(1)
-		return c.res, c.gen, nil
+		return c.answer(), nil
 	}
 	bases := e.foldLocked()
-	gen := e.gen
+	gen, rows := e.gen, e.rows
 	var seed *mup.Result
 	var removed, added []mup.Delta
 	if c, ok := e.cache[key]; ok {
@@ -1334,7 +1389,7 @@ func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
 		res, err = mup.RepairBidirectional(oracle, seed, removed, added, popts)
 	}
 	if err != nil {
-		return nil, 0, err
+		return Answer{}, err
 	}
 
 	e.mu.Lock()
@@ -1351,9 +1406,15 @@ func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
 	// result is still stored (tagged with its own generation) so the
 	// next query repairs from it instead of searching from scratch.
 	if c, ok := e.cache[key]; !ok || c.gen <= gen {
-		e.storeLocked(key, &cachedSearch{gen: gen, res: res})
+		c := &cachedSearch{gen: gen, rows: rows, res: res}
+		e.storeLocked(key, c)
+		return c.answer(), nil
 	}
-	return res, gen, nil
+	return Answer{Res: res, Gen: gen, Rows: rows}, nil
+}
+
+func (c *cachedSearch) answer() Answer {
+	return Answer{Res: c.res, Gen: c.gen, Rows: c.rows, entry: c}
 }
 
 // storeLocked inserts a cache entry, evicting the least recently used

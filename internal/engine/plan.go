@@ -117,10 +117,11 @@ func diffMUPs(old, new []pattern.Pattern) (removed, added []pattern.Pattern) {
 func (e *ShardedEngine) Plan(ctx context.Context, mopts mup.Options, spec PlanSpec) (*enhance.Plan, error) {
 	key := planKeyFor(mopts, spec, len(e.cards))
 	e.planProbes.Add(1)
-	res, gen, err := e.mupsGen(mopts)
+	ans, err := e.MUPsAnswer(mopts)
 	if err != nil {
 		return nil, err
 	}
+	res, gen := ans.Res, ans.Gen
 
 	e.mu.RLock()
 	prior, ok := e.planCache[key]

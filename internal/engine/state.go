@@ -685,6 +685,12 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			gen: c.Gen,
 			res: &mup.Result{MUPs: c.MUPs, Cov: c.Cov, Stats: c.Stats},
 		}
+		if c.Gen == st.Generation {
+			// Only an entry at the current generation can be a hit; an
+			// older one seeds a repair, whose entry takes the row count
+			// of its own generation.
+			entry.rows = st.Rows
+		}
 		entry.lastUsed.Store(e.useClock.Add(1))
 		e.cache[key] = entry
 	}

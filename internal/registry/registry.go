@@ -49,8 +49,9 @@ type Options struct {
 	// under Dir/tenants/<id>; empty means memory-only tenants that
 	// can never be parked.
 	Dir string
-	// MaxResidentBytes is the shared budget for warm tenants' count
-	// stores; 0 disables eviction.
+	// MaxResidentBytes is the shared budget for warm tenants' resident
+	// bytes as their engines count them (engine.ResidentBytes: count
+	// stores and stored /mups bodies); 0 disables eviction.
 	MaxResidentBytes int64
 	// SearchSlots caps cross-tenant search/plan parallelism; 0 means
 	// GOMAXPROCS.
