@@ -87,6 +87,19 @@ func (v *Vector) trim() {
 	}
 }
 
+// Reset makes v a zeroed vector of n bits, reusing its storage when it
+// is large enough.
+func (v *Vector) Reset(n int) {
+	w := wordsFor(n)
+	if cap(v.words) < w {
+		v.words = make([]uint64, w)
+	} else {
+		v.words = v.words[:w]
+		clear(v.words)
+	}
+	v.n = n
+}
+
 // Clone returns a copy of v.
 func (v *Vector) Clone() *Vector {
 	w := &Vector{words: make([]uint64, len(v.words)), n: v.n}
@@ -255,6 +268,24 @@ func (v *Vector) CountAnd(w *Vector) int {
 	n := 0
 	for i := range v.words {
 		n += bits.OnesCount64(v.words[i] & w.words[i])
+	}
+	return n
+}
+
+// CountRuns returns the number of runs of set bits in v, where a set
+// bit continues the run of the bit before it only if that bit is set
+// too and cont has the bit itself set; every other set bit starts a
+// run. Word by word it is Σ popcount(w &^ ((w<<1 | carry) & cont)), as
+// cheap as CountAnd. With cont marking the positions that share a
+// group with their predecessor, it counts the groups v touches when
+// each group's members in v are contiguous.
+func (v *Vector) CountRuns(cont *Vector) int {
+	v.mustMatch(cont)
+	n := 0
+	var carry uint64
+	for i, w := range v.words {
+		n += bits.OnesCount64(w &^ ((w<<1 | carry) & cont.words[i]))
+		carry = w >> (wordBits - 1)
 	}
 	return n
 }

@@ -390,3 +390,54 @@ func TestQuickDotCountsEqualsNaiveSum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestQuickCountRunsMatchesModel(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw)
+		r := rand.New(rand.NewSource(seed))
+		v, vm := randomPair(r, n)
+		cont, cm := randomPair(r, n)
+		want := 0
+		for i := range vm {
+			if vm[i] && !(i > 0 && vm[i-1] && cm[i]) {
+				want++
+			}
+		}
+		return v.CountRuns(cont) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	// A run crossing a word boundary is one run; cont cleared at the
+	// boundary splits it.
+	v, cont := New(130), New(130)
+	for i := 60; i < 70; i++ {
+		v.Set(i)
+		cont.Set(i)
+	}
+	if got := v.CountRuns(cont); got != 1 {
+		t.Errorf("CountRuns across a word boundary = %d, want 1", got)
+	}
+	cont.Clear(64)
+	if got := v.CountRuns(cont); got != 2 {
+		t.Errorf("CountRuns with the boundary split = %d, want 2", got)
+	}
+}
+
+func TestResetReusesStorage(t *testing.T) {
+	v := NewOnes(200)
+	v.Reset(70)
+	if v.Len() != 70 || v.Any() {
+		t.Fatalf("Reset(70): len %d, any %v", v.Len(), v.Any())
+	}
+	v.SetAll()
+	v.Reset(190)
+	if v.Len() != 190 || v.Any() {
+		t.Fatalf("Reset(190): len %d, any %v", v.Len(), v.Any())
+	}
+	v.Reset(300)
+	v.Set(299)
+	if v.Len() != 300 || v.Count() != 1 {
+		t.Fatalf("Reset(300): len %d, count %d", v.Len(), v.Count())
+	}
+}

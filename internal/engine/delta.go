@@ -342,7 +342,6 @@ func exportPlan(key planKey, c *cachedPlan) CachedPlan {
 		Targets:       c.plan.Targets,
 		Algorithm:     c.plan.Stats.Algorithm,
 		Iterations:    c.plan.Stats.Iterations,
-		Nodes:         c.plan.Stats.NodesExplored,
 		Suggestions:   make([]PlanSuggestion, 0, len(c.plan.Suggestions)),
 	}
 	for _, s := range c.plan.Suggestions {

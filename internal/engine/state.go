@@ -134,9 +134,11 @@ type CachedPlan struct {
 	BasisMUPs []pattern.Pattern
 	Targets   []pattern.Pattern
 	Algorithm string
-	// Iterations and Nodes mirror enhance.PlanStats.
+	// Iterations mirrors enhance.PlanStats. NodesExplored is not kept:
+	// with parallel branches it depends on scheduling, so one history
+	// would write different snapshots, and a restored plan ran no
+	// search in this process; it restores as 0.
 	Iterations  int
-	Nodes       int64
 	Suggestions []PlanSuggestion
 }
 
@@ -701,9 +703,8 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		plan := &enhance.Plan{
 			Targets: p.Targets,
 			Stats: enhance.PlanStats{
-				Algorithm:     p.Algorithm,
-				Iterations:    p.Iterations,
-				NodesExplored: p.Nodes,
+				Algorithm:  p.Algorithm,
+				Iterations: p.Iterations,
 			},
 		}
 		for _, s := range p.Suggestions {

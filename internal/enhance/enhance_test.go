@@ -78,75 +78,6 @@ func TestGreedyAgainstNaiveExample2(t *testing.T) {
 	}
 }
 
-// TestGreedyAlwaysPicksTheMaximum replays a greedy plan and verifies
-// by brute force that every selection hits the maximum number of
-// remaining targets — the correctness property of the threshold-pruned
-// tree search (Algorithm 4).
-func TestGreedyAlwaysPicksTheMaximum(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 2 + r.Intn(4)
-		cards := make([]int, d)
-		for i := range cards {
-			cards[i] = 2 + r.Intn(3)
-		}
-		var targets []pattern.Pattern
-		for k := 0; k < 1+r.Intn(12); k++ {
-			p := make(pattern.Pattern, d)
-			for i := range p {
-				if r.Intn(2) == 0 {
-					p[i] = pattern.Wildcard
-				} else {
-					p[i] = uint8(r.Intn(cards[i]))
-				}
-			}
-			targets = append(targets, p)
-		}
-		plan, err := Greedy(targets, cards, nil)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		remaining := make(map[int]bool)
-		for j := range targets {
-			remaining[j] = true
-		}
-		for _, s := range plan.Suggestions {
-			// Brute-force maximum over all combinations.
-			max := 0
-			pattern.EnumerateCombos(cards, func(combo []uint8) bool {
-				c := 0
-				for j := range targets {
-					if remaining[j] && targets[j].Matches(combo) {
-						c++
-					}
-				}
-				if c > max {
-					max = c
-				}
-				return true
-			})
-			got := 0
-			for j := range targets {
-				if remaining[j] && targets[j].Matches(s.Combo) {
-					got++
-				}
-			}
-			if got != max || got != len(s.Hits) {
-				t.Logf("seed %d: selection hit %d (recorded %d), brute max %d", seed, got, len(s.Hits), max)
-				return false
-			}
-			for _, j := range s.Hits {
-				delete(remaining, j)
-			}
-		}
-		return len(remaining) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGeneralizedCollectPattern(t *testing.T) {
 	// Every combination matching a suggestion's Collect pattern must
 	// hit all the targets that suggestion resolved.

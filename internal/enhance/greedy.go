@@ -3,7 +3,6 @@ package enhance
 import (
 	"fmt"
 
-	"coverage/internal/bitvec"
 	"coverage/internal/pattern"
 )
 
@@ -17,9 +16,18 @@ import (
 // patterns a combination with that value can still hit (the pattern
 // has a wildcard or that value there — Fig 9). Each greedy iteration
 // runs a depth-first search over the attribute tree (Fig 10), carrying
-// the AND of the current filter with the chosen values' indices,
-// visiting children in descending hit-count order and pruning branches
-// whose upper bound cannot beat the best combination found so far.
+// the AND of the chosen values' indices, visiting children in
+// descending hit-count order and pruning branches whose upper bound
+// cannot beat the best combination found so far.
+//
+// The bound is tighter than the paper's hit count. Two distinct
+// targets with the same wildcard positions differ at a fixed one, so
+// no combination hits both: a branch hits at most one target per such
+// group it still matches. The index holds only the targets not hit
+// yet, sorted by (wildcard positions, pattern), which makes each
+// group's matches one contiguous run, so the group count costs one
+// word-parallel pass. The visit order and the tie-break are the
+// paper's, so the plan is the one the hit-count bound alone selects.
 //
 // Greedy is the sequential entry point; GreedySearch adds
 // cancellation, seed bounds and parallel branch fan-out without
@@ -35,39 +43,4 @@ func checkTargets(targets []pattern.Pattern, cards []int) error {
 		}
 	}
 	return nil
-}
-
-// buildInverted builds the per-attribute-value index of Fig 9: bit j
-// of inv[i][v] is set iff targets[j] has a wildcard or value v at
-// attribute i.
-func buildInverted(targets []pattern.Pattern, cards []int) [][]*bitvec.Vector {
-	m := len(targets)
-	inv := make([][]*bitvec.Vector, len(cards))
-	for i, c := range cards {
-		inv[i] = make([]*bitvec.Vector, c)
-		for v := 0; v < c; v++ {
-			inv[i][v] = bitvec.New(m)
-		}
-	}
-	for j, p := range targets {
-		for i, v := range p {
-			if v == pattern.Wildcard {
-				for _, vec := range inv[i] {
-					vec.Set(j)
-				}
-			} else {
-				inv[i][v].Set(j)
-			}
-		}
-	}
-	return inv
-}
-
-// hitVector returns filter ∧ the patterns combo matches.
-func hitVector(combo []uint8, inv [][]*bitvec.Vector, filter *bitvec.Vector) *bitvec.Vector {
-	out := filter.Clone()
-	for i, v := range combo {
-		out.And(inv[i][v])
-	}
-	return out
 }

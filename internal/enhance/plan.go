@@ -28,9 +28,11 @@ type Suggestion struct {
 
 // PlanStats records the work the planner performed.
 type PlanStats struct {
-	Algorithm     string
-	Iterations    int   // greedy selections made
-	NodesExplored int64 // tree nodes / combinations examined
+	Algorithm  string
+	Iterations int // greedy selections made
+	// NodesExplored counts the tree nodes (or, naive, combinations)
+	// examined; 0 for a plan restored from a snapshot.
+	NodesExplored int64
 }
 
 // Plan is the output of the coverage-enhancement planner: the target

@@ -1,10 +1,11 @@
 package enhance
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,15 +120,28 @@ func (b *sharedBest) raise(v float64) {
 }
 
 // childScore is one admissible child of a search-tree node: its value,
-// the remaining-hit count after taking it, the accumulated acquisition
-// cost through it (weighted searches only) and its score upper bound
-// (hit count unweighted, hits per unit completed cost weighted — both
-// dominate every leaf in the child's subtree).
+// the accumulated acquisition cost through it (weighted searches only)
+// and its score upper bound (hit count unweighted, hits per unit
+// completed cost weighted — both dominate every leaf in the child's
+// subtree).
 type childScore struct {
 	value uint8
-	count int
 	cost  float64
 	score float64
+}
+
+// insertChild adds ch to kids in visit order: score descending, ties
+// in insertion order. Children are scored in ascending value order, so
+// ties visit the smallest value first. A node has at most cᵢ children,
+// so an insertion sort beats a general sort and allocates nothing.
+func insertChild(kids []childScore, ch childScore) []childScore {
+	kids = append(kids, ch)
+	j := len(kids) - 1
+	for ; j > 0 && kids[j-1].score < ch.score; j-- {
+		kids[j] = kids[j-1]
+	}
+	kids[j] = ch
+	return kids
 }
 
 // treeSearcher runs one branch-and-bound selection (Algorithm 4/5)
@@ -142,12 +156,13 @@ type treeSearcher struct {
 	oracle *Oracle
 	cost   *CostModel // nil = unweighted
 	inv    [][]*bitvec.Vector
+	cont   *bitvec.Vector
 	levels []*bitvec.Vector
+	kids   [][]childScore // per depth, the children of the node being searched
 
 	combo     []uint8
 	best      []uint8
 	bestScore float64
-	bestHits  int
 	found     bool
 	nodes     int64
 
@@ -157,22 +172,37 @@ type treeSearcher struct {
 	err     error
 }
 
-func newTreeSearcher(cards []int, oracle *Oracle, cost *CostModel, inv [][]*bitvec.Vector, m int, ctx context.Context, shared *sharedBest) *treeSearcher {
+func newTreeSearcher(g *greedyRun, ctx context.Context, shared *sharedBest) *treeSearcher {
+	d, m := len(g.cards), len(g.targets)
 	s := &treeSearcher{
-		cards:  cards,
-		oracle: oracle,
-		cost:   cost,
-		inv:    inv,
-		levels: make([]*bitvec.Vector, len(cards)+1),
-		combo:  make([]uint8, len(cards)),
-		best:   make([]uint8, len(cards)),
+		cards:  g.cards,
+		oracle: g.oracle,
+		cost:   g.cost,
+		inv:    g.inv,
+		cont:   g.cont,
+		levels: make([]*bitvec.Vector, d+1),
+		kids:   make([][]childScore, d),
+		combo:  make([]uint8, d),
+		best:   make([]uint8, d),
 		ctx:    ctx,
 		shared: shared,
 	}
 	for i := range s.levels {
 		s.levels[i] = bitvec.New(m)
 	}
+	for i, c := range g.cards {
+		s.kids[i] = make([]childScore, 0, c)
+	}
 	return s
+}
+
+// resize fits the level vectors to an index over n targets; the root
+// level holds all of them.
+func (s *treeSearcher) resize(n int) {
+	for _, l := range s.levels {
+		l.Reset(n)
+	}
+	s.levels[0].SetAll()
 }
 
 // reset prepares the searcher for a fresh selection (or a fresh branch
@@ -180,7 +210,6 @@ func newTreeSearcher(cards []int, oracle *Oracle, cost *CostModel, inv [][]*bitv
 // beat.
 func (s *treeSearcher) reset(floor float64) {
 	s.bestScore = floor
-	s.bestHits = 0
 	s.found = false
 }
 
@@ -218,25 +247,32 @@ func (s *treeSearcher) canceled() bool {
 	}
 }
 
-// score computes one child's (count, accumulated cost, score) triple.
+// score computes one child's (accumulated cost, score) pair.
 func (s *treeSearcher) score(i, v, cnt int, costSoFar float64) (float64, float64) {
 	if s.cost == nil {
 		return costSoFar, float64(cnt)
 	}
 	c := costSoFar + s.cost.costs[i][v]
-	return c, float64(cnt) / (c + s.cost.sufMin[i+1])
+	return c, s.bound(i, cnt, c)
 }
 
-// search explores attribute i given levels[i] (the AND of the filter
-// with the inverted indices of the values assigned so far) and the
-// acquisition cost accumulated over attributes < i.
+// bound scores n targets below a depth-i child whose accumulated cost
+// is cost: n itself unweighted, n per unit of the cheapest completion
+// weighted.
+func (s *treeSearcher) bound(i, n int, cost float64) float64 {
+	if s.cost == nil {
+		return float64(n)
+	}
+	return float64(n) / (cost + s.cost.sufMin[i+1])
+}
+
+// search explores attribute i given levels[i] (the targets matching
+// the values assigned so far) and the acquisition cost accumulated
+// over attributes < i.
 func (s *treeSearcher) search(i int, costSoFar float64) {
 	cur := s.levels[i]
 	leaf := i == len(s.cards)-1
-	var order []childScore
-	if !leaf {
-		order = make([]childScore, 0, s.cards[i])
-	}
+	kids := s.kids[i][:0]
 	for v := 0; v < s.cards[i]; v++ {
 		s.combo[i] = uint8(v)
 		if s.oracle != nil && !s.oracle.AllowPrefix(s.combo, i+1) {
@@ -258,7 +294,6 @@ func (s *treeSearcher) search(i int, costSoFar float64) {
 			// sequential tie-break.
 			if sc > s.floor() {
 				s.bestScore = sc
-				s.bestHits = cnt
 				copy(s.best, s.combo)
 				s.found = true
 				if s.shared != nil {
@@ -267,34 +302,41 @@ func (s *treeSearcher) search(i int, costSoFar float64) {
 			}
 			continue
 		}
-		order = append(order, childScore{uint8(v), cnt, cost, sc})
+		kids = insertChild(kids, childScore{uint8(v), cost, sc})
 	}
-	if leaf {
-		return
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].score != order[b].score {
-			return order[a].score > order[b].score
-		}
-		return order[a].value < order[b].value
-	})
-	for _, ch := range order {
+	for _, ch := range kids {
 		if s.err != nil {
 			return
 		}
 		if ch.score <= s.floor() {
 			break // scores only shrink deeper; no branch here can win
 		}
-		s.combo[i] = ch.value
-		cur.AndInto(s.inv[i][ch.value], s.levels[i+1])
-		s.search(i+1, ch.cost)
+		s.descend(i, ch)
 	}
+}
+
+// descend searches the subtree of child ch of a depth-i node unless
+// its group bound rules it out. Two distinct targets with the same
+// wildcard positions differ at a fixed position, so no combination
+// matches both: the subtree hits at most one target per such group
+// left in levels[i+1] (an exact duplicate counts as its own group).
+// The index keeps each group's matches contiguous, so that count is
+// one CountRuns. Scored like the child, it prunes every subtree whose
+// leaves could not beat the incumbent, and only those; the visit
+// order is unchanged, so the selection is too.
+func (s *treeSearcher) descend(i int, ch childScore) {
+	s.combo[i] = ch.value
+	next := s.levels[i+1]
+	s.levels[i].AndInto(s.inv[i][ch.value], next)
+	if s.bound(i, next.CountRuns(s.cont), ch.cost) <= s.floor() {
+		return
+	}
+	s.search(i+1, ch.cost)
 }
 
 // selection is the outcome of one greedy iteration's tree search.
 type selection struct {
 	combo []uint8
-	hits  int
 	found bool
 }
 
@@ -304,18 +346,25 @@ type greedyRun struct {
 	cards   []int
 	oracle  *Oracle
 	cost    *CostModel
-	inv     [][]*bitvec.Vector
-	opts    SearchOptions
 	seeds   [][]uint8
+
+	// live holds the indices of the targets not hit yet, sorted by
+	// (wildcard positions, pattern). Bit k of every vector below stands
+	// for targets[live[k]]; compact rebuilds them after each selection.
+	live []int
+	inv  [][]*bitvec.Vector // Fig 9's index: bit k of inv[i][v] is set iff live[k] has a wildcard or v at i
+	cont *bitvec.Vector     // bit k: live[k] has live[k-1]'s wildcard positions and is not its duplicate
+	root *bitvec.Vector     // every live target
+	tmp  *bitvec.Vector     // scratch for seed scores and hits
 
 	searchers []*treeSearcher
 	nodes     int64
 }
 
 // runGreedy is the shared driver behind Greedy, GreedyWeighted and
-// their Search variants: validate, build the inverted indices, then
-// repeatedly select the best-scoring valid combination until every
-// target is hit.
+// their Search variants: validate, sort the targets into groups, then
+// repeatedly index the targets not hit yet and select the best-scoring
+// valid combination until every target is hit.
 func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *CostModel, opts SearchOptions, algo string) (*Plan, error) {
 	if err := checkTargets(targets, cards); err != nil {
 		return nil, err
@@ -324,13 +373,32 @@ func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *Cos
 	if len(targets) == 0 {
 		return plan, nil
 	}
+	m := len(targets)
 	g := &greedyRun{
 		targets: targets,
 		cards:   cards,
 		oracle:  oracle,
 		cost:    cost,
-		inv:     buildInverted(targets, cards),
-		opts:    opts,
+		live:    make([]int, m),
+		inv:     make([][]*bitvec.Vector, len(cards)),
+		cont:    bitvec.New(m),
+		root:    bitvec.New(m),
+		tmp:     bitvec.New(m),
+	}
+	for j := range g.live {
+		g.live[j] = j
+	}
+	slices.SortStableFunc(g.live, func(a, b int) int {
+		if c := compareWildcards(targets[a], targets[b]); c != 0 {
+			return c
+		}
+		return bytes.Compare(targets[a], targets[b])
+	})
+	for i, c := range cards {
+		g.inv[i] = make([]*bitvec.Vector, c)
+		for v := range g.inv[i] {
+			g.inv[i][v] = bitvec.New(m)
+		}
 	}
 	g.seeds = g.validSeeds(opts.Seeds)
 	workers := opts.workers()
@@ -344,14 +412,12 @@ func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *Cos
 	if workers > 1 {
 		shared = &sharedBest{}
 	}
-	m := len(targets)
 	g.searchers = make([]*treeSearcher, workers)
 	for w := range g.searchers {
-		g.searchers[w] = newTreeSearcher(cards, oracle, cost, g.inv, m, opts.Ctx, shared)
+		g.searchers[w] = newTreeSearcher(g, opts.Ctx, shared)
 	}
 
-	filter := bitvec.NewOnes(m)
-	for filter.Any() {
+	for len(g.live) > 0 {
 		if opts.Ctx != nil {
 			// One deterministic poll per greedy iteration; the
 			// searchers also poll inside long tree searches.
@@ -361,18 +427,16 @@ func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *Cos
 			default:
 			}
 		}
-		sel, err := g.selectBest(filter, shared)
+		g.compact()
+		sel, err := g.selectBest(shared)
 		if err != nil {
 			return nil, err
 		}
 		if !sel.found {
-			i := filter.NextSet(0)
-			return nil, fmt.Errorf("enhance: no valid value combination hits pattern %v; the validation oracle rules out all of its matches", targets[i])
+			return nil, fmt.Errorf("enhance: no valid value combination hits pattern %v; the validation oracle rules out all of its matches", targets[slices.Min(g.live)])
 		}
 		combo := append([]uint8(nil), sel.combo...)
-		hitsVec := hitVector(combo, g.inv, filter)
-		var hits []int
-		hitsVec.ForEach(func(i int) { hits = append(hits, i) })
+		hits := g.take(combo)
 		sug := Suggestion{
 			Combo:   combo,
 			Collect: generalize(combo, targets, hits),
@@ -383,13 +447,85 @@ func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *Cos
 		}
 		plan.Suggestions = append(plan.Suggestions, sug)
 		plan.Stats.Iterations++
-		filter.AndNot(hitsVec)
 	}
 	plan.Stats.NodesExplored = g.nodes
 	if err := verifyPlanCoversAll(plan); err != nil {
 		return nil, err
 	}
 	return plan, nil
+}
+
+// compareWildcards orders patterns by their wildcard positions alone;
+// 0 means they belong to the same group.
+func compareWildcards(p, q pattern.Pattern) int {
+	for i := range p {
+		if pw, qw := p[i] == pattern.Wildcard, q[i] == pattern.Wildcard; pw != qw {
+			if pw {
+				return 1
+			}
+			return -1
+		}
+	}
+	return 0
+}
+
+// compact rebuilds every vector over the live targets, reusing their
+// storage. The root is then all ones, and within one group the targets
+// a prefix matches share its values, so they sit in one contiguous run
+// of the (wildcards, pattern) order.
+func (g *greedyRun) compact() {
+	n := len(g.live)
+	for _, vs := range g.inv {
+		for _, vec := range vs {
+			vec.Reset(n)
+		}
+	}
+	g.cont.Reset(n)
+	g.root.Reset(n)
+	g.root.SetAll()
+	g.tmp.Reset(n)
+	for k, j := range g.live {
+		p := g.targets[j]
+		for i, v := range p {
+			if v == pattern.Wildcard {
+				for _, vec := range g.inv[i] {
+					vec.Set(k)
+				}
+			} else {
+				g.inv[i][v].Set(k)
+			}
+		}
+		if k > 0 {
+			if q := g.targets[g.live[k-1]]; compareWildcards(p, q) == 0 && !p.Equal(q) {
+				g.cont.Set(k)
+			}
+		}
+	}
+	for _, s := range g.searchers {
+		s.resize(n)
+	}
+}
+
+// take removes the live targets combo matches and returns their
+// indices in ascending order.
+func (g *greedyRun) take(combo []uint8) []int {
+	hit := g.tmp
+	hit.CopyFrom(g.root)
+	for i, v := range combo {
+		hit.And(g.inv[i][v])
+	}
+	hits := make([]int, 0, hit.Count())
+	kept := g.live[:0]
+	for k, j := range g.live {
+		if hit.Get(k) {
+			hits = append(hits, j)
+		} else {
+			kept = append(kept, j)
+		}
+	}
+	g.live = kept
+	slices.Sort(hits)
+	return hits
 }
 
 // validSeeds filters the caller's seed combinations down to well-formed
@@ -416,18 +552,17 @@ func (g *greedyRun) validSeeds(seeds [][]uint8) [][]uint8 {
 	return out
 }
 
-// seedScore scores every seed against the remaining targets and
-// returns the best achievable score among them (0 when no seed hits
-// anything — the unseeded behavior).
-func (g *greedyRun) seedScore(filter *bitvec.Vector) float64 {
+// seedScore scores every seed against the live targets and returns the
+// best achievable score among them (0 when no seed hits anything — the
+// unseeded behavior).
+func (g *greedyRun) seedScore() float64 {
 	var best float64
-	tmp := bitvec.New(filter.Len())
 	for _, s := range g.seeds {
-		tmp.CopyFrom(filter)
+		g.tmp.CopyFrom(g.root)
 		for i, v := range s {
-			tmp.And(g.inv[i][v])
+			g.tmp.And(g.inv[i][v])
 		}
-		cnt := tmp.Count()
+		cnt := g.tmp.Count()
 		if cnt == 0 {
 			continue
 		}
@@ -443,30 +578,28 @@ func (g *greedyRun) seedScore(filter *bitvec.Vector) float64 {
 }
 
 // selectBest runs one greedy iteration: the branch-and-bound search
-// for the valid combination maximizing the objective over the patterns
-// still set in filter.
-func (g *greedyRun) selectBest(filter *bitvec.Vector, shared *sharedBest) (selection, error) {
-	seed := g.seedScore(filter)
+// for the valid combination maximizing the objective over the live
+// targets.
+func (g *greedyRun) selectBest(shared *sharedBest) (selection, error) {
+	seed := g.seedScore()
 	floor := lowerBound(seed, g.cost != nil)
 	if len(g.searchers) == 1 {
 		s := g.searchers[0]
 		s.reset(floor)
-		s.levels[0].CopyFrom(filter)
 		s.search(0, 0)
 		g.nodes += s.nodes
 		s.nodes = 0
 		if s.err != nil {
 			return selection{}, s.err
 		}
-		return selection{combo: s.best, hits: s.bestHits, found: s.found}, nil
+		return selection{combo: s.best, found: s.found}, nil
 	}
-	return g.selectBestParallel(filter, shared, seed, floor)
+	return g.selectBestParallel(shared, seed, floor)
 }
 
 // branchResult is one top-level branch's best find.
 type branchResult struct {
 	combo []uint8
-	hits  int
 	score float64
 	found bool
 }
@@ -480,15 +613,15 @@ type branchResult struct {
 // sequential search's selection exactly (the branch floors never prune
 // a leaf matching the global maximum, and ties resolve to the earliest
 // canonical branch just as the sequential scan would).
-func (g *greedyRun) selectBestParallel(filter *bitvec.Vector, shared *sharedBest, seed, floor float64) (selection, error) {
+func (g *greedyRun) selectBestParallel(shared *sharedBest, seed, floor float64) (selection, error) {
 	// Reset the shared bound for this iteration; the best seed's score
 	// is an achieved lower bound, so it starts there.
 	shared.bits.Store(math.Float64bits(seed))
 
 	// Enumerate the top-level branches exactly as the sequential
 	// search's root node would.
-	root := g.searchers[0]
-	combo := root.combo
+	s0 := g.searchers[0]
+	combo := s0.combo
 	branches := make([]childScore, 0, g.cards[0])
 	for v := 0; v < g.cards[0]; v++ {
 		combo[0] = uint8(v)
@@ -496,19 +629,13 @@ func (g *greedyRun) selectBestParallel(filter *bitvec.Vector, shared *sharedBest
 			continue
 		}
 		g.nodes++
-		cnt := filter.CountAnd(g.inv[0][v])
+		cnt := g.root.CountAnd(g.inv[0][v])
 		if cnt == 0 {
 			continue
 		}
-		cost, sc := root.score(0, v, cnt, 0)
-		branches = append(branches, childScore{uint8(v), cnt, cost, sc})
+		cost, sc := s0.score(0, v, cnt, 0)
+		branches = insertChild(branches, childScore{uint8(v), cost, sc})
 	}
-	sort.Slice(branches, func(a, b int) bool {
-		if branches[a].score != branches[b].score {
-			return branches[a].score > branches[b].score
-		}
-		return branches[a].value < branches[b].value
-	})
 
 	results := make([]branchResult, len(branches))
 	var next atomic.Int64
@@ -531,14 +658,10 @@ func (g *greedyRun) selectBestParallel(filter *bitvec.Vector, shared *sharedBest
 					continue // no leaf below can beat the published best
 				}
 				s.reset(floor)
-				s.levels[0].CopyFrom(filter)
-				s.combo[0] = br.value
-				filter.AndInto(g.inv[0][br.value], s.levels[1])
-				s.search(1, br.cost)
+				s.descend(0, br)
 				if s.found {
 					results[bi] = branchResult{
 						combo: append([]uint8(nil), s.best...),
-						hits:  s.bestHits,
 						score: s.bestScore,
 						found: true,
 					}
@@ -558,7 +681,7 @@ func (g *greedyRun) selectBestParallel(filter *bitvec.Vector, shared *sharedBest
 	var selScore float64
 	for _, r := range results {
 		if r.found && (!sel.found || r.score > selScore) {
-			sel = selection{combo: r.combo, hits: r.hits, found: true}
+			sel = selection{combo: r.combo, found: true}
 			selScore = r.score
 		}
 	}

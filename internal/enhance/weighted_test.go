@@ -3,7 +3,6 @@ package enhance
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"coverage/internal/datagen"
 	"coverage/internal/index"
@@ -92,80 +91,6 @@ func TestGreedyWeightedAvoidsExpensiveValues(t *testing.T) {
 		if s.Combo[0] != 0 {
 			t.Errorf("suggestion %v uses the expensive value", s.Combo)
 		}
-	}
-}
-
-// TestGreedyWeightedAlwaysPicksTheBestRatio verifies by brute force
-// that every weighted selection maximizes newly-hit / cost.
-func TestGreedyWeightedAlwaysPicksTheBestRatio(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 2 + r.Intn(3)
-		cards := make([]int, d)
-		for i := range cards {
-			cards[i] = 2 + r.Intn(2)
-		}
-		costs := make([][]float64, d)
-		for i := range costs {
-			costs[i] = make([]float64, cards[i])
-			for v := range costs[i] {
-				costs[i][v] = 0.5 + 3*r.Float64()
-			}
-		}
-		model, err := NewCostModel(cards, costs)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		var targets []pattern.Pattern
-		for k := 0; k < 1+r.Intn(8); k++ {
-			p := make(pattern.Pattern, d)
-			for i := range p {
-				if r.Intn(2) == 0 {
-					p[i] = pattern.Wildcard
-				} else {
-					p[i] = uint8(r.Intn(cards[i]))
-				}
-			}
-			targets = append(targets, p)
-		}
-		plan, err := GreedyWeighted(targets, cards, nil, model)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		remaining := make(map[int]bool)
-		for j := range targets {
-			remaining[j] = true
-		}
-		const eps = 1e-9
-		for _, s := range plan.Suggestions {
-			bestRatio := 0.0
-			pattern.EnumerateCombos(cards, func(combo []uint8) bool {
-				hits := 0
-				for j := range targets {
-					if remaining[j] && targets[j].Matches(combo) {
-						hits++
-					}
-				}
-				if ratio := float64(hits) / model.ComboCost(combo); ratio > bestRatio {
-					bestRatio = ratio
-				}
-				return true
-			})
-			gotRatio := float64(len(s.Hits)) / s.Cost
-			if gotRatio < bestRatio-eps {
-				t.Logf("seed %d: picked ratio %v, brute best %v", seed, gotRatio, bestRatio)
-				return false
-			}
-			for _, j := range s.Hits {
-				delete(remaining, j)
-			}
-		}
-		return len(remaining) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

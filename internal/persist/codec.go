@@ -256,7 +256,7 @@ func encodePlans(e *encoder, ps []engine.CachedPlan) {
 		}
 		e.str(p.Algorithm)
 		e.varint(int64(p.Iterations))
-		e.varint(p.Nodes)
+		e.varint(0) // the node count slot; see engine.CachedPlan
 		e.uvarint(uint64(len(p.Suggestions)))
 		for _, s := range p.Suggestions {
 			e.raw(s.Combo)
@@ -476,7 +476,7 @@ func decodePlans(d *decoder, dim int) []engine.CachedPlan {
 		}
 		p.Algorithm = d.str()
 		p.Iterations = int(d.varint())
-		p.Nodes = d.varint()
+		d.varint() // the node count slot, not restored
 		nSug := d.length(2 * dim)
 		p.Suggestions = make([]engine.PlanSuggestion, 0, nSug)
 		for j := 0; j < nSug && d.err == nil; j++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coverage"
+	"coverage/internal/datagen"
 	"coverage/internal/persist"
 )
 
@@ -96,5 +97,51 @@ func TestRestoreAnalyzerRejectsDamage(t *testing.T) {
 	}
 	if _, err := coverage.RestoreAnalyzer(bytes.NewReader(data[:10])); !errors.Is(err, persist.ErrTruncated) {
 		t.Errorf("truncation: err = %v, want persist.ErrTruncated", err)
+	}
+}
+
+// TestSnapshotBytesIndependentOfPlanScheduling: with two branch
+// workers the planner visits a number of tree nodes that depends on
+// scheduling. That count must not reach the snapshot: analyzers that
+// run one history write identical bytes, and a restored plan reports
+// no nodes, since it ran no search.
+func TestSnapshotBytesIndependentOfPlanScheduling(t *testing.T) {
+	var first []byte
+	for run := 0; run < 8; run++ {
+		an := coverage.NewAnalyzer(datagen.AirBnB(10000, 15, 1))
+		rep, err := an.FindMUPs(coverage.FindOptions{Threshold: 800})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := coverage.PlanOptions{MaxLevel: 3, Workers: 2}
+		if _, err := an.Plan(rep, opts); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := an.SnapshotTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if run > 0 {
+			if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("run %d wrote a different snapshot (%d bytes, first run %d)", run, buf.Len(), len(first))
+			}
+			continue
+		}
+		first = bytes.Clone(buf.Bytes())
+		restored, err := coverage.RestoreAnalyzer(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err = restored.FindMUPs(coverage.FindOptions{Threshold: 800})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := restored.Plan(rep, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Stats.NodesExplored != 0 {
+			t.Errorf("restored plan reports %d nodes explored, want 0", plan.Stats.NodesExplored)
+		}
 	}
 }
