@@ -78,6 +78,14 @@ func TestGreedyAgainstNaiveExample2(t *testing.T) {
 	}
 }
 
+// TestGreedyAlwaysPicksTheMaximum checks every unweighted pick against
+// the brute-force maximum; the cases are in FuzzGreedyMaximum's corpus.
+func TestGreedyAlwaysPicksTheMaximum(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		checkGreedyMaximum(t, seed, false, false, 0, false)
+	}
+}
+
 func TestGeneralizedCollectPattern(t *testing.T) {
 	// Every combination matching a suggestion's Collect pattern must
 	// hit all the targets that suggestion resolved.

@@ -243,14 +243,9 @@ func TestSearchSingleAttribute(t *testing.T) {
 	}
 }
 
-// FuzzGreedyMaximum replays every plan against brute force: each pick
-// must reach the maximum over all oracle-valid combinations of the
-// targets not hit yet — in hits, or in hits per unit cost to within
-// 1e-9 relative — and its Hits must be exactly the remaining targets
-// it matches. Targets are drawn from a few shared wildcard masks with
-// forced exact duplicates, the shapes the group bound prunes on. The
-// inputs choose the objective, an optional oracle rule, 1–3 workers
-// and seed combinations, malformed ones included.
+// FuzzGreedyMaximum runs checkGreedyMaximum on fuzzed inputs. Its
+// corpus holds the cases of TestGreedyAlwaysPicksTheMaximum and
+// TestGreedyWeightedAlwaysPicksTheBestRatio plus mixed ones.
 func FuzzGreedyMaximum(f *testing.F) {
 	for seed := int64(0); seed < 60; seed++ {
 		f.Add(seed, false, false, uint8(0), false)
@@ -259,133 +254,143 @@ func FuzzGreedyMaximum(f *testing.F) {
 	for seed := int64(60); seed < 90; seed++ {
 		f.Add(seed, seed%2 == 0, seed%3 == 0, uint8(seed), seed%4 < 2)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, seeded bool) {
-		r := rand.New(rand.NewSource(seed))
-		d := 2 + r.Intn(4)
-		cards := make([]int, d)
-		for i := range cards {
-			cards[i] = 2 + r.Intn(3)
-		}
-		masks := make([][]bool, 1+r.Intn(3))
-		for m := range masks {
-			masks[m] = make([]bool, d)
-			for i := range masks[m] {
-				masks[m][i] = r.Intn(2) == 0
-			}
-		}
-		var targets []pattern.Pattern
-		for k := 0; k < 1+r.Intn(14); k++ {
-			if k > 0 && r.Intn(4) == 0 {
-				targets = append(targets, append(pattern.Pattern(nil), targets[r.Intn(k)]...))
-				continue
-			}
-			mask := masks[r.Intn(len(masks))]
-			p := make(pattern.Pattern, d)
-			for i := range p {
-				if mask[i] {
-					p[i] = pattern.Wildcard
-				} else {
-					p[i] = uint8(r.Intn(cards[i]))
-				}
-			}
-			targets = append(targets, p)
-		}
-		var cost *CostModel
-		if weighted {
-			cost = randomCostModel(r, cards)
-		}
-		var oracle *Oracle
-		if withOracle {
-			a := r.Intn(d)
-			rule := Rule{Conditions: []Condition{{Attr: a, Values: []uint8{uint8(r.Intn(cards[a]))}}}}
-			if b := r.Intn(d); b != a {
-				rule.Conditions = append(rule.Conditions, Condition{Attr: b, Values: []uint8{uint8(r.Intn(cards[b]))}})
-			}
-			var err error
-			if oracle, err = NewOracle(cards, []Rule{rule}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		opts := SearchOptions{Workers: 1 + int(workers%3)}
-		if seeded {
-			opts.Seeds = [][]uint8{nil, {9}, make([]uint8, d+1)}
-			bad := make([]uint8, d)
-			bad[r.Intn(d)] = 200
-			opts.Seeds = append(opts.Seeds, bad)
-			for k := 0; k < 3; k++ {
-				s := make([]uint8, d)
-				for i, c := range cards {
-					s[i] = uint8(r.Intn(c))
-				}
-				opts.Seeds = append(opts.Seeds, s)
-			}
-		}
+	f.Fuzz(checkGreedyMaximum)
+}
 
-		var plan *Plan
+// checkGreedyMaximum replays a plan against brute force: each pick
+// must reach the maximum over all oracle-valid combinations of the
+// targets not hit yet — in hits, or in hits per unit cost to within
+// 1e-9 relative — and its Hits must be exactly the remaining targets
+// it matches. Targets are drawn from a few shared wildcard masks with
+// forced exact duplicates, the shapes the group bound prunes on. The
+// inputs choose the objective, an optional oracle rule, 1–3 workers
+// and seed combinations, malformed ones included.
+func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, seeded bool) {
+	r := rand.New(rand.NewSource(seed))
+	d := 2 + r.Intn(4)
+	cards := make([]int, d)
+	for i := range cards {
+		cards[i] = 2 + r.Intn(3)
+	}
+	masks := make([][]bool, 1+r.Intn(3))
+	for m := range masks {
+		masks[m] = make([]bool, d)
+		for i := range masks[m] {
+			masks[m][i] = r.Intn(2) == 0
+		}
+	}
+	var targets []pattern.Pattern
+	for k := 0; k < 1+r.Intn(14); k++ {
+		if k > 0 && r.Intn(4) == 0 {
+			targets = append(targets, append(pattern.Pattern(nil), targets[r.Intn(k)]...))
+			continue
+		}
+		mask := masks[r.Intn(len(masks))]
+		p := make(pattern.Pattern, d)
+		for i := range p {
+			if mask[i] {
+				p[i] = pattern.Wildcard
+			} else {
+				p[i] = uint8(r.Intn(cards[i]))
+			}
+		}
+		targets = append(targets, p)
+	}
+	var cost *CostModel
+	if weighted {
+		cost = randomCostModel(r, cards)
+	}
+	var oracle *Oracle
+	if withOracle {
+		a := r.Intn(d)
+		rule := Rule{Conditions: []Condition{{Attr: a, Values: []uint8{uint8(r.Intn(cards[a]))}}}}
+		if b := r.Intn(d); b != a {
+			rule.Conditions = append(rule.Conditions, Condition{Attr: b, Values: []uint8{uint8(r.Intn(cards[b]))}})
+		}
 		var err error
-		if weighted {
-			plan, err = GreedyWeightedSearch(targets, cards, oracle, cost, opts)
-		} else {
-			plan, err = GreedySearch(targets, cards, oracle, opts)
+		if oracle, err = NewOracle(cards, []Rule{rule}); err != nil {
+			t.Fatal(err)
 		}
-		valid := func(combo []uint8) bool { return oracle == nil || oracle.AllowCombo(combo) }
-		if err != nil {
-			// Only a target no valid combination matches may fail a plan.
-			for _, p := range targets {
-				hittable := false
-				pattern.EnumerateCombos(cards, func(combo []uint8) bool {
-					hittable = valid(combo) && p.Matches(combo)
-					return !hittable
-				})
-				if !hittable {
-					return
-				}
+	}
+	opts := SearchOptions{Workers: 1 + int(workers%3)}
+	if seeded {
+		opts.Seeds = [][]uint8{nil, {9}, make([]uint8, d+1)}
+		bad := make([]uint8, d)
+		bad[r.Intn(d)] = 200
+		opts.Seeds = append(opts.Seeds, bad)
+		for k := 0; k < 3; k++ {
+			s := make([]uint8, d)
+			for i, c := range cards {
+				s[i] = uint8(r.Intn(c))
 			}
-			t.Fatalf("every target is hittable, but planning failed: %v", err)
+			opts.Seeds = append(opts.Seeds, s)
 		}
+	}
 
-		remaining := make([]bool, len(targets))
-		for j := range remaining {
-			remaining[j] = true
-		}
-		score := func(combo []uint8) (float64, []int) {
-			var hits []int
-			for j, p := range targets {
-				if remaining[j] && p.Matches(combo) {
-					hits = append(hits, j)
-				}
-			}
-			if weighted {
-				return float64(len(hits)) / cost.ComboCost(combo), hits
-			}
-			return float64(len(hits)), hits
-		}
-		for si, s := range plan.Suggestions {
-			if !valid(s.Combo) {
-				t.Fatalf("pick %d: %v violates the oracle", si, s.Combo)
-			}
-			best := 0.0
+	var plan *Plan
+	var err error
+	if weighted {
+		plan, err = GreedyWeightedSearch(targets, cards, oracle, cost, opts)
+	} else {
+		plan, err = GreedySearch(targets, cards, oracle, opts)
+	}
+	valid := func(combo []uint8) bool { return oracle == nil || oracle.AllowCombo(combo) }
+	if err != nil {
+		// Only a target no valid combination matches may fail a plan.
+		for _, p := range targets {
+			hittable := false
 			pattern.EnumerateCombos(cards, func(combo []uint8) bool {
-				if sc, _ := score(combo); valid(combo) && sc > best {
-					best = sc
-				}
-				return true
+				hittable = valid(combo) && p.Matches(combo)
+				return !hittable
 			})
-			got, hits := score(s.Combo)
-			if !slices.Equal(hits, s.Hits) {
-				t.Fatalf("pick %d: %v records hits %v, matches %v", si, s.Combo, s.Hits, hits)
-			}
-			if weighted && got < best*(1-1e-9) || !weighted && got != best {
-				t.Fatalf("pick %d: %v scores %v, brute-force maximum %v", si, s.Combo, got, best)
-			}
-			for _, j := range hits {
-				remaining[j] = false
+			if !hittable {
+				return
 			}
 		}
-		for j, left := range remaining {
-			if left {
-				t.Fatalf("target %v left unhit", targets[j])
+		t.Fatalf("every target is hittable, but planning failed: %v", err)
+	}
+
+	remaining := make([]bool, len(targets))
+	for j := range remaining {
+		remaining[j] = true
+	}
+	score := func(combo []uint8) (float64, []int) {
+		var hits []int
+		for j, p := range targets {
+			if remaining[j] && p.Matches(combo) {
+				hits = append(hits, j)
 			}
 		}
-	})
+		if weighted {
+			return float64(len(hits)) / cost.ComboCost(combo), hits
+		}
+		return float64(len(hits)), hits
+	}
+	for si, s := range plan.Suggestions {
+		if !valid(s.Combo) {
+			t.Fatalf("pick %d: %v violates the oracle", si, s.Combo)
+		}
+		best := 0.0
+		pattern.EnumerateCombos(cards, func(combo []uint8) bool {
+			if sc, _ := score(combo); valid(combo) && sc > best {
+				best = sc
+			}
+			return true
+		})
+		got, hits := score(s.Combo)
+		if !slices.Equal(hits, s.Hits) {
+			t.Fatalf("pick %d: %v records hits %v, matches %v", si, s.Combo, s.Hits, hits)
+		}
+		if weighted && got < best*(1-1e-9) || !weighted && got != best {
+			t.Fatalf("pick %d: %v scores %v, brute-force maximum %v", si, s.Combo, got, best)
+		}
+		for _, j := range hits {
+			remaining[j] = false
+		}
+	}
+	for j, left := range remaining {
+		if left {
+			t.Fatalf("target %v left unhit", targets[j])
+		}
+	}
 }

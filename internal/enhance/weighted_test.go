@@ -94,6 +94,15 @@ func TestGreedyWeightedAvoidsExpensiveValues(t *testing.T) {
 	}
 }
 
+// TestGreedyWeightedAlwaysPicksTheBestRatio checks every weighted pick
+// against the brute-force best hits per unit cost; the cases are in
+// FuzzGreedyMaximum's corpus.
+func TestGreedyWeightedAlwaysPicksTheBestRatio(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		checkGreedyMaximum(t, seed, true, false, 0, false)
+	}
+}
+
 func TestGreedyWeightedRespectsOracle(t *testing.T) {
 	targets := example2MUPs(t)[:3]
 	o, err := NewOracle(example2Cards, []Rule{
