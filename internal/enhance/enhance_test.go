@@ -79,10 +79,12 @@ func TestGreedyAgainstNaiveExample2(t *testing.T) {
 }
 
 // TestGreedyAlwaysPicksTheMaximum checks every unweighted pick against
-// the brute-force maximum; the cases are in FuzzGreedyMaximum's corpus.
+// the brute-force maximum, on targets that draw one wildcard mask each
+// and on targets that share a few masks and duplicates.
 func TestGreedyAlwaysPicksTheMaximum(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		checkGreedyMaximum(t, seed, false, false, 0, false)
+		checkGreedyMaximum(t, seed, false, false, 0, false, false)
+		checkGreedyMaximum(t, seed, false, false, 0, false, true)
 	}
 }
 

@@ -354,7 +354,6 @@ type greedyRun struct {
 	live []int
 	inv  [][]*bitvec.Vector // Fig 9's index: bit k of inv[i][v] is set iff live[k] has a wildcard or v at i
 	cont *bitvec.Vector     // bit k: live[k] has live[k-1]'s wildcard positions and is not its duplicate
-	root *bitvec.Vector     // every live target
 	tmp  *bitvec.Vector     // scratch for seed scores and hits
 
 	searchers []*treeSearcher
@@ -382,7 +381,6 @@ func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *Cos
 		live:    make([]int, m),
 		inv:     make([][]*bitvec.Vector, len(cards)),
 		cont:    bitvec.New(m),
-		root:    bitvec.New(m),
 		tmp:     bitvec.New(m),
 	}
 	for j := range g.live {
@@ -470,9 +468,9 @@ func compareWildcards(p, q pattern.Pattern) int {
 }
 
 // compact rebuilds every vector over the live targets, reusing their
-// storage. The root is then all ones, and within one group the targets
-// a prefix matches share its values, so they sit in one contiguous run
-// of the (wildcards, pattern) order.
+// storage. Every bit then stands for a live target, and within one
+// group the targets a prefix matches share its values, so they sit in
+// one contiguous run of the (wildcards, pattern) order.
 func (g *greedyRun) compact() {
 	n := len(g.live)
 	for _, vs := range g.inv {
@@ -481,8 +479,6 @@ func (g *greedyRun) compact() {
 		}
 	}
 	g.cont.Reset(n)
-	g.root.Reset(n)
-	g.root.SetAll()
 	g.tmp.Reset(n)
 	for k, j := range g.live {
 		p := g.targets[j]
@@ -510,9 +506,9 @@ func (g *greedyRun) compact() {
 // indices in ascending order.
 func (g *greedyRun) take(combo []uint8) []int {
 	hit := g.tmp
-	hit.CopyFrom(g.root)
-	for i, v := range combo {
-		hit.And(g.inv[i][v])
+	hit.CopyFrom(g.inv[0][combo[0]])
+	for i, v := range combo[1:] {
+		hit.And(g.inv[i+1][v])
 	}
 	hits := make([]int, 0, hit.Count())
 	kept := g.live[:0]
@@ -558,9 +554,9 @@ func (g *greedyRun) validSeeds(seeds [][]uint8) [][]uint8 {
 func (g *greedyRun) seedScore() float64 {
 	var best float64
 	for _, s := range g.seeds {
-		g.tmp.CopyFrom(g.root)
-		for i, v := range s {
-			g.tmp.And(g.inv[i][v])
+		g.tmp.CopyFrom(g.inv[0][s[0]])
+		for i, v := range s[1:] {
+			g.tmp.And(g.inv[i+1][v])
 		}
 		cnt := g.tmp.Count()
 		if cnt == 0 {
@@ -629,7 +625,7 @@ func (g *greedyRun) selectBestParallel(shared *sharedBest, seed, floor float64) 
 			continue
 		}
 		g.nodes++
-		cnt := g.root.CountAnd(g.inv[0][v])
+		cnt := g.inv[0][v].Count()
 		if cnt == 0 {
 			continue
 		}

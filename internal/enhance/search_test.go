@@ -14,16 +14,43 @@ import (
 // randomTargetCase generates a random (cards, targets) pair of the
 // shape the planner sees.
 func randomTargetCase(r *rand.Rand) ([]int, []pattern.Pattern) {
+	return randomTargets(r, false)
+}
+
+// randomTargets draws 2–5 attributes of cardinality 2–4 and up to 14
+// targets. Each target draws its own wildcard positions; with shared,
+// the targets take theirs from 1–3 masks drawn up front, and about one
+// in four is an exact copy of an earlier target — the groups the
+// greedy planner's bound counts.
+func randomTargets(r *rand.Rand, shared bool) ([]int, []pattern.Pattern) {
 	d := 2 + r.Intn(4)
 	cards := make([]int, d)
 	for i := range cards {
 		cards[i] = 2 + r.Intn(3)
 	}
+	var masks [][]bool
+	if shared {
+		masks = make([][]bool, 1+r.Intn(3))
+		for m := range masks {
+			masks[m] = make([]bool, d)
+			for i := range masks[m] {
+				masks[m][i] = r.Intn(2) == 0
+			}
+		}
+	}
 	var targets []pattern.Pattern
 	for k := 0; k < 1+r.Intn(14); k++ {
+		if shared && k > 0 && r.Intn(4) == 0 {
+			targets = append(targets, slices.Clone(targets[r.Intn(k)]))
+			continue
+		}
+		var mask []bool
+		if shared {
+			mask = masks[r.Intn(len(masks))]
+		}
 		p := make(pattern.Pattern, d)
 		for i := range p {
-			if r.Intn(2) == 0 {
+			if shared && mask[i] || !shared && r.Intn(2) == 0 {
 				p[i] = pattern.Wildcard
 			} else {
 				p[i] = uint8(r.Intn(cards[i]))
@@ -244,15 +271,13 @@ func TestSearchSingleAttribute(t *testing.T) {
 }
 
 // FuzzGreedyMaximum runs checkGreedyMaximum on fuzzed inputs. Its
-// corpus holds the cases of TestGreedyAlwaysPicksTheMaximum and
-// TestGreedyWeightedAlwaysPicksTheBestRatio plus mixed ones.
+// corpus mixes the objectives, oracles, worker counts, seeds and
+// target shapes; TestGreedyAlwaysPicksTheMaximum and
+// TestGreedyWeightedAlwaysPicksTheBestRatio run seeds 0–59 of each
+// objective without oracle, workers or seeds.
 func FuzzGreedyMaximum(f *testing.F) {
-	for seed := int64(0); seed < 60; seed++ {
-		f.Add(seed, false, false, uint8(0), false)
-		f.Add(seed, true, false, uint8(0), false)
-	}
 	for seed := int64(60); seed < 90; seed++ {
-		f.Add(seed, seed%2 == 0, seed%3 == 0, uint8(seed), seed%4 < 2)
+		f.Add(seed, seed%2 == 0, seed%3 == 0, uint8(seed), seed%4 < 2, seed%5 < 3)
 	}
 	f.Fuzz(checkGreedyMaximum)
 }
@@ -261,41 +286,14 @@ func FuzzGreedyMaximum(f *testing.F) {
 // must reach the maximum over all oracle-valid combinations of the
 // targets not hit yet — in hits, or in hits per unit cost to within
 // 1e-9 relative — and its Hits must be exactly the remaining targets
-// it matches. Targets are drawn from a few shared wildcard masks with
-// forced exact duplicates, the shapes the group bound prunes on. The
-// inputs choose the objective, an optional oracle rule, 1–3 workers
-// and seed combinations, malformed ones included.
-func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, seeded bool) {
+// it matches. The inputs choose the objective, an optional oracle
+// rule, 1–3 workers, seed combinations (malformed ones included) and
+// whether the targets share a few wildcard masks and exact duplicates,
+// the shapes the group bound prunes on, or draw one mask each.
+func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, seeded, sharedMasks bool) {
 	r := rand.New(rand.NewSource(seed))
-	d := 2 + r.Intn(4)
-	cards := make([]int, d)
-	for i := range cards {
-		cards[i] = 2 + r.Intn(3)
-	}
-	masks := make([][]bool, 1+r.Intn(3))
-	for m := range masks {
-		masks[m] = make([]bool, d)
-		for i := range masks[m] {
-			masks[m][i] = r.Intn(2) == 0
-		}
-	}
-	var targets []pattern.Pattern
-	for k := 0; k < 1+r.Intn(14); k++ {
-		if k > 0 && r.Intn(4) == 0 {
-			targets = append(targets, append(pattern.Pattern(nil), targets[r.Intn(k)]...))
-			continue
-		}
-		mask := masks[r.Intn(len(masks))]
-		p := make(pattern.Pattern, d)
-		for i := range p {
-			if mask[i] {
-				p[i] = pattern.Wildcard
-			} else {
-				p[i] = uint8(r.Intn(cards[i]))
-			}
-		}
-		targets = append(targets, p)
-	}
+	cards, targets := randomTargets(r, sharedMasks)
+	d := len(cards)
 	var cost *CostModel
 	if weighted {
 		cost = randomCostModel(r, cards)

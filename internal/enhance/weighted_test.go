@@ -95,11 +95,13 @@ func TestGreedyWeightedAvoidsExpensiveValues(t *testing.T) {
 }
 
 // TestGreedyWeightedAlwaysPicksTheBestRatio checks every weighted pick
-// against the brute-force best hits per unit cost; the cases are in
-// FuzzGreedyMaximum's corpus.
+// against the brute-force best hits per unit cost, on targets that draw
+// one wildcard mask each and on targets that share a few masks and
+// duplicates.
 func TestGreedyWeightedAlwaysPicksTheBestRatio(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		checkGreedyMaximum(t, seed, true, false, 0, false)
+		checkGreedyMaximum(t, seed, true, false, 0, false, false)
+		checkGreedyMaximum(t, seed, true, false, 0, false, true)
 	}
 }
 
