@@ -356,6 +356,25 @@ func TestWindowEndpoint(t *testing.T) {
 
 func TestPlanEndpoint(t *testing.T) {
 	s := serveFixture(t)
+	// A rejected request costs no MUP search: every 400 leaves
+	// full_searches at 0.
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"no threshold", `{"max_level": 2}`},
+		{"no objective", `{"tau": 1}`},
+		{"both objectives", `{"tau": 1, "max_level": 1, "min_value_count": 2}`},
+		{"level past d", `{"tau": 1, "max_level": 3}`},
+		{"bad json", `nope`},
+	} {
+		if w := do(t, s, "POST", "/plan", tc.body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, w.Code)
+		}
+		if st := decode[statsResponse](t, do(t, s, "GET", "/stats", "")); st.FullSearches != 0 {
+			t.Errorf("%s: full_searches = %d after a rejected /plan, want 0", tc.name, st.FullSearches)
+		}
+	}
+
 	w := do(t, s, "POST", "/plan", `{"tau": 1, "max_level": 2}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
@@ -369,19 +388,6 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 	if resp.Suggestions[0].GapsClosed == 0 {
 		t.Error("suggestion closes no gaps")
-	}
-
-	for _, tc := range []struct {
-		name, body string
-	}{
-		{"no threshold", `{"max_level": 2}`},
-		{"no objective", `{"tau": 1}`},
-		{"both objectives", `{"tau": 1, "max_level": 1, "min_value_count": 2}`},
-		{"bad json", `nope`},
-	} {
-		if w := do(t, s, "POST", "/plan", tc.body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, w.Code)
-		}
 	}
 }
 

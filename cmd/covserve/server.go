@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"coverage"
+	"coverage/internal/enhance"
 	"coverage/internal/persist"
 	"coverage/internal/registry"
 )
@@ -279,8 +280,11 @@ type replicaJSON struct {
 
 // planCacheJSON is the remediation-plan cache section of /stats:
 // probes and hits against the cache, plus how each non-hit was
-// answered — a from-scratch build, a target-set repair that kept the
-// cached plan (zero greedy work), or a seeded greedy rebuild.
+// answered — a first build of the configuration (builds), a stale
+// plan kept because its re-expanded targets were unchanged, with zero
+// greedy work (target_repairs), or a stale plan re-planned from
+// scratch because they changed (seeded_rebuilds — a name kept for
+// existing readers of /stats; the re-plan takes no seeds).
 type planCacheJSON struct {
 	Probes        int64 `json:"probes"`
 	Hits          int64 `json:"hits"`
@@ -835,6 +839,12 @@ const statusClientClosedRequest = 499
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
 	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	// A bad objective is refused before it costs a MUP search.
+	obj := enhance.Objective{MaxLevel: req.MaxLevel, MinValueCount: req.MinValueCount}
+	if err := obj.Validate(s.an.Dataset().Cards()); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !s.admit(w) {

@@ -439,7 +439,9 @@ func coverageOptionsForRate(r float64) FindOptions {
 	return FindOptions{ThresholdRate: r}
 }
 
-// PlanOptions configures enhancement planning.
+// PlanOptions configures enhancement planning. Plan refuses an
+// invalid objective — neither or both of MaxLevel and MinValueCount,
+// or MaxLevel past the dimension — before any search.
 type PlanOptions struct {
 	// MaxLevel is λ: after collecting the plan's suggestions, no
 	// pattern at level ≤ λ remains uncovered. Exactly one of MaxLevel
@@ -473,14 +475,13 @@ type PlanOptions struct {
 // the pattern a data collector can recruit from. Collecting τ rows per
 // suggestion is always sufficient to reach the target.
 //
-// Reports from the Auto algorithm route through the engine's
-// incremental planner: plans are cached per (threshold, objective,
-// oracle, cost model) and, after mutations, repaired from the MUP-set
-// delta — the greedy search re-runs (seeded with the prior
-// suggestions) only when the target set actually changed, and the
-// result is always identical to planning from scratch. Reports from
-// explicit algorithms, and the Naive baseline, plan one-shot as
-// before.
+// Reports from the Auto algorithm route through the engine's cached
+// planner: plans are cached per (threshold, objective, oracle, cost
+// model) and, after mutations, kept when the targets re-expanded from
+// the repaired MUPs are unchanged and re-planned when they changed —
+// the result is always identical to planning from scratch. Reports
+// from explicit algorithms, and the Naive baseline, plan one-shot.
+// Both paths expand targets with enhance.NewTargetSet.
 func (a *Analyzer) Plan(rep *Report, opts PlanOptions) (*Plan, error) {
 	return a.PlanContext(context.Background(), rep, opts)
 }
@@ -490,13 +491,7 @@ func (a *Analyzer) Plan(rep *Report, opts PlanOptions) (*Plan, error) {
 // disconnected HTTP client) stops burning CPU promptly and returns
 // ctx.Err().
 func (a *Analyzer) PlanContext(ctx context.Context, rep *Report, opts PlanOptions) (*Plan, error) {
-	cards := a.ds.Cards()
-	switch {
-	case opts.MaxLevel > 0 && opts.MinValueCount > 0:
-		return nil, fmt.Errorf("coverage: set either MaxLevel or MinValueCount, not both")
-	case opts.MaxLevel <= 0 && opts.MinValueCount == 0:
-		return nil, fmt.Errorf("coverage: a positive MaxLevel or MinValueCount is required")
-	case opts.Naive && opts.Cost != nil:
+	if opts.Naive && opts.Cost != nil {
 		return nil, fmt.Errorf("coverage: the naive baseline has no weighted variant")
 	}
 
@@ -512,27 +507,13 @@ func (a *Analyzer) PlanContext(ctx context.Context, rep *Report, opts PlanOption
 		})
 	}
 
-	var targets []Pattern
-	var err error
-	if opts.MaxLevel > 0 {
-		targets, err = enhance.UncoveredAtLevel(rep.MUPs, cards, opts.MaxLevel)
-	} else {
-		targets, err = enhance.UncoveredByValueCount(rep.MUPs, cards, opts.MinValueCount)
-	}
+	cards := a.ds.Cards()
+	obj := enhance.Objective{MaxLevel: opts.MaxLevel, MinValueCount: opts.MinValueCount}
+	ts, err := enhance.NewTargetSet(rep.MUPs, cards, obj, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	// Patterns every match of which is semantically invalid are not
-	// material: the domain expert's oracle rules them out (§IV).
-	if opts.Oracle != nil {
-		kept := targets[:0]
-		for _, p := range targets {
-			if opts.Oracle.AllowPattern(p) {
-				kept = append(kept, p)
-			}
-		}
-		targets = kept
-	}
+	targets := ts.Targets()
 	sopts := enhance.SearchOptions{Ctx: ctx, Workers: opts.Workers}
 	switch {
 	case opts.Naive:

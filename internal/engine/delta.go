@@ -338,7 +338,6 @@ func exportPlan(key planKey, c *cachedPlan) CachedPlan {
 		OracleFP:      key.oracleFP,
 		CostFP:        key.costFP,
 		Gen:           c.gen,
-		BasisMUPs:     c.basis,
 		Targets:       c.plan.Targets,
 		Algorithm:     c.plan.Stats.Algorithm,
 		Iterations:    c.plan.Stats.Iterations,

@@ -30,11 +30,9 @@
 //
 // Remediation plans ride the same machinery: a bounded per-(τ,
 // objective, oracle, cost model) plan cache sits beside the MUP
-// caches, its entries tagged with the generation and repaired from
-// the MUP-set delta — retracted MUPs drop their expanded hitting-set
-// targets, new MUPs expand only their own cones, and the greedy
-// search re-runs (seeded with the prior suggestions) only when the
-// target set actually changed. See Plan.
+// caches, its entries tagged with the generation. A stale entry's
+// hitting-set targets are re-expanded from the repaired MUP set, and
+// the greedy search re-runs only when they changed. See Plan.
 //
 // The mutation path is signed: Delete retracts rows and SetWindow
 // bounds the engine to the most recent rows, evicting the oldest on
@@ -253,14 +251,14 @@ type Stats struct {
 	// total length of the bodies kept with them (see Answer.Body).
 	CachedSearches int
 	BodyBytes      int64
-	// PlanProbes counts Plan requests; PlanHits those answered from
-	// the plan cache with no work at all. PlanBuilds counts plans
-	// expanded and searched from scratch, PlanRepairs target-set
-	// repairs that proved the cached plan still valid (zero greedy
-	// iterations), and PlanRebuilds seeded greedy re-runs after the
-	// target set changed. CachedPlans is the number of plan
-	// configurations currently cached (bounded by
-	// Options.MaxCachedPlans).
+	// PlanProbes counts Plan requests with a valid objective;
+	// PlanHits those answered from the plan cache with no work at
+	// all. PlanBuilds counts first plans of a configuration,
+	// PlanRepairs stale plans kept because their re-expanded targets
+	// were unchanged (zero greedy iterations), and PlanRebuilds stale
+	// plans re-planned from scratch because their targets changed.
+	// CachedPlans is the number of plan configurations currently
+	// cached (bounded by Options.MaxCachedPlans).
 	PlanProbes   int64
 	PlanHits     int64
 	PlanBuilds   int64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"coverage/internal/enhance"
@@ -132,8 +133,8 @@ func TestPlanCacheLifecycle(t *testing.T) {
 	}
 
 	// Appending more copies of an abundantly covered combination
-	// advances the generation without moving any MUP: the repair must
-	// keep the plan with zero greedy work.
+	// advances the generation without moving any MUP: the re-expanded
+	// targets are unchanged, so the plan is kept with zero greedy work.
 	if err := e.Append([][]uint8{{0, 0, 0}, {0, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPlanCacheLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p3 != p1 {
-		t.Error("no-op repair rebuilt the plan")
+		t.Error("unchanged targets rebuilt the plan")
 	}
 	st = e.Stats()
 	if st.PlanRepairs != 1 || st.PlanRebuilds != 0 || st.PlanBuilds != 1 {
@@ -150,7 +151,7 @@ func TestPlanCacheLifecycle(t *testing.T) {
 	}
 
 	// Covering part of the uncovered space moves MUPs and targets: a
-	// seeded rebuild, still identical to from-scratch.
+	// re-plan, identical to from-scratch.
 	batch := [][]uint8{}
 	for i := 0; i < 4; i++ {
 		batch = append(batch, []uint8{1, 0, 1}, []uint8{0, 2, 1})
@@ -165,7 +166,7 @@ func TestPlanCacheLifecycle(t *testing.T) {
 	assertPlansEqual(t, "after rebuild", scratchReference(t, e, mopts, spec), p4)
 	st = e.Stats()
 	if st.PlanRebuilds == 0 {
-		t.Fatalf("expected a seeded rebuild: %+v", st)
+		t.Fatalf("expected a re-plan: %+v", st)
 	}
 	if st.PlanProbes != 4 {
 		t.Fatalf("probes = %d, want 4", st.PlanProbes)
@@ -252,11 +253,20 @@ func TestPlanObjectiveValidation(t *testing.T) {
 	if _, err := e.Plan(ctx, mup.Options{Threshold: 3}, PlanSpec{MaxLevel: 1, MinValueCount: 2}); err == nil {
 		t.Error("double objective accepted")
 	}
+	if _, err := e.Plan(ctx, mup.Options{Threshold: 3}, PlanSpec{MaxLevel: 4}); err == nil {
+		t.Error("level past the dimension accepted")
+	}
+	// The objective is checked before the MUP search it would pay for.
+	if st := e.Stats(); st.FullSearches != 0 || st.PlanProbes != 0 {
+		t.Errorf("rejected objectives searched: %+v", st)
+	}
 }
 
 // TestPlanRepairAfterRestore pins the snapshot path: a restored entry
-// has no refcounted target set, so the first repair rebuilds it from
-// the entry's own MUP basis and still matches from-scratch.
+// answers its own generation as a hit; after a mutation that leaves
+// its targets unchanged it is kept, the same plan value, with no
+// greedy work; after one that moves them it is re-planned equal to
+// from-scratch.
 func TestPlanRepairAfterRestore(t *testing.T) {
 	e := planTestEngine(t)
 	ctx := context.Background()
@@ -273,13 +283,31 @@ func TestPlanRepairAfterRestore(t *testing.T) {
 		t.Fatalf("restored cached plans = %d, want 1", st.CachedPlans)
 	}
 	// Unchanged data: the restored entry answers as a hit.
-	if _, err := restored.Plan(ctx, mopts, spec); err != nil {
+	p1, err := restored.Plan(ctx, mopts, spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := restored.Stats(); st.PlanHits != e.Stats().PlanHits+1 {
 		t.Fatalf("restored probe was not a hit: %+v", st)
 	}
-	// Mutate, then repair through the rebuilt target set.
+	// More copies of an abundant combination: the targets stay, so the
+	// restored plan is kept.
+	if err := restored.Append([][]uint8{{0, 0, 0}, {0, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	before := restored.Stats()
+	p2, err := restored.Plan(ctx, mopts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := restored.Stats()
+	if p2 != p1 {
+		t.Error("unchanged targets replaced the restored plan")
+	}
+	if after.PlanRepairs != before.PlanRepairs+1 || after.PlanRebuilds != before.PlanRebuilds || after.PlanBuilds != before.PlanBuilds {
+		t.Fatalf("unchanged targets: %+v, before %+v", after, before)
+	}
+	// Covering part of the uncovered space moves the targets: a re-plan.
 	batch := [][]uint8{}
 	for i := 0; i < 4; i++ {
 		batch = append(batch, []uint8{1, 0, 1}, []uint8{0, 2, 1})
@@ -291,12 +319,58 @@ func TestPlanRepairAfterRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPlansEqual(t, "restored repair", scratchReference(t, restored, mopts, spec), got)
+	if st := restored.Stats(); st.PlanRebuilds != after.PlanRebuilds+1 {
+		t.Fatalf("moved targets did not re-plan: %+v", st)
+	}
+	assertPlansEqual(t, "restored re-plan", scratchReference(t, restored, mopts, spec), got)
+}
+
+// TestConcurrentPlans: readers planning while a writer mutates share
+// stale entries, and a kept plan is one value handed to every reader;
+// under -race nothing they share may be written. Once the writer stops,
+// the cached plan equals from-scratch.
+func TestConcurrentPlans(t *testing.T) {
+	cards := []int{2, 3, 3}
+	e := planTestEngine(t)
+	mopts := mup.Options{Threshold: 3}
+	spec := PlanSpec{MaxLevel: 2}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(workers int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := e.Plan(context.Background(), mopts, PlanSpec{MaxLevel: 2, Workers: workers}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(1 + i%2)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for b := 0; b < 40; b++ {
+		if err := e.Append(randomRows(rng, cards, 1+rng.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	got, err := e.Plan(context.Background(), mopts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPlansEqual(t, "after concurrent plans", scratchReference(t, e, mopts, spec), got)
 }
 
 // FuzzPlanEquivalence drives randomized mutation schedules and checks
-// after every step that the cached, incrementally repaired plan is
-// identical — same target set, same suggestions, same cost — to a plan
+// after every step that the cached plan — kept while its targets stay,
+// re-planned when they change — is identical — same target set, same suggestions, same cost — to a plan
 // computed from scratch over the current data.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2))

@@ -117,10 +117,9 @@ type CachedSearch struct {
 // CachedPlan is one cached remediation-plan configuration and its
 // result: the plan-cache key (threshold, MUP level bound, objective,
 // oracle and cost-model fingerprints), the generation the plan
-// reflects, the MUP basis its targets were expanded from, and the plan
-// itself. The refcounted target set is not serialized — it is
-// rebuilt deterministically from BasisMUPs on the first repair that
-// needs it.
+// reflects, and the plan itself. A stale restored plan is checked
+// like any other: its targets are re-expanded from the current MUPs
+// and compared with Targets.
 type CachedPlan struct {
 	Tau           int64
 	MUPMaxLevel   int
@@ -129,9 +128,8 @@ type CachedPlan struct {
 	OracleFP      string
 	CostFP        string
 	// Gen is the data generation the plan reflects (≤ the engine's
-	// generation; stale entries are repaired on the next query).
+	// generation; stale entries are re-checked on the next query).
 	Gen       uint64
-	BasisMUPs []pattern.Pattern
 	Targets   []pattern.Pattern
 	Algorithm string
 	// Iterations mirrors enhance.PlanStats. NodesExplored is not kept:
@@ -519,11 +517,9 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		if (p.MaxLevel > 0) == (p.MinValueCount > 0) {
 			return nil, fmt.Errorf("engine: cached plan %d must set exactly one of MaxLevel and MinValueCount", pi)
 		}
-		for _, set := range [][]pattern.Pattern{p.BasisMUPs, p.Targets} {
-			for _, m := range set {
-				if err := m.Validate(cards); err != nil {
-					return nil, fmt.Errorf("engine: cached plan %d: %w", pi, err)
-				}
+		for _, m := range p.Targets {
+			if err := m.Validate(cards); err != nil {
+				return nil, fmt.Errorf("engine: cached plan %d: %w", pi, err)
 			}
 		}
 		for si, s := range p.Suggestions {
@@ -715,9 +711,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 				Cost:    s.Cost,
 			})
 		}
-		// The refcounted target set is rebuilt from BasisMUPs by the
-		// first repair that needs it; a nil ts marks that.
-		entry := &cachedPlan{gen: p.Gen, basis: p.BasisMUPs, plan: plan}
+		entry := &cachedPlan{gen: p.Gen, plan: plan}
 		entry.last.Store(e.useClock.Add(1))
 		e.planCache[planKey{
 			tau:           p.Tau,

@@ -30,8 +30,8 @@ import (
 // paper's, so the plan is the one the hit-count bound alone selects.
 //
 // Greedy is the sequential entry point; GreedySearch adds
-// cancellation, seed bounds and parallel branch fan-out without
-// changing the resulting plan.
+// cancellation and parallel branch fan-out without changing the
+// resulting plan.
 func Greedy(targets []pattern.Pattern, cards []int, oracle *Oracle) (*Plan, error) {
 	return GreedySearch(targets, cards, oracle, SearchOptions{})
 }

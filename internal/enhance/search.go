@@ -15,9 +15,9 @@ import (
 
 // SearchOptions tunes how the greedy hitting-set planner runs without
 // changing what it returns: for a fixed target set, oracle and cost
-// model, the selected plan is identical at every worker count, with or
-// without seeds, and matches the historical sequential Greedy /
-// GreedyWeighted output combination for combination.
+// model, the selected plan is identical at every worker count and
+// matches the historical sequential Greedy / GreedyWeighted output
+// combination for combination.
 type SearchOptions struct {
 	// Ctx, when non-nil, is polled inside the tree search's pruning
 	// loop; once canceled the search aborts promptly and the planner
@@ -29,15 +29,6 @@ type SearchOptions struct {
 	// best-bound (the mup.ParallelOptions idiom). 0 or 1 runs
 	// sequentially.
 	Workers int
-	// Seeds are value combinations believed to score well — typically
-	// the suggestions of a previous plan over an overlapping target
-	// set. Every greedy iteration scores the seeds against the
-	// remaining targets first and opens the tree search with the best
-	// seed's score as the pruning bound, which is a pure accelerator:
-	// branches that cannot reach the seed's score are skipped, and the
-	// selection is provably the one the unseeded search finds.
-	// Combinations that are malformed or oracle-invalid are ignored.
-	Seeds [][]uint8
 }
 
 // maxSearchWorkers caps the branch fan-out: each worker owns a full
@@ -56,8 +47,8 @@ func (o SearchOptions) workers() int {
 	return 1
 }
 
-// GreedySearch is Greedy with search controls: cancellation, parallel
-// branch fan-out and seed bounds. The plan is identical to Greedy's.
+// GreedySearch is Greedy with search controls: cancellation and
+// parallel branch fan-out. The plan is identical to Greedy's.
 func GreedySearch(targets []pattern.Pattern, cards []int, oracle *Oracle, opts SearchOptions) (*Plan, error) {
 	return runGreedy(targets, cards, oracle, nil, opts, "greedy")
 }
@@ -74,18 +65,19 @@ func GreedyWeightedSearch(targets []pattern.Pattern, cards []int, oracle *Oracle
 	return runGreedy(targets, cards, oracle, cost, opts, "greedy-weighted")
 }
 
-// lowerBound converts a known-achievable score into the strict pruning
-// floor that still admits every leaf matching it, clamped at zero so
-// that a zero-scoring seed leaves the historical "must hit something"
-// behavior intact. Unweighted scores are integer hit counts, so the
-// floor is exactly score−1. Weighted scores are hits/cost ratios whose
-// internal-node upper bounds sum the same costs in a different
-// association order (sufMin accumulates right to left, the descent
-// left to right), so a bound can compute a few ulps below the leaf
-// score it dominates mathematically; the floor therefore backs off by
-// a relative margin far above that accumulation error — everything
-// materially below the score is still pruned, and a subtree holding a
-// score-matching leaf never is.
+// lowerBound converts a known-achievable score — the best leaf another
+// branch has published — into the strict pruning floor that still
+// admits every leaf matching it, clamped at zero so that the
+// historical "must hit something" behavior stays intact. Unweighted
+// scores are integer hit counts, so the floor is exactly score−1.
+// Weighted scores are hits/cost ratios whose internal-node upper
+// bounds sum the same costs in a different association order (sufMin
+// accumulates right to left, the descent left to right), so a bound
+// can compute a few ulps below the leaf score it dominates
+// mathematically; the floor therefore backs off by a relative margin
+// far above that accumulation error — everything materially below the
+// score is still pruned, and a subtree holding a score-matching leaf
+// never is.
 func lowerBound(score float64, weighted bool) float64 {
 	if score <= 0 {
 		return 0
@@ -206,10 +198,9 @@ func (s *treeSearcher) resize(n int) {
 }
 
 // reset prepares the searcher for a fresh selection (or a fresh branch
-// of one): floor is the score the first recorded leaf must strictly
-// beat.
-func (s *treeSearcher) reset(floor float64) {
-	s.bestScore = floor
+// of one): the first recorded leaf must hit something.
+func (s *treeSearcher) reset() {
+	s.bestScore = 0
 	s.found = false
 }
 
@@ -346,7 +337,6 @@ type greedyRun struct {
 	cards   []int
 	oracle  *Oracle
 	cost    *CostModel
-	seeds   [][]uint8
 
 	// live holds the indices of the targets not hit yet, sorted by
 	// (wildcard positions, pattern). Bit k of every vector below stands
@@ -354,7 +344,7 @@ type greedyRun struct {
 	live []int
 	inv  [][]*bitvec.Vector // Fig 9's index: bit k of inv[i][v] is set iff live[k] has a wildcard or v at i
 	cont *bitvec.Vector     // bit k: live[k] has live[k-1]'s wildcard positions and is not its duplicate
-	tmp  *bitvec.Vector     // scratch for seed scores and hits
+	tmp  *bitvec.Vector     // scratch for the hits of a selection
 
 	searchers []*treeSearcher
 	nodes     int64
@@ -398,7 +388,6 @@ func runGreedy(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *Cos
 			g.inv[i][v] = bitvec.New(m)
 		}
 	}
-	g.seeds = g.validSeeds(opts.Seeds)
 	workers := opts.workers()
 	if len(cards) == 1 {
 		workers = 1 // the root is the leaf level; nothing to fan out
@@ -524,64 +513,13 @@ func (g *greedyRun) take(combo []uint8) []int {
 	return hits
 }
 
-// validSeeds filters the caller's seed combinations down to well-formed
-// oracle-valid ones (each copied, so later mutation of the caller's
-// slices cannot skew the bounds).
-func (g *greedyRun) validSeeds(seeds [][]uint8) [][]uint8 {
-	var out [][]uint8
-	for _, s := range seeds {
-		if len(s) != len(g.cards) {
-			continue
-		}
-		ok := true
-		for i, v := range s {
-			if int(v) >= g.cards[i] {
-				ok = false
-				break
-			}
-		}
-		if !ok || !g.oracle.AllowCombo(s) {
-			continue
-		}
-		out = append(out, append([]uint8(nil), s...))
-	}
-	return out
-}
-
-// seedScore scores every seed against the live targets and returns the
-// best achievable score among them (0 when no seed hits anything — the
-// unseeded behavior).
-func (g *greedyRun) seedScore() float64 {
-	var best float64
-	for _, s := range g.seeds {
-		g.tmp.CopyFrom(g.inv[0][s[0]])
-		for i, v := range s[1:] {
-			g.tmp.And(g.inv[i+1][v])
-		}
-		cnt := g.tmp.Count()
-		if cnt == 0 {
-			continue
-		}
-		sc := float64(cnt)
-		if g.cost != nil {
-			sc = float64(cnt) / g.cost.ComboCost(s)
-		}
-		if sc > best {
-			best = sc
-		}
-	}
-	return best
-}
-
 // selectBest runs one greedy iteration: the branch-and-bound search
 // for the valid combination maximizing the objective over the live
 // targets.
 func (g *greedyRun) selectBest(shared *sharedBest) (selection, error) {
-	seed := g.seedScore()
-	floor := lowerBound(seed, g.cost != nil)
 	if len(g.searchers) == 1 {
 		s := g.searchers[0]
-		s.reset(floor)
+		s.reset()
 		s.search(0, 0)
 		g.nodes += s.nodes
 		s.nodes = 0
@@ -590,7 +528,7 @@ func (g *greedyRun) selectBest(shared *sharedBest) (selection, error) {
 		}
 		return selection{combo: s.best, found: s.found}, nil
 	}
-	return g.selectBestParallel(shared, seed, floor)
+	return g.selectBestParallel(shared)
 }
 
 // branchResult is one top-level branch's best find.
@@ -609,10 +547,8 @@ type branchResult struct {
 // sequential search's selection exactly (the branch floors never prune
 // a leaf matching the global maximum, and ties resolve to the earliest
 // canonical branch just as the sequential scan would).
-func (g *greedyRun) selectBestParallel(shared *sharedBest, seed, floor float64) (selection, error) {
-	// Reset the shared bound for this iteration; the best seed's score
-	// is an achieved lower bound, so it starts there.
-	shared.bits.Store(math.Float64bits(seed))
+func (g *greedyRun) selectBestParallel(shared *sharedBest) (selection, error) {
+	shared.bits.Store(0) // a fresh bound for this iteration
 
 	// Enumerate the top-level branches exactly as the sequential
 	// search's root node would.
@@ -653,7 +589,7 @@ func (g *greedyRun) selectBestParallel(shared *sharedBest, seed, floor float64) 
 				if br.score <= lowerBound(shared.load(), g.cost != nil) {
 					continue // no leaf below can beat the published best
 				}
-				s.reset(floor)
+				s.reset()
 				s.descend(0, br)
 				if s.found {
 					results[bi] = branchResult{

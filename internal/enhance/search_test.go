@@ -104,10 +104,10 @@ func plansEqual(t *testing.T, label string, want, got *Plan) {
 }
 
 // TestSearchVariantsProduceIdenticalPlans is the core determinism
-// property of the refactored searcher: parallel branch fan-out and
-// seed bounds are pure accelerators — at every worker count, with any
-// seed set, the selected plan is combination-for-combination the
-// sequential unseeded one. Checked for both objectives.
+// property of the searcher: parallel branch fan-out is a pure
+// accelerator — at every worker count the selected plan is
+// combination-for-combination the sequential one. Checked for both
+// objectives.
 func TestSearchVariantsProduceIdenticalPlans(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -125,42 +125,20 @@ func TestSearchVariantsProduceIdenticalPlans(t *testing.T) {
 			return false
 		}
 
-		// Seeds: some prior suggestions, some random combos, some junk
-		// (wrong length, out-of-range values) that must be ignored.
-		seeds := [][]uint8{{9}, nil}
-		for _, s := range base.Suggestions {
-			seeds = append(seeds, s.Combo)
-		}
-		for k := 0; k < 3; k++ {
-			row := make([]uint8, len(cards))
-			for i, c := range cards {
-				row[i] = uint8(r.Intn(c))
-			}
-			seeds = append(seeds, row)
-		}
-		bad := make([]uint8, len(cards))
-		bad[0] = uint8(cards[0]) // out of range
-		seeds = append(seeds, bad)
-
 		for _, workers := range []int{1, 2, 4} {
-			for _, useSeeds := range []bool{false, true} {
-				opts := SearchOptions{Workers: workers}
-				if useSeeds {
-					opts.Seeds = seeds
-				}
-				got, err := GreedySearch(targets, cards, nil, opts)
-				if err != nil {
-					t.Log(err)
-					return false
-				}
-				plansEqual(t, "greedy", base, got)
-				gotW, err := GreedyWeightedSearch(targets, cards, nil, cost, opts)
-				if err != nil {
-					t.Log(err)
-					return false
-				}
-				plansEqual(t, "weighted", baseW, gotW)
+			opts := SearchOptions{Workers: workers}
+			got, err := GreedySearch(targets, cards, nil, opts)
+			if err != nil {
+				t.Log(err)
+				return false
 			}
+			plansEqual(t, "greedy", base, got)
+			gotW, err := GreedyWeightedSearch(targets, cards, nil, cost, opts)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			plansEqual(t, "weighted", baseW, gotW)
 		}
 		return true
 	}
@@ -170,7 +148,7 @@ func TestSearchVariantsProduceIdenticalPlans(t *testing.T) {
 }
 
 // TestSearchVariantsRespectOracle re-runs the oracle-constrained case
-// of TestGreedyRespectsOracle through the parallel and seeded paths.
+// of TestGreedyRespectsOracle through the parallel path.
 func TestSearchVariantsRespectOracle(t *testing.T) {
 	targets := example2MUPs(t)[:6]
 	o, err := NewOracle(example2Cards, []Rule{
@@ -184,10 +162,8 @@ func TestSearchVariantsRespectOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An oracle-invalid seed (A1=0) must be discarded, not used.
-	seeds := [][]uint8{{0, 2, 0, 1, 1}}
 	for _, workers := range []int{1, 3} {
-		got, err := GreedySearch(hittable, example2Cards, o, SearchOptions{Workers: workers, Seeds: seeds})
+		got, err := GreedySearch(hittable, example2Cards, o, SearchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +236,7 @@ func TestSearchSingleAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GreedySearch(targets, cards, nil, SearchOptions{Workers: 8, Seeds: [][]uint8{{2}}})
+	got, err := GreedySearch(targets, cards, nil, SearchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +247,13 @@ func TestSearchSingleAttribute(t *testing.T) {
 }
 
 // FuzzGreedyMaximum runs checkGreedyMaximum on fuzzed inputs. Its
-// corpus mixes the objectives, oracles, worker counts, seeds and
-// target shapes; TestGreedyAlwaysPicksTheMaximum and
+// corpus mixes the objectives, oracles, worker counts and target
+// shapes; TestGreedyAlwaysPicksTheMaximum and
 // TestGreedyWeightedAlwaysPicksTheBestRatio run seeds 0–59 of each
-// objective without oracle, workers or seeds.
+// objective in both mask modes, without oracle or workers.
 func FuzzGreedyMaximum(f *testing.F) {
 	for seed := int64(60); seed < 90; seed++ {
-		f.Add(seed, seed%2 == 0, seed%3 == 0, uint8(seed), seed%4 < 2, seed%5 < 3)
+		f.Add(seed, seed%2 == 0, seed%3 == 0, uint8(seed), seed%5 < 3)
 	}
 	f.Fuzz(checkGreedyMaximum)
 }
@@ -287,10 +263,10 @@ func FuzzGreedyMaximum(f *testing.F) {
 // targets not hit yet — in hits, or in hits per unit cost to within
 // 1e-9 relative — and its Hits must be exactly the remaining targets
 // it matches. The inputs choose the objective, an optional oracle
-// rule, 1–3 workers, seed combinations (malformed ones included) and
-// whether the targets share a few wildcard masks and exact duplicates,
-// the shapes the group bound prunes on, or draw one mask each.
-func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, seeded, sharedMasks bool) {
+// rule, 1–3 workers and whether the targets share a few wildcard
+// masks and exact duplicates, the shapes the group bound prunes on, or
+// draw one mask each.
+func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, sharedMasks bool) {
 	r := rand.New(rand.NewSource(seed))
 	cards, targets := randomTargets(r, sharedMasks)
 	d := len(cards)
@@ -311,19 +287,6 @@ func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, wor
 		}
 	}
 	opts := SearchOptions{Workers: 1 + int(workers%3)}
-	if seeded {
-		opts.Seeds = [][]uint8{nil, {9}, make([]uint8, d+1)}
-		bad := make([]uint8, d)
-		bad[r.Intn(d)] = 200
-		opts.Seeds = append(opts.Seeds, bad)
-		for k := 0; k < 3; k++ {
-			s := make([]uint8, d)
-			for i, c := range cards {
-				s[i] = uint8(r.Intn(c))
-			}
-			opts.Seeds = append(opts.Seeds, s)
-		}
-	}
 
 	var plan *Plan
 	var err error

@@ -151,45 +151,3 @@ func BenchmarkGreedyPlan(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkGreedyReplan times the re-plan the engine runs after a
-// repair changed the targets, with and without the previous plan's
-// suggestions as seeds: the shape's plan is computed once, every
-// eighth target is retracted, and the rest is planned again.
-func BenchmarkGreedyReplan(b *testing.B) {
-	for _, name := range []string{"zipf10", "airbnb15"} {
-		s := shapeNamed(name)
-		for _, seeded := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/seeded=%v", name, seeded), func(b *testing.B) {
-				p := s.problem(b)
-				var opts SearchOptions
-				if seeded {
-					prior, err := Greedy(p.targets, p.cards, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, sg := range prior.Suggestions {
-						opts.Seeds = append(opts.Seeds, sg.Combo)
-					}
-				}
-				var kept []pattern.Pattern
-				for j, t := range p.targets {
-					if j%8 != 0 {
-						kept = append(kept, t)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var nodes int64
-				for i := 0; i < b.N; i++ {
-					plan, err := GreedySearch(kept, p.cards, nil, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes += plan.Stats.NodesExplored
-				}
-				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-			})
-		}
-	}
-}

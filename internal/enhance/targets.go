@@ -32,202 +32,44 @@ func (o Objective) Validate(cards []int) error {
 	}
 }
 
-// TargetSet is the delta-maintainable set of hitting-set targets for
-// one objective: the union, over the current MUPs, of each MUP's
-// "cone" — its uncovered descendants selected by the objective. Each
-// target carries a reference count of the cones containing it, so the
-// set can be repaired from a MUP-set delta without re-expanding
-// untouched MUPs: a retracted MUP decrements (and drops at zero) only
-// its own cone, a new MUP expands only its own cone. A TargetSet built
-// fresh and one repaired through any sequence of deltas that reach the
-// same MUP set contain identical targets.
-//
-// Patterns whose every match the validation oracle rules out are
-// excluded, exactly as Plan's one-shot path excludes them — they are
-// not material (§IV).
-//
-// TargetSet is not safe for concurrent use; the engine serializes
-// access through its plan cache.
+// TargetSet is the set of hitting-set targets one objective selects
+// from a MUP set: UncoveredAtLevel or UncoveredByValueCount of the
+// MUPs, less the patterns whose every match the validation oracle
+// rules out — those are not material (§IV). It is immutable, so
+// concurrent readers may share it.
 type TargetSet struct {
-	cards  []int
-	obj    Objective
-	oracle *Oracle
-	refs   map[string]int
-	sorted []pattern.Pattern // cached materialization; nil = dirty
+	targets []pattern.Pattern
 }
 
-// NewTargetSet expands the MUP set's cones under the objective. It is
-// equivalent to UncoveredAtLevel / UncoveredByValueCount (plus the
-// oracle filter) on the same inputs.
+// NewTargetSet validates the objective and expands the MUP set's
+// targets under it. It is the planners' one target expansion: the
+// one-shot path and the engine's cached planner both call it.
 func NewTargetSet(mups []pattern.Pattern, cards []int, obj Objective, oracle *Oracle) (*TargetSet, error) {
 	if err := obj.Validate(cards); err != nil {
 		return nil, err
 	}
-	ts := &TargetSet{cards: cards, obj: obj, oracle: oracle, refs: make(map[string]int)}
-	if _, err := ts.Repair(nil, mups); err != nil {
+	var targets []pattern.Pattern
+	var err error
+	if obj.MaxLevel > 0 {
+		targets, err = UncoveredAtLevel(mups, cards, obj.MaxLevel)
+	} else {
+		targets, err = UncoveredByValueCount(mups, cards, obj.MinValueCount)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return ts, nil
-}
-
-// RepairTargets applies a MUP-set delta to the target set: removed
-// MUPs drop their expanded targets (at refcount zero), added MUPs
-// expand only their own cones. It reports whether the target set
-// changed — when it did not, a plan over the old targets is still a
-// plan over the new ones. The free function mirrors mup.Repair's
-// naming; (*TargetSet).Repair is the method form.
-func RepairTargets(ts *TargetSet, removed, added []pattern.Pattern) (changed bool, err error) {
-	return ts.Repair(removed, added)
-}
-
-// Repair applies a MUP-set delta; see RepairTargets. changed reports
-// whether the final target set differs from the one before the call —
-// a target dropped by a retraction and restored by an addition in the
-// same delta does not count. An error (a MUP whose cone overflows the
-// expansion bound, or a retraction of a MUP that was never added)
-// leaves the set unusable — callers should discard it and rebuild from
-// the full MUP set.
-func (ts *TargetSet) Repair(removed, added []pattern.Pattern) (changed bool, err error) {
-	// was records, per key whose refcount crossed zero in either
-	// direction, whether it was present before the call; the set has
-	// changed iff some such key's final presence differs.
-	was := make(map[string]bool)
-	for _, m := range removed {
-		cone, err := ts.cone(m)
-		if err != nil {
-			return false, err
-		}
-		for _, k := range cone {
-			n, ok := ts.refs[k]
-			if !ok {
-				return false, fmt.Errorf("enhance: retracting MUP %v: target %v was never added", m, pattern.FromKey(k))
-			}
-			if n == 1 {
-				delete(ts.refs, k)
-				if _, seen := was[k]; !seen {
-					was[k] = true
-				}
-			} else {
-				ts.refs[k] = n - 1
+	if oracle != nil {
+		kept := targets[:0]
+		for _, p := range targets {
+			if oracle.AllowPattern(p) {
+				kept = append(kept, p)
 			}
 		}
+		targets = kept
 	}
-	for _, m := range added {
-		cone, err := ts.cone(m)
-		if err != nil {
-			return false, err
-		}
-		for _, k := range cone {
-			if _, ok := ts.refs[k]; !ok {
-				if _, seen := was[k]; !seen {
-					was[k] = false
-				}
-			}
-			ts.refs[k]++
-		}
-		if len(ts.refs) > maxExpansion {
-			return false, fmt.Errorf("enhance: more than %d targets under the objective; lower λ or raise the threshold", maxExpansion)
-		}
-	}
-	for k, present := range was {
-		if _, now := ts.refs[k]; now != present {
-			changed = true
-			ts.sorted = nil
-			break
-		}
-	}
-	return changed, nil
+	return &TargetSet{targets: targets}, nil
 }
 
-// cone enumerates one MUP's targets under the objective: its
-// oracle-admissible descendants at exactly level MaxLevel, or those
-// with value count ≥ MinValueCount (the MUP included). Deterministic,
-// so a retraction decrements exactly what the addition incremented.
-func (ts *TargetSet) cone(m pattern.Pattern) ([]string, error) {
-	if err := m.Validate(ts.cards); err != nil {
-		return nil, fmt.Errorf("enhance: bad MUP: %w", err)
-	}
-	var out []string
-	if ts.obj.MaxLevel > 0 {
-		lambda := ts.obj.MaxLevel
-		if m.Level() > lambda {
-			return nil, nil
-		}
-		if n := m.DescendantCount(ts.cards, lambda); n > maxExpansion {
-			return nil, fmt.Errorf("enhance: MUP %v alone has %d descendants at level %d (max %d); lower λ or raise the threshold", m, n, lambda, maxExpansion)
-		}
-		for _, p := range m.DescendantsAtLevel(ts.cards, lambda) {
-			if ts.oracle.AllowPattern(p) {
-				out = append(out, p.Key())
-			}
-		}
-		return out, nil
-	}
-	// Value-count objective: walk down from the MUP, pruning once the
-	// count drops below the bound (instantiating a wildcard divides the
-	// count by that attribute's cardinality, so it is monotone along
-	// every downward path). A local seen-set dedupes the many paths to
-	// each descendant within this cone.
-	minCount := ts.obj.MinValueCount
-	seen := make(map[string]bool)
-	var queue []pattern.Pattern
-	push := func(p pattern.Pattern) error {
-		k := p.Key()
-		if seen[k] {
-			return nil
-		}
-		seen[k] = true
-		if p.ValueCount(ts.cards) < minCount {
-			return nil
-		}
-		if ts.oracle.AllowPattern(p) {
-			out = append(out, k)
-		}
-		if len(out) > maxExpansion {
-			return fmt.Errorf("enhance: MUP %v alone has more than %d descendants with value count ≥ %d", m, maxExpansion, minCount)
-		}
-		queue = append(queue, p)
-		return nil
-	}
-	if err := push(m); err != nil {
-		return nil, err
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, ch := range p.Children(ts.cards) {
-			if err := push(ch); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// Clone returns an independent copy: repairs to either set leave the
-// other untouched. The cached sorted materialization is shared (it is
-// replaced, never mutated, on change).
-func (ts *TargetSet) Clone() *TargetSet {
-	refs := make(map[string]int, len(ts.refs))
-	for k, n := range ts.refs {
-		refs[k] = n
-	}
-	return &TargetSet{cards: ts.cards, obj: ts.obj, oracle: ts.oracle, refs: refs, sorted: ts.sorted}
-}
-
-// Len returns the number of targets.
-func (ts *TargetSet) Len() int { return len(ts.refs) }
-
-// Targets materializes the set, sorted by (level, key) — the order the
-// one-shot expanders produce. The slice is cached until the next
-// change; callers must not modify it.
-func (ts *TargetSet) Targets() []pattern.Pattern {
-	if ts.sorted == nil {
-		ts.sorted = make([]pattern.Pattern, 0, len(ts.refs))
-		for k := range ts.refs {
-			ts.sorted = append(ts.sorted, pattern.FromKey(k))
-		}
-		sortPatterns(ts.sorted)
-	}
-	return ts.sorted
-}
+// Targets returns the targets sorted by (level, key), the order the
+// expanders produce. Callers must not modify the slice.
+func (ts *TargetSet) Targets() []pattern.Pattern { return ts.targets }

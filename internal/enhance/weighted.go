@@ -102,8 +102,8 @@ func (m *CostModel) ComboCost(combo []uint8) float64 {
 // completion), which dominates every leaf ratio in the subtree.
 //
 // GreedyWeighted is the sequential entry point; GreedyWeightedSearch
-// adds cancellation, seed bounds and parallel branch fan-out without
-// changing the resulting plan.
+// adds cancellation and parallel branch fan-out without changing the
+// resulting plan.
 func GreedyWeighted(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *CostModel) (*Plan, error) {
 	return GreedyWeightedSearch(targets, cards, oracle, cost, SearchOptions{})
 }

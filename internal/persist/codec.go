@@ -248,11 +248,10 @@ func encodePlans(e *encoder, ps []engine.CachedPlan) {
 		e.str(p.OracleFP)
 		e.str(p.CostFP)
 		e.uvarint(p.Gen)
-		for _, set := range [][]pattern.Pattern{p.BasisMUPs, p.Targets} {
-			e.uvarint(uint64(len(set)))
-			for _, m := range set {
-				e.raw(m)
-			}
+		e.uvarint(0) // the basis slot; see decodePlans
+		e.uvarint(uint64(len(p.Targets)))
+		for _, m := range p.Targets {
+			e.raw(m)
 		}
 		e.str(p.Algorithm)
 		e.varint(int64(p.Iterations))
@@ -464,15 +463,17 @@ func decodePlans(d *decoder, dim int) []engine.CachedPlan {
 		p.OracleFP = d.str()
 		p.CostFP = d.str()
 		p.Gen = d.uvarint()
-		for _, set := range []*[]pattern.Pattern{&p.BasisMUPs, &p.Targets} {
-			n := d.length(dim)
-			backing := make([]uint8, n*dim)
-			*set = make([]pattern.Pattern, n)
-			for j := 0; j < n && d.err == nil; j++ {
-				q := backing[j*dim : (j+1)*dim : (j+1)*dim]
-				copy(q, d.raw(dim))
-				(*set)[j] = pattern.Pattern(q)
-			}
+		// The basis slot: older writers stored the MUP set the targets
+		// were expanded from. Nothing reads it; it is parsed and
+		// dropped so their snapshots still restore.
+		d.raw(d.length(dim) * dim)
+		n := d.length(dim)
+		backing := make([]uint8, n*dim)
+		p.Targets = make([]pattern.Pattern, n)
+		for j := 0; j < n && d.err == nil; j++ {
+			q := backing[j*dim : (j+1)*dim : (j+1)*dim]
+			copy(q, d.raw(dim))
+			p.Targets[j] = pattern.Pattern(q)
 		}
 		p.Algorithm = d.str()
 		p.Iterations = int(d.varint())

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"coverage/internal/engine"
 	"coverage/internal/enhance"
 	"coverage/internal/mup"
+	"coverage/internal/pattern"
 )
 
 // encodeStateV2 replicates the version-2 payload layout byte for byte:
@@ -224,6 +227,135 @@ func TestSnapshotCarriesPlanCache(t *testing.T) {
 	}
 	if len(p.Suggestions) != len(orig.Suggestions) {
 		t.Errorf("restored plan has %d suggestions, original %d", len(p.Suggestions), len(orig.Suggestions))
+	}
+}
+
+// encodeStateV3WithBasis replicates the v3 payload as it was written
+// while cached plans carried the MUP set their targets were expanded
+// from: the v2 payload, then the plan section with basis(p) in each
+// entry's basis slot, then the plan counters. It exists only here, as
+// the fixture generator proving the current reader still accepts such
+// snapshots.
+func encodeStateV3WithBasis(st *engine.State, basis func(engine.CachedPlan) []pattern.Pattern) []byte {
+	e := &encoder{buf: encodeStateV2(st)}
+	e.uvarint(uint64(len(st.Plans)))
+	for _, p := range st.Plans {
+		e.varint(p.Tau)
+		e.uvarint(uint64(p.MUPMaxLevel))
+		e.uvarint(uint64(p.MaxLevel))
+		e.uvarint(p.MinValueCount)
+		e.str(p.OracleFP)
+		e.str(p.CostFP)
+		e.uvarint(p.Gen)
+		for _, set := range [][]pattern.Pattern{basis(p), p.Targets} {
+			e.uvarint(uint64(len(set)))
+			for _, m := range set {
+				e.raw(m)
+			}
+		}
+		e.str(p.Algorithm)
+		e.varint(int64(p.Iterations))
+		e.varint(0)
+		e.uvarint(uint64(len(p.Suggestions)))
+		for _, s := range p.Suggestions {
+			e.raw(s.Combo)
+			e.raw(s.Collect)
+			e.uvarint(uint64(len(s.Hits)))
+			for _, h := range s.Hits {
+				e.uvarint(uint64(h))
+			}
+			e.uvarint(math.Float64bits(s.Cost))
+		}
+	}
+	for _, c := range []int64{
+		st.Counters.PlanProbes, st.Counters.PlanHits, st.Counters.PlanBuilds,
+		st.Counters.PlanRepairs, st.Counters.PlanRebuilds,
+	} {
+		e.varint(c)
+	}
+	return e.buf
+}
+
+// TestReadV3SnapshotWithPlanBasis: a v3 snapshot whose plans carry a
+// non-empty MUP basis restores with the basis dropped. Each restored
+// plan answers its own generation as a cache hit with the writer's
+// suggestions, and the restored state re-encodes exactly as the
+// writer's state does today.
+func TestReadV3SnapshotWithPlanBasis(t *testing.T) {
+	src := planfulEngine(t, 23, 80)
+	st := src.ExportState()
+	basis := func(p engine.CachedPlan) []pattern.Pattern {
+		for _, c := range st.Cache {
+			if c.Tau == p.Tau && c.MaxLevel == p.MUPMaxLevel && c.Gen == p.Gen {
+				return c.MUPs
+			}
+		}
+		t.Fatalf("no cached search behind plan %+v", p)
+		return nil
+	}
+	withBasis := 0
+	for _, p := range st.Plans {
+		if len(basis(p)) > 0 {
+			withBasis++
+		}
+	}
+	if withBasis != len(st.Plans) || withBasis == 0 {
+		t.Fatalf("%d of %d plans have a non-empty basis, want all", withBasis, len(st.Plans))
+	}
+	fixture := frameVersion(snapshotVersion, encodeStateV3WithBasis(st, basis))
+	var current bytes.Buffer
+	if _, err := WriteSnapshot(&current, st); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(fixture, current.Bytes()) {
+		t.Fatal("fixture carries no basis")
+	}
+
+	got, err := ReadSnapshot(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("reading a v3 snapshot with plan bases: %v", err)
+	}
+	restored, err := engine.NewFromState(got, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := WriteSnapshot(&again, restored.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), current.Bytes()) {
+		t.Error("restored state does not re-encode as the writer's state")
+	}
+
+	ctx := context.Background()
+	for _, q := range []struct {
+		mopts mup.Options
+		spec  engine.PlanSpec
+	}{
+		{mup.Options{Threshold: 2}, engine.PlanSpec{MaxLevel: 2}},
+		{mup.Options{Threshold: 3}, engine.PlanSpec{MinValueCount: 4, Cost: enhance.UniformCost(src.Cards())}},
+	} {
+		hits := restored.Stats().PlanHits
+		p, err := restored.Plan(ctx, q.mopts, q.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Stats().PlanHits != hits+1 {
+			t.Errorf("%+v: restored plan missed the cache", q.spec)
+		}
+		want, err := src.Plan(ctx, q.mopts, q.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Suggestions) != len(want.Suggestions) {
+			t.Fatalf("%+v: %d suggestions, want %d", q.spec, len(p.Suggestions), len(want.Suggestions))
+		}
+		for i, s := range p.Suggestions {
+			w := want.Suggestions[i]
+			if !bytes.Equal(s.Combo, w.Combo) || !s.Collect.Equal(w.Collect) || !slices.Equal(s.Hits, w.Hits) || s.Cost != w.Cost {
+				t.Errorf("%+v: suggestion %d = %+v, want %+v", q.spec, i, s, w)
+			}
+		}
 	}
 }
 
