@@ -477,13 +477,15 @@ func (s *server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		}
 		ps[i] = p
 	}
-	covs, err := s.an.Engine().CoverageBatch(ps)
+	// The row count is read under the same lock as the counts, so a
+	// concurrent append cannot pair its total with older counts.
+	covs, rows, err := s.an.Engine().CoverageBatchRows(ps)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	b := newWireBuf()
-	b.coverage(s.desc, s.an.NumRows(), ps, covs, req.Threshold)
+	b.coverage(s.desc, rows, ps, covs, req.Threshold)
 	b.send(w)
 }
 

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -545,6 +546,89 @@ func TestMUPsRowsMatchGeneration(t *testing.T) {
 		}
 	}
 	t.Logf("%d replies over %d row counts", len(replies[0])+len(replies[1])+len(replies[2]), len(want))
+}
+
+// TestCoverageRowsMatchGeneration: a /coverage reply's rows are those
+// of the generation its counts were read at. One writer appends while
+// readers ask for a batch led by the all-wildcard pattern, whose
+// coverage is the row count itself, so every reply must report it
+// equal to rows.
+func TestCoverageRowsMatchGeneration(t *testing.T) {
+	const (
+		appends = 400
+		readers = 2
+	)
+	attrs := make([]coverage.Attribute, 3)
+	for i := range attrs {
+		attrs[i] = coverage.Attribute{Name: fmt.Sprint("a", i), Values: []string{"0", "1", "2"}}
+	}
+	schema, err := coverage.NewSchema(attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(coverage.NewAnalyzer(coverage.NewDataset(schema)), nil)
+	body := `{"patterns": ["XXX", "0XX", "X12", "201"]}`
+
+	var checked atomic.Int64
+	replied := make(chan struct{}, 1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("POST", "/coverage", strings.NewReader(body)))
+				var resp coverageResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+					t.Errorf("reader %d: %v: %s", r, err, w.Body)
+					return
+				}
+				if len(resp.Results) != 4 || resp.Results[0].Coverage != resp.Rows {
+					t.Errorf("reader %d: reply reports %d rows but cov(XXX) = %v", r, resp.Rows, resp.Results)
+					return
+				}
+				checked.Add(1)
+				select {
+				case replied <- struct{}{}:
+				default:
+				}
+			}
+		}(r)
+	}
+	stopped := make(chan struct{}) // closed once every reader has returned
+	go func() {
+		wg.Wait()
+		close(stopped)
+	}()
+	rng := rand.New(rand.NewSource(11))
+writes:
+	for a := 0; a < appends; a++ {
+		if a%8 == 0 {
+			// Keep the appends among the reads rather than before them
+			// all; a reader that failed has stopped replying.
+			select {
+			case <-replied:
+			case <-stopped:
+				break writes
+			}
+		}
+		row := []uint8{uint8(rng.Intn(3)), uint8(rng.Intn(3)), uint8(rng.Intn(3))}
+		if err := s.an.Append([][]uint8{row}); err != nil {
+			close(done)
+			<-stopped
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	<-stopped
+	t.Logf("%d replies checked", checked.Load())
 }
 
 // TestCodeRowAcceptSet walks the code-row forms whose answer must not

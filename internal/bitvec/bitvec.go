@@ -40,6 +40,11 @@ func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
 // Len returns the logical number of bits.
 func (v *Vector) Len() int { return v.n }
 
+// Words returns the vector's backing words, bit i at bit i%64 of word
+// i/64, with the unused high bits of the last word zero. The slice
+// aliases the vector: callers read it and must not modify it.
+func (v *Vector) Words() []uint64 { return v.words }
+
 // Set sets bit i to 1. It panics if i is out of range.
 func (v *Vector) Set(i int) {
 	v.check(i)
@@ -193,37 +198,6 @@ func (v *Vector) AnyAnd(w *Vector) bool {
 	return false
 }
 
-// AndWindow sets v = v ∧ w over the word range [lo, hi) only and
-// returns the tightened window of words that remain nonzero
-// (newLo >= newHi means the vector is now empty within the window).
-// Words outside [lo, hi) are assumed — and required — to already be
-// zero in v; traversals use this to touch only the shrinking nonzero
-// region of an AND chain.
-func (v *Vector) AndWindow(w *Vector, lo, hi int) (newLo, newHi int) {
-	v.mustMatch(w)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(v.words) {
-		hi = len(v.words)
-	}
-	if lo >= hi {
-		return 0, 0
-	}
-	newLo, newHi = hi, hi // empty unless a nonzero word is found
-	for i := lo; i < hi; i++ {
-		x := v.words[i] & w.words[i]
-		v.words[i] = x
-		if x != 0 {
-			if i < newLo {
-				newLo = i
-			}
-			newHi = i + 1
-		}
-	}
-	return newLo, newHi
-}
-
 // Bounds returns the word window [lo, hi) containing every nonzero
 // word of v (lo >= hi for an all-zero vector).
 func (v *Vector) Bounds() (lo, hi int) {
@@ -237,29 +211,6 @@ func (v *Vector) Bounds() (lo, hi int) {
 		}
 	}
 	return lo, hi
-}
-
-// DotCountsRange is DotCounts restricted to the word range [lo, hi).
-func (v *Vector) DotCountsRange(counts []int64, lo, hi int) int64 {
-	if len(counts) != v.n {
-		panic(fmt.Sprintf("bitvec: counts length %d does not match vector length %d", len(counts), v.n))
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(v.words) {
-		hi = len(v.words)
-	}
-	var sum int64
-	for wi := lo; wi < hi; wi++ {
-		w := v.words[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			sum += counts[wi*wordBits+b]
-			w &= w - 1
-		}
-	}
-	return sum
 }
 
 // CountAnd returns |v ∧ w| without materializing the intersection.

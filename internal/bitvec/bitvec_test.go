@@ -310,52 +310,6 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestAndWindowMatchesAnd(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(300)
-		a, _ := randomPair(r, n)
-		b, _ := randomPair(r, n)
-		want := a.Clone()
-		want.And(b)
-
-		got := a.Clone()
-		lo, hi := got.Bounds()
-		lo, hi = got.AndWindow(b, lo, hi)
-		if !got.Equal(want) {
-			t.Fatalf("n=%d: AndWindow result differs from And", n)
-		}
-		// The returned window must contain every set bit.
-		wl, wh := want.Bounds()
-		if want.Any() && (lo > wl || hi < wh) {
-			t.Fatalf("n=%d: window [%d,%d) misses bits in [%d,%d)", n, lo, hi, wl, wh)
-		}
-		if !want.Any() && lo < hi {
-			t.Fatalf("n=%d: empty result but window [%d,%d)", n, lo, hi)
-		}
-		// DotCountsRange over the window equals DotCounts.
-		counts := make([]int64, n)
-		for i := range counts {
-			counts[i] = int64(r.Intn(100))
-		}
-		if got.DotCountsRange(counts, lo, hi) != want.DotCounts(counts) {
-			t.Fatalf("n=%d: DotCountsRange differs from DotCounts", n)
-		}
-	}
-}
-
-func TestAndWindowClampsRange(t *testing.T) {
-	a := NewOnes(64)
-	b := NewOnes(64)
-	lo, hi := a.AndWindow(b, -5, 99)
-	if lo != 0 || hi != 1 {
-		t.Errorf("clamped window = [%d, %d), want [0, 1)", lo, hi)
-	}
-	if got := a.DotCountsRange(make([]int64, 64), -1, 99); got != 0 {
-		t.Errorf("DotCountsRange with clamped empty counts = %d", got)
-	}
-}
-
 func TestQuickCountAndMatchesAndThenCount(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"coverage/internal/datagen"
+	"coverage/internal/dataset"
 	"coverage/internal/mup"
+	"coverage/internal/pattern"
 )
 
 // benchCards is a 13-attribute schema in the AirBnB shape the paper's
@@ -64,6 +67,68 @@ func BenchmarkEngineMUPSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := mup.ParallelPatternBreaker(oracle, mup.ParallelOptions{Options: opts}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineCoverageBatch measures one /coverage batch in process
+// at the shapes of the benchmark's probe workload: 100 000 rows per
+// tenant on 2 shard cores, a pending delta of the ≤ 400 combinations
+// four 100-row batches appended and deleted again leave behind, and
+// batches of 64 patterns of level 1–6. Each iteration answers one
+// batch, cycling through 16 of them.
+func BenchmarkEngineCoverageBatch(b *testing.B) {
+	const rows, batchRows, batches = 100000, 100, 4
+	tenants := []struct {
+		name string
+		ds   *dataset.Dataset
+	}{
+		{"airbnb13", datagen.AirBnB(rows+batches*batchRows, 13, 42)},
+		{"bluenile7", datagen.BlueNile(rows+batches*batchRows, 42)},
+		{"zipf10", datagen.Zipf(rows+batches*batchRows, []int{2, 3, 4, 5, 6, 2, 3, 4, 5, 6}, 1.2, 42)},
+	}
+	for _, tn := range tenants {
+		b.Run(tn.name, func(b *testing.B) {
+			all := make([][]uint8, tn.ds.NumRows())
+			for i := range all {
+				all[i] = tn.ds.Row(i)
+			}
+			e := NewSharded(tn.ds.Schema(), 2, Options{})
+			if err := e.Append(all[:rows]); err != nil {
+				b.Fatal(err)
+			}
+			e.Oracle() // fold the bulk load into the bases
+			for lo := rows; lo < len(all); lo += batchRows {
+				batch := all[lo : lo+batchRows]
+				if err := e.Append(batch); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Delete(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if d := e.Stats().DeltaDistinct; d == 0 || d > batches*batchRows {
+				b.Fatalf("pending delta holds %d combinations, want 1–%d", d, batches*batchRows)
+			}
+			rng := rand.New(rand.NewSource(7))
+			cards := tn.ds.Cards()
+			reqs := make([][]pattern.Pattern, 16)
+			for i := range reqs {
+				reqs[i] = make([]pattern.Pattern, 64)
+				for j := range reqs[i] {
+					p := pattern.All(len(cards))
+					for _, a := range rng.Perm(len(cards))[:1+rng.Intn(min(6, len(cards)))] {
+						p[a] = uint8(rng.Intn(cards[a]))
+					}
+					reqs[i][j] = p
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.CoverageBatch(reqs[i%len(reqs)]); err != nil {
 					b.Fatal(err)
 				}
 			}

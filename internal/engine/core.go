@@ -112,7 +112,7 @@ func (c *shardCore) applySigned(k pattern.PackedKey, n int64) {
 		c.delta[pos-1].count += n
 		return
 	}
-	c.delta = append(c.delta, deltaEntry{combo: c.keys.pattern(k), count: n})
+	c.delta = append(c.delta, deltaEntry{key: k, count: n})
 	c.deltaPos.Set(k, int64(len(c.delta)))
 }
 
@@ -182,14 +182,22 @@ func (c *shardCore) fold() *index.Index {
 	return c.base
 }
 
-// coverage returns the partition's contribution to cov(P): the base
-// oracle's windowed bit-vector probe plus a scan of the (small) delta.
-func (c *shardCore) coverage(p pattern.Pattern) int64 {
-	n := c.pool.Coverage(p)
-	for i := range c.delta {
-		if p.Matches(c.delta[i].combo) {
-			n += c.delta[i].count
-		}
+// coverageBatch writes the partition's contribution to cov(ps[i]) into
+// out[i]: the base oracle's probe plus a scan of the (small) delta, in
+// which ms[i], the masked key of ps[i], matches an entry with one
+// masked compare.
+func (c *shardCore) coverageBatch(ps []pattern.Pattern, ms []pattern.MaskedKey, out []int64) {
+	c.pool.CoverageBatch(ps, out)
+	if len(c.delta) == 0 {
+		return
 	}
-	return n
+	for i := range ms {
+		m, n := &ms[i], out[i]
+		for j := range c.delta {
+			if d := &c.delta[j]; m.Matches(&d.key) {
+				n += d.count
+			}
+		}
+		out[i] = n
+	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"coverage/internal/mup"
@@ -190,5 +191,110 @@ func TestDeletePendingDeltaWindow(t *testing.T) {
 	}
 	if got := e.Rows(); got != 4 {
 		t.Errorf("rows = %d after tombstone reconciliation, want 4", got)
+	}
+}
+
+// TestPackedDeltaStraddlingKey checks the masked delta scan on a schema
+// whose packed key straddles its two words: 18 hundred-value attributes
+// fill 63 bits of each, and the last, three-valued one has one bit in
+// each word. Pending deltas hold signed counts (deletes of base rows
+// as well as appends), stay below the compaction threshold, and every
+// answer of Coverage and CoverageBatch must equal a count over the live
+// rows, patterns fixing the straddling attribute included.
+func TestPackedDeltaStraddlingKey(t *testing.T) {
+	cards := make([]int, 19)
+	for i := range cards {
+		cards[i] = 100
+	}
+	cards[18] = 3
+	if b := pattern.KeyBits(cards); b != pattern.MaxKeyBits {
+		t.Fatalf("KeyBits = %d, want %d", b, pattern.MaxKeyBits)
+	}
+	schema := testSchema(t, cards)
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(shards)))
+		// Low codes only, skewed towards 0, so patterns match often.
+		row := func() []uint8 {
+			r := make([]uint8, len(cards))
+			for j := range r {
+				r[j] = uint8(min(rng.Intn(3), rng.Intn(3)))
+			}
+			return r
+		}
+		var live [][]uint8
+		e := NewSharded(schema, shards, Options{})
+		for i := 0; i < 2000; i++ {
+			live = append(live, row())
+		}
+		if err := e.Append(live); err != nil {
+			t.Fatal(err)
+		}
+		e.Oracle() // fold: the rows so far become the bases
+		compactions := e.Stats().Compactions
+
+		check := func(round int) {
+			ps := []pattern.Pattern{pattern.All(len(cards))}
+			for len(ps) < 120 {
+				p := pattern.All(len(cards))
+				src := live[rng.Intn(len(live))]
+				for _, j := range rng.Perm(len(cards))[:1+rng.Intn(len(cards))] {
+					p[j] = src[j]
+				}
+				if len(ps)%3 == 0 {
+					p[18] = uint8(len(ps) / 3 % 3) // every code of the straddling field
+				}
+				ps = append(ps, p)
+			}
+			batch, err := e.CoverageBatch(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range ps {
+				var want int64
+				for _, r := range live {
+					if p.Matches(r) {
+						want++
+					}
+				}
+				got, err := e.Coverage(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || batch[i] != want {
+					t.Fatalf("shards=%d round %d: cov(%v) = %d, batch %d, live rows %d", shards, round, p, got, batch[i], want)
+				}
+			}
+		}
+		for round := 0; round < 6; round++ {
+			var add [][]uint8
+			for i := 0; i < 40; i++ {
+				add = append(add, row())
+			}
+			if err := e.Append(add); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, add...)
+			var del [][]uint8
+			for i := 0; i < 30; i++ { // mostly rows of the bases
+				k := rng.Intn(len(live))
+				del = append(del, live[k])
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if err := e.Delete(del); err != nil {
+				t.Fatal(err)
+			}
+			check(round)
+		}
+		negative := false
+		for _, c := range e.cores {
+			for _, d := range c.delta {
+				negative = negative || d.count < 0
+			}
+		}
+		if st := e.Stats(); st.Compactions != compactions || st.DeltaDistinct == 0 || !negative {
+			t.Fatalf("shards=%d: %d compactions since the fold, %d pending delta entries, a negative one: %v; want 0, > 0, true",
+				shards, st.Compactions-compactions, st.DeltaDistinct, negative)
+		}
 	}
 }

@@ -280,7 +280,7 @@ type Stats struct {
 // core's last compaction, with the signed multiplicity change since
 // then (negative when deletions or window evictions outweigh appends).
 type deltaEntry struct {
-	combo pattern.Pattern
+	key   pattern.PackedKey
 	count int64
 }
 
@@ -1157,39 +1157,49 @@ func (e *ShardedEngine) distinctLocked() int {
 // Coverage returns cov(P) over all live data: the sum of the per-core
 // answers (base probe plus delta scan on each partition).
 func (e *ShardedEngine) Coverage(p pattern.Pattern) (int64, error) {
-	if err := p.Validate(e.cards); err != nil {
+	out, _, err := e.CoverageBatchRows([]pattern.Pattern{p})
+	if err != nil {
 		return 0, err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var c int64
-	for _, core := range e.cores {
-		c += core.coverage(p)
-	}
-	return c, nil
+	return out[0], nil
 }
 
 // CoverageBatch answers many coverage queries under one lock
-// acquisition, fanning the batch out core by core (each core resolves
-// the whole pattern list over its partition on its own goroutine, then
-// the per-shard count vectors are summed). It fails on the first
-// invalid pattern.
+// acquisition; see CoverageBatchRows.
 func (e *ShardedEngine) CoverageBatch(ps []pattern.Pattern) ([]int64, error) {
-	for _, p := range ps {
+	out, _, err := e.CoverageBatchRows(ps)
+	return out, err
+}
+
+// CoverageBatchRows answers many coverage queries under one lock
+// acquisition and returns them with the row count of the same
+// generation, so a reply never pairs counts with a later mutation's
+// total. The batch fans out core by core: each core resolves the whole
+// pattern list over its partition on its own goroutine, then the
+// per-shard count vectors are summed. Every pattern's masked key for
+// the delta scans is built once, up front. It fails on the first
+// invalid pattern.
+func (e *ShardedEngine) CoverageBatchRows(ps []pattern.Pattern) ([]int64, int64, error) {
+	ms := make([]pattern.MaskedKey, len(ps))
+	for i, p := range ps {
 		if err := p.Validate(e.cards); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		ms[i] = e.keys.codec.Masked(p)
 	}
 	out := make([]int64, len(ps))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	rows := e.rows
 	if len(e.cores) == 1 || len(ps) == 1 {
+		vec := make([]int64, len(ps))
 		for _, core := range e.cores {
-			for i, p := range ps {
-				out[i] += core.coverage(p)
+			core.coverageBatch(ps, ms, vec)
+			for i, c := range vec {
+				out[i] += c
 			}
 		}
-		return out, nil
+		return out, rows, nil
 	}
 	partial := make([][]int64, len(e.cores))
 	var wg sync.WaitGroup
@@ -1198,9 +1208,7 @@ func (e *ShardedEngine) CoverageBatch(ps []pattern.Pattern) ([]int64, error) {
 		go func(ci int, core *shardCore) {
 			defer wg.Done()
 			vec := make([]int64, len(ps))
-			for i, p := range ps {
-				vec[i] = core.coverage(p)
-			}
+			core.coverageBatch(ps, ms, vec)
 			partial[ci] = vec
 		}(ci, core)
 	}
@@ -1210,7 +1218,7 @@ func (e *ShardedEngine) CoverageBatch(ps []pattern.Pattern) ([]int64, error) {
 			out[i] += c
 		}
 	}
-	return out, nil
+	return out, rows, nil
 }
 
 // foldLocked compacts every core's pending delta (in parallel) and

@@ -200,6 +200,7 @@ type coreSnapshot struct {
 type Capture struct {
 	st    *State
 	cores []coreSnapshot
+	keys  *keyCodec // decodes the deltas' packed keys
 	// windowEvicted and windowEpoch pin the window log's coordinates at
 	// capture time — the anchor Baseline carries so the next CaptureDelta
 	// can express the log as a drop/append pair (they are not part of
@@ -282,7 +283,7 @@ func (e *ShardedEngine) CaptureState() *Capture {
 		attrs[i] = e.schema.Attr(i)
 	}
 	st.Attrs = attrs
-	return &Capture{st: st, cores: cores, windowEvicted: windowEvicted, windowEpoch: windowEpoch}
+	return &Capture{st: st, cores: cores, keys: e.keys, windowEvicted: windowEvicted, windowEpoch: windowEpoch}
 }
 
 // Baseline derives the DeltaBaseline describing the captured state —
@@ -327,10 +328,11 @@ func (c *Capture) State() *State {
 			part[combo] = cnt
 		})
 		for _, d := range core.delta {
-			if n := part[string(d.combo)] + d.count; n == 0 {
-				delete(part, string(d.combo))
+			k := c.keys.str(d.key)
+			if n := part[k] + d.count; n == 0 {
+				delete(part, k)
 			} else {
-				part[string(d.combo)] = n
+				part[k] = n
 			}
 		}
 		keys := make([]string, 0, len(part))

@@ -8,10 +8,16 @@ import (
 	"coverage/internal/pattern"
 )
 
-// Ablation: the production probe (sparsest-first AND order, shrinking
-// word window, early zero exit) versus (a) the same inverted indices
-// probed naively — full-width ANDs in attribute order via MatchVector
-// — and (b) a literal scan over the raw rows (Definition 2).
+// Ablation: the production probe versus (a) the same inverted indices
+// probed naively — full-width ANDs in attribute order via MatchVector,
+// then a bit-by-bit dot product with the counts — and (b) a literal
+// scan over the raw rows (Definition 2). The production kernel ANDs
+// sparsest vector first, only over the intersection of the vectors'
+// nonzero word windows, reading the sparsest vector in place rather
+// than copying it, tightening the window and exiting early once it
+// empties; its last AND is fused with the count, pricing a dense word
+// from the bit-sliced count planes (Σ_b popcount(m & plane_b) << b) and
+// a sparse one match by match.
 //
 // Run with: go test -bench=ProbeAblation ./internal/index
 

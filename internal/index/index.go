@@ -8,6 +8,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -21,18 +22,36 @@ import (
 // once; probe it any number of times. Concurrent probes must use
 // separate Probers.
 //
-// The full-combo multiplicity table — hit by every deepest-level probe
-// of the MUP descent — is a countstore.Probe over packed keys.
+// The multiplicity vector is held twice: as counts, one int64 per
+// distinct combination, and bit-sliced into planes, where plane b holds
+// bit b of every count. The probe kernel prices a dense word of matches
+// from the planes (one popcount per plane) and a sparse one from counts
+// (one load per match). The full-combo multiplicity table — hit by
+// every deepest-level probe of the MUP descent — is a countstore.Probe
+// over packed keys.
 type Index struct {
-	schema  *dataset.Schema
-	cards   []int
-	vecs    [][]*bitvec.Vector // [attribute][value] → bits over distinct combos
-	density [][]int            // [attribute][value] → set-bit count of the vector
-	counts  []int64            // multiplicity per distinct combo
-	flat    *countstore.Probe  // full combo → multiplicity
-	codec   *pattern.Codec     // flat's key layout
+	schema *dataset.Schema
+	cards  []int
+	vecs   [][]*bitvec.Vector // [attribute][value] → bits over distinct combos
+	vals   [][]valueVec       // [attribute][value] → the kernel's view of vecs
+	counts []int64            // multiplicity per distinct combo
+	// planes holds bit b of the counts of combos 64w..64w+63 at
+	// planes[w*nPlanes+b], so one word's planes share a cache line or two.
+	planes  []uint64
+	nPlanes int
+	flat    *countstore.Probe // full combo → multiplicity
+	codec   *pattern.Codec    // flat's key layout
 	total   int64
 	nDist   int
+}
+
+// valueVec is one per-value bit vector as the probe kernel reads it:
+// its words, the window [lo, hi) outside which every word is zero, and
+// its set-bit count, which orders a probe's ANDs sparsest first.
+type valueVec struct {
+	words   []uint64
+	lo, hi  int
+	density int
 }
 
 // Build constructs the oracle for d (deduplicating internally).
@@ -65,14 +84,34 @@ func BuildFromDistinct(dd *dataset.Distinct) *Index {
 		ix.setCombo(combo, dd.Counts[k])
 		ix.total += dd.Counts[k]
 	}
-	ix.density = make([][]int, len(cards))
+	ix.vals = make([][]valueVec, len(cards))
 	for i, c := range cards {
-		ix.density[i] = make([]int, c)
+		ix.vals[i] = make([]valueVec, c)
 		for v := 0; v < c; v++ {
-			ix.density[i][v] = ix.vecs[i][v].Count()
+			vec := ix.vecs[i][v]
+			lo, hi := vec.Bounds()
+			ix.vals[i][v] = valueVec{words: vec.Words(), lo: lo, hi: hi, density: vec.Count()}
 		}
 	}
+	ix.slicePlanes()
 	return ix
+}
+
+// slicePlanes builds the bit planes of the counts: bits.Len64 of the
+// largest count of them, word-interleaved.
+func (ix *Index) slicePlanes() {
+	var most int64
+	for _, n := range ix.counts {
+		most = max(most, n)
+	}
+	ix.nPlanes = bits.Len64(uint64(most))
+	ix.planes = make([]uint64, (ix.nDist+63)/64*ix.nPlanes)
+	for k, n := range ix.counts {
+		pl := ix.planes[k/64*ix.nPlanes:]
+		for b := 0; n != 0; b, n = b+1, n>>1 {
+			pl[b] |= uint64(n&1) << (k % 64)
+		}
+	}
 }
 
 // initComboStore allocates the full-combo count table. The table only
@@ -199,14 +238,14 @@ func (ix *Index) Range(fn func(combo string, count int64)) {
 // goroutine.
 type Prober struct {
 	ix     *Index
-	buf    *bitvec.Vector
-	det    []int // scratch: deterministic attribute positions
-	probes int64 // number of coverage computations performed
+	buf    []uint64 // scratch: the running AND of a probe of 3+ values
+	det    []int    // scratch: deterministic attribute positions
+	probes int64    // number of coverage computations performed
 }
 
 // NewProber returns a fresh Prober for the index.
 func (ix *Index) NewProber() *Prober {
-	return &Prober{ix: ix, buf: bitvec.New(ix.nDist), det: make([]int, 0, len(ix.cards))}
+	return &Prober{ix: ix, buf: make([]uint64, (ix.nDist+63)/64), det: make([]int, 0, len(ix.cards))}
 }
 
 // Probes returns how many coverage computations this Prober has
@@ -215,10 +254,12 @@ func (ix *Index) NewProber() *Prober {
 func (pr *Prober) Probes() int64 { return pr.probes }
 
 // Coverage returns cov(P) for the prober's index. The deterministic
-// attributes are intersected sparsest-first so the running match set
-// collapses as early as possible, the AND chain touches only the
-// shrinking nonzero word window, and the probe exits as soon as the
-// window empties.
+// attributes' vectors are intersected sparsest-first, only over the
+// intersection of their nonzero windows. The first AND reads the
+// sparsest vector in place and writes the scratch buffer, every later
+// one tightens the window to the words still nonzero and exits once it
+// empties, and the last is fused with the dot product against the
+// counts, so a probe of one or two values writes no buffer at all.
 func (pr *Prober) Coverage(p pattern.Pattern) int64 {
 	ix := pr.ix
 	if len(p) != len(ix.cards) {
@@ -240,27 +281,78 @@ func (pr *Prober) Coverage(p pattern.Pattern) int64 {
 	// Sparsest vector first (insertion sort; the list is tiny).
 	for a := 1; a < len(pr.det); a++ {
 		i := pr.det[a]
-		di := ix.density[i][p[i]]
+		di := ix.vals[i][p[i]].density
 		b := a - 1
-		for b >= 0 && ix.density[pr.det[b]][p[pr.det[b]]] > di {
+		for b >= 0 && ix.vals[pr.det[b]][p[pr.det[b]]].density > di {
 			pr.det[b+1] = pr.det[b]
 			b--
 		}
 		pr.det[b+1] = i
 	}
-	first := pr.det[0]
-	pr.buf.CopyFrom(ix.vecs[first][p[first]])
-	lo, hi := pr.buf.Bounds()
-	for _, i := range pr.det[1:] {
-		if lo >= hi {
-			return 0
-		}
-		lo, hi = pr.buf.AndWindow(ix.vecs[i][p[i]], lo, hi)
+	lo, hi := 0, len(pr.buf)
+	for _, i := range pr.det {
+		v := &ix.vals[i][p[i]]
+		lo, hi = max(lo, v.lo), min(hi, v.hi)
 	}
 	if lo >= hi {
 		return 0
 	}
-	return pr.buf.DotCountsRange(ix.counts, lo, hi)
+	first := ix.vals[pr.det[0]][p[pr.det[0]]].words
+	last := ix.vals[pr.det[len(pr.det)-1]][p[pr.det[len(pr.det)-1]]].words
+	for k := 1; k < len(pr.det)-1; k++ {
+		i := pr.det[k]
+		lo, hi = andWindow(pr.buf, first, ix.vals[i][p[i]].words, lo, hi)
+		if lo >= hi {
+			return 0
+		}
+		first = pr.buf
+	}
+	return ix.andDot(first, last, lo, hi)
+}
+
+// andWindow writes dst = a ∧ b over the word window [lo, hi) and
+// returns the window of the nonzero words written (lo >= hi when all
+// are zero). dst may be a; its words outside the window are left stale
+// and never read.
+func andWindow(dst, a, b []uint64, lo, hi int) (newLo, newHi int) {
+	newLo, newHi = hi, hi
+	for w := lo; w < hi; w++ {
+		x := a[w] & b[w]
+		dst[w] = x
+		if x != 0 {
+			newLo = min(newLo, w)
+			newHi = w + 1
+		}
+	}
+	return newLo, newHi
+}
+
+// andDot returns Σ counts[k] over the bits k set in both a and b within
+// the word window [lo, hi). A word with fewer matches than there are
+// planes is priced match by match from the counts; a denser one as
+// Σ_b popcount(m & plane_b) << b.
+func (ix *Index) andDot(a, b []uint64, lo, hi int) int64 {
+	np := ix.nPlanes
+	a, b = a[lo:hi], b[lo:hi]
+	var sum int64
+	for j, x := range a {
+		m := x & b[j]
+		if m == 0 {
+			continue
+		}
+		w := lo + j
+		if bits.OnesCount64(m) < np {
+			counts := ix.counts[w*64:]
+			for ; m != 0; m &= m - 1 {
+				sum += counts[bits.TrailingZeros64(m)]
+			}
+			continue
+		}
+		for bit, plane := range ix.planes[w*np : w*np+np] {
+			sum += int64(bits.OnesCount64(m&plane)) << bit
+		}
+	}
+	return sum
 }
 
 // CoverageBatch writes cov(ps[i]) into out[i] for every pattern in
@@ -296,6 +388,14 @@ func (pl *Pool) Coverage(p pattern.Pattern) int64 {
 	c := pr.Coverage(p)
 	pl.probers.Put(pr)
 	return c
+}
+
+// CoverageBatch writes cov(ps[i]) into out[i] for every pattern in ps,
+// all on one Prober. It is safe for concurrent use.
+func (pl *Pool) CoverageBatch(ps []pattern.Pattern, out []int64) {
+	pr := pl.probers.Get().(*Prober)
+	pr.CoverageBatch(ps, out)
+	pl.probers.Put(pr)
 }
 
 // MatchVector writes into dst the bit vector of distinct combinations

@@ -175,6 +175,92 @@ func TestQuickCoverageEqualsLiteralScan(t *testing.T) {
 	}
 }
 
+// FuzzProbeKernel checks the probe kernel against the literal sum over
+// combinations: an index built by BuildFromCounts in either key layout
+// (up to 16 attributes raw, past that bit-compact), with every
+// multiplicity 1 (a single count plane) or spread up to 2^40 (40
+// planes, so words are priced both from the planes and match by
+// match), probed at every level from the root to full rows.
+func FuzzProbeKernel(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint16(300), false)
+	f.Add(int64(2), uint8(20), uint16(900), true)
+	f.Add(int64(3), uint8(9), uint16(2500), true)
+	f.Add(int64(4), uint8(30), uint16(1200), false)
+	f.Add(int64(5), uint8(1), uint16(5), true)
+	f.Fuzz(func(t *testing.T, seed int64, dim uint8, n uint16, spread bool) {
+		rng := rand.New(rand.NewSource(seed))
+		d := 1 + int(dim)%32
+		attrs := make([]dataset.Attribute, d)
+		for j := range attrs {
+			vals := make([]string, 2+rng.Intn(3))
+			for v := range vals {
+				vals[v] = fmt.Sprint(v)
+			}
+			attrs[j] = dataset.Attribute{Name: fmt.Sprintf("a%d", j), Values: vals}
+		}
+		schema := dataset.MustSchema(attrs)
+		cards := schema.Cards()
+		draw := func() []uint8 {
+			c := make([]uint8, d)
+			for j, card := range cards {
+				// The product of two draws skews towards value 0, so
+				// some value vectors are dense and others sparse.
+				c[j] = uint8(rng.Float64() * rng.Float64() * float64(card))
+			}
+			return c
+		}
+		counts := make(map[string]int64)
+		var combos [][]uint8
+		for i := 0; i < int(n)%4096; i++ {
+			c := draw()
+			if _, ok := counts[string(c)]; ok {
+				continue
+			}
+			counts[string(c)] = 1
+			if spread {
+				counts[string(c)] = 1 + rng.Int63n(1<<uint(rng.Intn(41)))
+			}
+			combos = append(combos, c)
+		}
+		if spread && len(combos) > 0 {
+			counts[string(combos[0])] = 1<<40 - 1
+		}
+		ix := BuildFromCounts(schema, counts)
+		if ix.codec.Raw() != (d <= pattern.RawKeyDim) {
+			t.Fatalf("%d attributes: raw key layout = %v", d, ix.codec.Raw())
+		}
+		switch {
+		case len(combos) == 0:
+		case spread && ix.nPlanes != 40:
+			t.Fatalf("counts up to 2^40-1 sliced into %d planes, want 40", ix.nPlanes)
+		case !spread && ix.nPlanes != 1:
+			t.Fatalf("unit counts sliced into %d planes, want 1", ix.nPlanes)
+		}
+		pr := ix.NewProber()
+		for level := 0; level <= d; level++ {
+			for trial := 0; trial < 4; trial++ {
+				c := draw()
+				if trial%2 == 0 && len(combos) > 0 {
+					c = combos[rng.Intn(len(combos))]
+				}
+				p := pattern.All(d)
+				for _, j := range rng.Perm(d)[:level] {
+					p[j] = c[j]
+				}
+				var want int64
+				for k, n := range counts {
+					if p.Matches([]uint8(k)) {
+						want += n
+					}
+				}
+				if got := pr.Coverage(p); got != want {
+					t.Fatalf("cov(%v) = %d, literal sum %d", p, got, want)
+				}
+			}
+		}
+	})
+}
+
 func TestEmptyDataset(t *testing.T) {
 	ds := dataset.New(dataset.BinarySchema("a", 3))
 	ix := Build(ds)

@@ -255,6 +255,41 @@ func (c *Codec) PackedKeyString(s string) PackedKey {
 	return k
 }
 
+// MaskedKey is a pattern in packed form for matching against the packed
+// keys of full value combinations: Key holds the codes of the pattern's
+// deterministic elements and Mask every bit of their fields, in both
+// words where a field straddles them.
+type MaskedKey struct {
+	Key, Mask PackedKey
+}
+
+// Matches reports whether the combination with packed key k agrees
+// with the pattern on every deterministic element: one masked compare
+// of the two words. Both sides are taken by pointer: the compiler keeps
+// a two-word array value in memory, so copying one per call costs
+// several times the compare.
+func (m *MaskedKey) Matches(k *PackedKey) bool {
+	return (k[0]^m.Key[0])&m.Mask[0]|(k[1]^m.Key[1])&m.Mask[1] == 0
+}
+
+// Masked returns p's MaskedKey under the codec's layout, raw or bit
+// compact; p must use the codec's cardinality vector.
+func (c *Codec) Masked(p Pattern) MaskedKey {
+	var m MaskedKey
+	for i, v := range p {
+		if v == Wildcard {
+			continue
+		}
+		m.Key[c.word[i]] |= uint64(v) << c.shift[i]
+		m.Mask[c.word[i]] |= c.mask[i] << c.shift[i]
+	}
+	if c.split >= 0 && p[c.split] != Wildcard {
+		m.Key[1] |= c.splitHigh(p[c.split])
+		m.Mask[1] |= c.mask[c.split] >> c.splitLo << c.splitShift
+	}
+	return m
+}
+
 // Dim returns the number of attributes the codec packs.
 func (c *Codec) Dim() int { return len(c.shift) }
 

@@ -198,6 +198,61 @@ func TestCodecStraddlesWordBoundary(t *testing.T) {
 	}
 }
 
+// TestMaskedMatchesPattern checks the masked compare against
+// Pattern.Matches under the raw layout, the bit-compact one and the
+// bit-compact one whose last field straddles the two words. Values are
+// drawn from a few low codes so that matches are common.
+func TestMaskedMatchesPattern(t *testing.T) {
+	straddle := make([]int, 19)
+	for i := range straddle {
+		straddle[i] = 100
+	}
+	straddle[18] = 3
+	for _, tc := range []struct {
+		name  string
+		cards []int
+		codec *Codec
+	}{
+		{"raw", []int{3, 4, 2, 5, 3, 3, 2, 4, 3, 2, 3}, NewRawCodec(11)},
+		{"compact", []int{3, 4, 2, 5, 3, 3, 2, 4, 3, 2, 3}, NewCodec([]int{3, 4, 2, 5, 3, 3, 2, 4, 3, 2, 3})},
+		{"straddle", straddle, NewCodec(straddle)},
+	} {
+		r := rand.New(rand.NewSource(9))
+		draw := func(wild bool) Pattern {
+			p := make(Pattern, len(tc.cards))
+			for i := range p {
+				p[i] = uint8(r.Intn(min(3, tc.cards[i])))
+				if wild && r.Intn(4) != 0 {
+					p[i] = Wildcard
+				}
+			}
+			return p
+		}
+		matched := 0
+		for n := 0; n < 20000; n++ {
+			p, combo := draw(true), draw(false)
+			if n%3 == 0 {
+				for i := range p {
+					if p[i] != Wildcard {
+						combo[i] = p[i]
+					}
+				}
+			}
+			want := p.Matches(combo)
+			m, k := tc.codec.Masked(p), tc.codec.PackedKey(combo)
+			if got := m.Matches(&k); got != want {
+				t.Fatalf("%s: Masked(%v).Matches(%v) = %v, want %v", tc.name, p, combo, got, want)
+			}
+			if want {
+				matched++
+			}
+		}
+		if matched < 5000 {
+			t.Fatalf("%s: only %d of 20000 pairs matched", tc.name, matched)
+		}
+	}
+}
+
 func BenchmarkCodecPackedKey(b *testing.B) {
 	cards := make([]int, 15)
 	for i := range cards {
