@@ -135,3 +135,19 @@ func BenchmarkEngineCoverageBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardRebuild prices one base rebuild at the shape of the
+// benchmark's refresh workload: 100 000 AirBnB rows over 13 attributes
+// on one shard core. Every compaction and the fold before every stale
+// MUP query pays one such rebuild per core, under the write lock.
+func BenchmarkShardRebuild(b *testing.B) {
+	ds := datagen.AirBnB(100000, 13, 20190408)
+	e := NewFromDataset(ds, Options{Shards: 1})
+	c := e.cores[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.rebuild()
+	}
+	b.ReportMetric(float64(c.counts.Len()), "combos")
+}

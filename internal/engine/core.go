@@ -7,27 +7,13 @@ import (
 	"coverage/internal/pattern"
 )
 
-// shardOf routes a combination key to one of n shard cores by FNV-1a
-// hash of the raw value codes. The router is a pure function of the
-// key and the shard count, so the same combination always lands on the
-// same core, snapshots can be re-partitioned deterministically on
-// restore, and the per-core distinct combination sets stay disjoint —
-// which is what makes coverage, totals and distinct counts additive
-// across cores.
-func shardOf(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
-}
-
-// shardOfRow is shardOf over raw row bytes, avoiding the string
-// conversion on the ingest hot path.
+// shardOfRow routes a value combination to one of n shard cores by
+// FNV-1a hash of its value codes. The router is a pure function of the
+// combination and the shard count, so the same combination always
+// lands on the same core, snapshots can be re-partitioned
+// deterministically on restore, and the per-core distinct combination
+// sets stay disjoint — which is what makes coverage, totals and
+// distinct counts additive across cores.
 func shardOfRow(row []uint8, n int) int {
 	if n <= 1 {
 		return 0
@@ -38,6 +24,15 @@ func shardOfRow(row []uint8, n int) int {
 		h *= 1099511628211
 	}
 	return int(h % uint64(n))
+}
+
+// shardOf is shardOfRow over a combination's packed key.
+func shardOf(codec *pattern.Codec, k pattern.PackedKey, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	var buf [pattern.MaxKeyBits]uint8
+	return shardOfRow(codec.AppendUnpack(buf[:0], k), n)
 }
 
 // shardCore is the lock-scoped single-shard heart of the engine: one
@@ -55,7 +50,6 @@ func shardOfRow(row []uint8, n int) int {
 // probe it outside any lock.
 type shardCore struct {
 	schema *dataset.Schema
-	keys   *keyCodec
 	opts   Options
 
 	base     *index.Index
@@ -69,10 +63,9 @@ type shardCore struct {
 }
 
 // newShardCore returns an empty core over the schema.
-func newShardCore(schema *dataset.Schema, keys *keyCodec, opts Options) *shardCore {
+func newShardCore(schema *dataset.Schema, opts Options) *shardCore {
 	c := &shardCore{
 		schema:   schema,
-		keys:     keys,
 		opts:     opts,
 		counts:   countstore.NewFlat(0),
 		deltaPos: countstore.NewFlat(0),
@@ -88,19 +81,21 @@ func newShardCore(schema *dataset.Schema, keys *keyCodec, opts Options) *shardCo
 func (c *shardCore) seed(counts *countstore.Flat) {
 	c.counts = counts
 	counts.Range(func(_ pattern.PackedKey, n int64) { c.rows += n })
-	c.base = index.BuildFromCounts(c.schema, c.stringCounts())
+	c.buildBase()
+}
+
+// buildBase builds the base oracle over the live count table.
+func (c *shardCore) buildBase() {
+	c.base = index.BuildFromKeys(c.schema, c.appendEntries(make([]index.Entry, 0, c.counts.Len())))
 	c.pool = c.base.NewPool()
 }
 
-// stringCounts materializes the live count table in its raw key-string
-// form — the index builder's input. Rebuild-path only; the hot paths
-// never leave the packed-key representation.
-func (c *shardCore) stringCounts() map[string]int64 {
-	m := make(map[string]int64, c.counts.Len())
+// appendEntries appends the live count table's entries to dst.
+func (c *shardCore) appendEntries(dst []index.Entry) []index.Entry {
 	c.counts.Range(func(k pattern.PackedKey, n int64) {
-		m[c.keys.str(k)] = n
+		dst = append(dst, index.Entry{Key: k, Count: n})
 	})
-	return m
+	return dst
 }
 
 // applySigned merges one signed multiplicity change into the count
@@ -164,8 +159,7 @@ func (c *shardCore) maybeCompact() {
 // rebuild rebuilds the base oracle from the full count table and
 // clears the delta.
 func (c *shardCore) rebuild() {
-	c.base = index.BuildFromCounts(c.schema, c.stringCounts())
-	c.pool = c.base.NewPool()
+	c.buildBase()
 	c.delta = nil
 	c.deltaPos = countstore.NewFlat(0)
 	c.compactions++

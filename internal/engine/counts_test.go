@@ -11,7 +11,8 @@ import (
 // occupancy stays a ratio in (0,1], resident bytes grow with the live
 // set, and the per-shard bytes sum to exactly the ResidentBytes the
 // registry evicts on — with a pending delta, so the delta-position
-// tables are part of both.
+// tables are part of both. With a window, the window's bytes join the
+// sum.
 func TestStatsStoreFields(t *testing.T) {
 	compact := make([]int, 20)
 	for i := range compact {
@@ -40,13 +41,42 @@ func TestStatsStoreFields(t *testing.T) {
 		if rb := e.ResidentBytes(); sum != rb {
 			t.Errorf("%d attributes: shard store bytes sum to %d, ResidentBytes() = %d", len(cards), sum, rb)
 		}
+		if st.WindowBytes != 0 {
+			t.Errorf("%d attributes: %d window bytes without a window", len(cards), st.WindowBytes)
+		}
+
+		// A window holds one 16-byte key per live row plus the
+		// tombstones of deleted ones, and ResidentBytes counts it.
+		e.SetWindow(150)
+		if err := e.Delete(drawDeletableEngine(rng, e, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Append(randomRows(rng, cards, 20)); err != nil {
+			t.Fatal(err)
+		}
+		st = e.Stats()
+		if st.Tombstones == 0 {
+			t.Fatal("precondition: the delete should leave tombstones")
+		}
+		if min := 16 * int64(st.Rows+st.Tombstones); st.WindowBytes < min {
+			t.Errorf("%d attributes: %d window bytes for %d rows and %d tombstones, want at least %d",
+				len(cards), st.WindowBytes, st.Rows, st.Tombstones, min)
+		}
+		sum = st.WindowBytes
+		for _, sh := range st.Shards {
+			sum += sh.StoreBytes
+		}
+		if rb := e.ResidentBytes(); sum != rb {
+			t.Errorf("%d attributes: shard store bytes plus window bytes sum to %d, ResidentBytes() = %d", len(cards), sum, rb)
+		}
 	}
 }
 
 // TestRestoreKeepsMutationLogKeys is the regression test for a restore
 // that imported the removed/added logs through the bit-compact codec
 // and then swapped the engine to the byte-aligned one, so the logs
-// came back as garbage keys.
+// came back as garbage keys. A second case restores a windowed state
+// past the raw layout's 16 attributes.
 func TestRestoreKeepsMutationLogKeys(t *testing.T) {
 	cards := []int{64, 64, 64, 4}
 	e := NewSharded(testSchema(t, cards), 2, Options{})
@@ -68,5 +98,41 @@ func TestRestoreKeepsMutationLogKeys(t *testing.T) {
 	got := restored.ExportState()
 	if !reflect.DeepEqual(got.Removed, st.Removed) || !reflect.DeepEqual(got.Added, st.Added) {
 		t.Fatal("mutation logs changed across ExportState → NewFromState → ExportState")
+	}
+
+	// A windowed state in the bit-compact layout, with tombstones,
+	// restores whole at 1 and at 3 shards: window log and pending
+	// deletes included, everything but the shard topology is equal.
+	wide := make([]int, 20)
+	for i := range wide {
+		wide[i] = 3
+	}
+	e = NewSharded(testSchema(t, wide), 2, Options{})
+	rng := rand.New(rand.NewSource(2))
+	if err := e.Append(randomRows(rng, wide, 120)); err != nil {
+		t.Fatal(err)
+	}
+	e.SetWindow(100)
+	if err := e.Delete(drawDeletableEngine(rng, e, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Append(randomRows(rng, wide, 30)); err != nil {
+		t.Fatal(err)
+	}
+	st = e.ExportState()
+	if st.Tombstones == 0 || len(st.PendingDeletes) == 0 || len(st.WindowLog) == 0 {
+		t.Fatal("precondition: the window should hold rows and tombstones")
+	}
+	for _, shards := range []int{1, 3} {
+		restored, err := NewFromState(st, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := normalizeState(restored.ExportState()), normalizeState(st)
+		g.Shards, w.Shards = 0, 0
+		if !reflect.DeepEqual(g, w) {
+			assertStatesEqual(t, g, w)
+			t.Fatalf("%d shards: the windowed 20-attribute state changed across a restore", shards)
+		}
 	}
 }

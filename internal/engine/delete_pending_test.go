@@ -26,7 +26,7 @@ func TestDeletePendingDelta(t *testing.T) {
 	if err := e.Append([][]uint8{{0, 0}, {0, 0}, {0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	e.Index() // compact: the three rows become the base
+	e.Oracle() // compact: the three rows become the base
 	if err := e.Append([][]uint8{{0, 0}, {1, 2}, {1, 2}, {1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDeletePendingDelta(t *testing.T) {
 	if got, _ := e.Coverage(pattern.Pattern{1, 2}); got != 0 {
 		t.Errorf("cov(1,2) after full retraction = %d, want 0", got)
 	}
-	if ix := e.Index(); ix.ComboCount([]uint8{1, 2}) != 0 {
+	if ix := e.Oracle(); ix.ComboCount([]uint8{1, 2}) != 0 {
 		t.Error("fully retracted delta combo survived compaction as a ghost")
 	}
 }
@@ -117,7 +117,7 @@ func TestDeletePendingDeltaMUPRepair(t *testing.T) {
 	// generalization X1 is the single maximal uncovered pattern. Check
 	// the repaired cache against a from-scratch search on the same
 	// data.
-	ref, err := mup.PatternBreaker(e.Index(), mup.Options{Threshold: 1})
+	ref, err := mup.PatternBreaker(e.Oracle(), mup.Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

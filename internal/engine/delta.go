@@ -183,11 +183,11 @@ func (e *ShardedEngine) CaptureDelta(base *DeltaBaseline) (*StateDelta, *DeltaBa
 	d.Counts = make(map[string]int64)
 	collect := func(recs []mutRec) {
 		for i := len(recs) - 1; i >= 0 && recs[i].gen > base.Generation; i-- {
-			k := e.keys.str(recs[i].key)
+			k := keyString(e.codec, recs[i].key)
 			if _, seen := d.Counts[k]; seen {
 				continue
 			}
-			d.Counts[k] = e.cores[shardOf(k, len(e.cores))].multiplicity(recs[i].key)
+			d.Counts[k] = e.cores[shardOf(e.codec, recs[i].key, len(e.cores))].multiplicity(recs[i].key)
 		}
 	}
 	collect(e.removed.recs)
@@ -219,16 +219,13 @@ func (e *ShardedEngine) CaptureDelta(base *DeltaBaseline) (*StateDelta, *DeltaBa
 		if off > e.log.len() {
 			return nil, nil, false // baseline claims entries past our tail
 		}
-		d.WindowAppend = append([]string(nil), e.log.keys[e.log.head+off:]...)
-		d.PendingDeletes = make(map[string]int64, e.pendingDeletes.Len())
-		e.pendingDeletes.Range(func(k pattern.PackedKey, c int64) {
-			d.PendingDeletes[e.keys.str(k)] = c
-		})
+		d.WindowAppend = keyStrings(e.codec, e.log.live()[off:])
+		d.PendingDeletes = countMap(e.codec, e.pendingDeletes)
 	}
 
 	// Mutation-log tails plus current horizons.
-	d.Removed = MutationLog{Horizon: e.removed.horizon, Recs: exportRecsSince(e.removed.recs, base.Generation, e.keys)}
-	d.Added = MutationLog{Horizon: e.added.horizon, Recs: exportRecsSince(e.added.recs, base.Generation, e.keys)}
+	d.Removed = MutationLog{Horizon: e.removed.horizon, Recs: exportRecsSince(e.removed.recs, base.Generation, e.codec)}
+	d.Added = MutationLog{Horizon: e.added.horizon, Recs: exportRecsSince(e.added.recs, base.Generation, e.codec)}
 
 	// Caches: payloads for new or repaired entries, references for
 	// entries the baseline already holds at the same generation.
@@ -367,7 +364,7 @@ func sortSearches(cs []CachedSearch) {
 
 // exportRecsSince exports the mutation-log records with generations
 // past gen.
-func exportRecsSince(recs []mutRec, gen uint64, keys *keyCodec) []MutationRec {
+func exportRecsSince(recs []mutRec, gen uint64, codec *pattern.Codec) []MutationRec {
 	start := len(recs)
 	for start > 0 && recs[start-1].gen > gen {
 		start--
@@ -375,7 +372,7 @@ func exportRecsSince(recs []mutRec, gen uint64, keys *keyCodec) []MutationRec {
 	if start == len(recs) {
 		return nil
 	}
-	return exportRecs(recs[start:], keys)
+	return exportRecs(recs[start:], codec)
 }
 
 // Apply layers the delta onto the state it was captured against,

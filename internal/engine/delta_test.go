@@ -339,7 +339,7 @@ func TestWindowOrderByPageOccupancy(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.SetWindow(1000)
-		log := e.log.keys[e.log.head:]
+		log := e.ExportState().WindowLog
 		got := make([]string, len(log))
 		for i, k := range log {
 			got[i] = hex.EncodeToString([]byte(k))

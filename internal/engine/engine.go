@@ -53,11 +53,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -267,9 +268,12 @@ type Stats struct {
 	CachedPlans  int
 	// Window is the configured sliding-window bound in rows; 0 means
 	// unbounded. Tombstones counts deleted rows whose window-log
-	// entries have not yet been reconciled by eviction.
-	Window     int
-	Tombstones int64
+	// entries have not yet been reconciled by eviction. WindowBytes is
+	// the window's resident footprint: the key ring's backing array
+	// plus the pending-delete table.
+	Window      int
+	Tombstones  int64
+	WindowBytes int64
 	// ShardCount is the number of shard cores; Shards holds one entry
 	// per core.
 	ShardCount int
@@ -366,7 +370,7 @@ type ShardedEngine struct {
 	schema *dataset.Schema
 	cards  []int
 	opts   Options
-	keys   *keyCodec
+	codec  *pattern.Codec // pattern.NewKeyCodec: every key in the engine
 	cores  []*shardCore
 
 	// comboRate is an EWMA of distinct combinations per row measured
@@ -386,18 +390,19 @@ type ShardedEngine struct {
 	cache     map[searchKey]*cachedSearch
 	planCache map[planKey]*cachedPlan
 
-	// Sliding-window state. log records live rows in arrival order
-	// (only while window > 0); pendingDeletes holds tombstones for rows
-	// deleted by value whose log entries are reconciled lazily on
-	// eviction. windowEvicted counts every log-entry pop (tombstone
-	// consumptions included), so it is the absolute index of the log's
-	// current head since the log was created — the coordinate delta
-	// snapshots use to express "drop the first k entries of the
-	// baseline's log". windowEpoch bumps whenever the log is created or
-	// dropped; a baseline from another epoch cannot be expressed as a
-	// drop/append pair and forces a full snapshot.
+	// Sliding-window state. log records the keys of live rows in
+	// arrival order (only while window > 0); pendingDeletes holds
+	// tombstones for rows deleted by value whose log entries are
+	// reconciled lazily on eviction. windowEvicted counts every
+	// log-entry pop (tombstone consumptions included), so it is the
+	// absolute index of the log's current head since the log was
+	// created — the coordinate delta snapshots use to express "drop the
+	// first k entries of the baseline's log". windowEpoch bumps
+	// whenever the log is created or dropped; a baseline from another
+	// epoch cannot be expressed as a drop/append pair and forces a full
+	// snapshot.
 	window         int
-	log            *rowLog
+	log            *keyRing
 	pendingDeletes *countstore.Flat
 	tombstones     int64
 	windowEvicted  uint64
@@ -485,7 +490,7 @@ func (l *mutLog) record(gen uint64, k pattern.PackedKey, count int64, max int) {
 // Delta keeps Count 0 = unknown, which still gates repair probes but
 // disables coverage delta-updates). The slice is non-nil whenever ok,
 // so "provably none" and "unknown" stay distinct.
-func (l *mutLog) since(gen uint64, keys *keyCodec) (deltas []mup.Delta, exact, ok bool) {
+func (l *mutLog) since(gen uint64, codec *pattern.Codec) (deltas []mup.Delta, exact, ok bool) {
 	if gen < l.horizon {
 		return nil, false, false
 	}
@@ -508,34 +513,39 @@ func (l *mutLog) since(gen uint64, keys *keyCodec) (deltas []mup.Delta, exact, o
 			// A known net of zero cannot have changed any coverage.
 			continue
 		}
-		deltas = append(deltas, mup.Delta{Combo: keys.pattern(k), Count: n})
+		deltas = append(deltas, mup.Delta{Combo: codec.Unpack(k), Count: n})
 	}
 	return deltas, exact, true
 }
 
-// rowLog is a FIFO of row combination keys in arrival order, backing
-// the sliding window. Popped slots are compacted away once the dead
-// prefix dominates the backing array, keeping amortized O(1) pops
-// without unbounded growth.
-type rowLog struct {
-	keys []string
+// keyRing is a FIFO of row combination keys in arrival order, backing
+// the sliding window: 16 bytes per row and no pointers. Popped slots
+// are compacted away once the dead prefix dominates the backing array,
+// keeping amortized O(1) pops without unbounded growth.
+type keyRing struct {
+	keys []pattern.PackedKey
 	head int
 }
 
-func (l *rowLog) push(k string) { l.keys = append(l.keys, k) }
+func (r *keyRing) push(k pattern.PackedKey) { r.keys = append(r.keys, k) }
 
-func (l *rowLog) pop() string {
-	k := l.keys[l.head]
-	l.keys[l.head] = ""
-	l.head++
-	if l.head > 1024 && l.head > len(l.keys)/2 {
-		l.keys = append(l.keys[:0], l.keys[l.head:]...)
-		l.head = 0
+func (r *keyRing) pop() pattern.PackedKey {
+	k := r.keys[r.head]
+	r.head++
+	if r.head > 1024 && r.head > len(r.keys)/2 {
+		r.keys = append(r.keys[:0], r.keys[r.head:]...)
+		r.head = 0
 	}
 	return k
 }
 
-func (l *rowLog) len() int { return len(l.keys) - l.head }
+func (r *keyRing) len() int { return len(r.keys) - r.head }
+
+// live returns the ring's entries, oldest first.
+func (r *keyRing) live() []pattern.PackedKey { return r.keys[r.head:] }
+
+// bytes is the ring's resident footprint: its backing array.
+func (r *keyRing) bytes() int64 { return int64(cap(r.keys)) * 16 }
 
 // New returns an empty engine over the schema, with Options.Shards
 // cores (default one).
@@ -545,13 +555,13 @@ func New(schema *dataset.Schema, opts Options) *Engine {
 		schema:    schema,
 		cards:     schema.Cards(),
 		opts:      opts,
-		keys:      newKeyCodec(schema.Cards()),
+		codec:     pattern.NewKeyCodec(schema.Cards()),
 		cores:     make([]*shardCore, n),
 		cache:     make(map[searchKey]*cachedSearch),
 		planCache: make(map[planKey]*cachedPlan),
 	}
 	for i := range e.cores {
-		e.cores[i] = newShardCore(schema, e.keys, opts)
+		e.cores[i] = newShardCore(schema, opts)
 	}
 	return e
 }
@@ -576,7 +586,7 @@ func NewFromDataset(ds *dataset.Dataset, opts Options) *Engine {
 		parts[i] = countstore.NewFlat(len(dd.Combos)/n + 1)
 	}
 	for k, combo := range dd.Combos {
-		parts[shardOfRow(combo, n)].Set(e.keys.ofRow(combo), dd.Counts[k])
+		parts[shardOfRow(combo, n)].Set(e.codec.PackedKey(combo), dd.Counts[k])
 	}
 	var wg sync.WaitGroup
 	for i, c := range e.cores {
@@ -643,6 +653,7 @@ func (e *ShardedEngine) Stats() Stats {
 		CachedPlans:          len(e.planCache),
 		Window:               e.window,
 		Tombstones:           e.tombstones,
+		WindowBytes:          e.windowBytesLocked(),
 		ShardCount:           len(e.cores),
 		Shards:               make([]ShardStat, len(e.cores)),
 	}
@@ -664,18 +675,27 @@ func (e *ShardedEngine) Stats() Stats {
 
 // ResidentBytes reports the engine's resident footprint as far as it is
 // counted: the shard count stores (the sum of Stats().Shards[i].
-// StoreBytes) plus the bodies kept with cached MUP results
-// (Stats().BodyBytes), without materializing the full Stats block.
-// Registries use it as the signal for LRU byte-budget eviction across
-// tenants.
+// StoreBytes), the window (Stats().WindowBytes) and the bodies kept
+// with cached MUP results (Stats().BodyBytes), without materializing
+// the full Stats block. Registries use it as the signal for LRU
+// byte-budget eviction across tenants.
 func (e *ShardedEngine) ResidentBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	b := e.bodyBytesLocked()
+	b := e.bodyBytesLocked() + e.windowBytesLocked()
 	for _, c := range e.cores {
 		b += c.storeBytes()
 	}
 	return b
+}
+
+// windowBytesLocked is the window's resident footprint: the key ring
+// and the pending-delete table. Caller holds the lock (either mode).
+func (e *ShardedEngine) windowBytesLocked() int64 {
+	if e.log == nil {
+		return 0
+	}
+	return e.log.bytes() + e.pendingDeletes.Mem().Bytes
 }
 
 // bodyBytesLocked sums the lengths of the bodies kept with cached MUP
@@ -743,7 +763,7 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []*countstore.Flat {
 	}
 	for _, row := range rows {
 		s := shardOfRow(row, n)
-		parts[s] = append(parts[s], e.keys.ofRow(row))
+		parts[s] = append(parts[s], e.codec.PackedKey(row))
 	}
 	out := make([]*countstore.Flat, n)
 	count := func(i int) {
@@ -836,7 +856,7 @@ func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []*countstore.F
 	count := func(w int, part [][]uint8) {
 		m := countstore.NewFlat(e.batchHint(len(part)))
 		for _, row := range part {
-			m.Add(e.keys.ofRow(row), 1)
+			m.Add(e.codec.PackedKey(row), 1)
 		}
 		shards[w] = m
 	}
@@ -931,7 +951,7 @@ func (e *ShardedEngine) Append(rows [][]uint8) error {
 	}
 	if e.log != nil {
 		for _, row := range rows {
-			e.log.push(string(row))
+			e.log.push(e.codec.PackedKey(row))
 		}
 	}
 	e.rows += int64(len(rows))
@@ -965,7 +985,7 @@ func (e *ShardedEngine) Delete(rows [][]uint8) error {
 			}
 			if have := e.cores[i].multiplicity(k); have < c {
 				err = fmt.Errorf("engine: cannot delete %d row(s) of combination %v: only %d present",
-					c, e.keys.pattern(k), have)
+					c, e.codec.Unpack(k), have)
 			}
 		})
 		if err != nil {
@@ -1025,21 +1045,18 @@ func (e *ShardedEngine) SetWindow(maxRows int) {
 	}
 	e.window = maxRows
 	if e.log == nil {
-		e.log = &rowLog{}
+		e.log = &keyRing{keys: make([]pattern.PackedKey, 0, e.rows)}
 		e.pendingDeletes = countstore.NewFlat(0)
 		e.windowEpoch++
 		e.windowEvicted = 0
-		keys := make([]string, 0, e.distinctLocked())
+		live := make([]index.Entry, 0, e.distinctLocked())
 		for _, c := range e.cores {
-			c.counts.Range(func(k pattern.PackedKey, _ int64) {
-				keys = append(keys, e.keys.str(k))
-			})
+			live = c.appendEntries(live)
 		}
-		e.orderInitialWindow(keys)
-		for _, k := range keys {
-			n := e.cores[shardOf(k, len(e.cores))].multiplicity(e.keys.ofString(k))
-			for i := int64(0); i < n; i++ {
-				e.log.push(k)
+		e.orderInitialWindow(live)
+		for _, l := range live {
+			for i := int64(0); i < l.Count; i++ {
+				e.log.push(l.Key)
 			}
 		}
 	}
@@ -1065,37 +1082,36 @@ func windowPageOf(k pattern.PackedKey) uint64 {
 	return k[0]>>windowPageShift | k[1]<<(64-windowPageShift)
 }
 
-// orderInitialWindow sorts the initial window log's distinct keys into
-// eviction order: ascending live-combo count of each key's page, ties
-// broken by page then raw key. The canonical compact codec — not the
+// orderInitialWindow sorts the live combinations into the initial
+// window log's eviction order: ascending live-combo count of each
+// combination's page, ties broken by page then value order
+// (pattern.Codec.CompareValues). The canonical compact codec — not the
 // engine's key codec, which is the raw byte-aligned one where the
 // schema has one — keys the pages, so the order depends on the schema
 // and the live set alone.
-func (e *ShardedEngine) orderInitialWindow(keys []string) {
+func (e *ShardedEngine) orderInitialWindow(live []index.Entry) {
 	canon := pattern.NewCodec(e.cards)
 	type entry struct {
 		page uint64
-		key  string
+		index.Entry
 	}
-	entries := make([]entry, len(keys))
-	live := make(map[uint64]int, len(keys)>>windowPageShift+1)
-	for i, k := range keys {
-		page := windowPageOf(canon.PackedKeyString(k))
-		entries[i] = entry{page: page, key: k}
-		live[page]++
+	entries := make([]entry, len(live))
+	occupancy := make(map[uint64]int, len(live)>>windowPageShift+1)
+	buf := make([]uint8, 0, len(e.cards))
+	for i, l := range live {
+		buf = e.codec.AppendUnpack(buf[:0], l.Key)
+		page := windowPageOf(canon.PackedKey(buf))
+		entries[i] = entry{page: page, Entry: l}
+		occupancy[page]++
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if la, lb := live[a.page], live[b.page]; la != lb {
-			return la < lb
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Or(cmp.Compare(occupancy[a.page], occupancy[b.page]), cmp.Compare(a.page, b.page)); c != 0 {
+			return c
 		}
-		if a.page != b.page {
-			return a.page < b.page
-		}
-		return a.key < b.key
+		return e.codec.CompareValues(a.Key, b.Key)
 	})
 	for i := range entries {
-		keys[i] = entries[i].key
+		live[i] = entries[i].Entry
 	}
 }
 
@@ -1115,33 +1131,31 @@ func (e *ShardedEngine) Window() int {
 // history always yields one removed log. Caller holds the write lock
 // with the generation already advanced for this mutation.
 func (e *ShardedEngine) evictIntoLocked(muts []*countstore.Flat) {
-	if e.window <= 0 || e.log == nil {
+	if e.window <= 0 || e.log == nil || e.rows <= int64(e.window) {
 		return
 	}
 	n := len(e.cores)
-	evicted := make(map[string]int64)
-	var order []string
+	evicted := countstore.NewFlat(0)
+	var order []pattern.PackedKey
 	for e.rows > int64(e.window) {
 		k := e.log.pop()
 		e.windowEvicted++
-		if ck := e.keys.ofString(k); e.pendingDeletes.Get(ck) > 0 {
-			e.pendingDeletes.Add(ck, -1)
+		if e.pendingDeletes.Get(k) > 0 {
+			e.pendingDeletes.Add(k, -1)
 			e.tombstones--
 			continue
 		}
-		if evicted[k] == 0 {
+		if evicted.Add(k, 1) == 1 {
 			order = append(order, k)
 		}
-		evicted[k]++
 		e.rows--
 		e.evictions++
 	}
 	logSize := e.opts.removedLogSize()
 	for _, k := range order {
-		c := evicted[k]
-		ck := e.keys.ofString(k)
-		muts[shardOf(k, n)].Add(ck, -c)
-		e.removed.record(e.gen, ck, -c, logSize)
+		c := evicted.Get(k)
+		muts[shardOf(e.codec, k, n)].Add(k, -c)
+		e.removed.record(e.gen, k, -c, logSize)
 	}
 }
 
@@ -1185,7 +1199,7 @@ func (e *ShardedEngine) CoverageBatchRows(ps []pattern.Pattern) ([]int64, int64,
 		if err := p.Validate(e.cards); err != nil {
 			return nil, 0, err
 		}
-		ms[i] = e.keys.codec.Masked(p)
+		ms[i] = e.codec.Masked(p)
 	}
 	out := make([]int64, len(ps))
 	e.mu.RLock()
@@ -1243,34 +1257,6 @@ func (e *ShardedEngine) foldLocked() []*index.Index {
 	}
 	wg.Wait()
 	return bases
-}
-
-// Index compacts any pending deltas and returns a single base oracle
-// reflecting all live data. With one core this is that core's base
-// (shared by reference, immutable); with several, a merged index is
-// built from the union of the partitions — an O(distinct) rebuild, so
-// sharded callers that only need probes should prefer Oracle.
-func (e *ShardedEngine) Index() *index.Index {
-	e.mu.RLock()
-	if len(e.cores) == 1 && len(e.cores[0].delta) == 0 {
-		ix := e.cores[0].base
-		e.mu.RUnlock()
-		return ix
-	}
-	e.mu.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.cores) == 1 {
-		return e.cores[0].fold()
-	}
-	e.foldLocked()
-	union := make(map[string]int64, e.distinctLocked())
-	for _, c := range e.cores {
-		c.counts.Range(func(k pattern.PackedKey, n int64) {
-			union[e.keys.str(k)] = n
-		})
-	}
-	return index.BuildFromCounts(e.schema, union)
 }
 
 // Oracle folds any pending deltas and returns a coverage oracle over
@@ -1360,9 +1346,9 @@ func (e *ShardedEngine) MUPsAnswer(opts mup.Options) (Answer, error) {
 		// newly uncovered regions and a full search is required. The
 		// added log is an optimization only — when it has overflowed,
 		// nil tells the repair to assume any coverage may have risen.
-		if rm, _, ok := e.removed.since(c.gen, e.keys); ok {
+		if rm, _, ok := e.removed.since(c.gen, e.codec); ok {
 			seed, removed = c.res, rm
-			if ad, _, ok := e.added.since(c.gen, e.keys); ok {
+			if ad, _, ok := e.added.since(c.gen, e.codec); ok {
 				added = ad
 			}
 		}

@@ -692,7 +692,7 @@ func TestDeleteLastRowOfCombo(t *testing.T) {
 	if err := e.Delete([][]uint8{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	ix := e.Index() // forces compaction of the signed delta
+	ix := e.Oracle() // forces compaction of the signed delta
 	if got := ix.NumDistinct(); got != 3 {
 		t.Errorf("distinct combos = %d after deleting a combo's last row, want 3", got)
 	}
@@ -963,7 +963,7 @@ func TestConcurrentMutations(t *testing.T) {
 	}
 }
 
-// TestIndexSnapshot checks Index() folds the delta in and yields an
+// TestIndexSnapshot checks Oracle() folds the delta in and yields an
 // oracle equivalent to a fresh build.
 func TestIndexSnapshot(t *testing.T) {
 	cards := []int{2, 2, 3}
@@ -974,20 +974,21 @@ func TestIndexSnapshot(t *testing.T) {
 	if err := e.Append(rows); err != nil {
 		t.Fatal(err)
 	}
-	ix := e.Index()
+	ix := e.Oracle()
+	pr := ix.NewCoverageProber()
 	ref := index.Build(datasetOf(t, schema, rows))
 	if ix.Total() != ref.Total() || ix.NumDistinct() != ref.NumDistinct() {
 		t.Fatalf("snapshot total/distinct = %d/%d, want %d/%d",
 			ix.Total(), ix.NumDistinct(), ref.Total(), ref.NumDistinct())
 	}
 	pattern.EnumerateAll(cards, func(p pattern.Pattern) bool {
-		if got, want := ix.Coverage(p), ref.Coverage(p); got != want {
+		if got, want := pr.Coverage(p), ref.Coverage(p); got != want {
 			t.Fatalf("snapshot cov(%v) = %d, want %d", p, got, want)
 		}
 		return true
 	})
 	if st := e.Stats(); st.DeltaDistinct != 0 {
-		t.Errorf("delta not folded by Index(): %d entries", st.DeltaDistinct)
+		t.Errorf("delta not folded by Oracle(): %d entries", st.DeltaDistinct)
 	}
 }
 
@@ -1086,8 +1087,8 @@ func TestInlineBatchThreshold(t *testing.T) {
 // record every mutated combination — allocates nothing once it has
 // reached the bound.
 func TestMutLogTrimsInPlace(t *testing.T) {
-	keys := newKeyCodec([]int{4, 4})
-	key := func(i int) pattern.PackedKey { return keys.ofRow([]uint8{uint8(i % 4), uint8(i / 4 % 4)}) }
+	keys := pattern.NewKeyCodec([]int{4, 4})
+	key := func(i int) pattern.PackedKey { return keys.PackedKey(pattern.Pattern{uint8(i % 4), uint8(i / 4 % 4)}) }
 	const max = 8
 	var l mutLog
 	// Generations of three records each: the ninth record overflows the

@@ -62,7 +62,7 @@ func (o *shardOracle) MatchHistogram(combo []uint8, hist []int64) {
 // Range visits every shard's combinations in turn: the shards'
 // combination sets are disjoint, so no combination is visited twice and
 // no counts need summing.
-func (o *shardOracle) Range(fn func(combo string, count int64)) {
+func (o *shardOracle) Range(fn func(combo []uint8, count int64)) {
 	for _, b := range o.bases {
 		b.Range(fn)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -128,14 +129,13 @@ func TestShardedMutateEquivalence(t *testing.T) {
 // drawDeletableEngine samples up to n rows currently live in the
 // engine by enumerating its distinct combinations.
 func drawDeletableEngine(rng *rand.Rand, e *Engine, n int) [][]uint8 {
-	ix := e.Index()
 	type entry struct {
 		key   string
 		count int64
 	}
 	var entries []entry
-	ix.Range(func(combo string, count int64) {
-		entries = append(entries, entry{combo, count})
+	e.Oracle().Range(func(combo []uint8, count int64) {
+		entries = append(entries, entry{string(combo), count})
 	})
 	if len(entries) == 0 {
 		return nil
@@ -249,30 +249,128 @@ func TestShardedConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestShardRouterDeterminism pins the routing rule: the same key maps
-// to the same core independent of row/string representation, and the
+// routerGolden pins the shard router as a function of the row: (row,
+// n) → shard for n = 2, 3, 4 and 8, computed before the router moved
+// from key strings to packed keys. Restores validate every persisted
+// per-shard key list against the router, so any change to these values
+// would make every multi-shard data directory unreadable. The rows come
+// from randomRows with seeds 100, 101 and 102 over the three key
+// layouts: raw (benchCards, 13 attributes), bit-compact (routerCompact,
+// 20 attributes) and bit-compact with a field straddling the two key
+// words (routerStraddle, 25 attributes of 31 values).
+var routerGolden = []struct {
+	cards []int
+	rows  []routerCase
+}{
+	{benchCards, []routerCase{
+		{"07020000010204030002010201", [4]int{0, 0, 2, 6}},
+		{"04010200050102050202000105", [4]int{1, 1, 3, 7}},
+		{"03000103010001030102040201", [4]int{1, 1, 1, 1}},
+		{"06020300010003030002010001", [4]int{1, 1, 1, 1}},
+		{"07030401040104000000010201", [4]int{1, 1, 3, 7}},
+		{"02040202010201040000020300", [4]int{0, 0, 2, 2}},
+		{"07030200050202050302040201", [4]int{1, 0, 3, 7}},
+		{"02030400060000030202010200", [4]int{0, 1, 2, 2}},
+	}},
+	{routerCompact(), []routerCase{
+		{"0000000201000302040500020001020003020104", [4]int{1, 0, 3, 7}},
+		{"0201010204010301010001000202000200010003", [4]int{0, 1, 0, 4}},
+		{"0000010201020100000501020400000102040105", [4]int{1, 2, 3, 7}},
+		{"0103010306010301010102010302000201010103", [4]int{0, 0, 2, 6}},
+		{"0001010106010300000400000005010100020505", [4]int{1, 0, 3, 7}},
+		{"0203000405020000040401030104020003030502", [4]int{1, 1, 3, 3}},
+		{"0102010501020302020400030003040002030506", [4]int{0, 2, 0, 0}},
+		{"0103040006020204040200010005020003020305", [4]int{0, 0, 2, 6}},
+	}},
+	{routerStraddle(), []routerCase{
+		{"0e1a03000f071d1003090c1b041409110b10130208100d1314", [4]int{0, 2, 0, 4}},
+		{"180f0d1d061410111914131d141715060d08001c0d0319141b", [4]int{1, 2, 1, 1}},
+		{"1d0d010c031400110a0a0a09101c0b1d09180d101b120d060e", [4]int{1, 0, 1, 1}},
+		{"110d0b050c0b1300181e0f1e06000505081d0e0f19150b0105", [4]int{1, 1, 3, 3}},
+		{"02100d130f0f0d1c0f120d061911051a00111e16080f1c1605", [4]int{0, 1, 2, 2}},
+		{"0a0b130701000c0f040b1d0a1a0e0d04151c0807091b130a03", [4]int{1, 1, 3, 3}},
+		{"061615160b0b0c01000d04051d0c0b1201090f08140d0a0009", [4]int{0, 1, 2, 2}},
+		{"1b021e0109111c150e0b160a140e0b0f1b0c1b081a051e1215", [4]int{1, 0, 1, 5}},
+	}},
+}
+
+type routerCase struct {
+	row    string // hex value codes
+	shards [4]int // for routerShardCounts
+}
+
+var routerShardCounts = [4]int{2, 3, 4, 8}
+
+// routerCompact is a 20-attribute schema of 3 to 7 values: past
+// pattern.RawKeyDim, so its keys take the bit-compact layout.
+func routerCompact() []int {
+	cards := make([]int, 20)
+	for i := range cards {
+		cards[i] = 3 + i%5
+	}
+	return cards
+}
+
+// routerStraddle is 25 attributes of 31 values, five bits each: twelve
+// fields fill each key word to 60 bits and the last one straddles them.
+func routerStraddle() []int {
+	cards := make([]int, 25)
+	for i := range cards {
+		cards[i] = 31
+	}
+	return cards
+}
+
+// TestShardRouterGolden checks the router against routerGolden.
+func TestShardRouterGolden(t *testing.T) {
+	for _, layout := range routerGolden {
+		for _, tc := range layout.rows {
+			row, err := hex.DecodeString(tc.row)
+			if err != nil || len(row) != len(layout.cards) {
+				t.Fatalf("bad golden row %q for %d attributes", tc.row, len(layout.cards))
+			}
+			codec := pattern.NewKeyCodec(layout.cards)
+			for i, n := range routerShardCounts {
+				if got := shardOfRow(row, n); got != tc.shards[i] {
+					t.Errorf("%d attributes: row %s routes to shard %d of %d, golden %d", len(row), tc.row, got, n, tc.shards[i])
+				}
+				if got := shardOf(codec, codec.PackedKey(row), n); got != tc.shards[i] {
+					t.Errorf("%d attributes: key of row %s routes to shard %d of %d, golden %d", len(row), tc.row, got, n, tc.shards[i])
+				}
+			}
+		}
+	}
+}
+
+// TestShardRouterDeterminism pins the routing rule: the key router
+// equals the row router in every key layout (raw, bit-compact, and
+// bit-compact with a straddling field), so a combination lands on the
+// same core whether it arrives as a row or as a packed key, and the
 // partition is reasonably balanced on a spread of keys.
 func TestShardRouterDeterminism(t *testing.T) {
 	const n = 8
-	seen := make([]int, n)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 4096; i++ {
-		row := []uint8{uint8(rng.Intn(7)), uint8(rng.Intn(5)), uint8(rng.Intn(11)), uint8(rng.Intn(3))}
-		s := shardOfRow(row, n)
-		if got := shardOf(string(row), n); got != s {
-			t.Fatalf("shardOf(%v) = %d as string, %d as row", row, got, s)
+	for _, cards := range [][]int{{7, 5, 11, 3}, benchCards, routerCompact(), routerStraddle()} {
+		codec := pattern.NewKeyCodec(cards)
+		seen := make([]int, n)
+		rng := rand.New(rand.NewSource(5))
+		for _, row := range randomRows(rng, cards, 4096) {
+			s := shardOfRow(row, n)
+			if got := shardOf(codec, codec.PackedKey(row), n); got != s {
+				t.Fatalf("%d attributes: shardOf(%v) = %d as a key, %d as a row", len(cards), row, got, s)
+			}
+			if s < 0 || s >= n {
+				t.Fatalf("shardOfRow(%v) = %d out of range", row, s)
+			}
+			seen[s]++
 		}
-		if s < 0 || s >= n {
-			t.Fatalf("shardOfRow(%v) = %d out of range", row, s)
+		for s, c := range seen {
+			if c == 0 {
+				t.Errorf("%d attributes: shard %d received no keys out of 4096", len(cards), s)
+			}
 		}
-		seen[s]++
 	}
-	for s, c := range seen {
-		if c == 0 {
-			t.Errorf("shard %d received no keys out of 4096", s)
-		}
-	}
-	if shardOf("anything", 1) != 0 || shardOfRow([]uint8{1, 2}, 1) != 0 {
+	codec := pattern.NewKeyCodec([]int{3, 3})
+	if shardOf(codec, codec.PackedKey(pattern.Pattern{1, 2}), 1) != 0 || shardOfRow([]uint8{1, 2}, 1) != 0 {
 		t.Error("single-shard router must always answer 0")
 	}
 }

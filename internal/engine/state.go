@@ -200,7 +200,7 @@ type coreSnapshot struct {
 type Capture struct {
 	st    *State
 	cores []coreSnapshot
-	keys  *keyCodec // decodes the deltas' packed keys
+	codec *pattern.Codec // the engine's key layout
 	// windowEvicted and windowEpoch pin the window log's coordinates at
 	// capture time — the anchor Baseline carries so the next CaptureDelta
 	// can express the log as a drop/append pair (they are not part of
@@ -237,22 +237,18 @@ func (e *ShardedEngine) CaptureState() *Capture {
 		Tombstones: e.tombstones,
 		Removed: MutationLog{
 			Horizon: e.removed.horizon,
-			Recs:    exportRecs(e.removed.recs, e.keys),
+			Recs:    exportRecs(e.removed.recs, e.codec),
 		},
 		Added: MutationLog{
 			Horizon: e.added.horizon,
-			Recs:    exportRecs(e.added.recs, e.keys),
+			Recs:    exportRecs(e.added.recs, e.codec),
 		},
 		Counters: e.countersLocked(),
 	}
 	windowEvicted, windowEpoch := e.windowEvicted, e.windowEpoch
 	if e.log != nil {
-		st.WindowLog = make([]string, 0, e.log.len())
-		st.WindowLog = append(st.WindowLog, e.log.keys[e.log.head:]...)
-		st.PendingDeletes = make(map[string]int64, e.pendingDeletes.Len())
-		e.pendingDeletes.Range(func(k pattern.PackedKey, c int64) {
-			st.PendingDeletes[e.keys.str(k)] = c
-		})
+		st.WindowLog = keyStrings(e.codec, e.log.live())
+		st.PendingDeletes = countMap(e.codec, e.pendingDeletes)
 	}
 	st.Cache = make([]CachedSearch, 0, len(e.cache))
 	for key, c := range e.cache {
@@ -283,7 +279,7 @@ func (e *ShardedEngine) CaptureState() *Capture {
 		attrs[i] = e.schema.Attr(i)
 	}
 	st.Attrs = attrs
-	return &Capture{st: st, cores: cores, keys: e.keys, windowEvicted: windowEvicted, windowEpoch: windowEpoch}
+	return &Capture{st: st, cores: cores, codec: e.codec, windowEvicted: windowEvicted, windowEpoch: windowEpoch}
 }
 
 // Baseline derives the DeltaBaseline describing the captured state —
@@ -308,10 +304,11 @@ func (c *Capture) Baseline() *DeltaBaseline {
 }
 
 // State completes the capture: each core's base and delta are merged
-// into its partition of the combo→count map against the immutable base
-// snapshots, with no engine lock involved, yielding the union Counts
-// plus the per-shard sorted key lists. Idempotent; the same State is
-// returned on repeated calls.
+// in packed form against the immutable base snapshots, with no engine
+// lock involved, and only the merged result is converted to the union
+// Counts plus the per-shard key lists, which come out of the merge
+// already sorted. Idempotent; the same State is returned on repeated
+// calls.
 func (c *Capture) State() *State {
 	if c.st.Counts != nil {
 		return c.st
@@ -322,25 +319,18 @@ func (c *Capture) State() *State {
 	}
 	counts := make(map[string]int64, total)
 	shardKeys := make([][]string, len(c.cores))
+	var entries []index.Entry
 	for i, core := range c.cores {
-		part := make(map[string]int64, core.base.NumDistinct()+len(core.delta))
-		core.base.Range(func(combo string, cnt int64) {
-			part[combo] = cnt
-		})
+		entries = core.base.AppendEntries(entries[:0])
 		for _, d := range core.delta {
-			k := c.keys.str(d.key)
-			if n := part[k] + d.count; n == 0 {
-				delete(part, k)
-			} else {
-				part[k] = n
-			}
+			entries = append(entries, index.Entry{Key: d.key, Count: d.count})
 		}
-		keys := make([]string, 0, len(part))
-		for k, n := range part {
-			counts[k] = n
-			keys = append(keys, k)
+		entries = index.Normalize(c.codec, entries)
+		keys := make([]string, len(entries))
+		for j, en := range entries {
+			keys[j] = keyString(c.codec, en.Key)
+			counts[keys[j]] = en.Count
 		}
-		sort.Strings(keys)
 		shardKeys[i] = keys
 	}
 	c.st.Counts = counts
@@ -348,10 +338,33 @@ func (c *Capture) State() *State {
 	return c.st
 }
 
-func exportRecs(recs []mutRec, keys *keyCodec) []MutationRec {
+// keyString is a key in the raw value-code string form State and
+// StateDelta hold.
+func keyString(codec *pattern.Codec, k pattern.PackedKey) string {
+	var buf [pattern.MaxKeyBits]uint8
+	return string(codec.AppendUnpack(buf[:0], k))
+}
+
+// keyStrings converts keys to their State form, in order.
+func keyStrings(codec *pattern.Codec, keys []pattern.PackedKey) []string {
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = keyString(codec, k)
+	}
+	return out
+}
+
+// countMap converts a count table to its State form.
+func countMap(codec *pattern.Codec, f *countstore.Flat) map[string]int64 {
+	m := make(map[string]int64, f.Len())
+	f.Range(func(k pattern.PackedKey, n int64) { m[keyString(codec, k)] = n })
+	return m
+}
+
+func exportRecs(recs []mutRec, codec *pattern.Codec) []MutationRec {
 	out := make([]MutationRec, len(recs))
 	for i, r := range recs {
-		out[i] = MutationRec{Gen: r.gen, Key: keys.str(r.key), Count: r.count}
+		out[i] = MutationRec{Gen: r.gen, Key: keyString(codec, r.key), Count: r.count}
 	}
 	return out
 }
@@ -377,6 +390,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: restoring schema: %w", err)
 	}
 	cards := schema.Cards()
+	codec := pattern.NewKeyCodec(cards)
 	validKey := func(what, k string) error {
 		if len(k) != len(cards) {
 			return fmt.Errorf("engine: %s combination has %d values, schema has %d attributes", what, len(k), len(cards))
@@ -390,16 +404,21 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		return nil
 	}
 
+	// The sorted key lists: one per shard, or the single-shard (v1)
+	// list, or none.
+	lists := st.ShardCountKeys
+	if lists == nil && st.CountKeys != nil {
+		lists = [][]string{st.CountKeys}
+	}
 	var sum int64
 	switch {
-	case st.ShardCountKeys != nil:
-		// Validate through the per-shard key lists: every key valid,
-		// present, positive, strictly increasing within its shard and
-		// routed to it; equal total lengths then make the lists a
-		// partition of the map's keys.
-		nShards := len(st.ShardCountKeys)
+	case lists != nil:
+		// Validate through the key lists: every key valid, present,
+		// positive, strictly increasing within its list and routed to
+		// it; equal total lengths then make the lists a partition of the
+		// map's keys.
 		total := 0
-		for s, keys := range st.ShardCountKeys {
+		for s, keys := range lists {
 			for i, k := range keys {
 				if err := validKey("count", k); err != nil {
 					return nil, err
@@ -407,9 +426,9 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 				if i > 0 && keys[i-1] >= k {
 					return nil, fmt.Errorf("engine: shard %d count keys not strictly increasing at entry %d", s, i)
 				}
-				if got := shardOf(k, nShards); got != s {
+				if got := shardOf(codec, codec.PackedKeyString(k), len(lists)); got != s {
 					return nil, fmt.Errorf("engine: combination %v stored on shard %d, router says %d of %d",
-						pattern.Pattern(k), s, got, nShards)
+						pattern.Pattern(k), s, got, len(lists))
 				}
 				c, ok := st.Counts[k]
 				if !ok {
@@ -423,30 +442,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			total += len(keys)
 		}
 		if total != len(st.Counts) {
-			return nil, fmt.Errorf("engine: %d sharded count keys for %d count entries", total, len(st.Counts))
-		}
-	case st.CountKeys != nil:
-		// Validate through the pre-sorted key list: every key valid,
-		// present, strictly increasing; equal lengths then make it a
-		// bijection with the map.
-		if len(st.CountKeys) != len(st.Counts) {
-			return nil, fmt.Errorf("engine: %d sorted count keys for %d count entries", len(st.CountKeys), len(st.Counts))
-		}
-		for i, k := range st.CountKeys {
-			if err := validKey("count", k); err != nil {
-				return nil, err
-			}
-			if i > 0 && st.CountKeys[i-1] >= k {
-				return nil, fmt.Errorf("engine: count keys not strictly increasing at entry %d", i)
-			}
-			c, ok := st.Counts[k]
-			if !ok {
-				return nil, fmt.Errorf("engine: sorted key %v missing from the count map", pattern.Pattern(k))
-			}
-			if c <= 0 {
-				return nil, fmt.Errorf("engine: combination %v has non-positive multiplicity %d", pattern.Pattern(k), c)
-			}
-			sum += c
+			return nil, fmt.Errorf("engine: %d sorted count keys for %d count entries", total, len(st.Counts))
 		}
 	default:
 		for k, c := range st.Counts {
@@ -575,12 +571,11 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		n = 1
 	}
 
-	keys := newKeyCodec(cards)
 	e := &ShardedEngine{
 		schema:    schema,
 		cards:     cards,
 		opts:      opts,
-		keys:      keys,
+		codec:     codec,
 		cores:     make([]*shardCore, n),
 		cache:     make(map[searchKey]*cachedSearch, len(st.Cache)),
 		planCache: make(map[planKey]*cachedPlan, len(st.Plans)),
@@ -589,11 +584,11 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		window:    st.Window,
 		removed: mutLog{
 			horizon: st.Removed.Horizon,
-			recs:    importRecs(st.Removed.Recs, keys),
+			recs:    importRecs(st.Removed.Recs, codec),
 		},
 		added: mutLog{
 			horizon: st.Added.Horizon,
-			recs:    importRecs(st.Added.Recs, keys),
+			recs:    importRecs(st.Added.Recs, codec),
 		},
 		appends:         st.Counters.Appends,
 		deletes:         st.Counters.Deletes,
@@ -610,24 +605,23 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 	e.planProbes.Store(st.Counters.PlanProbes)
 	e.planHits.Store(st.Counters.PlanHits)
 
-	shardKeys := st.ShardCountKeys
-	switch {
-	case len(shardKeys) == n:
-		// Matching topology: each core rebuilds straight from its
-		// sorted key list.
-	case n == 1 && st.CountKeys != nil:
-		shardKeys = [][]string{st.CountKeys}
-	default:
-		// Re-shard on restore: route every combination through the
-		// hash router for the target count, sorting each partition
-		// (BuildFromDistinct needs the deterministic sorted order).
-		shardKeys = make([][]string, n)
-		for k := range st.Counts {
-			s := shardOf(k, n)
-			shardKeys[s] = append(shardKeys[s], k)
+	parts := make([][]index.Entry, n)
+	if len(lists) == n {
+		// Matching topology: each core rebuilds from its key list.
+		for i, keys := range lists {
+			parts[i] = make([]index.Entry, len(keys))
+			for j, k := range keys {
+				parts[i][j] = index.Entry{Key: codec.PackedKeyString(k), Count: st.Counts[k]}
+			}
 		}
-		for _, keys := range shardKeys {
-			sort.Strings(keys)
+	} else {
+		// Re-shard on restore: route every combination through the
+		// hash router for the target count; the builder sorts each
+		// partition into value order.
+		for k, c := range st.Counts {
+			key := codec.PackedKeyString(k)
+			s := shardOf(codec, key, n)
+			parts[s] = append(parts[s], index.Entry{Key: key, Count: c})
 		}
 	}
 	var wg sync.WaitGroup
@@ -635,26 +629,16 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			core := newShardCore(schema, keys, opts)
+			core := newShardCore(schema, opts)
 			core.compactions = 0
-			part := shardKeys[i]
+			part := parts[i]
 			core.counts.ExpectInserts(len(part))
-			dd := &dataset.Distinct{
-				Schema: schema,
-				Combos: make([][]uint8, len(part)),
-				Counts: make([]int64, len(part)),
+			for _, en := range part {
+				core.counts.Set(en.Key, en.Count)
+				core.rows += en.Count
 			}
-			for j, k := range part {
-				dd.Combos[j] = []uint8(k)
-				dd.Counts[j] = st.Counts[k]
-				core.counts.Set(keys.ofString(k), st.Counts[k])
-				core.rows += st.Counts[k]
-			}
-			// The key lists are sorted, which is exactly the
-			// deterministic order BuildFromCounts would sort into —
-			// build the oracle directly and skip the O(n log n)
-			// re-sort.
-			core.base = index.BuildFromDistinct(dd)
+			// Key lists in value order are checked, not sorted again.
+			core.base = index.BuildFromKeys(schema, part)
 			core.pool = core.base.NewPool()
 			e.cores[i] = core
 		}(i)
@@ -662,10 +646,13 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 	wg.Wait()
 
 	if st.Window > 0 {
-		e.log = &rowLog{keys: append([]string(nil), st.WindowLog...)}
+		e.log = &keyRing{keys: make([]pattern.PackedKey, len(st.WindowLog))}
+		for i, k := range st.WindowLog {
+			e.log.keys[i] = codec.PackedKeyString(k)
+		}
 		e.pendingDeletes = countstore.NewFlat(len(st.PendingDeletes))
 		for k, c := range st.PendingDeletes {
-			e.pendingDeletes.Set(keys.ofString(k), c)
+			e.pendingDeletes.Set(codec.PackedKeyString(k), c)
 		}
 		e.tombstones = st.Tombstones
 	}
@@ -727,13 +714,13 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-func importRecs(recs []MutationRec, keys *keyCodec) []mutRec {
+func importRecs(recs []MutationRec, codec *pattern.Codec) []mutRec {
 	if len(recs) == 0 {
 		return nil
 	}
 	out := make([]mutRec, len(recs))
 	for i, r := range recs {
-		out[i] = mutRec{gen: r.Gen, key: keys.ofString(r.Key), count: r.Count}
+		out[i] = mutRec{gen: r.Gen, key: codec.PackedKeyString(r.Key), count: r.Count}
 	}
 	return out
 }

@@ -9,7 +9,7 @@ package index
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"coverage/internal/bitvec"
@@ -60,32 +60,145 @@ func Build(d *dataset.Dataset) *Index {
 }
 
 // BuildFromDistinct constructs the oracle from an already
-// deduplicated dataset.
+// deduplicated dataset, one column per combination in the given order.
 func BuildFromDistinct(dd *dataset.Distinct) *Index {
-	cards := dd.Schema.Cards()
+	ix := newIndex(dd.Schema, pattern.NewKeyCodec(dd.Schema.Cards()), len(dd.Combos))
+	ix.counts = dd.Counts
+	for k, combo := range dd.Combos {
+		ix.addCombo(k, combo, ix.codec.PackedKey(combo), dd.Counts[k])
+	}
+	ix.finish()
+	return ix
+}
+
+// Entry is one full value combination, keyed in the layout of
+// pattern.NewKeyCodec over the schema's cardinalities, with a
+// multiplicity.
+type Entry struct {
+	Key   pattern.PackedKey
+	Count int64
+}
+
+// Normalize puts entries into canonical form in place and returns the
+// result: ascending value order (pattern.Codec.CompareValues, the
+// sort.Strings order of the raw byte strings), counts of equal keys
+// summed, and combinations whose total is not positive dropped.
+// Entries already in ascending order are checked, not sorted again.
+func Normalize(codec *pattern.Codec, entries []Entry) []Entry {
+	if !slices.IsSortedFunc(entries, func(a, b Entry) int { return codec.CompareValues(a.Key, b.Key) }) {
+		radixSort(codec, entries)
+	}
+	out := entries[:0]
+	for _, e := range entries {
+		if n := len(out); n > 0 && out[n-1].Key == e.Key {
+			out[n-1].Count += e.Count
+		} else {
+			out = append(out, e)
+		}
+	}
+	return slices.DeleteFunc(out, func(e Entry) bool { return e.Count <= 0 })
+}
+
+// radixSort sorts entries into value order with one stable counting
+// pass per attribute, the last attribute first, and none for an
+// attribute on which every key agrees. Rebuilds sort thousands of keys,
+// where this is several times faster than comparison sorting.
+func radixSort(codec *pattern.Codec, entries []Entry) {
+	src, dst := entries, make([]Entry, len(entries))
+	for i := codec.Dim() - 1; i >= 0; i-- {
+		var at [256]int
+		for j := range src {
+			at[codec.Value(src[j].Key, i)]++
+		}
+		if at[codec.Value(src[0].Key, i)] == len(src) {
+			continue
+		}
+		pos := 0
+		for v, n := range at {
+			at[v], pos = pos, pos+n
+		}
+		for j := range src {
+			v := codec.Value(src[j].Key, i)
+			dst[at[v]] = src[j]
+			at[v]++
+		}
+		src, dst = dst, src
+	}
+	copy(entries, src)
+}
+
+// BuildFromKeys constructs the oracle over entries, whose keys use the
+// layout of pattern.NewKeyCodec(schema.Cards()): the rebuild path of
+// the incremental engine. It normalizes entries in place (see
+// Normalize), so the columns are in ascending value order — the order
+// BuildFromDistinct gets from sorted combinations — and combinations
+// with no live rows take no column: a ghost would keep NumDistinct and
+// the probe windows paying for rows that no longer exist. The keys go
+// into the full-combo table as they are, without packing again.
+func BuildFromKeys(schema *dataset.Schema, entries []Entry) *Index {
+	codec := pattern.NewKeyCodec(schema.Cards())
+	entries = Normalize(codec, entries)
+	ix := newIndex(schema, codec, len(entries))
+	ix.counts = make([]int64, len(entries))
+	combo := make([]uint8, 0, len(ix.cards))
+	for k, e := range entries {
+		combo = codec.AppendUnpack(combo[:0], e.Key)
+		ix.addCombo(k, combo, e.Key, e.Count)
+	}
+	ix.finish()
+	return ix
+}
+
+// BuildFromCounts constructs the oracle from a combo→multiplicity map
+// keyed by raw value-code strings (pattern.Key of a full combination):
+// BuildFromKeys over the map's entries.
+func BuildFromCounts(schema *dataset.Schema, counts map[string]int64) *Index {
+	codec := pattern.NewKeyCodec(schema.Cards())
+	entries := make([]Entry, 0, len(counts))
+	for k, n := range counts {
+		entries = append(entries, Entry{Key: codec.PackedKeyString(k), Count: n})
+	}
+	return BuildFromKeys(schema, entries)
+}
+
+// newIndex allocates an oracle of n columns over the schema: the value
+// vectors and the full-combo table, keyed by codec, which must be
+// pattern.NewKeyCodec over the schema's cardinalities.
+func newIndex(schema *dataset.Schema, codec *pattern.Codec, n int) *Index {
+	cards := schema.Cards()
 	ix := &Index{
-		schema: dd.Schema,
+		schema: schema,
 		cards:  cards,
 		vecs:   make([][]*bitvec.Vector, len(cards)),
-		counts: dd.Counts,
-		nDist:  len(dd.Combos),
+		nDist:  n,
+		codec:  codec,
+		flat:   countstore.NewProbe(n),
 	}
-	ix.initComboStore(len(dd.Combos))
 	for i, c := range cards {
 		ix.vecs[i] = make([]*bitvec.Vector, c)
 		for v := 0; v < c; v++ {
-			ix.vecs[i][v] = bitvec.New(ix.nDist)
+			ix.vecs[i][v] = bitvec.New(n)
 		}
 	}
-	for k, combo := range dd.Combos {
-		for i, v := range combo {
-			ix.vecs[i][v].Set(k)
-		}
-		ix.setCombo(combo, dd.Counts[k])
-		ix.total += dd.Counts[k]
+	return ix
+}
+
+// addCombo fills column k with one combination, held both as value
+// codes and as its key.
+func (ix *Index) addCombo(k int, combo []uint8, key pattern.PackedKey, n int64) {
+	for i, v := range combo {
+		ix.vecs[i][v].Set(k)
 	}
-	ix.vals = make([][]valueVec, len(cards))
-	for i, c := range cards {
+	ix.flat.Set(key, n)
+	ix.counts[k] = n
+	ix.total += n
+}
+
+// finish derives the probe kernel's view of the filled columns: each
+// value vector's window and density, and the bit planes of the counts.
+func (ix *Index) finish() {
+	ix.vals = make([][]valueVec, len(ix.cards))
+	for i, c := range ix.cards {
 		ix.vals[i] = make([]valueVec, c)
 		for v := 0; v < c; v++ {
 			vec := ix.vecs[i][v]
@@ -94,7 +207,6 @@ func BuildFromDistinct(dd *dataset.Distinct) *Index {
 		}
 	}
 	ix.slicePlanes()
-	return ix
 }
 
 // slicePlanes builds the bit planes of the counts: bits.Len64 of the
@@ -114,23 +226,6 @@ func (ix *Index) slicePlanes() {
 	}
 }
 
-// initComboStore allocates the full-combo count table. The table only
-// hashes its keys, so it takes the byte-aligned raw layout where the
-// schema has one: every deepest-level probe then packs with two word
-// loads instead of a per-attribute shift-and-mask loop.
-func (ix *Index) initComboStore(hint int) {
-	if len(ix.cards) <= pattern.RawKeyDim {
-		ix.codec = pattern.NewRawCodec(len(ix.cards))
-	} else {
-		ix.codec = pattern.NewCodec(ix.cards)
-	}
-	ix.flat = countstore.NewProbe(hint)
-}
-
-func (ix *Index) setCombo(combo []uint8, n int64) {
-	ix.flat.Set(ix.codec.PackedKey(pattern.Pattern(combo)), n)
-}
-
 // fullCount is the full-combo multiplicity lookup backing ComboCount
 // and the deepest-level probe fast path.
 func (ix *Index) fullCount(p pattern.Pattern) int64 {
@@ -138,38 +233,6 @@ func (ix *Index) fullCount(p pattern.Pattern) int64 {
 		return ix.flat.GetRaw(p)
 	}
 	return ix.flat.Get(ix.codec.PackedKey(p))
-}
-
-// BuildFromCounts constructs the oracle from a combo→multiplicity map
-// (keys are raw value-code strings, as produced by pattern.Key on a
-// fully deterministic pattern). Combination order is the sorted key
-// order, making the result deterministic for a fixed map. This is the
-// rebuild path of the incremental engine: it skips row storage and
-// re-deduplication entirely.
-//
-// Combinations whose count has decremented to zero (or below) are
-// pruned rather than kept as ghosts: a combo with no live rows must not
-// occupy a bit-vector column, or NumDistinct and the probe windows
-// would keep paying for rows that no longer exist.
-func BuildFromCounts(schema *dataset.Schema, counts map[string]int64) *Index {
-	keys := make([]string, 0, len(counts))
-	for k, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dd := &dataset.Distinct{
-		Schema: schema,
-		Combos: make([][]uint8, len(keys)),
-		Counts: make([]int64, len(keys)),
-	}
-	for i, k := range keys {
-		dd.Combos[i] = []uint8(k)
-		dd.Counts[i] = counts[k]
-	}
-	return BuildFromDistinct(dd)
 }
 
 // Schema returns the schema the oracle was built over.
@@ -220,17 +283,25 @@ func (ix *Index) Coverage(p pattern.Pattern) int64 {
 }
 
 // Range calls fn for every distinct value combination with its
-// multiplicity, in unspecified order. The combo string is the raw
-// value-code key (as produced by pattern.Key on a fully deterministic
-// pattern). Because the index is immutable, Range is safe to call
-// concurrently with probes — this is how the engine snapshots its bulk
-// state without copying the combo map under a lock.
-func (ix *Index) Range(fn func(combo string, count int64)) {
+// multiplicity, in unspecified order. combo holds the value codes in a
+// buffer reused across calls: fn must copy what it keeps. Because the
+// index is immutable, Range is safe to call concurrently with probes.
+func (ix *Index) Range(fn func(combo []uint8, count int64)) {
 	buf := make([]uint8, 0, len(ix.cards))
 	ix.flat.Range(func(k pattern.PackedKey, c int64) {
 		buf = ix.codec.AppendUnpack(buf[:0], k)
-		fn(string(buf), c)
+		fn(buf, c)
 	})
+}
+
+// AppendEntries appends every distinct value combination's key and
+// multiplicity to dst, in unspecified order, and returns the extended
+// slice. The keys use the layout of pattern.NewKeyCodec.
+func (ix *Index) AppendEntries(dst []Entry) []Entry {
+	ix.flat.Range(func(k pattern.PackedKey, c int64) {
+		dst = append(dst, Entry{Key: k, Count: c})
+	})
+	return dst
 }
 
 // Prober performs allocation-free repeated coverage probes against an

@@ -3,6 +3,8 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -176,11 +178,15 @@ func TestQuickCoverageEqualsLiteralScan(t *testing.T) {
 }
 
 // FuzzProbeKernel checks the probe kernel against the literal sum over
-// combinations: an index built by BuildFromCounts in either key layout
+// combinations: an index built by BuildFromKeys in either key layout
 // (up to 16 attributes raw, past that bit-compact), with every
 // multiplicity 1 (a single count plane) or spread up to 2^40 (40
 // planes, so words are priced both from the planes and match by
-// match), probed at every level from the root to full rows.
+// match), probed at every level from the root to full rows. The
+// builder gets its entries shuffled, with one count split across two
+// entries and a ghost whose counts cancel, and must produce the index
+// BuildFromDistinct builds over the same combinations in sort.Strings
+// order: the same columns, windows, counts and planes.
 func FuzzProbeKernel(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(300), false)
 	f.Add(int64(2), uint8(20), uint16(900), true)
@@ -225,7 +231,23 @@ func FuzzProbeKernel(f *testing.F) {
 		if spread && len(combos) > 0 {
 			counts[string(combos[0])] = 1<<40 - 1
 		}
-		ix := BuildFromCounts(schema, counts)
+		codec := pattern.NewKeyCodec(cards)
+		var entries []Entry
+		for k, n := range counts {
+			entries = append(entries, Entry{Key: codec.PackedKeyString(k), Count: n})
+		}
+		if len(entries) > 0 {
+			// Split one count over two entries of the same key.
+			entries = append(entries, Entry{Key: entries[0].Key, Count: 1})
+			entries[0].Count--
+		}
+		if ghost := draw(); counts[string(ghost)] == 0 {
+			k := codec.PackedKey(ghost)
+			entries = append(entries, Entry{Key: k, Count: 3}, Entry{Key: k, Count: -3})
+		}
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		ix := BuildFromKeys(schema, entries)
+		sameIndex(t, ix, BuildFromDistinct(sortedDistinct(schema, counts)))
 		if ix.codec.Raw() != (d <= pattern.RawKeyDim) {
 			t.Fatalf("%d attributes: raw key layout = %v", d, ix.codec.Raw())
 		}
@@ -257,6 +279,52 @@ func FuzzProbeKernel(f *testing.F) {
 					t.Fatalf("cov(%v) = %d, literal sum %d", p, got, want)
 				}
 			}
+		}
+	})
+}
+
+// sortedDistinct lists a combo→count map in sort.Strings order of its
+// keys.
+func sortedDistinct(schema *dataset.Schema, counts map[string]int64) *dataset.Distinct {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	dd := &dataset.Distinct{Schema: schema}
+	for _, k := range keys {
+		dd.Combos = append(dd.Combos, []uint8(k))
+		dd.Counts = append(dd.Counts, counts[k])
+	}
+	return dd
+}
+
+// sameIndex fails unless got and want have the same columns (every
+// value vector bit for bit, with its window and density), counts, bit
+// planes and full-combo table.
+func sameIndex(t *testing.T, got, want *Index) {
+	t.Helper()
+	if got.nDist != want.nDist || got.total != want.total || got.nPlanes != want.nPlanes {
+		t.Fatalf("distinct/total/planes = %d/%d/%d, want %d/%d/%d",
+			got.nDist, got.total, got.nPlanes, want.nDist, want.total, want.nPlanes)
+	}
+	if !slices.Equal(got.counts, want.counts) || !slices.Equal(got.planes, want.planes) {
+		t.Fatal("counts or bit planes differ")
+	}
+	for i := range want.vals {
+		for v := range want.vals[i] {
+			g, w := got.vals[i][v], want.vals[i][v]
+			if !slices.Equal(g.words, w.words) || g.lo != w.lo || g.hi != w.hi || g.density != w.density {
+				t.Fatalf("attribute %d value %d: vector, window or density differs", i, v)
+			}
+		}
+	}
+	if got.flat.Len() != want.flat.Len() {
+		t.Fatalf("%d full combinations, want %d", got.flat.Len(), want.flat.Len())
+	}
+	want.flat.Range(func(k pattern.PackedKey, n int64) {
+		if c := got.flat.Get(k); c != n {
+			t.Fatalf("full combination %v has count %d, want %d", k, c, n)
 		}
 	})
 }

@@ -37,10 +37,10 @@ type Oracle interface {
 	// other quantity here.
 	MatchHistogram(combo []uint8, hist []int64)
 	// Range calls fn once for every distinct value combination with its
-	// (positive) multiplicity, in unspecified order; the combo string is
-	// the raw value-code key. The cold search's pattern cube is built
-	// from it, one add per combination.
-	Range(fn func(combo string, count int64))
+	// (positive) multiplicity, in unspecified order; combo holds the
+	// value codes in a buffer reused across calls. The cold search's
+	// pattern cube is built from it, one add per combination.
+	Range(fn func(combo []uint8, count int64))
 	// NewCoverageProber returns a fresh prober for repeated coverage
 	// probes. A prober is not safe for concurrent use; create one per
 	// goroutine.

@@ -95,7 +95,7 @@ func patternCube(ix index.Oracle, cells int, opts Options, workers int) *Result 
 	}
 
 	cube := make([]uint32, cells)
-	ix.Range(func(combo string, count int64) {
+	ix.Range(func(combo []uint8, count int64) {
 		cell := 0
 		for i := range stride {
 			cell += int(combo[i]) * stride[i]

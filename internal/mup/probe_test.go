@@ -259,7 +259,7 @@ func TestBreakerBatchesOncePerLevel(t *testing.T) {
 // combination incremented.
 func comboCountsPlus(ix *index.Index, combo []uint8, n int64) map[string]int64 {
 	counts := make(map[string]int64, ix.NumDistinct()+1)
-	ix.Range(func(k string, c int64) { counts[k] = c })
+	ix.Range(func(k []uint8, c int64) { counts[string(k)] = c })
 	counts[string(combo)] += n
 	return counts
 }

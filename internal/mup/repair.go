@@ -49,7 +49,8 @@ func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bo
 		return s, nil
 	}
 	cards := ix.Cards()
-	counts := make(map[string]int64, len(deltas))
+	codec := pattern.NewKeyCodec(cards)
+	entries := make([]index.Entry, 0, len(deltas))
 	for _, d := range deltas {
 		if err := d.Combo.Validate(cards); err != nil {
 			return nil, fmt.Errorf("mup: %s seed %v: %w", role, d.Combo, err)
@@ -67,9 +68,9 @@ func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bo
 			s.exact = false
 			mag = 1
 		}
-		counts[d.Combo.Key()] += mag
+		entries = append(entries, index.Entry{Key: codec.PackedKey(d.Combo), Count: mag})
 	}
-	mini := index.BuildFromCounts(ix.Schema(), counts)
+	mini := index.BuildFromKeys(ix.Schema(), entries)
 	s.pool = mini.NewPool()
 	return s, nil
 }

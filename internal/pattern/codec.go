@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -122,6 +123,18 @@ func NewRawCodec(dim int) *Codec {
 	return c
 }
 
+// NewKeyCodec returns the codec every count table and index keys full
+// value combinations by. The tables only hash their keys, so it is the
+// byte-aligned raw layout where the schema has one (a row then packs
+// with two word loads instead of a per-attribute loop) and the
+// bit-compact one past RawKeyDim attributes.
+func NewKeyCodec(cards []int) *Codec {
+	if len(cards) <= RawKeyDim {
+		return NewRawCodec(len(cards))
+	}
+	return NewCodec(cards)
+}
+
 // Raw reports whether this is the byte-aligned raw layout.
 func (c *Codec) Raw() bool { return c.raw }
 
@@ -134,16 +147,6 @@ func (c *Codec) splitHigh(v uint8) uint64 {
 		code = uint64(c.xcode[c.split])
 	}
 	return code >> c.splitLo << c.splitShift
-}
-
-// splitValue decodes the straddling field from both words.
-func (c *Codec) splitValue(k PackedKey) uint8 {
-	i := c.split
-	code := uint8((k[0]>>c.shift[i] | k[1]>>c.splitShift<<c.splitLo) & c.mask[i])
-	if code == c.xcode[i] {
-		return Wildcard
-	}
-	return code
 }
 
 // PackedKey returns the packed key of p without allocating; p must use
@@ -198,49 +201,11 @@ func rawKeyBytes(b []uint8) PackedKey {
 	return k
 }
 
-// rawKeyString is rawKeyBytes over a string. The explicit byte ORs
-// compile to the same fused word loads on little-endian targets.
-func rawKeyString(s string) PackedKey {
-	var k PackedKey
-	switch {
-	case len(s) > 8:
-		k[0] = le64s(s)
-		if len(s) == 16 {
-			k[1] = le64s(s[8:])
-		} else {
-			k[1] = le64s(s[len(s)-8:]) >> (8 * (16 - uint(len(s))))
-		}
-	case len(s) == 8:
-		k[0] = le64s(s)
-	case len(s) >= 4:
-		k[0] = le32s(s) | le32s(s[len(s)-4:])<<(8*(uint(len(s))-4))
-	default:
-		for i := len(s) - 1; i >= 0; i-- {
-			k[0] = k[0]<<8 | uint64(s[i])
-		}
-	}
-	return k
-}
-
-func le64s(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
-func le32s(s string) uint64 {
-	_ = s[3]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
-}
-
 // PackedKeyString is PackedKey over a pattern held as its raw
 // byte-string key (as produced by Pattern.Key), avoiding the []byte
 // copy a string→Pattern conversion would cost. s must have the codec's
 // dimension.
 func (c *Codec) PackedKeyString(s string) PackedKey {
-	if c.raw {
-		return rawKeyString(s)
-	}
 	var k PackedKey
 	for i := 0; i < len(s); i++ {
 		code := uint64(s[i])
@@ -304,16 +269,34 @@ func (c *Codec) Unpack(k PackedKey) Pattern {
 // decoded pattern's elements to dst and returns the extended slice.
 // Hot loops reuse one buffer across decodes instead of allocating.
 func (c *Codec) AppendUnpack(dst []uint8, k PackedKey) []uint8 {
-	start := len(dst)
 	for i := range c.shift {
-		code := uint8(k[c.word[i]] >> c.shift[i] & c.mask[i])
+		code := c.Value(k, i)
 		if code == c.xcode[i] {
 			code = Wildcard
 		}
 		dst = append(dst, code)
 	}
-	if c.split >= 0 {
-		dst[start+c.split] = c.splitValue(k)
-	}
 	return dst
+}
+
+// Value returns attribute i's code in k: its value, or the field's
+// wildcard code (see NewCodec and NewRawCodec) where k holds a
+// wildcard.
+func (c *Codec) Value(k PackedKey, i int) uint8 {
+	if i == c.split {
+		return uint8((k[0]>>c.shift[i] | k[1]>>c.splitShift<<c.splitLo) & c.mask[i])
+	}
+	return uint8(k[c.word[i]] >> c.shift[i] & c.mask[i])
+}
+
+// CompareValues orders the keys of two full value combinations by their
+// values, attribute 0 first: the sort.Strings order of their raw byte
+// strings.
+func (c *Codec) CompareValues(a, b PackedKey) int {
+	for i := range c.shift {
+		if va, vb := c.Value(a, i), c.Value(b, i); va != vb {
+			return cmp.Compare(va, vb)
+		}
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -249,6 +250,56 @@ func TestMaskedMatchesPattern(t *testing.T) {
 		}
 		if matched < 5000 {
 			t.Fatalf("%s: only %d of 20000 pairs matched", tc.name, matched)
+		}
+	}
+}
+
+// TestCompareValuesSortsLikeStrings checks CompareValues under
+// NewKeyCodec's raw layout (up to RawKeyDim attributes), the bit-compact
+// one and the bit-compact one with a straddling field: sorting full
+// combinations by it gives sort.Strings order of their raw byte
+// strings, and Value reads each attribute back.
+func TestCompareValuesSortsLikeStrings(t *testing.T) {
+	straddle := make([]int, 25)
+	for i := range straddle {
+		straddle[i] = 31
+	}
+	for _, cards := range [][]int{
+		{2},
+		{3, 4, 2, 5, 3, 3, 2, 4, 3, 2, 3},
+		{255, 200, 7, 255, 2, 3, 9, 4, 100, 2, 3, 4, 5, 6, 7, 255},
+		{3, 4, 2, 5, 3, 3, 2, 4, 3, 2, 3, 3, 4, 2, 5, 3, 3, 2, 4, 3},
+		straddle,
+	} {
+		c := NewKeyCodec(cards)
+		if c.Raw() != (len(cards) <= RawKeyDim) {
+			t.Fatalf("%d attributes: raw layout = %v", len(cards), c.Raw())
+		}
+		r := rand.New(rand.NewSource(int64(len(cards))))
+		strs := make([]string, 500)
+		keys := make([]PackedKey, len(strs))
+		for n := range strs {
+			combo := make(Pattern, len(cards))
+			for i, card := range cards {
+				// Few values per attribute, so neighbours share prefixes.
+				combo[i] = uint8(r.Intn(min(card, 3)))
+				if r.Intn(8) == 0 {
+					combo[i] = uint8(card - 1)
+				}
+			}
+			strs[n], keys[n] = combo.Key(), c.PackedKey(combo)
+			for i, v := range combo {
+				if got := c.Value(keys[n], i); got != v {
+					t.Fatalf("%d attributes: Value(%v, %d) = %d, want %d", len(cards), combo, i, got, v)
+				}
+			}
+		}
+		sort.Strings(strs)
+		sort.Slice(keys, func(i, j int) bool { return c.CompareValues(keys[i], keys[j]) < 0 })
+		for n, k := range keys {
+			if got := string(c.Unpack(k)); got != strs[n] {
+				t.Fatalf("%d attributes: entry %d in value order is %v, sort.Strings has %v", len(cards), n, Pattern(got), Pattern(strs[n]))
+			}
 		}
 	}
 }
