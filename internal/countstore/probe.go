@@ -18,6 +18,9 @@ import (
 // with a handful of ALU ops and usually touches the key array exactly
 // once. On the combo-probe workload this layout outruns both Flat's
 // plain linear probing and the runtime map.
+//
+// The lattice walk (mup.ParallelPatternBreaker) builds one per level
+// as its set of covered pattern keys, each stored with count 1.
 type Probe struct {
 	ctrl   []uint64 // one word of 8 control bytes per group
 	keys   []pattern.PackedKey

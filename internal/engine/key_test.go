@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -108,7 +109,7 @@ func TestShardProberCoverageBatch(t *testing.T) {
 		want[i] = ref.Coverage(p)
 	}
 	got := make([]int64, len(ps))
-	index.CoverageAll(pr, ps, got)
+	index.CoverageAll(pr, ps, math.MaxInt64, got)
 	for i := range ps {
 		if want[i] != got[i] {
 			t.Fatalf("batched cov(%v) = %d, scalar %d", ps[i], got[i], want[i])

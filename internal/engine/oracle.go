@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"coverage/internal/dataset"
 	"coverage/internal/index"
 	"coverage/internal/pattern"
@@ -83,15 +85,25 @@ func (o *shardOracle) NewCoverageProber() index.CoverageProber {
 // its own.
 type shardProber struct {
 	probers []*index.Prober
+	part    []int64 // scratch: one shard's answers to a batch
 	probes  int64
 	batches int64
 }
 
 func (p *shardProber) Coverage(pat pattern.Pattern) int64 {
+	return p.CoverageAtLeast(pat, math.MaxInt64)
+}
+
+// CoverageAtLeast bounds each shard's probe by what the running sum
+// still lacks of tau and stops once the sum reaches it. A total below
+// tau kept every shard below its bound, so it is exact.
+func (p *shardProber) CoverageAtLeast(pat pattern.Pattern, tau int64) int64 {
 	p.probes++
 	var c int64
 	for _, pr := range p.probers {
-		c += pr.Coverage(pat)
+		if c += pr.CoverageAtLeast(pat, tau-c); c >= tau {
+			break
+		}
 	}
 	return c
 }
@@ -101,16 +113,22 @@ func (p *shardProber) Coverage(pat pattern.Pattern) int64 {
 // index (bit vectors, densities, probe buffer) is touched for one
 // contiguous stretch per level instead of being evicted and refetched
 // once per candidate. One level of the MUP descent therefore costs one
-// merged probe pass per shard, not one fan-out per candidate.
-func (p *shardProber) CoverageBatch(ps []pattern.Pattern, out []int64) {
+// merged probe pass per shard, not one fan-out per candidate. Every
+// shard's batch is bounded by tau and the partials are summed: a total
+// below tau kept every partial below it, so it is exact, and a total at
+// least tau is at least tau.
+func (p *shardProber) CoverageBatch(ps []pattern.Pattern, tau int64, out []int64) {
 	p.probes += int64(len(ps))
 	p.batches++
-	for i := range out {
-		out[i] = 0
+	p.probers[0].CoverageBatch(ps, tau, out)
+	if cap(p.part) < len(ps) {
+		p.part = make([]int64, len(ps))
 	}
-	for _, pr := range p.probers {
-		for i, pat := range ps {
-			out[i] += pr.Coverage(pat)
+	part := p.part[:len(ps)]
+	for _, pr := range p.probers[1:] {
+		pr.CoverageBatch(ps, tau, part)
+		for i, c := range part {
+			out[i] += c
 		}
 	}
 }

@@ -7,7 +7,9 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -308,15 +310,24 @@ func (ix *Index) AppendEntries(dst []Entry) []Entry {
 // Index. A Prober is not safe for concurrent use; create one per
 // goroutine.
 type Prober struct {
-	ix     *Index
-	buf    []uint64 // scratch: the running AND of a probe of 3+ values
-	det    []int    // scratch: deterministic attribute positions
-	probes int64    // number of coverage computations performed
+	ix  *Index
+	buf []uint64 // scratch: the running AND of a probe of 3+ values
+	det []int    // scratch: deterministic attribute positions
+	// The prefix stack of a batch (see CoverageBatch) and its per-level
+	// buffers, each allocated when its level is first needed.
+	stack  []prefixAND
+	bufs   [][]uint64
+	probes int64 // number of coverage computations performed
 }
 
 // NewProber returns a fresh Prober for the index.
 func (ix *Index) NewProber() *Prober {
-	return &Prober{ix: ix, buf: make([]uint64, (ix.nDist+63)/64), det: make([]int, 0, len(ix.cards))}
+	return &Prober{
+		ix:   ix,
+		buf:  make([]uint64, (ix.nDist+63)/64),
+		det:  make([]int, 0, len(ix.cards)),
+		bufs: make([][]uint64, len(ix.cards)),
+	}
 }
 
 // Probes returns how many coverage computations this Prober has
@@ -324,18 +335,24 @@ func (ix *Index) NewProber() *Prober {
 // wall-clock time.
 func (pr *Prober) Probes() int64 { return pr.probes }
 
-// Coverage returns cov(P) for the prober's index. The deterministic
-// attributes' vectors are intersected sparsest-first, only over the
-// intersection of their nonzero windows. The first AND reads the
-// sparsest vector in place and writes the scratch buffer, every later
-// one tightens the window to the words still nonzero and exits once it
-// empties, and the last is fused with the dot product against the
-// counts, so a probe of one or two values writes no buffer at all.
+// Coverage returns cov(P) for the prober's index: CoverageAtLeast with
+// no threshold to stop at.
 func (pr *Prober) Coverage(p pattern.Pattern) int64 {
+	return pr.CoverageAtLeast(p, math.MaxInt64)
+}
+
+// CoverageAtLeast returns cov(P) when it is below tau, and otherwise
+// some value at least tau: the question a lattice search asks. The
+// deterministic attributes' vectors are intersected sparsest-first,
+// only over the intersection of their nonzero windows. The first AND
+// reads the sparsest vector in place and writes the scratch buffer,
+// every later one tightens the window to the words still nonzero and
+// exits once it empties, and the last is fused with the dot product
+// against the counts, which returns as soon as its running sum reaches
+// tau. A probe of one or two values writes no buffer at all.
+func (pr *Prober) CoverageAtLeast(p pattern.Pattern, tau int64) int64 {
 	ix := pr.ix
-	if len(p) != len(ix.cards) {
-		panic(fmt.Sprintf("index: pattern dimension %d does not match schema dimension %d", len(p), len(ix.cards)))
-	}
+	pr.checkDim(p)
 	pr.probes++
 	pr.det = pr.det[:0]
 	for i, v := range p {
@@ -378,7 +395,14 @@ func (pr *Prober) Coverage(p pattern.Pattern) int64 {
 		}
 		first = pr.buf
 	}
-	return ix.andDot(first, last, lo, hi)
+	return ix.andDot(first, last, lo, hi, tau)
+}
+
+// checkDim panics unless p has the schema's dimension.
+func (pr *Prober) checkDim(p pattern.Pattern) {
+	if len(p) != len(pr.ix.cards) {
+		panic(fmt.Sprintf("index: pattern dimension %d does not match schema dimension %d", len(p), len(pr.ix.cards)))
+	}
 }
 
 // andWindow writes dst = a ∧ b over the word window [lo, hi) and
@@ -399,10 +423,10 @@ func andWindow(dst, a, b []uint64, lo, hi int) (newLo, newHi int) {
 }
 
 // andDot returns Σ counts[k] over the bits k set in both a and b within
-// the word window [lo, hi). A word with fewer matches than there are
-// planes is priced match by match from the counts; a denser one as
-// Σ_b popcount(m & plane_b) << b.
-func (ix *Index) andDot(a, b []uint64, lo, hi int) int64 {
+// the word window [lo, hi), or the running sum as soon as it reaches
+// tau. A word with fewer matches than there are planes is priced match
+// by match from the counts; a denser one as Σ_b popcount(m & plane_b) << b.
+func (ix *Index) andDot(a, b []uint64, lo, hi int, tau int64) int64 {
 	np := ix.nPlanes
 	a, b = a[lo:hi], b[lo:hi]
 	var sum int64
@@ -417,24 +441,120 @@ func (ix *Index) andDot(a, b []uint64, lo, hi int) int64 {
 			for ; m != 0; m &= m - 1 {
 				sum += counts[bits.TrailingZeros64(m)]
 			}
-			continue
+		} else {
+			for bit, plane := range ix.planes[w*np : w*np+np] {
+				sum += int64(bits.OnesCount64(m&plane)) << bit
+			}
 		}
-		for bit, plane := range ix.planes[w*np : w*np+np] {
-			sum += int64(bits.OnesCount64(m&plane)) << bit
+		if sum >= tau {
+			return sum
 		}
 	}
 	return sum
 }
 
-// CoverageBatch writes cov(ps[i]) into out[i] for every pattern in
-// ps. On a single partition a batch is simply the per-pattern loop
-// (each probe already runs against the one cache-resident index); the
-// method exists so the bare *Index satisfies BatchCoverageProber and
-// search code can batch unconditionally.
-func (pr *Prober) CoverageBatch(ps []pattern.Pattern, out []int64) {
+// CoverageBatch writes CoverageAtLeast(ps[i], tau) into out[i] for
+// every pattern in ps. Consecutive patterns that share their first two
+// deterministic elements share the intersections of their common
+// leading elements: the walk's level, in Rule-1 order, lists a covered
+// node's children together and its grandchildren by parent, so each
+// prefix is ANDed once per batch and a sibling costs one fused AND and
+// count. A pattern that shares no such head with a neighbour, like
+// most of a random /coverage batch, takes the per-pattern path.
+func (pr *Prober) CoverageBatch(ps []pattern.Pattern, tau int64, out []int64) {
+	pr.stack = pr.stack[:0]
 	for i, p := range ps {
-		out[i] = pr.Coverage(p)
+		k := headLen(p)
+		if k > 0 && (i > 0 && sameHead(p, ps[i-1], k) || i+1 < len(ps) && sameHead(p, ps[i+1], k)) {
+			out[i] = pr.stacked(p, tau)
+		} else {
+			out[i] = pr.CoverageAtLeast(p, tau)
+		}
 	}
+}
+
+// headLen returns the length of p's head, the elements up to and
+// including its second deterministic one, or 0 when p has fewer than
+// two.
+func headLen(p pattern.Pattern) int {
+	seen := false
+	for i, v := range p {
+		if v != pattern.Wildcard {
+			if seen {
+				return i + 1
+			}
+			seen = true
+		}
+	}
+	return 0
+}
+
+func sameHead(p, q pattern.Pattern, k int) bool {
+	return len(q) == len(p) && bytes.Equal(p[:k], q[:k])
+}
+
+// prefixAND is one level of the prober's prefix stack: the AND of the
+// vectors of a pattern's deterministic elements up to the one at pos,
+// nonzero only within the word window [lo, hi). Level k's words are the
+// value vector itself at k = 0 and bufs[k] above; the level holds no
+// pointer, so pushing one costs no write barrier.
+type prefixAND struct {
+	pos    int
+	val    uint8
+	lo, hi int
+}
+
+// stacked is CoverageAtLeast with the deterministic elements ANDed in
+// position order on the prefix stack: the levels p shares with the
+// stack's top pattern are kept, the rest recomputed into per-level
+// buffers, and the last element is fused with the count.
+func (pr *Prober) stacked(p pattern.Pattern, tau int64) int64 {
+	ix := pr.ix
+	pr.checkDim(p)
+	pr.probes++
+	pr.det = pr.det[:0]
+	for i, v := range p {
+		if v != pattern.Wildcard {
+			pr.det = append(pr.det, i)
+		}
+	}
+	n := len(pr.det) - 1
+	if n+1 == len(p) {
+		return ix.fullCount(p)
+	}
+	k := 0
+	for k < len(pr.stack) && k < n && pr.stack[k].pos == pr.det[k] && pr.stack[k].val == p[pr.det[k]] {
+		k++
+	}
+	pr.stack = pr.stack[:k]
+	for ; k < n; k++ {
+		i := pr.det[k]
+		v := &ix.vals[i][p[i]]
+		lo, hi := v.lo, v.hi
+		if k > 0 {
+			if pr.bufs[k] == nil {
+				pr.bufs[k] = make([]uint64, len(pr.buf))
+			}
+			top := pr.stack[k-1]
+			lo, hi = andWindow(pr.bufs[k], pr.words(k-1), v.words, max(top.lo, lo), min(top.hi, hi))
+		}
+		pr.stack = append(pr.stack, prefixAND{pos: i, val: p[i], lo: lo, hi: hi})
+	}
+	top, last := pr.stack[n-1], &ix.vals[pr.det[n]][p[pr.det[n]]]
+	lo, hi := max(top.lo, last.lo), min(top.hi, last.hi)
+	if lo >= hi {
+		return 0
+	}
+	return ix.andDot(pr.words(n-1), last.words, lo, hi, tau)
+}
+
+// words returns the words of stack level k.
+func (pr *Prober) words(k int) []uint64 {
+	if k == 0 {
+		l := &pr.stack[0]
+		return pr.ix.vals[l.pos][l.val].words
+	}
+	return pr.bufs[k]
 }
 
 // Pool is a concurrency-safe front end to repeated coverage probes: it
@@ -465,7 +585,7 @@ func (pl *Pool) Coverage(p pattern.Pattern) int64 {
 // all on one Prober. It is safe for concurrent use.
 func (pl *Pool) CoverageBatch(ps []pattern.Pattern, out []int64) {
 	pr := pl.probers.Get().(*Prober)
-	pr.CoverageBatch(ps, out)
+	pr.CoverageBatch(ps, math.MaxInt64, out)
 	pl.probers.Put(pr)
 }
 

@@ -186,7 +186,10 @@ func TestQuickCoverageEqualsLiteralScan(t *testing.T) {
 // builder gets its entries shuffled, with one count split across two
 // entries and a ghost whose counts cancel, and must produce the index
 // BuildFromDistinct builds over the same combinations in sort.Strings
-// order: the same columns, windows, counts and planes.
+// order: the same columns, windows, counts and planes. A batch of a
+// pattern's Rule-1 children and grandchildren, the runs the walk probes
+// off shared prefixes, and the thresholded probes must answer exactly
+// below τ and at least τ above.
 func FuzzProbeKernel(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(300), false)
 	f.Add(int64(2), uint8(20), uint16(900), true)
@@ -270,13 +273,51 @@ func FuzzProbeKernel(f *testing.F) {
 					p[j] = c[j]
 				}
 				var want int64
+				var matching []string
 				for k, n := range counts {
 					if p.Matches([]uint8(k)) {
 						want += n
+						matching = append(matching, k)
 					}
 				}
 				if got := pr.Coverage(p); got != want {
 					t.Fatalf("cov(%v) = %d, literal sum %d", p, got, want)
+				}
+				if trial > 0 {
+					continue
+				}
+				// p's Rule-1 children, then the first child of each of the
+				// first two (sharing p's elements, differing in a value)
+				// and p itself, under a τ that p reaches: below τ every
+				// answer is the literal sum, at or above it at least τ.
+				kids := p.AppendRule1Children(nil, cards)
+				batch := slices.Clone(kids)
+				for _, k := range kids[:min(2, len(kids))] {
+					if grand := k.AppendRule1Children(nil, cards); len(grand) > 0 {
+						batch = append(batch, grand[0])
+					}
+				}
+				batch = append(batch, p)
+				tau := 1 + rng.Int63n(want+1)
+				out := make([]int64, len(batch))
+				before := pr.Probes()
+				pr.CoverageBatch(batch, tau, out)
+				if n := pr.Probes() - before; n != int64(len(batch)) {
+					t.Fatalf("a batch of %d patterns counted %d probes", len(batch), n)
+				}
+				for i, q := range batch {
+					var exact int64
+					for _, k := range matching {
+						if q.Matches([]uint8(k)) {
+							exact += counts[k]
+						}
+					}
+					if got := out[i]; exact < tau && got != exact || exact >= tau && (got < tau || got > exact) {
+						t.Fatalf("CoverageBatch at τ=%d: cov(%v) = %d, literal sum %d", tau, q, got, exact)
+					}
+					if got := pr.CoverageAtLeast(q, tau); exact < tau && got != exact || exact >= tau && (got < tau || got > exact) {
+						t.Fatalf("CoverageAtLeast(%v, %d) = %d, literal sum %d", q, tau, got, exact)
+					}
 				}
 			}
 		}

@@ -51,6 +51,10 @@ type Oracle interface {
 type CoverageProber interface {
 	// Coverage returns cov(P).
 	Coverage(p pattern.Pattern) int64
+	// CoverageAtLeast returns cov(P) when it is below tau and some value
+	// at least tau otherwise: all a search needs that only compares
+	// coverage with its threshold, and it may stop counting at tau.
+	CoverageAtLeast(p pattern.Pattern, tau int64) int64
 	// Probes returns how many coverage computations this prober has
 	// performed — the cost metric the paper's experiments track.
 	Probes() int64
@@ -65,31 +69,33 @@ type CoverageProber interface {
 // touching each shard's cache-resident index once per level rather
 // than once per candidate.
 //
-// Implementations must produce exactly the answers len(ps) individual
-// Coverage calls would, and must count len(ps) logical probes, so the
-// paper's cost metric stays comparable whether or not batching is in
-// play.
+// Implementations must answer as len(ps) individual CoverageAtLeast
+// calls would — exactly below tau, at least tau otherwise — and must
+// count len(ps) logical probes, so the paper's cost metric stays
+// comparable whether or not batching is in play.
 type BatchCoverageProber interface {
 	CoverageProber
-	// CoverageBatch writes cov(ps[i]) into out[i] for every i.
-	// len(out) must equal len(ps).
-	CoverageBatch(ps []pattern.Pattern, out []int64)
+	// CoverageBatch writes CoverageAtLeast(ps[i], tau) into out[i] for
+	// every i; tau = math.MaxInt64 asks for exact counts. len(out) must
+	// equal len(ps).
+	CoverageBatch(ps []pattern.Pattern, tau int64, out []int64)
 }
 
-// CoverageAll answers every pattern in ps, writing cov(ps[i]) into
-// out[i]: one batched call when the prober supports it, a per-pattern
-// loop otherwise. The searches call this instead of type-asserting at
-// every level.
-func CoverageAll(pr CoverageProber, ps []pattern.Pattern, out []int64) {
+// CoverageAll answers every pattern in ps, writing
+// CoverageAtLeast(ps[i], tau) into out[i]: one batched call when the
+// prober supports it, a per-pattern loop otherwise. The searches call
+// this instead of type-asserting at every level; exact callers pass
+// tau = math.MaxInt64.
+func CoverageAll(pr CoverageProber, ps []pattern.Pattern, tau int64, out []int64) {
 	if len(ps) == 0 {
 		return
 	}
 	if bp, ok := pr.(BatchCoverageProber); ok {
-		bp.CoverageBatch(ps, out)
+		bp.CoverageBatch(ps, tau, out)
 		return
 	}
 	for i, p := range ps {
-		out[i] = pr.Coverage(p)
+		out[i] = pr.CoverageAtLeast(p, tau)
 	}
 }
 

@@ -68,12 +68,14 @@ func Apriori(ix index.Oracle, opts Options) (*Result, error) {
 	}
 
 	// Level 1: every item is a candidate; the empty-set parent (the
-	// root) is frequent, so infrequent items are MUPs.
+	// root) is frequent, so infrequent items are MUPs. Support is only
+	// compared with τ, so probes stop counting there; an infrequent
+	// itemset's support, kept as its MUP's coverage, is exact.
 	var frequent [][]int
 	for it := 0; it < nItems; it++ {
 		res.Stats.NodesVisited++
 		p, _ := toPattern([]int{it})
-		if c := pr.Coverage(p); c >= opts.Threshold {
+		if c := pr.CoverageAtLeast(p, opts.Threshold); c >= opts.Threshold {
 			frequent = append(frequent, []int{it})
 		} else {
 			res.MUPs = append(res.MUPs, p)
@@ -93,7 +95,7 @@ func Apriori(ix index.Oracle, opts Options) (*Result, error) {
 			p, valid := toPattern(cand)
 			var supp int64
 			if valid {
-				supp = pr.Coverage(p)
+				supp = pr.CoverageAtLeast(p, opts.Threshold)
 			} // invalid itemsets have support 0 by construction
 			if supp >= opts.Threshold {
 				next = append(next, cand)

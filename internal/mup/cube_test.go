@@ -154,25 +154,34 @@ func TestCubeBounds(t *testing.T) {
 // corpus cells under the cube bound, at the sizes and thresholds of the
 // benchmark's audit workload: AirBnB-shaped over 13 binary attributes
 // (1.59 M patterns) and BlueNile (380 k) at 20 000 rows, and COMPAS
-// (600) at its 6 889.
+// (600) at its 6 889. The audit's two cells past the bound, AirBnB over
+// 15 binary attributes (14.3 M patterns) at 10 000 rows and Zipf over
+// ten attributes (6.35 M) at 20 000, run the walk alone: Search
+// dispatches them to it.
 func BenchmarkColdSearch(b *testing.B) {
 	compas, _ := datagen.COMPAS(6889, 1)
-	cells := []struct {
+	type path struct {
 		name string
-		ix   *index.Index
-		taus []int64
+		run  func(index.Oracle, ParallelOptions) (*Result, error)
+	}
+	both := []path{{"cube", Search}, {"walk", ParallelPatternBreaker}}
+	walk := both[1:]
+	cells := []struct {
+		name  string
+		ix    *index.Index
+		taus  []int64
+		paths []path
 	}{
-		{"airbnb13", index.Build(datagen.AirBnB(20000, 13, 1)), []int64{100, 400}},
-		{"bluenile7", index.Build(datagen.BlueNile(20000, 1)), []int64{10, 40}},
-		{"compas", index.Build(compas), []int64{10}},
+		{"airbnb13", index.Build(datagen.AirBnB(20000, 13, 1)), []int64{100, 400}, both},
+		{"bluenile7", index.Build(datagen.BlueNile(20000, 1)), []int64{10, 40}, both},
+		{"compas", index.Build(compas), []int64{10}, both},
+		{"airbnb15", index.Build(datagen.AirBnB(10000, 15, 1)), []int64{800}, walk},
+		{"zipf10", index.Build(datagen.Zipf(20000, []int{2, 3, 4, 5, 6, 2, 3, 4, 5, 6}, 1.2, 1)), []int64{400}, walk},
 	}
 	for _, c := range cells {
 		for _, tau := range c.taus {
 			popts := ParallelOptions{Options: Options{Threshold: tau}}
-			for _, path := range []struct {
-				name string
-				run  func(index.Oracle, ParallelOptions) (*Result, error)
-			}{{"cube", Search}, {"walk", ParallelPatternBreaker}} {
+			for _, path := range c.paths {
 				b.Run(fmt.Sprintf("%s/tau=%d/%s", c.name, tau, path.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for b.Loop() {

@@ -30,14 +30,16 @@ func DeepDiver(ix index.Oracle, opts Options) (*Result, error) {
 	midx := mupindex.New(cards)
 
 	// covCache memoizes probes: climbs inspect parents that the DFS
-	// may pop again later.
+	// may pop again later. Every value is only compared with τ, so the
+	// probes stop counting there: a cached value at or above τ is a
+	// lower bound, and one below τ (every MUP's) is exact.
 	covCache := make(map[pattern.PackedKey]int64)
 	coverage := func(p pattern.Pattern) int64 {
 		k := key(p)
 		if c, ok := covCache[k]; ok {
 			return c
 		}
-		c := pr.Coverage(p)
+		c := pr.CoverageAtLeast(p, opts.Threshold)
 		covCache[k] = c
 		return c
 	}

@@ -256,7 +256,7 @@ func TestParallelPatternBreakerMatchesSequential(t *testing.T) {
 		ds := datagen.Zipf(600, []int{2, 3, 2, 2, 3, 2}, 1.4, seed)
 		ix := index.Build(ds)
 		for _, tau := range []int64{1, 5, 25, 200} {
-			want, err := PatternBreaker(ix, Options{Threshold: tau})
+			want, err := Naive(ix, Options{Threshold: tau})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,9 +273,9 @@ func TestParallelPatternBreakerMatchesSequential(t *testing.T) {
 						seed, tau, workers, len(got.MUPs), len(want.MUPs))
 				}
 				for i := range got.MUPs {
-					if !got.MUPs[i].Equal(want.MUPs[i]) {
-						t.Fatalf("seed %d τ=%d workers=%d: MUPs[%d] = %v, want %v",
-							seed, tau, workers, i, got.MUPs[i], want.MUPs[i])
+					if !got.MUPs[i].Equal(want.MUPs[i]) || got.Cov[i] != want.Cov[i] {
+						t.Fatalf("seed %d τ=%d workers=%d: MUPs[%d] = %v cov %d, want %v cov %d",
+							seed, tau, workers, i, got.MUPs[i], got.Cov[i], want.MUPs[i], want.Cov[i])
 					}
 				}
 				if got.Stats.CoverageProbes == 0 && len(want.MUPs) > 0 {
@@ -289,7 +289,7 @@ func TestParallelPatternBreakerMatchesSequential(t *testing.T) {
 func TestParallelPatternBreakerMaxLevel(t *testing.T) {
 	ds := datagen.Zipf(400, []int{2, 2, 3, 2, 2}, 1.3, 9)
 	ix := index.Build(ds)
-	want, err := PatternBreaker(ix, Options{Threshold: 15, MaxLevel: 2})
+	want, err := Naive(ix, Options{Threshold: 15, MaxLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,11 @@ func (p *countingProber) Coverage(q pattern.Pattern) int64 {
 	return p.inner.Coverage(q)
 }
 
+func (p *countingProber) CoverageAtLeast(q pattern.Pattern, tau int64) int64 {
+	p.counter.Add(1)
+	return p.inner.CoverageAtLeast(q, tau)
+}
+
 func (p *countingProber) Probes() int64 { return p.inner.Probes() }
 
 // probeFixture builds a dataset whose τ=2 MUP frontier is the value-2
@@ -173,10 +178,15 @@ func (p *batchCountingProber) Coverage(q pattern.Pattern) int64 {
 	return p.inner.Coverage(q)
 }
 
-func (p *batchCountingProber) CoverageBatch(ps []pattern.Pattern, out []int64) {
+func (p *batchCountingProber) CoverageAtLeast(q pattern.Pattern, tau int64) int64 {
+	p.o.record(q)
+	return p.inner.CoverageAtLeast(q, tau)
+}
+
+func (p *batchCountingProber) CoverageBatch(ps []pattern.Pattern, tau int64, out []int64) {
 	p.o.record(ps...)
 	p.o.batches.Add(1)
-	p.inner.CoverageBatch(ps, out)
+	p.inner.CoverageBatch(ps, tau, out)
 }
 
 func (p *batchCountingProber) Probes() int64 { return p.inner.Probes() }

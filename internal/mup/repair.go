@@ -2,6 +2,7 @@ package mup
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"coverage/internal/index"
@@ -534,7 +535,7 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 		}
 		covs := make([]int64, len(pats))
 		runChunks(pats, workers, func(w int, part []pattern.Pattern, lo int) {
-			index.CoverageAll(probers[w], part, covs[lo:lo+len(part)])
+			index.CoverageAll(probers[w], part, math.MaxInt64, covs[lo:lo+len(part)])
 		})
 		for i, k := range keys {
 			memo[k] = covs[i]

@@ -201,6 +201,24 @@ func rawKeyBytes(b []uint8) PackedKey {
 	return k
 }
 
+// SetField returns k with attribute i's field set to v, a value or
+// Wildcard: the key of the parent that generalizes attribute i, or of a
+// child that fixes it, at a few word operations instead of packing the
+// pattern again. The field straddling the two words is set in both. k
+// must have been produced by this codec.
+func (c *Codec) SetField(k PackedKey, i int, v uint8) PackedKey {
+	code := uint64(v)
+	if v == Wildcard {
+		code = uint64(c.xcode[i])
+	}
+	w := c.word[i]
+	k[w] = k[w]&^(c.mask[i]<<c.shift[i]) | code<<c.shift[i]
+	if i == c.split {
+		k[1] = k[1]&^(c.mask[i]>>c.splitLo<<c.splitShift) | code>>c.splitLo<<c.splitShift
+	}
+	return k
+}
+
 // PackedKeyString is PackedKey over a pattern held as its raw
 // byte-string key (as produced by Pattern.Key), avoiding the []byte
 // copy a string→Pattern conversion would cost. s must have the codec's

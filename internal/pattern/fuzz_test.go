@@ -74,14 +74,18 @@ func fuzzCards(spec []byte) []int {
 // the 128-bit limit: the packed key is the only identity a combination
 // has in the engine and the index, so a key must decode back to its
 // pattern, the string form must pack to the same key, and two distinct
-// patterns must never share one.
+// patterns must never share one. SetField must give, for every
+// attribute, the key of the pattern with that attribute wildcarded or
+// set to another value.
 func FuzzCodecRoundTrip(f *testing.F) {
 	binary64 := append([]byte{0}, bytes.Repeat([]byte{1}, 64)...)    // 64 binary attributes: 128 bits
 	maxCard16 := append([]byte{0}, bytes.Repeat([]byte{253}, 16)...) // 16 × 254 values: 128 bits
 	straddle := append([]byte{1}, bytes.Repeat([]byte{99}, 18)...)   // 18 × 7 bits, topped up by a split 2-bit field
+	card31 := append([]byte{0}, bytes.Repeat([]byte{30}, 25)...)     // 25 × 5 bits: attribute 24 straddles the words
 	f.Add(binary64, int64(1))
 	f.Add(maxCard16, int64(2))
 	f.Add(straddle, int64(3))
+	f.Add(card31, int64(6))
 	f.Add([]byte{1, 7, 200, 3, 0, 31}, int64(4))
 	f.Add([]byte{0, 2, 3, 4}, int64(5))
 	f.Fuzz(func(t *testing.T, spec []byte, seed int64) {
@@ -116,6 +120,21 @@ func FuzzCodecRoundTrip(f *testing.F) {
 					t.Fatalf("raw=%v cards %v: patterns %v and %v share key %v", c.Raw(), cards, Pattern(prev), p, k)
 				}
 				seen[k] = string(p)
+				q := p.Clone()
+				for i, v := range p {
+					q[i] = Wildcard
+					parent := c.SetField(k, i, Wildcard)
+					if want := c.PackedKey(q); parent != want {
+						t.Fatalf("raw=%v cards %v: SetField(PackedKey(%v), %d, X) = %v, packing %v gives %v",
+							c.Raw(), cards, p, i, parent, q, want)
+					}
+					q[i] = uint8(r.Intn(cards[i]))
+					if got, want := c.SetField(parent, i, q[i]), c.PackedKey(q); got != want {
+						t.Fatalf("raw=%v cards %v: SetField(PackedKey(%v), %d, %d) = %v, packing %v gives %v",
+							c.Raw(), cards, p, i, q[i], got, q, want)
+					}
+					q[i] = v
+				}
 			}
 		}
 	})

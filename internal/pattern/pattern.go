@@ -281,9 +281,9 @@ func (p Pattern) Children(cards []int) []Pattern {
 	return out
 }
 
-// rightmostDeterministic returns the index of the right-most
+// RightmostDeterministic returns the index of the right-most
 // deterministic element of p, or -1 if p is the all-wildcard root.
-func (p Pattern) rightmostDeterministic() int {
+func (p Pattern) RightmostDeterministic() int {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] != Wildcard {
 			return i
@@ -309,7 +309,7 @@ func (p Pattern) rightmostWildcard() int {
 // other than the root is generated by exactly one (parent, Rule 1)
 // application, turning the pattern graph into a tree rooted at All(d).
 func (p Pattern) Rule1Children(cards []int) []Pattern {
-	start := p.rightmostDeterministic() + 1
+	start := p.RightmostDeterministic() + 1
 	var out []Pattern
 	for i := start; i < len(p); i++ {
 		if p[i] != Wildcard {
@@ -328,7 +328,7 @@ func (p Pattern) Rule1Children(cards []int) []Pattern {
 // the extended slice. All children share one backing allocation,
 // keeping per-node garbage low in the traversal hot loops.
 func (p Pattern) AppendRule1Children(dst []Pattern, cards []int) []Pattern {
-	start := p.rightmostDeterministic() + 1
+	start := p.RightmostDeterministic() + 1
 	n := 0
 	for i := start; i < len(p); i++ {
 		if p[i] == Wildcard {
@@ -359,7 +359,7 @@ func (p Pattern) AppendRule1Children(dst []Pattern, cards []int) []Pattern {
 // under Rule 1 (the right-most deterministic element replaced by a
 // wildcard), and false for the root, which has no generator.
 func (p Pattern) Rule1Parent() (Pattern, bool) {
-	i := p.rightmostDeterministic()
+	i := p.RightmostDeterministic()
 	if i < 0 {
 		return nil, false
 	}
