@@ -175,10 +175,53 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+// readBody reads the whole request body under the server's cap, into a
+// buffer sized by Content-Length when the client sent one. Past the cap
+// it returns the bytes read with the *http.MaxBytesError.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := r.ContentLength
+	if size < 0 || size > s.bodyLimit() {
+		size = 0
+	}
+	// MinRead spare: the read that sees EOF then needs no new buffer.
+	body := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	return body.Bytes(), err
+}
+
+// errTrailingData refuses a body with more than space after its value.
+var errTrailingData = errors.New("data after the JSON value")
+
+// decodeJSON decodes the one JSON value of body into v, refusing
+// unknown fields and anything but space after the value. readErr is
+// what ended the read of body, if not EOF: a value that needs bytes past
+// it fails with it, as it would have reading the stream.
+func decodeJSON(body []byte, readErr error, v any) error {
+	src := io.Reader(bytes.NewReader(body))
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if readErr != nil {
+		return readErr
+	}
+	if len(skipJSONSpace(body[dec.InputOffset():])) > 0 {
+		return errTrailingData
+	}
+	return nil
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, readErr := s.readBody(w, r)
+	if err := decodeJSON(body, readErr, v); err != nil {
 		writeError(w, bodyStatus(err), fmt.Errorf("decoding request body: %w", err))
 		return false
 	}
@@ -581,8 +624,7 @@ type mutateResponse struct {
 }
 
 // rowFromLabels resolves one row of value labels to codes.
-func (s *server) rowFromLabels(n int, labels []string) ([]uint8, error) {
-	schema := s.an.Dataset().Schema()
+func rowFromLabels(schema *coverage.Schema, n int, labels []string) ([]uint8, error) {
 	if len(labels) != schema.Dim() {
 		return nil, fmt.Errorf("row %d has %d values, schema has %d attributes", n, len(labels), schema.Dim())
 	}
@@ -597,25 +639,54 @@ func (s *server) rowFromLabels(n int, labels []string) ([]uint8, error) {
 	return row, nil
 }
 
-// decodeMutateBatch parses a JSON mutate request into a code batch.
-// Both label and code rows are validated against the schema here (code
-// rows as they are decoded), so a malformed request is always a 400
-// and handlers can reserve other statuses for genuine state conflicts.
-func (s *server) decodeMutateBatch(w http.ResponseWriter, r *http.Request, verb string) ([][]uint8, bool) {
-	req := mutateRequest{Codes: codeRows{schema: s.an.Dataset().Schema()}}
-	if !s.decodeBody(w, r, &req) {
-		return nil, false
+// mutateBatch decodes a JSON mutate body into a code batch, reading it
+// once: the body {"codes": rows} — all a code-row client sends — goes
+// straight to the row scanner. Every other body, and one the read cut
+// short (readErr), takes the encoding/json path, jsonMutateBatch, which
+// decides it exactly as the scan would have. A non-nil error is the
+// reply's text; bodyStatus gives its status.
+func mutateBatch(schema *coverage.Schema, body []byte, readErr error) ([][]uint8, error) {
+	if readErr == nil {
+		if rows, ok := scanCodesBody(body, schema.Dim()); ok {
+			if err := checkCodeRows(schema, rows); err != nil {
+				return nil, fmt.Errorf("decoding request body: %w", err)
+			}
+			return rows, nil
+		}
+	}
+	return jsonMutateBatch(schema, body, readErr)
+}
+
+// jsonMutateBatch is mutateBatch by encoding/json: label rows, base64
+// code rows, unknown or duplicate fields, keys in another case and
+// escaped keys are all decided here.
+func jsonMutateBatch(schema *coverage.Schema, body []byte, readErr error) ([][]uint8, error) {
+	req := mutateRequest{Codes: codeRows{schema: schema}}
+	if err := decodeJSON(body, readErr, &req); err != nil {
+		return nil, fmt.Errorf("decoding request body: %w", err)
 	}
 	batch := make([][]uint8, 0, len(req.Rows)+len(req.Codes.rows))
 	for n, labels := range req.Rows {
-		row, err := s.rowFromLabels(n, labels)
+		row, err := rowFromLabels(schema, n, labels)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return nil, false
+			return nil, err
 		}
 		batch = append(batch, row)
 	}
-	batch = append(batch, req.Codes.rows...)
+	return append(batch, req.Codes.rows...), nil
+}
+
+// decodeMutateBatch parses a JSON mutate request into a code batch.
+// Both label and code rows are validated against the schema here, so a
+// malformed request is always a 400 (a 413 past the body cap) and
+// handlers can reserve other statuses for genuine state conflicts.
+func (s *server) decodeMutateBatch(w http.ResponseWriter, r *http.Request, verb string) ([][]uint8, bool) {
+	body, readErr := s.readBody(w, r)
+	batch, err := mutateBatch(s.an.Dataset().Schema(), body, readErr)
+	if err != nil {
+		writeError(w, bodyStatus(err), err)
+		return nil, false
+	}
 	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%s needs rows or codes", verb))
 		return nil, false
@@ -643,7 +714,7 @@ func (s *server) ndjsonRow(slab *rowSlab, line int, raw []byte) ([]uint8, error)
 		// then codes, which adds the base64 string a []uint8 accepts.
 		var labels []string
 		if json.Unmarshal(raw, &labels) == nil {
-			return s.rowFromLabels(line, labels)
+			return rowFromLabels(s.an.Dataset().Schema(), line, labels)
 		}
 		if !ok {
 			var decoded []uint8 // not &row: that would move the hot path's row to the heap

@@ -139,8 +139,8 @@ type codeRows struct {
 }
 
 func (c *codeRows) UnmarshalJSON(data []byte) error {
-	rows, ok := scanCodeRows(data, c.schema.Dim())
-	if !ok {
+	rows, rest, ok := scanCodeRows(data, c.schema.Dim())
+	if !ok || len(skipJSONSpace(rest)) > 0 {
 		// Off the scanner's grammar — a base64 row, or not rows at all:
 		// encoding/json accepts or words the refusal, as it always has.
 		rows = nil
@@ -148,55 +148,82 @@ func (c *codeRows) UnmarshalJSON(data []byte) error {
 			return err
 		}
 	}
-	for n, row := range rows {
-		if err := checkCodeRow(c.schema, row); err != nil {
-			return fmt.Errorf("codes row %d: %w", n, err)
-		}
+	if err := checkCodeRows(c.schema, rows); err != nil {
+		return err
 	}
 	c.rows = rows
 	return nil
 }
 
-// scanCodeRows decodes a JSON array of code rows (or null) whose rows
-// are all on scanCodeRow's grammar.
-func scanCodeRows(data []byte, dim int) ([][]uint8, bool) {
+// checkCodeRows validates decoded "codes" rows, naming the first bad one.
+func checkCodeRows(schema *coverage.Schema, rows [][]uint8) error {
+	for n, row := range rows {
+		if err := checkCodeRow(schema, row); err != nil {
+			return fmt.Errorf("codes row %d: %w", n, err)
+		}
+	}
+	return nil
+}
+
+// scanCodeRows decodes the JSON array of code rows (or null) at the
+// head of data, when its rows are all on scanCodeRow's grammar, and
+// returns the bytes after it.
+func scanCodeRows(data []byte, dim int) (rows [][]uint8, rest []byte, ok bool) {
 	data = skipJSONSpace(data)
 	if rest, null := bytes.CutPrefix(data, jsonNull); null {
-		return nil, len(skipJSONSpace(rest)) == 0
+		return nil, rest, true
 	}
 	if len(data) == 0 || data[0] != '[' {
-		return nil, false
+		return nil, nil, false
 	}
 	// A row of dim codes takes at least 2·dim+2 bytes with its comma;
 	// the hint sizes small bodies exactly and caps large ones at the
 	// NDJSON batch.
 	hint := min(ndjsonBatchRows, len(data)/(2*dim+2)+1)
 	slab := rowSlab{dim: dim, rows: hint}
-	rows := make([][]uint8, 0, hint)
+	rows = make([][]uint8, 0, hint)
 	data = skipJSONSpace(data[1:])
 	if len(data) > 0 && data[0] == ']' {
-		return rows, len(skipJSONSpace(data[1:])) == 0
+		return rows, data[1:], true
 	}
 	for {
 		row, rest, ok := scanCodeRow(slab.next(), data)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
 		slab.keep(row)
 		rows = append(rows, row)
 		data = skipJSONSpace(rest)
 		if len(data) == 0 {
-			return nil, false
+			return nil, nil, false
 		}
 		switch data[0] {
 		case ',':
 			data = data[1:]
 		case ']':
-			return rows, len(skipJSONSpace(data[1:])) == 0
+			return rows, data[1:], true
 		default:
+			return nil, nil, false
+		}
+	}
+}
+
+// scanCodesBody decodes a mutate body of exactly the form
+// {"codes": rows} — one literal key, rows on scanCodeRows' grammar,
+// nothing but space around — and reports false for any other body.
+func scanCodesBody(body []byte, dim int) ([][]uint8, bool) {
+	var ok bool
+	for _, tok := range []string{"{", `"codes"`, ":"} {
+		if body, ok = bytes.CutPrefix(skipJSONSpace(body), []byte(tok)); !ok {
 			return nil, false
 		}
 	}
+	rows, body, ok := scanCodeRows(body, dim)
+	if !ok {
+		return nil, false
+	}
+	body, ok = bytes.CutPrefix(skipJSONSpace(body), []byte("}"))
+	return rows, ok && len(skipJSONSpace(body)) == 0
 }
 
 const hexDigits = "0123456789abcdef"

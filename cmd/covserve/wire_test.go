@@ -78,14 +78,42 @@ func TestScanCodeRow(t *testing.T) {
 // callers hand it over — scanCodeRow and json.Unmarshal into a []uint8
 // accept the same documents and produce the same bytes; and whatever
 // scanCodeRows accepts, json.Unmarshal into a [][]uint8 decodes alike.
+// Read as a whole /append or /delete body, every input decodes through
+// mutateBatch — the one-pass scan where it applies — to the rows and
+// the error text of the encoding/json path alone.
 func FuzzCodeRowScanner(f *testing.F) {
 	for _, seed := range []string{
 		`[0,1,2]`, ` [ 12 , 255 ] `, `[]`, `null`, `[null]`, `[256]`, `[01]`, `[1.0]`, `[-1]`, `[1e1]`,
 		`"AAE="`, `[1,"a"]`, `[[0,1],[2,3]]`, `[[0], null, [1]]`, `[[0,1] [2]]`, `[[]]`, `{"a":1}`, "[1]\n[2]",
+		// Whole mutate bodies.
+		`{"codes": [[1,0],[0,2]]}`, " {\t\"codes\" :\n[ [1 ,0] ] }\r\n", `{"codes":[[1,3]]}`, `{"codes":[[1]]}`,
+		`{"codes":[[1,0]],"codes":[[0,1]]}`, `{"CODES":[[1,0]]}`, `{"Codes":[[1,0]]}`, `{"cod\u0065s":[[1,0]]}`,
+		`{"codes":[[1,0]],"rows":[["male","black"]]}`, `{"rows":[["male","white"]],"codes":null}`, `{"rows":[["x","y"]]}`,
+		`{"codes":null}`, `null`, `{"codes":["AQI=",[0,1]]}`, `{"codes":[[1,0]],"code":1}`,
+		`{"codes":[[1,0]]}{"codes":[[0,1]]}`, `{"codes":[[1,0]]} x`, `{"codes":[[1,0]]`, `{"codes":[[1,0]]}}`,
 	} {
 		f.Add([]byte(seed))
 	}
+	schema, err := coverage.NewSchema([]coverage.Attribute{
+		{Name: "sex", Values: []string{"female", "male"}},
+		{Name: "race", Values: []string{"black", "other", "white"}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		batch, batchErr := mutateBatch(schema, data, nil)
+		wantBatch, wantErr := jsonMutateBatch(schema, data, nil)
+		if (batchErr == nil) != (wantErr == nil) || (batchErr != nil && batchErr.Error() != wantErr.Error()) {
+			t.Fatalf("%q: mutateBatch err=%v, encoding/json path err=%v", data, batchErr, wantErr)
+		}
+		if bodyStatus(batchErr) != bodyStatus(wantErr) {
+			t.Fatalf("%q: status %d, encoding/json path %d", data, bodyStatus(batchErr), bodyStatus(wantErr))
+		}
+		if !slices.EqualFunc(batch, wantBatch, bytes.Equal) {
+			t.Fatalf("%q: mutateBatch %v, encoding/json path %v", data, batch, wantBatch)
+		}
+
 		got, ok := scanWhole(data)
 		var want []uint8
 		err := json.Unmarshal(data, &want)
@@ -99,8 +127,8 @@ func FuzzCodeRowScanner(f *testing.F) {
 			t.Fatalf("%q: scanner %v, encoding/json %v", data, got, want)
 		}
 
-		rows, ok := scanCodeRows(data, 2)
-		if !ok {
+		rows, rest, ok := scanCodeRows(data, 2)
+		if !ok || len(skipJSONSpace(rest)) > 0 {
 			return
 		}
 		var wantRows [][]uint8
@@ -678,18 +706,24 @@ func TestCodeRowAcceptSet(t *testing.T) {
 		}
 	}
 	// The forms around the rows: a null or absent codes field is no
-	// rows, an unknown field is refused, a non-array is a type error.
+	// rows, an unknown field is refused, a non-array is a type error,
+	// and nothing but space may follow the body's value.
 	s := serveFixture(t)
-	for body, want := range map[string]int{
-		`{"codes": null, "rows": [["male","white"]]}`: 200,
-		`{"codes": []}`:                 400,
-		`{"codes": null}`:               400,
-		`{"codes": [[0,1]], "code": 1}`: 400,
-		`{"codes": 7}`:                  400,
-		`{"codes": [[0,1]`:              400,
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/append", `{"codes": null, "rows": [["male","white"]]}`, 200},
+		{"/append", `{"codes": []}`, 400},
+		{"/append", `{"codes": null}`, 400},
+		{"/append", `{"codes": [[0,1]], "code": 1}`, 400},
+		{"/append", `{"codes": 7}`, 400},
+		{"/append", `{"codes": [[0,1]`, 400},
+		{"/append", `{"codes":[[1,0]]}{"codes":[[0,1]]}`, 400},
+		{"/coverage", `{"patterns":["12"]} [`, 400},
 	} {
-		if w := do(t, s, "POST", "/append", body); w.Code != want {
-			t.Errorf("%s: status %d, want %d: %s", body, w.Code, want, w.Body)
+		if w := do(t, s, "POST", tc.path, tc.body); w.Code != tc.want {
+			t.Errorf("%s %s: status %d, want %d: %s", tc.path, tc.body, w.Code, tc.want, w.Body)
 		}
 	}
 	// A row of nothing but nulls is the one form both decoders take. On

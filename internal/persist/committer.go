@@ -1,9 +1,12 @@
 package persist
 
-import "sync"
+import (
+	"errors"
+	"fmt"
+)
 
-// commitReq is one queued mutation awaiting the commit pipeline. errc
-// is buffered so the committer never blocks on a slow requester.
+// commitReq is one mutation on its way into a commit group. errc is
+// buffered so whoever commits the group never blocks answering it.
 type commitReq struct {
 	op      byte
 	rows    [][]uint8
@@ -11,94 +14,53 @@ type commitReq struct {
 	errc    chan error
 }
 
-// walCommitter is the group-commit loop: concurrent mutators enqueue
-// requests and park on their errc while a single goroutine drains the
-// queue, applies the batch, and writes every accepted record with one
-// coalesced write+fsync. Acknowledgement still means durable — the
-// committer answers only after writeGroup returns — but N writers
-// landing during one fsync share the next one instead of queueing
-// N fsyncs back to back.
-type walCommitter struct {
-	s *Store
+// errLead arrives on a queued request's errc ahead of its outcome: the
+// group before it is durable, and the request now leads the next one.
+var errLead = errors.New("persist: lead the next commit group")
 
-	mu     sync.Mutex
-	queue  []*commitReq
-	closed bool
-
-	kick chan struct{} // 1-buffered doorbell
-	stop chan struct{}
-	done chan struct{}
-}
-
-func newWALCommitter(s *Store) *walCommitter {
-	c := &walCommitter{
-		s:    s,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+// submit commits req by writer-led group commit and returns its
+// outcome. A writer that finds no group in flight commits its own
+// request on its own goroutine. Writers arriving while that group
+// applies and syncs queue up; once it is durable, the leader wakes the
+// first of them, which takes the whole queue — everyone who arrived
+// until it ran — and commits it as the next group. Acknowledgement
+// still means durable, N writers landing during one fsync share the
+// next one, and no goroutine outlives the calls that need it.
+func (s *Store) submit(req *commitReq) error {
+	req.errc = make(chan error, 1)
+	s.qmu.Lock()
+	if s.closed {
+		s.qmu.Unlock()
+		return fmt.Errorf("%w: store is closed", ErrUnavailable)
 	}
-	go c.run()
-	return c
-}
-
-// enqueue adds a request to the pending group. It reports false when
-// the committer has shut down, in which case the caller must commit
-// the request itself (or fail it).
-func (c *walCommitter) enqueue(req *commitReq) bool {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
+	if s.leading {
+		s.queue = append(s.queue, req)
+		s.qmu.Unlock()
+		if err := <-req.errc; err != errLead {
+			return err
+		}
+		s.qmu.Lock()
 	}
-	c.queue = append(c.queue, req)
-	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
+	s.leading = true
+	group := s.queue
+	s.queue = nil
+	s.qmu.Unlock()
+	if len(group) == 0 {
+		group = []*commitReq{req}
 	}
-	return true
-}
+	s.commitGroup(group)
 
-// drain takes the whole pending queue: everything that accumulated
-// while the previous group was fsyncing commits as the next group.
-func (c *walCommitter) drain() []*commitReq {
-	c.mu.Lock()
-	batch := c.queue
-	c.queue = nil
-	c.mu.Unlock()
-	return batch
-}
-
-func (c *walCommitter) run() {
-	for {
-		select {
-		case <-c.kick:
-			for {
-				batch := c.drain()
-				if len(batch) == 0 {
-					break
-				}
-				c.s.commitGroup(batch)
-			}
-		case <-c.stop:
-			c.mu.Lock()
-			c.closed = true
-			batch := c.queue
-			c.queue = nil
-			c.mu.Unlock()
-			if len(batch) > 0 {
-				c.s.commitGroup(batch)
-			}
-			close(c.done)
-			return
+	s.qmu.Lock()
+	if len(s.queue) > 0 {
+		// Never blocks: the waiter has received nothing yet.
+		s.queue[0].errc <- errLead
+	} else {
+		s.leading = false
+		if s.drained != nil {
+			close(s.drained)
+			s.drained = nil
 		}
 	}
-}
-
-// shutdown stops the loop after committing anything already queued.
-// Requests that race past the closed flag fall back to the caller's
-// inline commit path, so nothing is silently dropped.
-func (c *walCommitter) shutdown() {
-	close(c.stop)
-	<-c.done
+	s.qmu.Unlock()
+	return <-req.errc
 }

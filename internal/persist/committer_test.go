@@ -3,9 +3,15 @@ package persist
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"coverage/internal/pattern"
 )
 
 // TestGroupCommitConcurrentAppends hammers the pipeline from many
@@ -281,20 +287,26 @@ func waitForWaiters(t *testing.T, s *Store, n int64) {
 	t.Fatalf("feed waiters never reached %d (now %d)", n, s.Stats().FeedWaiters)
 }
 
-// TestAppendAsyncPipelines checks the async entry point: a burst of
-// unawaited submissions all acknowledge durably and in a replayable
-// order.
-func TestAppendAsyncPipelines(t *testing.T) {
+// TestAppendBurstPipelines: a burst of concurrent Append calls, most
+// of which queue behind the group in flight and are handed on from
+// leader to leader, all acknowledge durably and in a replayable order.
+func TestAppendBurstPipelines(t *testing.T) {
 	dir := t.TempDir()
 	s, eng := attachFresh(t, dir)
 
 	const n = 40
-	acks := make([]<-chan error, n)
+	var wg sync.WaitGroup
+	errs := make([]error, n)
 	for i := 0; i < n; i++ {
-		acks[i] = s.AppendAsync([][]uint8{{uint8(i % 2), uint8(i % 3), uint8(i % 4)}})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.Append([][]uint8{{uint8(i % 2), uint8(i % 3), uint8(i % 4)}})
+		}(i)
 	}
-	for i, ch := range acks {
-		if err := <-ch; err != nil {
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -312,6 +324,199 @@ func TestAppendAsyncPipelines(t *testing.T) {
 	}
 	defer s2.Close()
 	assertEquivalent(t, eng, eng2)
+}
+
+// TestStoreStartsNoGoroutine: group commit is led by the writers, so
+// Attach and Recover leave nothing running — the goroutine count does
+// not grow past its count before Attach, after a commit, after Close,
+// or across a Recover and a commit on the recovered store.
+func TestStoreStartsNoGoroutine(t *testing.T) {
+	dir := t.TempDir()
+	// Let goroutines an earlier test left winding down finish first.
+	before := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	check := func(stage string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines, %d before Attach", stage, n, before)
+		}
+	}
+	s, _ := attachFresh(t, dir)
+	check("after Attach")
+	if err := s.Append([][]uint8{{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Append")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close")
+
+	s2 := openStore(t, dir)
+	if _, _, err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Recover")
+	if err := s2.Delete([][]uint8{{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Delete")
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the second Close")
+}
+
+// TestHandoffUnderClose races eight writers — appends, deletes, window
+// changes, and batches the engine refuses — against Close. Every
+// mutation acknowledged nil is in the recovered log (and nothing else
+// is); a refused batch fails only its own sender; a mutation that
+// loses the race to Close hears ErrUnavailable and leaves no trace.
+func TestHandoffUnderClose(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := attachFresh(t, dir)
+	// Enough of every combination that no delete runs out of rows.
+	cards := eng.Cards()
+	var preload [][]uint8
+	for _, p := range allPatterns(cards) {
+		if slices.Contains(p, pattern.Wildcard) {
+			continue
+		}
+		for range 200 {
+			preload = append(preload, []uint8(p.Clone()))
+		}
+	}
+	if err := s.Append(preload); err != nil {
+		t.Fatal(err)
+	}
+	base := eng.Generation()
+
+	const writers = 8
+	type acked struct {
+		op      byte
+		rows    [][]uint8
+		maxRows int
+	}
+	logs := make([][]acked, writers)
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range 100000 { // bounded, should Close never refuse
+				req := acked{op: opAppend, rows: randomBatch(rng, cards, 1+rng.Intn(3))}
+				var err error
+				switch k := rng.Intn(10); {
+				case k == 0:
+					// The engine refuses a row of the wrong width: only
+					// this sender may hear about it.
+					err = s.Append([][]uint8{{0, 0}})
+					if err == nil {
+						errs <- fmt.Errorf("writer %d: a malformed batch was acknowledged", w)
+						return
+					}
+					if errors.Is(err, ErrUnavailable) {
+						return // closed
+					}
+					continue
+				case k == 1:
+					req = acked{op: opWindow, maxRows: []int{0, 50000}[rng.Intn(2)]}
+					err = s.SetWindow(req.maxRows)
+				case k < 5:
+					req.op = opDelete
+					err = s.Delete(req.rows)
+				default:
+					err = s.Append(req.rows)
+				}
+				if errors.Is(err, ErrUnavailable) {
+					return // closed
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d: a well-formed mutation was refused: %w", w, err)
+					return
+				}
+				logs[w] = append(logs[w], req)
+			}
+		}(w)
+	}
+	// Close once the writers are well into their hand-offs.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().WALGroupCommits < 100 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	s2 := openStore(t, dir)
+	eng2, _, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	assertEquivalent(t, eng, eng2)
+
+	// The log past the preload holds exactly the acknowledged
+	// mutations: the same rows appended and deleted, the same number of
+	// window changes (coalescing merges appends, never drops them).
+	data, _, err := s2.WALSince(base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, complete := DecodeWALStream(data, len(cards))
+	if !complete {
+		t.Fatal("torn log after a clean Close")
+	}
+	tally := func(op byte, rows [][]uint8, sign int, into map[string]int) {
+		for _, r := range rows {
+			into[string([]byte{op})+string(r)] += sign
+		}
+	}
+	diff := map[string]int{}
+	windows := 0
+	for _, log := range logs {
+		for _, m := range log {
+			tally(m.op, m.rows, 1, diff)
+			if m.op == opWindow {
+				windows++
+			}
+		}
+	}
+	for _, rec := range recs {
+		tally(rec.Op, rec.Rows, -1, diff)
+		if rec.Op == WALOpWindow {
+			windows--
+		}
+	}
+	for k, v := range diff {
+		if v != 0 {
+			t.Fatalf("op %d row %v: %+d acknowledged rows the log does not hold", k[0], []byte(k[1:]), v)
+		}
+	}
+	if windows != 0 {
+		t.Fatalf("%+d acknowledged window changes the log does not hold", windows)
+	}
+	if len(recs) == 0 {
+		t.Fatal("no mutation committed before Close")
+	}
+	st := s.Stats()
+	t.Logf("%d records in %d groups, %d appends coalesced", len(recs), st.WALGroupCommits, st.CoalescedAppends)
 }
 
 // TestCloseDrainsPipeline: mutations in flight when Close lands either

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"coverage/internal/engine"
@@ -145,12 +144,17 @@ type Store struct {
 	eng    *engine.Engine
 	wal    *walWriter
 
-	// committer is the group-commit loop (nil before Attach/Recover and
-	// after Close — mutations then commit inline as groups of one).
-	// Atomic so submit can enqueue while a group commit holds s.mu
-	// through its fsync: waiting writers piling into the queue during
-	// the sync IS the batching.
-	committer atomic.Pointer[walCommitter]
+	// Writer-led group commit (submit). qmu guards the queue of
+	// requests waiting for the group in flight; leading is true while a
+	// writer commits one. It is a separate lock from mu so writers can
+	// queue while a group holds mu through its fsync: piling into the
+	// queue during the sync IS the batching. Close sets closed and parks
+	// on drained until the last group is durable.
+	qmu     sync.Mutex
+	queue   []*commitReq
+	leading bool
+	closed  bool
+	drained chan struct{}
 
 	// The commit-notification hub. commitGen is the newest durably
 	// logged generation; commitCh is closed and replaced on every
@@ -440,20 +444,18 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 		s.baseline = nil
 		s.chainLen = 0
 	}
-	s.startPipelineLocked(eng.Generation())
+	s.seedHub(eng.Generation())
 	s.mu.Unlock()
 	return eng, info, nil
 }
 
-// startPipelineLocked seeds the commit-notification hub at the given
-// generation (everything at or below it is already durable) and spawns
-// the group committer. Caller holds s.mu.
-func (s *Store) startPipelineLocked(gen uint64) {
+// seedHub starts the commit-notification hub at the given generation:
+// everything at or below it is already durable.
+func (s *Store) seedHub(gen uint64) {
 	s.hubMu.Lock()
 	s.commitGen = gen
 	s.commitCh = make(chan struct{})
 	s.hubMu.Unlock()
-	s.committer.Store(newWALCommitter(s))
 }
 
 // Attach starts persistence for a freshly built engine: it writes the
@@ -492,7 +494,7 @@ func (s *Store) Attach(eng *engine.Engine) error {
 	s.lastSnapDuration = time.Since(start)
 	s.baseline = capture.Baseline()
 	s.chainLen = 0
-	s.startPipelineLocked(st.Generation)
+	s.seedHub(st.Generation)
 	s.mu.Unlock()
 	return nil
 }
@@ -508,41 +510,22 @@ func (s *Store) Engine() *engine.Engine {
 // The WAL record is written only after the engine accepts the batch,
 // so a rejected batch leaves no trace; mutations are serialized so the
 // log order is the apply order. The call returns once the record's
-// group has committed — acknowledgement means durable.
-func (s *Store) Append(rows [][]uint8) error {
-	return <-s.AppendAsync(rows)
-}
-
-// AppendAsync queues an append batch on the commit pipeline and
-// returns the channel that will deliver its outcome: nil once the
-// batch is applied and its WAL record is durably written, or the
-// per-request error (engine rejection, WAL failure). Batches from
+// group has committed — acknowledgement means durable. Batches from
 // concurrent callers landing in the same group are merged into one
 // engine batch and one WAL record — one write-lock acquisition, one
 // fsync — while each caller still hears about its own rows.
-func (s *Store) AppendAsync(rows [][]uint8) <-chan error {
-	return s.submit(&commitReq{op: opAppend, rows: rows, errc: make(chan error, 1)})
+func (s *Store) Append(rows [][]uint8) error {
+	return s.submit(&commitReq{op: opAppend, rows: rows})
 }
 
 // Delete applies a delete batch to the engine and durably logs it.
 func (s *Store) Delete(rows [][]uint8) error {
-	return <-s.submit(&commitReq{op: opDelete, rows: rows, errc: make(chan error, 1)})
+	return s.submit(&commitReq{op: opDelete, rows: rows})
 }
 
 // SetWindow reconfigures the sliding window and durably logs it.
 func (s *Store) SetWindow(maxRows int) error {
-	return <-s.submit(&commitReq{op: opWindow, maxRows: maxRows, errc: make(chan error, 1)})
-}
-
-// submit routes one mutation into the commit pipeline. Without a
-// committer (not yet attached, store closed, or the committer shut down
-// mid-flight) the request commits inline as a group of one.
-func (s *Store) submit(req *commitReq) <-chan error {
-	c := s.committer.Load()
-	if c == nil || !c.enqueue(req) {
-		s.commitGroup([]*commitReq{req})
-	}
-	return req.errc
+	return s.submit(&commitReq{op: opWindow, maxRows: maxRows})
 }
 
 // Per-request commit status inside a group.
@@ -1032,15 +1015,21 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close drains the commit pipeline, then flushes and closes the
-// current WAL segment. Queued mutations commit before the segment
-// closes; anything submitted afterwards fails with ErrUnavailable.
-// The store is unusable afterwards.
+// Close waits for the group in flight and every request queued behind
+// it to commit, then flushes and closes the current WAL segment.
+// Mutations submitted after Close starts fail with ErrUnavailable. The
+// store is unusable afterwards.
 func (s *Store) Close() error {
-	if c := s.committer.Swap(nil); c != nil {
-		// Outside s.mu: the final drain commits through commitGroup,
-		// which needs the lock.
-		c.shutdown()
+	s.qmu.Lock()
+	s.closed = true
+	drained := s.drained
+	if s.leading && drained == nil {
+		drained = make(chan struct{})
+		s.drained = drained
+	}
+	s.qmu.Unlock()
+	if drained != nil {
+		<-drained
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,7 +2,10 @@ package persist
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+
+	"coverage/internal/engine"
 )
 
 // benchRows builds a fixed batch matching the 3-attr test schema.
@@ -59,5 +62,51 @@ func BenchmarkWALAppendRecord(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStoreAppend prices the commit path without HTTP: each of
+// `writers` goroutines submits 100-row Append batches back to back, with the
+// WAL fsynced per group or not. records/commit is the mean number of
+// append requests one group carried — 1 means no write was shared.
+func BenchmarkStoreAppend(b *testing.B) {
+	rows := benchRows(100)
+	for _, syncWAL := range []bool{true, false} {
+		for _, writers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("sync=%v/writers=%d", syncWAL, writers), func(b *testing.B) {
+				s, err := Open(b.TempDir(), Options{SyncWAL: syncWAL})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Attach(engine.New(testSchema(), engine.Options{})); err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					n := b.N / writers
+					if w < b.N%writers {
+						n++
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for range n {
+							if err := s.Append(rows); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				st := s.Stats()
+				if st.WALGroupCommits > 0 {
+					b.ReportMetric(float64(st.WALGroupRecords+st.CoalescedAppends)/float64(st.WALGroupCommits), "records/commit")
+				}
+			})
+		}
 	}
 }
