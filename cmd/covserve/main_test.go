@@ -339,6 +339,9 @@ func TestWindowEndpoint(t *testing.T) {
 	if st.Window != 6 || st.Evictions == 0 {
 		t.Errorf("stats window = %d, evictions = %d", st.Window, st.Evictions)
 	}
+	if want := s.an.Engine().Stats().WindowBytes; st.WindowBytes != want || want < 16*6 {
+		t.Errorf("stats window_bytes = %d, want the engine's %d, at least 16 per live row", st.WindowBytes, want)
+	}
 	// Disable and verify unbounded growth resumes.
 	do(t, s, "POST", "/window", `{"max_rows": 0}`)
 	do(t, s, "POST", "/append", `{"codes": [[0, 1]]}`)
@@ -351,6 +354,35 @@ func TestWindowEndpoint(t *testing.T) {
 	}
 	if w := do(t, s, "POST", "/window", `{`); w.Code != http.StatusBadRequest {
 		t.Errorf("bad json: status %d, want 400", w.Code)
+	}
+}
+
+// TestStatsMarginalBytes: a shard's marginal_bytes is 0 until the
+// first /coverage batch builds its base's marginal table, then the
+// table's size, counted in the engine's ResidentBytes.
+func TestStatsMarginalBytes(t *testing.T) {
+	s := serveFixture(t)
+	sum := func() (b int64) {
+		for _, sh := range decode[statsResponse](t, do(t, s, "GET", "/stats", "")).Shards {
+			b += sh.MarginalBytes
+		}
+		return b
+	}
+	if b := sum(); b != 0 {
+		t.Fatalf("marginal_bytes sum to %d before any /coverage", b)
+	}
+	before := s.an.Engine().ResidentBytes()
+	if w := do(t, s, "POST", "/coverage", `{"patterns": ["0X"], "threshold": 2}`); w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	// Two attributes of 2 and 3 values: 5 cells of level 1 and 6 of
+	// level 2, with 3 offsets, per shard.
+	want := int64(len(s.an.Engine().Stats().Shards)) * (8*(5+6) + 4*3)
+	if b := sum(); b != want {
+		t.Errorf("marginal_bytes sum to %d after a /coverage, want %d", b, want)
+	}
+	if got := s.an.Engine().ResidentBytes() - before; got != want {
+		t.Errorf("ResidentBytes grew by %d, want %d", got, want)
 	}
 }
 

@@ -284,10 +284,12 @@ type statsResponse struct {
 	// cached searches, part of the tenant's resident bytes.
 	BodyBytes int64 `json:"cached_body_bytes"`
 	// Window is the sliding-window configuration: the maximum number
-	// of live rows (0 = unbounded) and the count of deleted rows whose
-	// window-log entries are still awaiting reconciliation.
-	Window     int   `json:"window_max_rows"`
-	Tombstones int64 `json:"window_tombstones"`
+	// of live rows (0 = unbounded), the count of deleted rows whose
+	// window-log entries are still awaiting reconciliation, and the
+	// window's resident bytes (key ring plus pending-delete table).
+	Window      int   `json:"window_max_rows"`
+	Tombstones  int64 `json:"window_tombstones"`
+	WindowBytes int64 `json:"window_bytes"`
 	// ShardCount is the number of shard cores the combo space is
 	// hash-partitioned across; Shards holds one counter block per
 	// core.
@@ -339,7 +341,8 @@ type planCacheJSON struct {
 
 // shardJSON is one shard core's counters on /stats. The store fields
 // report its count table's slot-fill ratio and the resident bytes of
-// its count and delta-position tables.
+// its count and delta-position tables; marginal_bytes is its base
+// index's marginal table (0 until a /coverage batch builds it).
 type shardJSON struct {
 	Rows           int64   `json:"rows"`
 	Distinct       int     `json:"distinct_combinations"`
@@ -347,6 +350,7 @@ type shardJSON struct {
 	Compactions    int64   `json:"compactions"`
 	StoreOccupancy float64 `json:"store_occupancy"`
 	StoreBytes     int64   `json:"store_bytes"`
+	MarginalBytes  int64   `json:"marginal_bytes"`
 }
 
 // persistStats is the durability section of /stats.
@@ -399,6 +403,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BodyBytes:      st.BodyBytes,
 		Window:         st.Window,
 		Tombstones:     st.Tombstones,
+		WindowBytes:    st.WindowBytes,
 		ShardCount:     st.ShardCount,
 		Shards:         make([]shardJSON, len(st.Shards)),
 		PlanCache: planCacheJSON{
@@ -418,6 +423,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Compactions:    sh.Compactions,
 			StoreOccupancy: sh.StoreOccupancy,
 			StoreBytes:     sh.StoreBytes,
+			MarginalBytes:  sh.MarginalBytes,
 		}
 	}
 	if s.store != nil {

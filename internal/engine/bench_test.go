@@ -78,8 +78,12 @@ func BenchmarkEngineMUPSearch(b *testing.B) {
 // at the shapes of the benchmark's probe workload: 100 000 rows per
 // tenant on 2 shard cores, a pending delta of the ≤ 400 combinations
 // four 100-row batches appended and deleted again leave behind, and
-// batches of 64 patterns of level 1–6. Each iteration answers one
-// batch, cycling through 16 of them.
+// batches of 64 patterns. The mixed cell draws each pattern's level
+// from 1–6 and times one batch per iteration, cycling through 16 of
+// them; L1–L6 fix every pattern's level and report ns per pattern, so
+// the marginal table's levels (1–3) and the kernel's (above) read
+// apart. The first batch, which builds the bases' marginal tables,
+// runs before the timer starts.
 func BenchmarkEngineCoverageBatch(b *testing.B) {
 	const rows, batchRows, batches = 100000, 100, 4
 	tenants := []struct {
@@ -113,24 +117,44 @@ func BenchmarkEngineCoverageBatch(b *testing.B) {
 			if d := e.Stats().DeltaDistinct; d == 0 || d > batches*batchRows {
 				b.Fatalf("pending delta holds %d combinations, want 1–%d", d, batches*batchRows)
 			}
-			rng := rand.New(rand.NewSource(7))
 			cards := tn.ds.Cards()
-			reqs := make([][]pattern.Pattern, 16)
-			for i := range reqs {
-				reqs[i] = make([]pattern.Pattern, 64)
-				for j := range reqs[i] {
-					p := pattern.All(len(cards))
-					for _, a := range rng.Perm(len(cards))[:1+rng.Intn(min(6, len(cards)))] {
-						p[a] = uint8(rng.Intn(cards[a]))
+			// requests draws 16 batches of 64 patterns, each fixing
+			// level(rng) attributes at random values.
+			requests := func(level func(*rand.Rand) int) [][]pattern.Pattern {
+				rng := rand.New(rand.NewSource(7))
+				reqs := make([][]pattern.Pattern, 16)
+				for i := range reqs {
+					reqs[i] = make([]pattern.Pattern, 64)
+					for j := range reqs[i] {
+						p := pattern.All(len(cards))
+						for _, a := range rng.Perm(len(cards))[:level(rng)] {
+							p[a] = uint8(rng.Intn(cards[a]))
+						}
+						reqs[i][j] = p
 					}
-					reqs[i][j] = p
 				}
+				return reqs
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.CoverageBatch(reqs[i%len(reqs)]); err != nil {
+			run := func(b *testing.B, reqs [][]pattern.Pattern) {
+				if _, err := e.CoverageBatch(reqs[0]); err != nil {
 					b.Fatal(err)
 				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.CoverageBatch(reqs[i%len(reqs)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.Run("mixed", func(b *testing.B) {
+				run(b, requests(func(rng *rand.Rand) int { return 1 + rng.Intn(min(6, len(cards))) }))
+			})
+			for level := 1; level <= min(6, len(cards)); level++ {
+				b.Run(fmt.Sprintf("L%d", level), func(b *testing.B) {
+					reqs := requests(func(*rand.Rand) int { return level })
+					run(b, reqs)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs[0])), "ns/pattern")
+				})
 			}
 		})
 	}

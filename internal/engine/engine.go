@@ -216,6 +216,11 @@ type ShardStat struct {
 	// pending delta-position tables.
 	StoreOccupancy float64
 	StoreBytes     int64
+	// MarginalBytes is the resident size of the base index's marginal
+	// table (index.Index.MarginalBytes): 0 until the first coverage
+	// batch on the base builds it, and again after a rebuild replaces
+	// the base.
+	MarginalBytes int64
 }
 
 // Stats is a snapshot of the engine's internal counters.
@@ -665,6 +670,7 @@ func (e *ShardedEngine) Stats() Stats {
 			Compactions:    c.compactions,
 			StoreOccupancy: c.counts.Mem().Occupancy(),
 			StoreBytes:     c.storeBytes(),
+			MarginalBytes:  c.base.MarginalBytes(),
 		}
 		st.Distinct += c.counts.Len()
 		st.DeltaDistinct += len(c.delta)
@@ -674,17 +680,18 @@ func (e *ShardedEngine) Stats() Stats {
 }
 
 // ResidentBytes reports the engine's resident footprint as far as it is
-// counted: the shard count stores (the sum of Stats().Shards[i].
-// StoreBytes), the window (Stats().WindowBytes) and the bodies kept
-// with cached MUP results (Stats().BodyBytes), without materializing
-// the full Stats block. Registries use it as the signal for LRU
-// byte-budget eviction across tenants.
+// counted: the shard count stores and the bases' marginal tables (the
+// sums of Stats().Shards[i].StoreBytes and MarginalBytes), the window
+// (Stats().WindowBytes) and the bodies kept with cached MUP results
+// (Stats().BodyBytes), without materializing the full Stats block.
+// Registries use it as the signal for LRU byte-budget eviction across
+// tenants.
 func (e *ShardedEngine) ResidentBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	b := e.bodyBytesLocked() + e.windowBytesLocked()
 	for _, c := range e.cores {
-		b += c.storeBytes()
+		b += c.storeBytes() + c.base.MarginalBytes()
 	}
 	return b
 }

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"coverage/internal/bitvec"
 	"coverage/internal/countstore"
@@ -30,7 +31,10 @@ import (
 // from the planes (one popcount per plane) and a sparse one from counts
 // (one load per match). The full-combo multiplicity table — hit by
 // every deepest-level probe of the MUP descent — is a countstore.Probe
-// over packed keys.
+// over packed keys. The marginal table, built by the first
+// Pool.CoverageBatch when the index's shape admits one, answers every
+// pattern with at most its level (≤ 3) of fixed attributes with one
+// load.
 type Index struct {
 	schema *dataset.Schema
 	cards  []int
@@ -45,6 +49,10 @@ type Index struct {
 	codec   *pattern.Codec    // flat's key layout
 	total   int64
 	nDist   int
+	// marg is the marginal table once built; margClaimed is set by the
+	// one caller that builds it (or finds that no level fits).
+	marg        atomic.Pointer[marginal]
+	margClaimed atomic.Bool
 }
 
 // valueVec is one per-value bit vector as the probe kernel reads it:
@@ -318,6 +326,9 @@ type Prober struct {
 	stack  []prefixAND
 	bufs   [][]uint64
 	probes int64 // number of coverage computations performed
+	// kernelOnly makes the prober ignore the marginal table, so tests
+	// can check the table's answers against the kernel's.
+	kernelOnly bool
 }
 
 // NewProber returns a fresh Prober for the index.
@@ -342,7 +353,8 @@ func (pr *Prober) Coverage(p pattern.Pattern) int64 {
 }
 
 // CoverageAtLeast returns cov(P) when it is below tau, and otherwise
-// some value at least tau: the question a lattice search asks. The
+// some value at least tau: the question a lattice search asks. A
+// pattern the index's marginal table holds is one load. Otherwise the
 // deterministic attributes' vectors are intersected sparsest-first,
 // only over the intersection of their nonzero windows. The first AND
 // reads the sparsest vector in place and writes the scratch buffer,
@@ -360,10 +372,12 @@ func (pr *Prober) CoverageAtLeast(p pattern.Pattern, tau int64) int64 {
 			pr.det = append(pr.det, i)
 		}
 	}
-	switch len(pr.det) {
-	case 0:
+	switch m := pr.table(); {
+	case len(pr.det) == 0:
 		return ix.total // root pattern matches everything
-	case len(p):
+	case m != nil && len(pr.det) <= m.level:
+		return m.at(p, pr.det)
+	case len(pr.det) == len(p):
 		return ix.fullCount(p)
 	}
 	// Sparsest vector first (insertion sort; the list is tiny).
@@ -396,6 +410,15 @@ func (pr *Prober) CoverageAtLeast(p pattern.Pattern, tau int64) int64 {
 		first = pr.buf
 	}
 	return ix.andDot(first, last, lo, hi, tau)
+}
+
+// table returns the index's marginal table, nil while it has none
+// or when the prober is kernel-only.
+func (pr *Prober) table() *marginal {
+	if pr.kernelOnly {
+		return nil
+	}
+	return pr.ix.marg.Load()
 }
 
 // checkDim panics unless p has the schema's dimension.
@@ -507,7 +530,8 @@ type prefixAND struct {
 // stacked is CoverageAtLeast with the deterministic elements ANDed in
 // position order on the prefix stack: the levels p shares with the
 // stack's top pattern are kept, the rest recomputed into per-level
-// buffers, and the last element is fused with the count.
+// buffers, and the last element is fused with the count. A pattern the
+// marginal table holds is read from it and leaves the stack as it was.
 func (pr *Prober) stacked(p pattern.Pattern, tau int64) int64 {
 	ix := pr.ix
 	pr.checkDim(p)
@@ -517,6 +541,9 @@ func (pr *Prober) stacked(p pattern.Pattern, tau int64) int64 {
 		if v != pattern.Wildcard {
 			pr.det = append(pr.det, i)
 		}
+	}
+	if m := pr.table(); m != nil && len(pr.det) <= m.level {
+		return m.at(p, pr.det)
 	}
 	n := len(pr.det) - 1
 	if n+1 == len(p) {
@@ -563,12 +590,13 @@ func (pr *Prober) words(k int) []uint64 {
 // counters — the concurrent hot path must not contend on a cache
 // line. The zero Pool is not usable; obtain one from Index.NewPool.
 type Pool struct {
+	ix      *Index
 	probers sync.Pool
 }
 
 // NewPool returns a Pool of Probers for the index.
 func (ix *Index) NewPool() *Pool {
-	pl := &Pool{}
+	pl := &Pool{ix: ix}
 	pl.probers.New = func() any { return ix.NewProber() }
 	return pl
 }
@@ -582,8 +610,11 @@ func (pl *Pool) Coverage(p pattern.Pattern) int64 {
 }
 
 // CoverageBatch writes cov(ps[i]) into out[i] for every pattern in ps,
-// all on one Prober. It is safe for concurrent use.
+// all on one Prober. It is safe for concurrent use. It is the repeating
+// path, /coverage's, so the first call builds the index's marginal
+// table; no other caller does.
 func (pl *Pool) CoverageBatch(ps []pattern.Pattern, out []int64) {
+	pl.ix.ensureMarginal()
 	pr := pl.probers.Get().(*Prober)
 	pr.CoverageBatch(ps, math.MaxInt64, out)
 	pl.probers.Put(pr)

@@ -177,31 +177,58 @@ func TestQuickCoverageEqualsLiteralScan(t *testing.T) {
 	}
 }
 
-// FuzzProbeKernel checks the probe kernel against the literal sum over
-// combinations: an index built by BuildFromKeys in either key layout
-// (up to 16 attributes raw, past that bit-compact), with every
-// multiplicity 1 (a single count plane) or spread up to 2^40 (40
-// planes, so words are priced both from the planes and match by
-// match), probed at every level from the root to full rows. The
-// builder gets its entries shuffled, with one count split across two
-// entries and a ghost whose counts cancel, and must produce the index
-// BuildFromDistinct builds over the same combinations in sort.Strings
-// order: the same columns, windows, counts and planes. A batch of a
+// FuzzProbeKernel checks the probe kernel and the marginal table
+// against the literal sum over combinations: an index built by
+// BuildFromKeys in either key layout (up to 16 attributes raw, past
+// that bit-compact), with every multiplicity 1 (a single count plane)
+// or spread up to 2^40 (40 planes, so words are priced both from the
+// planes and match by match), probed at every level from the root to
+// full rows. The schema is random (1–32 attributes of 2–4 values), or
+// by shape one of the wide ones: 32 or 64 binary attributes, one
+// attribute of 254 values (the most a schema takes) beside small ones,
+// or 42 attributes of 4 values and a binary one whose field straddles
+// the two key words. The builder gets its entries shuffled, with one
+// count split across two entries and a ghost whose counts cancel, and
+// must produce the index BuildFromDistinct builds over the same
+// combinations in sort.Strings order: the same columns, windows,
+// counts and planes. A batch of a
 // pattern's Rule-1 children and grandchildren, the runs the walk probes
 // off shared prefixes, and the thresholded probes must answer exactly
-// below τ and at least τ above.
+// below τ and at least τ above. All of it runs twice: on the kernel
+// alone, then with the marginal table built, at the level the budgets
+// admit; every pattern the table holds must equal the kernel's answer.
 func FuzzProbeKernel(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint16(300), false)
-	f.Add(int64(2), uint8(20), uint16(900), true)
-	f.Add(int64(3), uint8(9), uint16(2500), true)
-	f.Add(int64(4), uint8(30), uint16(1200), false)
-	f.Add(int64(5), uint8(1), uint16(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, dim uint8, n uint16, spread bool) {
+	f.Add(int64(1), uint8(4), uint16(300), false, uint8(0))
+	f.Add(int64(2), uint8(20), uint16(900), true, uint8(0))
+	f.Add(int64(3), uint8(9), uint16(2500), true, uint8(0))
+	f.Add(int64(4), uint8(30), uint16(1200), false, uint8(0))
+	f.Add(int64(5), uint8(1), uint16(5), true, uint8(0))
+	f.Add(int64(6), uint8(0), uint16(700), false, uint8(1))
+	f.Add(int64(7), uint8(0), uint16(3500), true, uint8(1))
+	f.Add(int64(8), uint8(0), uint16(400), true, uint8(2))
+	f.Add(int64(9), uint8(0), uint16(2000), false, uint8(3))
+	f.Add(int64(10), uint8(0), uint16(1500), true, uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, dim uint8, n uint16, spread bool, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		d := 1 + int(dim)%32
+		var sizes []int
+		switch shape % 5 {
+		case 0:
+			for range 1 + int(dim)%32 {
+				sizes = append(sizes, 2+rng.Intn(3))
+			}
+		case 1, 2:
+			sizes = slices.Repeat([]int{2}, 32*int(shape%5))
+		case 3:
+			sizes = []int{pattern.MaxCardinality - 1, 2, 3, 2, 4, 2}
+		case 4:
+			// 21 three-bit fields fill 63 bits of each key word, so the
+			// last, two-bit field straddles them.
+			sizes = append(slices.Repeat([]int{4}, 42), 2)
+		}
+		d := len(sizes)
 		attrs := make([]dataset.Attribute, d)
-		for j := range attrs {
-			vals := make([]string, 2+rng.Intn(3))
+		for j, size := range sizes {
+			vals := make([]string, size)
 			for v := range vals {
 				vals[v] = fmt.Sprint(v)
 			}
@@ -261,67 +288,143 @@ func FuzzProbeKernel(f *testing.F) {
 		case !spread && ix.nPlanes != 1:
 			t.Fatalf("unit counts sliced into %d planes, want 1", ix.nPlanes)
 		}
-		pr := ix.NewProber()
-		for level := 0; level <= d; level++ {
-			for trial := 0; trial < 4; trial++ {
-				c := draw()
-				if trial%2 == 0 && len(combos) > 0 {
-					c = combos[rng.Intn(len(combos))]
+		literal := func(p pattern.Pattern) int64 {
+			var sum int64
+			for k, n := range counts {
+				if p.Matches([]uint8(k)) {
+					sum += n
 				}
-				p := pattern.All(d)
-				for _, j := range rng.Perm(d)[:level] {
-					p[j] = c[j]
-				}
-				var want int64
-				var matching []string
-				for k, n := range counts {
-					if p.Matches([]uint8(k)) {
-						want += n
-						matching = append(matching, k)
+			}
+			return sum
+		}
+		probeAll := func(pr *Prober) {
+			for level := 0; level <= d; level++ {
+				for trial := 0; trial < 4; trial++ {
+					c := draw()
+					if trial%2 == 0 && len(combos) > 0 {
+						c = combos[rng.Intn(len(combos))]
 					}
-				}
-				if got := pr.Coverage(p); got != want {
-					t.Fatalf("cov(%v) = %d, literal sum %d", p, got, want)
-				}
-				if trial > 0 {
-					continue
-				}
-				// p's Rule-1 children, then the first child of each of the
-				// first two (sharing p's elements, differing in a value)
-				// and p itself, under a τ that p reaches: below τ every
-				// answer is the literal sum, at or above it at least τ.
-				kids := p.AppendRule1Children(nil, cards)
-				batch := slices.Clone(kids)
-				for _, k := range kids[:min(2, len(kids))] {
-					if grand := k.AppendRule1Children(nil, cards); len(grand) > 0 {
-						batch = append(batch, grand[0])
+					p := pattern.All(d)
+					for _, j := range rng.Perm(d)[:level] {
+						p[j] = c[j]
 					}
-				}
-				batch = append(batch, p)
-				tau := 1 + rng.Int63n(want+1)
-				out := make([]int64, len(batch))
-				before := pr.Probes()
-				pr.CoverageBatch(batch, tau, out)
-				if n := pr.Probes() - before; n != int64(len(batch)) {
-					t.Fatalf("a batch of %d patterns counted %d probes", len(batch), n)
-				}
-				for i, q := range batch {
-					var exact int64
-					for _, k := range matching {
-						if q.Matches([]uint8(k)) {
-							exact += counts[k]
+					want := literal(p)
+					if got := pr.Coverage(p); got != want {
+						t.Fatalf("cov(%v) = %d, literal sum %d", p, got, want)
+					}
+					if trial > 0 {
+						continue
+					}
+					// p's Rule-1 children, then the first child of each of
+					// the first two (sharing p's elements, differing in a
+					// value) and p itself, under a τ that p reaches: below τ
+					// every answer is the literal sum, at or above it at
+					// least τ.
+					kids := p.AppendRule1Children(nil, cards)
+					batch := slices.Clone(kids)
+					for _, k := range kids[:min(2, len(kids))] {
+						if grand := k.AppendRule1Children(nil, cards); len(grand) > 0 {
+							batch = append(batch, grand[0])
 						}
 					}
-					if got := out[i]; exact < tau && got != exact || exact >= tau && (got < tau || got > exact) {
-						t.Fatalf("CoverageBatch at τ=%d: cov(%v) = %d, literal sum %d", tau, q, got, exact)
+					batch = append(batch, p)
+					tau := 1 + rng.Int63n(want+1)
+					out := make([]int64, len(batch))
+					before := pr.Probes()
+					pr.CoverageBatch(batch, tau, out)
+					if n := pr.Probes() - before; n != int64(len(batch)) {
+						t.Fatalf("a batch of %d patterns counted %d probes", len(batch), n)
 					}
-					if got := pr.CoverageAtLeast(q, tau); exact < tau && got != exact || exact >= tau && (got < tau || got > exact) {
-						t.Fatalf("CoverageAtLeast(%v, %d) = %d, literal sum %d", q, tau, got, exact)
+					for i, q := range batch {
+						exact := literal(q)
+						if got := out[i]; exact < tau && got != exact || exact >= tau && (got < tau || got > exact) {
+							t.Fatalf("CoverageBatch at τ=%d: cov(%v) = %d, literal sum %d", tau, q, got, exact)
+						}
+						if got := pr.CoverageAtLeast(q, tau); exact < tau && got != exact || exact >= tau && (got < tau || got > exact) {
+							t.Fatalf("CoverageAtLeast(%v, %d) = %d, literal sum %d", q, tau, got, exact)
+						}
 					}
 				}
 			}
 		}
+		probeAll(ix.NewProber())
+		if ix.MarginalBytes() != 0 {
+			t.Fatal("probers built a marginal table")
+		}
+		ix.NewPool().CoverageBatch(nil, nil)
+		level := wantMarginalLevel(cards, ix.NumDistinct())
+		m := ix.marg.Load()
+		switch {
+		case level == 0 && m != nil:
+			t.Fatalf("%v over %d combinations: a level-%d table past the budgets", cards, ix.NumDistinct(), m.level)
+		case level == 0:
+			return
+		case m == nil || m.level != level:
+			t.Fatalf("%v over %d combinations: table %v, want level %d", cards, ix.NumDistinct(), m, level)
+		}
+		probeAll(ix.NewProber())
+		pr, kernel := ix.NewProber(), ix.NewProber()
+		kernel.kernelOnly = true
+		forEachLowPattern(cards, level, func(p pattern.Pattern) {
+			if got, want := pr.Coverage(p), kernel.Coverage(p); got != want {
+				t.Fatalf("table cov(%v) = %d, kernel %d", p, got, want)
+			}
+		})
+		if pr.Probes() != kernel.Probes() {
+			t.Fatalf("the table counted %d probes, the kernel %d", pr.Probes(), kernel.Probes())
+		}
 	})
+}
+
+// wantMarginalLevel is the marginal table's level rule, enumerated
+// subset by subset: the largest ℓ ≤ min(3, d) whose cells and offsets
+// fit marginalMaxBytes and whose build of nDist adds per subset fits
+// marginalMaxAdds.
+func wantMarginalLevel(cards []int, nDist int) int {
+	d := len(cards)
+	var cells, subsets [4]int64
+	for i := 0; i < d; i++ {
+		cells[1] += int64(cards[i])
+		for j := i + 1; j < d; j++ {
+			cells[2] += int64(cards[i] * cards[j])
+			for k := j + 1; k < d; k++ {
+				cells[3] += int64(cards[i] * cards[j] * cards[k])
+				subsets[3]++
+			}
+			subsets[2]++
+		}
+		subsets[1]++
+	}
+	level := 0
+	var c, s int64
+	for l := 1; l <= min(3, d); l++ {
+		c, s = c+cells[l], s+subsets[l]
+		if 8*c+4*s > marginalMaxBytes || int64(nDist)*s > marginalMaxAdds {
+			break
+		}
+		level = l
+	}
+	return level
+}
+
+// forEachLowPattern calls fn with every pattern of level 1 to level
+// over cards; fn must not keep p.
+func forEachLowPattern(cards []int, level int, fn func(p pattern.Pattern)) {
+	p := pattern.All(len(cards))
+	var fix func(from, left int)
+	fix = func(from, left int) {
+		for i := from; i < len(cards); i++ {
+			for v := 0; v < cards[i]; v++ {
+				p[i] = uint8(v)
+				fn(p)
+				if left > 1 {
+					fix(i+1, left-1)
+				}
+			}
+			p[i] = pattern.Wildcard
+		}
+	}
+	fix(0, level)
 }
 
 // sortedDistinct lists a combo→count map in sort.Strings order of its

@@ -11,7 +11,8 @@ import (
 // the pattern cube of a cold Search (∏(cᵢ+1) uint32 cells, so at most
 // 2²¹ of them) and the per-worker ancestor cube of RepairBidirectional
 // (2^d int64 cells, so d ≤ 20). Past it the lattice walks run instead.
-const cubeMaxBytes = 8 << 20
+// It is kept in package index beside the marginal table's budgets.
+const cubeMaxBytes = index.CubeMaxBytes
 
 // cubeCells returns the pattern cube's cell count ∏(cᵢ+1), or 0 when
 // the cube would exceed cubeMaxBytes.
