@@ -7,7 +7,7 @@
 //
 //	covfix -csv data.csv [-columns a,b,c] (-tau 30 | -rate 0.001)
 //	       -lambda 2 [-rules rules.json] [-costs costs.json]
-//	       [-workers N] [-out augmented.csv] [-copies τ]
+//	       [-out augmented.csv] [-copies τ]
 //
 // The optional rules file holds validation rules as JSON:
 //
@@ -27,11 +27,9 @@
 //
 //	{"race": {"amer-indian": 5, "other": 3}, "age": {"under 20": 2}}
 //
-// -workers fans each greedy selection's top-level attribute branches
-// across N goroutines sharing an atomic best-bound; the resulting plan
-// is identical at every worker count. These are the same planner knobs
-// covserve's /plan endpoint exercises, so a plan computed offline here
-// matches the served one configuration for configuration.
+// Rules and costs are the same planner knobs covserve's /plan endpoint
+// exercises, so a plan computed offline here matches the served one
+// configuration for configuration.
 package main
 
 import (
@@ -63,7 +61,6 @@ func main() {
 		minVC     = flag.Uint64("min-value-count", 0, "alternative objective: cover patterns with at least this value count")
 		rulesPath = flag.String("rules", "", "JSON file with validation rules")
 		costsPath = flag.String("costs", "", "JSON file with per-attribute-value acquisition costs (switches to the weighted objective)")
-		workers   = flag.Int("workers", 0, "goroutines for the greedy search's branch fan-out (0 = sequential; the plan is identical)")
 		outPath   = flag.String("out", "", "write the augmented dataset to this CSV file")
 		copies    = flag.Int("copies", 0, "rows to append per suggestion when -out is set (default: τ)")
 		naive     = flag.Bool("naive", false, "use the naive hitting-set baseline (exponential)")
@@ -102,7 +99,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	planOpts := coverage.PlanOptions{Oracle: oracle, Naive: *naive, Workers: *workers}
+	planOpts := coverage.PlanOptions{Oracle: oracle, Naive: *naive}
 	if *costsPath != "" {
 		planOpts.Cost, err = loadCosts(*costsPath, ds.Schema())
 		if err != nil {

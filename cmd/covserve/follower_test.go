@@ -279,14 +279,16 @@ func TestFollowerTornFeed(t *testing.T) {
 // behind that the leader pruned its WAL position resyncs from the
 // snapshot chain instead of failing forever.
 func TestFollowerResyncAfterPrune(t *testing.T) {
-	// Full snapshots only, so retention actually prunes WAL segments.
-	leaderSrv, ts := startLeader(t, t.TempDir(), persist.Options{DisableDeltaSnapshots: true})
+	// A chain of at most one delta: after Attach's full image the
+	// snapshots alternate delta and full, so retention prunes WAL
+	// segments within a few rounds.
+	leaderSrv, ts := startLeader(t, t.TempDir(), persist.Options{MaxDeltaChain: 1})
 	f := startFollower(t, ts)
 
-	// Three mutate+snapshot rounds: cleanup keeps the two newest full
-	// images and drops every WAL segment before the older one — which
-	// is past the follower's bootstrap generation.
-	for i := 0; i < 3; i++ {
+	// Four mutate+snapshot rounds leave three full images: cleanup
+	// keeps the two newest and drops every WAL segment before the
+	// older one — which is past the follower's bootstrap generation.
+	for i := 0; i < 4; i++ {
 		do(t, leaderSrv, "POST", "/append", `{"rows": [["male", "white"], ["female", "black"]]}`)
 		if w := do(t, leaderSrv, "POST", "/snapshot", ""); w.Code != http.StatusOK {
 			t.Fatalf("leader snapshot %d: %s", w.Code, w.Body)

@@ -61,8 +61,7 @@
 //	POST /window {"max_rows":100000}       bound the dataset to the newest rows
 //	POST /snapshot                         write a snapshot now (requires -data-dir)
 //	POST /plan {"tau":30,"max_level":2}    remediation plan (cached per configuration,
-//	                                       repaired incrementally after mutations;
-//	                                       optional "workers" fans out the greedy search)
+//	                                       repaired incrementally after mutations)
 package main
 
 import (

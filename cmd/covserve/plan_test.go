@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -72,25 +73,27 @@ func TestPlanEndpointClientDisconnect(t *testing.T) {
 	}
 }
 
+// TestPlanEndpointWorkersAreEquivalent: the deprecated "workers" field
+// is accepted and ignored, so a /plan body is byte-identical whether a
+// request sends workers 1, 4 or none.
 func TestPlanEndpointWorkersAreEquivalent(t *testing.T) {
-	base := serveFixture(t)
-	w1 := do(t, base, "POST", "/plan", `{"tau": 2, "max_level": 2, "workers": 1}`)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w1.Code, w1.Body)
-	}
-	p1 := decode[planResponse](t, w1)
-	other := serveFixture(t)
-	w4 := do(t, other, "POST", "/plan", `{"tau": 2, "max_level": 2, "workers": 4}`)
-	if w4.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w4.Code, w4.Body)
-	}
-	p4 := decode[planResponse](t, w4)
-	if len(p1.Suggestions) != len(p4.Suggestions) {
-		t.Fatalf("worker counts disagree: %+v vs %+v", p1, p4)
-	}
-	for i := range p1.Suggestions {
-		if p1.Suggestions[i] != p4.Suggestions[i] {
-			t.Fatalf("suggestion %d differs across worker counts: %+v vs %+v", i, p1.Suggestions[i], p4.Suggestions[i])
+	var first []byte
+	for _, body := range []string{
+		`{"tau": 2, "max_level": 2, "workers": 1}`,
+		`{"tau": 2, "max_level": 2, "workers": 4}`,
+		`{"tau": 2, "max_level": 2}`,
+	} {
+		w := do(t, serveFixture(t), "POST", "/plan", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
+		}
+		if p := decode[planResponse](t, w); len(p.Suggestions) == 0 {
+			t.Fatalf("%s: empty plan %+v", body, p)
+		}
+		if first == nil {
+			first = w.Body.Bytes()
+		} else if !bytes.Equal(w.Body.Bytes(), first) {
+			t.Fatalf("%s: body %s, want %s", body, w.Body, first)
 		}
 	}
 }

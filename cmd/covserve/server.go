@@ -884,15 +884,17 @@ func (s *server) handleWindowSet(w http.ResponseWriter, r *http.Request) {
 }
 
 // planRequest configures a remediation plan: a threshold spec (tau or
-// rate) plus one objective (max_level λ or min_value_count), and
-// optionally the greedy search's worker fan-out (0 = engine default;
-// the plan is identical at every count).
+// rate) plus one objective (max_level λ or min_value_count).
 type planRequest struct {
 	Tau           int64   `json:"tau,omitempty"`
 	Rate          float64 `json:"rate,omitempty"`
 	MaxLevel      int     `json:"max_level,omitempty"`
 	MinValueCount uint64  `json:"min_value_count,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
+	// Workers is accepted and ignored: the greedy search runs on the
+	// request's goroutine. Bodies are decoded with
+	// DisallowUnknownFields, so the field stays for one release to
+	// keep clients that still send it from getting a 400.
+	Workers int `json:"workers,omitempty"`
 }
 
 type suggestionJSON struct {
@@ -945,7 +947,6 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	plan, err := s.an.PlanContext(r.Context(), rep, coverage.PlanOptions{
 		MaxLevel:      req.MaxLevel,
 		MinValueCount: req.MinValueCount,
-		Workers:       req.Workers,
 	})
 	release()
 	if err != nil {

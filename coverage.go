@@ -461,12 +461,6 @@ type PlanOptions struct {
 	// Naive selects the unoptimized hitting-set baseline (for
 	// comparison; exponential in the number of attributes).
 	Naive bool
-	// Workers fans the greedy search's top-level attribute branches
-	// across this many goroutines sharing an atomic best-bound. 0
-	// means the engine's worker default on the cached path and
-	// sequential on the one-shot path. The plan is identical at every
-	// worker count.
-	Workers int
 }
 
 // Plan computes the additional data collection that remedies the lack
@@ -503,7 +497,6 @@ func (a *Analyzer) PlanContext(ctx context.Context, rep *Report, opts PlanOption
 			MinValueCount: opts.MinValueCount,
 			Oracle:        opts.Oracle,
 			Cost:          opts.Cost,
-			Workers:       opts.Workers,
 		})
 	}
 
@@ -514,7 +507,7 @@ func (a *Analyzer) PlanContext(ctx context.Context, rep *Report, opts PlanOption
 		return nil, err
 	}
 	targets := ts.Targets()
-	sopts := enhance.SearchOptions{Ctx: ctx, Workers: opts.Workers}
+	sopts := enhance.SearchOptions{Ctx: ctx}
 	switch {
 	case opts.Naive:
 		return enhance.NaiveGreedy(targets, cards, opts.Oracle)

@@ -12,10 +12,9 @@ import (
 
 // PlanSpec configures a remediation-plan request against the engine's
 // cached planner: the objective (exactly one of MaxLevel and
-// MinValueCount), the optional validation oracle and acquisition cost
-// model, and the greedy search's worker fan-out. Together with the MUP
-// search options it identifies a plan-cache slot; Workers is excluded
-// from the key because the plan is identical at every worker count.
+// MinValueCount) and the optional validation oracle and acquisition
+// cost model. Together with the MUP search options it identifies a
+// plan-cache slot.
 type PlanSpec struct {
 	// MaxLevel is λ: after collecting the plan's suggestions, no
 	// pattern at level ≤ λ remains uncovered.
@@ -29,9 +28,6 @@ type PlanSpec struct {
 	Oracle *enhance.Oracle
 	// Cost, when non-nil, switches to the weighted objective.
 	Cost *enhance.CostModel
-	// Workers is the goroutine count for the greedy branch fan-out;
-	// 0 means the engine's Options.Workers default.
-	Workers int
 }
 
 // planKey identifies one cached plan configuration. Oracles and cost
@@ -122,11 +118,7 @@ func (e *ShardedEngine) Plan(ctx context.Context, mopts mup.Options, spec PlanSp
 		}
 	}
 	if entry.plan == nil {
-		workers := spec.Workers
-		if workers <= 0 {
-			workers = e.opts.workers()
-		}
-		sopts := enhance.SearchOptions{Ctx: ctx, Workers: workers}
+		sopts := enhance.SearchOptions{Ctx: ctx}
 		if spec.Cost != nil {
 			entry.plan, err = enhance.GreedyWeightedSearch(targets, e.cards, spec.Oracle, spec.Cost, sopts)
 		} else {

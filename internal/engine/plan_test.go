@@ -234,7 +234,7 @@ func TestPlanCancellation(t *testing.T) {
 	e := planTestEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.Plan(ctx, mup.Options{Threshold: 3}, PlanSpec{MaxLevel: 2, Workers: 2})
+	_, err := e.Plan(ctx, mup.Options{Threshold: 3}, PlanSpec{MaxLevel: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -338,7 +338,7 @@ func TestConcurrentPlans(t *testing.T) {
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(workers int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -346,12 +346,12 @@ func TestConcurrentPlans(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.Plan(context.Background(), mopts, PlanSpec{MaxLevel: 2, Workers: workers}); err != nil {
+				if _, err := e.Plan(context.Background(), mopts, spec); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(1 + i%2)
+		}()
 	}
 	rng := rand.New(rand.NewSource(5))
 	for b := 0; b < 40; b++ {
@@ -387,7 +387,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 		}
 		ctx := context.Background()
 		mopts := mup.Options{Threshold: tau}
-		spec := PlanSpec{MaxLevel: lvl, Workers: 1 + rng.Intn(3)}
+		spec := PlanSpec{MaxLevel: lvl}
 
 		for step := 0; step < 6; step++ {
 			switch rng.Intn(3) {

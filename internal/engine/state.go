@@ -133,9 +133,7 @@ type CachedPlan struct {
 	Targets   []pattern.Pattern
 	Algorithm string
 	// Iterations mirrors enhance.PlanStats. NodesExplored is not kept:
-	// with parallel branches it depends on scheduling, so one history
-	// would write different snapshots, and a restored plan ran no
-	// search in this process; it restores as 0.
+	// a restored plan ran no search in this process; it restores as 0.
 	Iterations  int
 	Suggestions []PlanSuggestion
 }

@@ -83,8 +83,8 @@ func TestGreedyAgainstNaiveExample2(t *testing.T) {
 // and on targets that share a few masks and duplicates.
 func TestGreedyAlwaysPicksTheMaximum(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		checkGreedyMaximum(t, seed, false, false, 0, false)
-		checkGreedyMaximum(t, seed, false, false, 0, true)
+		checkGreedyMaximum(t, seed, false, false, false)
+		checkGreedyMaximum(t, seed, false, false, true)
 	}
 }
 

@@ -29,9 +29,8 @@ import (
 // word-parallel pass. The visit order and the tie-break are the
 // paper's, so the plan is the one the hit-count bound alone selects.
 //
-// Greedy is the sequential entry point; GreedySearch adds
-// cancellation and parallel branch fan-out without changing the
-// resulting plan.
+// Greedy runs without a context; GreedySearch adds cancellation
+// without changing the resulting plan.
 func Greedy(targets []pattern.Pattern, cards []int, oracle *Oracle) (*Plan, error) {
 	return GreedySearch(targets, cards, oracle, SearchOptions{})
 }

@@ -103,11 +103,10 @@ func plansEqual(t *testing.T, label string, want, got *Plan) {
 	}
 }
 
-// TestSearchVariantsProduceIdenticalPlans is the core determinism
-// property of the searcher: parallel branch fan-out is a pure
-// accelerator — at every worker count the selected plan is
-// combination-for-combination the sequential one. Checked for both
-// objectives.
+// TestSearchVariantsProduceIdenticalPlans: the Search variants,
+// polling a live context inside the tree search, select the plans of
+// Greedy and GreedyWeighted combination for combination. Checked for
+// both objectives.
 func TestSearchVariantsProduceIdenticalPlans(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -125,21 +124,19 @@ func TestSearchVariantsProduceIdenticalPlans(t *testing.T) {
 			return false
 		}
 
-		for _, workers := range []int{1, 2, 4} {
-			opts := SearchOptions{Workers: workers}
-			got, err := GreedySearch(targets, cards, nil, opts)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			plansEqual(t, "greedy", base, got)
-			gotW, err := GreedyWeightedSearch(targets, cards, nil, cost, opts)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			plansEqual(t, "weighted", baseW, gotW)
+		opts := SearchOptions{Ctx: context.Background()}
+		got, err := GreedySearch(targets, cards, nil, opts)
+		if err != nil {
+			t.Log(err)
+			return false
 		}
+		plansEqual(t, "greedy", base, got)
+		gotW, err := GreedyWeightedSearch(targets, cards, nil, cost, opts)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		plansEqual(t, "weighted", baseW, gotW)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -148,7 +145,7 @@ func TestSearchVariantsProduceIdenticalPlans(t *testing.T) {
 }
 
 // TestSearchVariantsRespectOracle re-runs the oracle-constrained case
-// of TestGreedyRespectsOracle through the parallel path.
+// of TestGreedyRespectsOracle through GreedySearch.
 func TestSearchVariantsRespectOracle(t *testing.T) {
 	targets := example2MUPs(t)[:6]
 	o, err := NewOracle(example2Cards, []Rule{
@@ -162,42 +159,36 @@ func TestSearchVariantsRespectOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		got, err := GreedySearch(hittable, example2Cards, o, SearchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plansEqual(t, "oracle", base, got)
-		for _, s := range got.Suggestions {
-			if s.Combo[0] != 1 {
-				t.Errorf("suggestion %v violates the oracle", s.Combo)
-			}
+	got, err := GreedySearch(hittable, example2Cards, o, SearchOptions{Ctx: context.Background()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plansEqual(t, "oracle", base, got)
+	for _, s := range got.Suggestions {
+		if s.Combo[0] != 1 {
+			t.Errorf("suggestion %v violates the oracle", s.Combo)
 		}
 	}
-	// The unhittable case still errors through every variant.
-	for _, workers := range []int{1, 3} {
-		if _, err := GreedySearch(targets, example2Cards, o, SearchOptions{Workers: workers}); err == nil {
-			t.Error("unhittable target accepted")
-		}
+	// The unhittable case still errors.
+	if _, err := GreedySearch(targets, example2Cards, o, SearchOptions{Ctx: context.Background()}); err == nil {
+		t.Error("unhittable target accepted")
 	}
 }
 
 // TestSearchCancellation pins the ctx plumbing: a canceled context
-// aborts the search with ctx.Err() instead of a plan, sequentially and
-// in parallel.
+// aborts the search with ctx.Err() instead of a plan, for both
+// objectives.
 func TestSearchCancellation(t *testing.T) {
 	targets := example2MUPs(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		_, err := GreedySearch(targets, example2Cards, nil, SearchOptions{Ctx: ctx, Workers: workers})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		_, err = GreedyWeightedSearch(targets, example2Cards, nil, UniformCost(example2Cards), SearchOptions{Ctx: ctx, Workers: workers})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("weighted workers=%d: err = %v, want context.Canceled", workers, err)
-		}
+	_, err := GreedySearch(targets, example2Cards, nil, SearchOptions{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	_, err = GreedyWeightedSearch(targets, example2Cards, nil, UniformCost(example2Cards), SearchOptions{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("weighted: err = %v, want context.Canceled", err)
 	}
 	// An uncanceled context changes nothing.
 	live, err := GreedySearch(targets, example2Cards, nil, SearchOptions{Ctx: context.Background()})
@@ -211,9 +202,9 @@ func TestSearchCancellation(t *testing.T) {
 	plansEqual(t, "live-ctx", base, live)
 }
 
-// TestSearchClampsWorkerCount: an absurd worker count — /plan passes
-// the client's value through — must degrade to a bounded fan-out, not
-// a proportional allocation.
+// TestSearchClampsWorkerCount: the deprecated Workers field is
+// ignored, so even an absurd count plans sequentially, allocating
+// nothing in proportion to it.
 func TestSearchClampsWorkerCount(t *testing.T) {
 	targets := example2MUPs(t)
 	base, err := Greedy(targets, example2Cards, nil)
@@ -228,7 +219,7 @@ func TestSearchClampsWorkerCount(t *testing.T) {
 }
 
 // TestSearchSingleAttribute covers the d=1 edge where the root is the
-// leaf level and the parallel fan-out must degrade to sequential.
+// leaf level.
 func TestSearchSingleAttribute(t *testing.T) {
 	cards := []int{4}
 	targets := []pattern.Pattern{{2}, {pattern.Wildcard}}
@@ -236,7 +227,7 @@ func TestSearchSingleAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GreedySearch(targets, cards, nil, SearchOptions{Workers: 8})
+	got, err := GreedySearch(targets, cards, nil, SearchOptions{Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +238,13 @@ func TestSearchSingleAttribute(t *testing.T) {
 }
 
 // FuzzGreedyMaximum runs checkGreedyMaximum on fuzzed inputs. Its
-// corpus mixes the objectives, oracles, worker counts and target
-// shapes; TestGreedyAlwaysPicksTheMaximum and
+// corpus mixes the objectives, oracles and target shapes;
+// TestGreedyAlwaysPicksTheMaximum and
 // TestGreedyWeightedAlwaysPicksTheBestRatio run seeds 0–59 of each
-// objective in both mask modes, without oracle or workers.
+// objective in both mask modes, without oracle.
 func FuzzGreedyMaximum(f *testing.F) {
 	for seed := int64(60); seed < 90; seed++ {
-		f.Add(seed, seed%2 == 0, seed%3 == 0, uint8(seed), seed%5 < 3)
+		f.Add(seed, seed%2 == 0, seed%3 == 0, seed%5 < 3)
 	}
 	f.Fuzz(checkGreedyMaximum)
 }
@@ -263,10 +254,10 @@ func FuzzGreedyMaximum(f *testing.F) {
 // targets not hit yet — in hits, or in hits per unit cost to within
 // 1e-9 relative — and its Hits must be exactly the remaining targets
 // it matches. The inputs choose the objective, an optional oracle
-// rule, 1–3 workers and whether the targets share a few wildcard
-// masks and exact duplicates, the shapes the group bound prunes on, or
-// draw one mask each.
-func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, workers uint8, sharedMasks bool) {
+// rule and whether the targets share a few wildcard masks and exact
+// duplicates, the shapes the group bound prunes on, or draw one mask
+// each.
+func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle, sharedMasks bool) {
 	r := rand.New(rand.NewSource(seed))
 	cards, targets := randomTargets(r, sharedMasks)
 	d := len(cards)
@@ -286,14 +277,13 @@ func checkGreedyMaximum(t *testing.T, seed int64, weighted, withOracle bool, wor
 			t.Fatal(err)
 		}
 	}
-	opts := SearchOptions{Workers: 1 + int(workers%3)}
 
 	var plan *Plan
 	var err error
 	if weighted {
-		plan, err = GreedyWeightedSearch(targets, cards, oracle, cost, opts)
+		plan, err = GreedyWeighted(targets, cards, oracle, cost)
 	} else {
-		plan, err = GreedySearch(targets, cards, oracle, opts)
+		plan, err = Greedy(targets, cards, oracle)
 	}
 	valid := func(combo []uint8) bool { return oracle == nil || oracle.AllowCombo(combo) }
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"sync"
 	"testing"
 
 	"coverage/internal/datagen"
@@ -52,18 +50,14 @@ type shapeProblem struct {
 	targets []pattern.Pattern
 }
 
-var (
-	shapeMu       sync.Mutex
-	shapeProblems = map[string]shapeProblem{}
-)
+// shapeProblems memoizes problem; no test here runs in parallel.
+var shapeProblems = map[string]shapeProblem{}
 
 // problem generates the shape's corpus, finds its MUPs and expands
 // them to level-λ targets the way the engine's planner does. Results
 // are memoized per shape.
 func (s planShape) problem(tb testing.TB) shapeProblem {
 	tb.Helper()
-	shapeMu.Lock()
-	defer shapeMu.Unlock()
 	if p, ok := shapeProblems[s.name]; ok {
 		return p
 	}
@@ -97,57 +91,60 @@ func planDigest(p *Plan) string {
 
 // TestPlanDigestsAtRealisticShapes pins the plans of the realistic
 // shapes, where the planner's bounds prune hardest: every suggestion's
-// combination and hit list must equal the recorded ones at 1 and 2
-// workers. FuzzPlanEquivalence's small schemas barely exercise the
-// pruning.
+// combination and hit list must equal the recorded ones, and the
+// search must visit exactly the recorded number of tree nodes, so a
+// weaker bound fails here even though it selects the same plan.
+// FuzzPlanEquivalence's small schemas barely exercise the pruning.
 func TestPlanDigestsAtRealisticShapes(t *testing.T) {
-	want := map[string]string{
-		"airbnb13":         "c77b2763a521051b",
-		"airbnb15":         "6befc6ef8fb15bd9",
-		"bluenile7":        "162b14b6c12d44e8",
-		"compas":           "8dd69a49a8f9b483",
-		"zipf10":           "684e4f0f1645194f",
-		"refresh-airbnb13": "afa1d30c17883236",
+	want := map[string]struct {
+		digest string
+		nodes  int64
+	}{
+		"airbnb13":         {"c77b2763a521051b", 8764},
+		"airbnb15":         {"6befc6ef8fb15bd9", 127626},
+		"bluenile7":        {"162b14b6c12d44e8", 870},
+		"compas":           {"8dd69a49a8f9b483", 1432},
+		"zipf10":           {"684e4f0f1645194f", 185915},
+		"refresh-airbnb13": {"afa1d30c17883236", 7720},
 	}
 	for _, s := range planShapes {
 		t.Run(s.name, func(t *testing.T) {
 			p := s.problem(t)
-			for _, workers := range []int{1, 2} {
-				plan, err := GreedySearch(p.targets, p.cards, nil, SearchOptions{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := planDigest(plan)
-				t.Logf("workers=%d: %d targets, %d suggestions, %d nodes, digest %s", workers, len(p.targets), len(plan.Suggestions), plan.Stats.NodesExplored, got)
-				if got != want[s.name] {
-					t.Errorf("workers=%d: plan digest %s, want %s", workers, got, want[s.name])
-				}
+			plan, err := Greedy(p.targets, p.cards, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, w := planDigest(plan), want[s.name]
+			t.Logf("%d targets, %d suggestions, %d nodes, digest %s", len(p.targets), len(plan.Suggestions), plan.Stats.NodesExplored, got)
+			if got != w.digest {
+				t.Errorf("plan digest %s, want %s", got, w.digest)
+			}
+			if plan.Stats.NodesExplored != w.nodes {
+				t.Errorf("%d nodes explored, want %d", plan.Stats.NodesExplored, w.nodes)
 			}
 		})
 	}
 }
 
 // BenchmarkGreedyPlan times one from-scratch plan at the zipf10 and
-// airbnb15 audit shapes, sequentially and with two branch workers, and
-// reports the tree nodes the search visited per plan.
+// airbnb15 audit shapes and reports the tree nodes the search visited
+// per plan.
 func BenchmarkGreedyPlan(b *testing.B) {
 	for _, name := range []string{"zipf10", "airbnb15"} {
 		s := shapeNamed(name)
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				p := s.problem(b)
-				b.ReportAllocs()
-				b.ResetTimer()
-				var nodes int64
-				for i := 0; i < b.N; i++ {
-					plan, err := GreedySearch(p.targets, p.cards, nil, SearchOptions{Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes += plan.Stats.NodesExplored
+		b.Run(name, func(b *testing.B) {
+			p := s.problem(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				plan, err := Greedy(p.targets, p.cards, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-			})
-		}
+				nodes += plan.Stats.NodesExplored
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
 	}
 }

@@ -101,9 +101,8 @@ func (m *CostModel) ComboCost(combo []uint8) float64 {
 // search prunes with the bound hits/(cost-so-far + cheapest
 // completion), which dominates every leaf ratio in the subtree.
 //
-// GreedyWeighted is the sequential entry point; GreedyWeightedSearch
-// adds cancellation and parallel branch fan-out without changing the
-// resulting plan.
+// GreedyWeighted runs without a context; GreedyWeightedSearch adds
+// cancellation without changing the resulting plan.
 func GreedyWeighted(targets []pattern.Pattern, cards []int, oracle *Oracle, cost *CostModel) (*Plan, error) {
 	return GreedyWeightedSearch(targets, cards, oracle, cost, SearchOptions{})
 }

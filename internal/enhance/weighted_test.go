@@ -100,8 +100,8 @@ func TestGreedyWeightedAvoidsExpensiveValues(t *testing.T) {
 // duplicates.
 func TestGreedyWeightedAlwaysPicksTheBestRatio(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		checkGreedyMaximum(t, seed, true, false, 0, false)
-		checkGreedyMaximum(t, seed, true, false, 0, true)
+		checkGreedyMaximum(t, seed, true, false, false)
+		checkGreedyMaximum(t, seed, true, false, true)
 	}
 }
 

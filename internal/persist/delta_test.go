@@ -194,33 +194,6 @@ func TestDeltaChainCompaction(t *testing.T) {
 	assertEquivalent(t, eng, recovered)
 }
 
-// TestDeltaDisabled pins the opt-out: every snapshot is a full image.
-func TestDeltaDisabled(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{DisableDeltaSnapshots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(testSchema(), engine.Options{})
-	if err := s.Attach(eng); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 2; i++ {
-		appendBatches(t, s, eng, rng, 2)
-		res, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Delta {
-			t.Fatalf("snapshot %d was a delta with deltas disabled", i)
-		}
-	}
-	if deltas := listDataFiles(t, dir, ".delta"); len(deltas) != 0 {
-		t.Fatalf("delta files on disk with deltas disabled: %v", deltas)
-	}
-}
-
 // TestDeltaWindowEpochForcesFull checks that a window-log creation
 // (inexpressible against the previous baseline) degrades to a full
 // snapshot, and the chain resumes afterwards.

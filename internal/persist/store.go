@@ -22,11 +22,6 @@ type Options struct {
 	// data still reaches the kernel per record (a killed process loses
 	// nothing) but an OS crash can drop the un-synced tail.
 	SyncWAL bool
-	// DisableDeltaSnapshots forces every snapshot to be a full image.
-	// By default Snapshot writes a generation-stamped delta against the
-	// previous snapshot whenever the engine can express one, making the
-	// steady-state checkpoint cost O(changes) instead of O(state).
-	DisableDeltaSnapshots bool
 	// MaxDeltaChain bounds how many deltas may stack on one full base
 	// before Snapshot compacts the chain back to a fresh full image
 	// (recovery applies the whole chain, so its length is a recovery
@@ -707,8 +702,8 @@ func (s *Store) failedErr() error {
 // full image is written on the first snapshot, when the delta chain
 // reaches Options.MaxDeltaChain (compaction), when the engine cannot
 // derive the changes (mutation-log horizon passed the baseline, window
-// log created or dropped), after a WAL failure (the full image is what
-// re-establishes a durable root), or when deltas are disabled.
+// log created or dropped), or after a WAL failure (the full image is
+// what re-establishes a durable root).
 func (s *Store) Snapshot() (*SnapshotResult, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -729,7 +724,7 @@ func (s *Store) Snapshot() (*SnapshotResult, error) {
 	}
 	var delta *engine.StateDelta
 	var nextBaseline *engine.DeltaBaseline
-	if !s.opts.DisableDeltaSnapshots && s.broken == nil && s.chainLen < s.opts.maxDeltaChain() {
+	if s.broken == nil && s.chainLen < s.opts.maxDeltaChain() {
 		delta, nextBaseline, _ = s.eng.CaptureDelta(s.baseline)
 	}
 	dim := len(s.eng.Schema().Cards())

