@@ -605,11 +605,14 @@ func (s *server) handleMUPs(w http.ResponseWriter, r *http.Request) {
 	}
 	// A reply answered from the engine's cache is encoded once and kept
 	// with the cached result: every later hit writes the stored bytes.
-	// A result a racing search superseded has no entry to keep it.
-	build := func() []byte { return s.desc.mupsBody(rep) }
-	body := rep.Body(build)
+	// The first reply to a repaired result copies the elements of the
+	// MUPs that survived from the body of the result it replaced. A
+	// result a racing search superseded has no entry to keep it.
+	body := rep.Body(func(prev []coverage.Pattern, prevBody []byte) []byte {
+		return s.desc.mupsBodyFrom(rep, prev, prevBody)
+	})
 	if body == nil {
-		body = build()
+		body = s.desc.mupsBody(rep)
 	}
 	writeBody(w, body)
 }

@@ -414,6 +414,21 @@ func (b *wireBuf) description(d *descTable, p coverage.Pattern) {
 // newline); TestWireBodiesMatchMarshal holds them to it.
 
 func (b *wireBuf) mups(d *descTable, rep *coverage.Report) {
+	b.mupsHead(rep)
+	for i, p := range rep.MUPs {
+		if i > 0 {
+			b.raw(",")
+		}
+		b.mup(d, p)
+	}
+	b.mupsTail(rep)
+}
+
+// mupsHead writes a /mups body up to its first element, mup one
+// element, and mupsTail the rest after the last. An element depends on
+// its pattern and the schema alone, so equal patterns encode to equal
+// bytes in every body.
+func (b *wireBuf) mupsHead(rep *coverage.Report) {
 	b.raw(`{"rows":`)
 	b.int(rep.Rows())
 	b.raw(`,"threshold":`)
@@ -421,18 +436,19 @@ func (b *wireBuf) mups(d *descTable, rep *coverage.Report) {
 	b.raw(`,"total_mups":`)
 	b.int(int64(len(rep.MUPs)))
 	b.raw(`,"mups":[`)
-	for i, p := range rep.MUPs {
-		if i > 0 {
-			b.raw(",")
-		}
-		b.raw(`{"pattern":`)
-		b.pattern(p)
-		b.raw(`,"level":`)
-		b.int(int64(p.Level()))
-		b.raw(`,"description":`)
-		b.description(d, p)
-		b.raw("}")
-	}
+}
+
+func (b *wireBuf) mup(d *descTable, p coverage.Pattern) {
+	b.raw(`{"pattern":`)
+	b.pattern(p)
+	b.raw(`,"level":`)
+	b.int(int64(p.Level()))
+	b.raw(`,"description":`)
+	b.description(d, p)
+	b.raw("}")
+}
+
+func (b *wireBuf) mupsTail(rep *coverage.Report) {
 	b.raw(`],"algorithm":`)
 	b.str(rep.Stats.Algorithm)
 	b.raw(`,"coverage_probes":`)
@@ -503,16 +519,114 @@ func (d *descTable) mupsBody(rep *coverage.Report) []byte {
 
 // mupsBodySize is the length of rep's /mups body.
 func (d *descTable) mupsBodySize(rep *coverage.Report) int {
-	n := len(`{"rows":,"threshold":,"total_mups":,"mups":[],"algorithm":,"coverage_probes":}`+"\n") +
-		intLen(rep.Rows()) + intLen(rep.Threshold) + intLen(int64(len(rep.MUPs))) +
-		len(appendJSONString(nil, rep.Stats.Algorithm)) + intLen(rep.Stats.CoverageProbes)
+	n := mupsFrameLen(rep)
 	for i, p := range rep.MUPs {
 		if i > 0 {
 			n++
 		}
-		n += len(`{"pattern":"","level":,"description":}`) + d.mupLen(p)
+		n += d.mupElemLen(p)
 	}
 	return n
+}
+
+// mupsFrameLen is the length of rep's /mups body less its elements and
+// the commas between them.
+func mupsFrameLen(rep *coverage.Report) int {
+	return len(`{"rows":,"threshold":,"total_mups":,"mups":[],"algorithm":,"coverage_probes":}`+"\n") +
+		intLen(rep.Rows()) + intLen(rep.Threshold) + intLen(int64(len(rep.MUPs))) +
+		len(appendJSONString(nil, rep.Stats.Algorithm)) + intLen(rep.Stats.CoverageProbes)
+}
+
+// mupElemLen is the length of p's element in a /mups body.
+func (d *descTable) mupElemLen(p coverage.Pattern) int {
+	return len(`{"pattern":"","level":,"description":}`) + d.mupLen(p)
+}
+
+// mupsBodyFrom is mupsBody for a report whose search replaced an
+// earlier result: prev lists that result's MUPs and prevBody is its
+// /mups body. Both lists are walked in pattern.Compare order; each run
+// of MUPs present in both is copied from prevBody in one piece, whose
+// offsets come from mupElemLen, and only the MUPs new to rep are
+// encoded. The bytes are mupsBody's. When prevBody is nil, either list
+// is out of order, or prevBody's elements do not span what prev prices
+// them at, it encodes from scratch.
+func (d *descTable) mupsBodyFrom(rep *coverage.Report, prev []coverage.Pattern, prevBody []byte) []byte {
+	start := bytes.IndexByte(prevBody, '[') + 1 // the header holds no '['
+	if start == 0 {
+		return d.mupsBody(rep)
+	}
+	// off[i] is where prev's element i starts in prevBody, off[len(prev)]
+	// one past the comma that would follow the last; lvl[i] is its level.
+	off := make([]int, len(prev)+1)
+	lvl := make([]int, len(prev))
+	off[0] = start
+	for i, p := range prev {
+		lvl[i] = p.Level()
+		if i > 0 && compareAt(lvl[i-1], prev[i-1], lvl[i], p) > 0 {
+			return d.mupsBody(rep)
+		}
+		off[i+1] = off[i] + d.mupElemLen(p) + 1
+	}
+	end := off[0] // where the array closes
+	if len(prev) > 0 {
+		end = off[len(prev)] - 1
+	}
+	if end >= len(prevBody) || prevBody[end] != ']' {
+		return d.mupsBody(rep)
+	}
+	// src[i] is the index in prev of rep's MUP i, or -1 for a new one.
+	src := make([]int32, len(rep.MUPs))
+	n := mupsFrameLen(rep)
+	for i, j, last := 0, 0, 0; i < len(rep.MUPs); i++ {
+		p, l := rep.MUPs[i], rep.MUPs[i].Level()
+		if i > 0 {
+			if compareAt(last, rep.MUPs[i-1], l, p) > 0 {
+				return d.mupsBody(rep)
+			}
+			n++
+		}
+		last = l
+		for j < len(prev) && compareAt(lvl[j], prev[j], l, p) < 0 {
+			j++
+		}
+		if j < len(prev) && lvl[j] == l && bytes.Equal(prev[j], p) {
+			src[i] = int32(j)
+			n += off[j+1] - off[j] - 1
+			j++
+		} else {
+			src[i] = -1
+			n += d.mupElemLen(p)
+		}
+	}
+	b := wireBuf{body: make([]byte, 0, n)}
+	b.mupsHead(rep)
+	for i := 0; i < len(src); {
+		if i > 0 {
+			b.raw(",")
+		}
+		if src[i] < 0 {
+			b.mup(d, rep.MUPs[i])
+			i++
+			continue
+		}
+		// A run: consecutive here and consecutive in prev.
+		k := i + 1
+		for k < len(src) && src[k] == src[k-1]+1 {
+			k++
+		}
+		b.body = append(b.body, prevBody[off[src[i]]:off[src[k-1]+1]-1]...)
+		i = k
+	}
+	b.mupsTail(rep)
+	return b.body
+}
+
+// compareAt is pattern.Compare for patterns whose levels are known.
+func compareAt(la int, a coverage.Pattern, lb int, b coverage.Pattern) int {
+	if la != lb {
+		return la - lb
+	}
+	return bytes.Compare(a, b)
 }
 
 // newWireBuf takes an empty buffer from the pool; send returns it.

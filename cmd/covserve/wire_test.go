@@ -19,6 +19,7 @@ import (
 	"coverage/internal/datagen"
 	"coverage/internal/dataset"
 	"coverage/internal/engine"
+	"coverage/internal/pattern"
 	"coverage/internal/persist"
 	"coverage/internal/registry"
 )
@@ -982,8 +983,8 @@ func BenchmarkWireMUPsHit(b *testing.B) {
 
 // BenchmarkWireMUPsEncode is a fresh /mups encode at the refresh
 // workload's shape, bypassing the body stored with the cached result:
-// the wire cost of every reply to a repaired search, which has no
-// stored body yet.
+// the wire cost of a first reply with no earlier body to splice from
+// (BenchmarkWireMUPsSplice prices one that has it).
 func BenchmarkWireMUPsEncode(b *testing.B) {
 	ds, _ := wireFixture(b, 100000)
 	s := newServer(coverage.NewAnalyzer(ds), nil)
@@ -999,6 +1000,134 @@ func BenchmarkWireMUPsEncode(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(body)), "B/reply")
 	b.ReportMetric(float64(len(rep.MUPs)), "MUPs")
+}
+
+// BenchmarkWireMUPsSplice is the first /mups reply to a repaired
+// search at the refresh workload's shape: the result after a 100-row
+// append, its body spliced from the body of the result it replaced.
+// BenchmarkWireMUPsEncode prices the same reply encoded from scratch.
+func BenchmarkWireMUPsSplice(b *testing.B) {
+	ds, _ := wireFixture(b, 100000)
+	an := coverage.NewAnalyzer(ds)
+	s := newServer(an, nil)
+	more := datagen.AirBnB(100, 13, 11)
+	rows := make([][]uint8, more.NumRows())
+	for i := range rows {
+		rows[i] = more.Row(i)
+	}
+	prev, err := an.FindMUPs(coverage.FindOptions{Threshold: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prevBody := s.desc.mupsBody(prev)
+	if err := an.Append(rows); err != nil {
+		b.Fatal(err)
+	}
+	rep, err := an.FindMUPs(coverage.FindOptions{Threshold: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = s.desc.mupsBodyFrom(rep, prev.MUPs, prevBody)
+	}
+	b.StopTimer()
+	if !bytes.Equal(body, s.desc.mupsBody(rep)) {
+		b.Fatal("spliced body differs from the fresh encode")
+	}
+	b.ReportMetric(float64(len(body)), "B/reply")
+	b.ReportMetric(float64(len(rep.MUPs)), "MUPs")
+}
+
+// FuzzMupsBodySplice holds the spliced /mups body to the fresh encode:
+// over random schemas (labels with brackets, quotes and escapes) and
+// random old and new MUP sets sharing a random part, with the old set
+// sometimes out of order, the new one sometimes holding duplicates or
+// codes past the schema, and the old body sometimes absent, mupsBodyFrom
+// must write mupsBody's bytes, into a buffer of exactly their length.
+func FuzzMupsBodySplice(f *testing.F) {
+	for _, seed := range []struct {
+		spec  string
+		seed  int64
+		flags uint8
+	}{
+		{"sex\x1ffemale\x1fmale\x1erace\x1fblack\x1fother\x1fwhite", 1, 0},
+		{"a\x1f[x]\x1fy\x1eb\x1fz\x1f\"q\"\x1ec\x1f]\x1f[\x1f\\", 2, 0},
+		{"a\x1fx\x1fy\x1eb\x1fz", 3, 1},
+		{"a\x1fx\x1fy\x1eb\x1fz", 4, 2},
+		{"a\x1fx\x1fy\x1eb\x1fz\x1fw", 5, 4},
+		{"a\x1fx", 6, 8},
+		{"a\x1fx\x1fy\x1eb\x1fz\x1eb\x1fu\x1fv\x1fw", 7, 15},
+	} {
+		f.Add(seed.spec, seed.seed, seed.flags)
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64, flags uint8) {
+		var attrs []coverage.Attribute
+		for _, a := range strings.Split(spec, "\x1e") {
+			fields := strings.Split(a, "\x1f")
+			attrs = append(attrs, coverage.Attribute{Name: fields[0], Values: fields[1:]})
+		}
+		schema, err := coverage.NewSchema(attrs)
+		if err != nil {
+			return
+		}
+		d := newDescTable(schema)
+		rng := rand.New(rand.NewSource(seed))
+		random := func() coverage.Pattern {
+			p := make(coverage.Pattern, schema.Dim())
+			for i := range p {
+				switch c := len(schema.Attr(i).Values); {
+				case rng.Intn(3) == 0:
+					p[i] = coverage.Wildcard
+				case flags&4 != 0 && rng.Intn(16) == 0:
+					p[i] = uint8(c + rng.Intn(3)) // past the schema
+				default:
+					p[i] = uint8(rng.Intn(c))
+				}
+			}
+			return p
+		}
+		set := func(ps []coverage.Pattern) []coverage.Pattern {
+			slices.SortFunc(ps, pattern.Compare)
+			if flags&8 == 0 {
+				ps = slices.CompactFunc(ps, coverage.Pattern.Equal)
+			}
+			return ps
+		}
+		var old, cur []coverage.Pattern
+		for range rng.Intn(40) {
+			p := random()
+			switch rng.Intn(3) {
+			case 0:
+				old = append(old, p)
+			case 1:
+				cur = append(cur, p)
+			default:
+				old, cur = append(old, p), append(cur, p)
+			}
+		}
+		old, cur = set(old), set(cur)
+		if flags&1 != 0 {
+			rng.Shuffle(len(old), func(i, j int) { old[i], old[j] = old[j], old[i] })
+		}
+		prev := &coverage.Report{MUPs: old, Threshold: rng.Int63n(1000),
+			Stats: coverage.MUPStats{Algorithm: "pattern-cube", CoverageProbes: rng.Int63n(1000)}}
+		var prevBody []byte
+		if flags&2 == 0 {
+			prevBody = d.mupsBody(prev)
+		}
+		rep := &coverage.Report{MUPs: cur, Threshold: rng.Int63n(1000),
+			Stats: coverage.MUPStats{Algorithm: spec, CoverageProbes: rng.Int63n(1000)}}
+		got, want := d.mupsBodyFrom(rep, old, prevBody), d.mupsBody(rep)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("old %v, new %v: spliced body\n got %s\nwant %s", old, cur, got, want)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("%d-byte spliced body in a buffer of %d", len(got), cap(got))
+		}
+	})
 }
 
 // FuzzDescriptionFragments holds the description table to the path it

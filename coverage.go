@@ -209,7 +209,22 @@ func (r *Report) Rows() int64 { return r.ans.Rows }
 // persisted. Body returns nil, without calling build, for a report no
 // cache entry holds: one from an explicit Algorithm, or one a racing
 // search superseded.
-func (r *Report) Body(build func() []byte) []byte { return r.ans.Body(build) }
+//
+// When the report's search replaced an older cached result for the
+// same threshold and level — a repair after a mutation — build receives
+// that result's MUPs and, if one was kept, its body, so that it can
+// copy the bytes of the MUPs that survived instead of encoding them
+// again; otherwise both are nil. The body build returns must not depend
+// on whether it used them.
+func (r *Report) Body(build func(prevMUPs []Pattern, prevBody []byte) []byte) []byte {
+	return r.ans.Body(func(prev *mup.Result, prevBody []byte) []byte {
+		var prevMUPs []Pattern
+		if prev != nil {
+			prevMUPs = prev.MUPs
+		}
+		return build(prevMUPs, prevBody)
+	})
+}
 
 // Describe renders MUP i with attribute and value names.
 func (r *Report) Describe(i int) string {

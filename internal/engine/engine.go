@@ -334,6 +334,11 @@ type Answer struct {
 	// entry is the cache entry holding Res; nil when a search the
 	// answer raced had already cached a newer result.
 	entry *cachedSearch
+	// prev is the stale entry for the same configuration that the search
+	// producing Res replaced — the one a repair started from — or nil.
+	// Only the Answer holds it, never the new entry, so no chain of old
+	// entries builds up.
+	prev *cachedSearch
 }
 
 // Body returns the serialized form of the answer kept with its cache
@@ -346,14 +351,29 @@ type Answer struct {
 // Concurrent first callers may each build; one body is kept and
 // returned to all. Body returns nil, without calling build, for an
 // answer no cache entry holds.
-func (a Answer) Body(build func() []byte) []byte {
+//
+// build receives the result and the body of the stale entry this
+// answer's search replaced, so that it can reuse the bytes of what did
+// not change: prev is nil unless the answer is the one the search
+// itself returned and such an entry existed, and prevBody is nil unless
+// that entry had a body. Both are read-only, and the body must come out
+// the same whether or not build uses them.
+func (a Answer) Body(build func(prev *mup.Result, prevBody []byte) []byte) []byte {
 	if a.entry == nil {
 		return nil
 	}
 	if b := a.entry.body.Load(); b != nil {
 		return *b
 	}
-	b := build()
+	var prev *mup.Result
+	var prevBody []byte
+	if a.prev != nil {
+		prev = a.prev.res
+		if b := a.prev.body.Load(); b != nil {
+			prevBody = *b
+		}
+	}
+	b := build(prev, prevBody)
 	if a.entry.body.CompareAndSwap(nil, &b) {
 		return b
 	}
@@ -1346,7 +1366,8 @@ func (e *ShardedEngine) MUPsAnswer(opts mup.Options) (Answer, error) {
 	gen, rows := e.gen, e.rows
 	var seed *mup.Result
 	var removed, added []mup.Delta
-	if c, ok := e.cache[key]; ok {
+	prev := e.cache[key]
+	if c := prev; c != nil {
 		// A stale cached set can seed a repair only if every
 		// combination retracted since it was computed is still in the
 		// removed log; past the log's horizon the set may be missing
@@ -1407,7 +1428,9 @@ func (e *ShardedEngine) MUPsAnswer(opts mup.Options) (Answer, error) {
 	if c, ok := e.cache[key]; !ok || c.gen <= gen {
 		c := &cachedSearch{gen: gen, rows: rows, res: res}
 		e.storeLocked(key, c)
-		return c.answer(), nil
+		a := c.answer()
+		a.prev = prev
+		return a, nil
 	}
 	return Answer{Res: res, Gen: gen, Rows: rows}, nil
 }

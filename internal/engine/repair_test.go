@@ -164,3 +164,78 @@ func TestDeleteRepairWideSchema(t *testing.T) {
 		t.Errorf("append-only repair ran %q, want bidirectional-repair", back.Stats.Algorithm)
 	}
 }
+
+// TestAnswerBodyGetsReplacedEntry pins Answer.Body's contract: the
+// answer a repair returns hands build the result and the body of the
+// entry it replaced; a cold search, a hit and a repair of an entry
+// that never kept a body hand it nil for what they lack.
+func TestAnswerBodyGetsReplacedEntry(t *testing.T) {
+	cards := []int{3, 2, 4}
+	rng := rand.New(rand.NewSource(3))
+	e := NewSharded(testSchema(t, cards), 2, Options{})
+	if err := e.Append(randomRows(rng, cards, 200)); err != nil {
+		t.Fatal(err)
+	}
+	opts := mup.Options{Threshold: 12}
+	type call struct {
+		prev     *mup.Result
+		prevBody []byte
+	}
+	body := func(a Answer, tag string) (call, bool) {
+		var got call
+		called := false
+		a.Body(func(prev *mup.Result, prevBody []byte) []byte {
+			got, called = call{prev, prevBody}, true
+			return []byte(tag)
+		})
+		return got, called
+	}
+
+	cold, err := e.MUPsAnswer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, called := body(cold, "cold"); !called || got.prev != nil || got.prevBody != nil {
+		t.Fatalf("cold search: build called %v with %+v, want once with nothing", called, got)
+	}
+	if err := e.Append(randomRows(rng, cards, 20)); err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := e.MUPsAnswer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, called := body(repaired, "repaired"); !called || got.prev != cold.Res || string(got.prevBody) != "cold" {
+		t.Fatalf("repair: build called %v with %+v, want the cold result and its body", called, got)
+	}
+	hit, err := e.MUPsAnswer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.prev != nil {
+		t.Fatal("a hit carries the replaced entry")
+	}
+	if _, called := body(hit, "hit"); called {
+		t.Fatal("a hit on an entry with a body built another")
+	}
+
+	// A repair of an entry no reply asked a body of hands build its
+	// result alone.
+	if err := e.Append(randomRows(rng, cards, 20)); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := e.MUPsAnswer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Append(randomRows(rng, cards, 20)); err != nil {
+		t.Fatal(err)
+	}
+	next, err := e.MUPsAnswer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, called := body(next, "next"); !called || got.prev != bare.Res || got.prevBody != nil {
+		t.Fatalf("repair of a bodiless entry: build called %v with %+v, want its result and no body", called, got)
+	}
+}

@@ -601,14 +601,6 @@ func (ix *Index) NewPool() *Pool {
 	return pl
 }
 
-// Coverage returns cov(P). It is safe for concurrent use.
-func (pl *Pool) Coverage(p pattern.Pattern) int64 {
-	pr := pl.probers.Get().(*Prober)
-	c := pr.Coverage(p)
-	pl.probers.Put(pr)
-	return c
-}
-
 // CoverageBatch writes cov(ps[i]) into out[i] for every pattern in ps,
 // all on one Prober. It is safe for concurrent use. It is the repeating
 // path, /coverage's, so the first call builds the index's marginal

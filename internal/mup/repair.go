@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"coverage/internal/index"
 	"coverage/internal/mupindex"
@@ -21,23 +22,29 @@ type Delta struct {
 	Count int64
 }
 
-// deltaSet is a prepared mini coverage oracle over one direction's
-// mutation deltas: membership tests ("could cov(P) have changed this
-// way?") and, when every magnitude is known, the exact per-pattern
-// coverage delta. It reuses the inverted-index machinery, so each test
-// is a probe against a tiny oracle instead of a scan; the pool makes
-// it safe for the repair workers to share.
+// deltaSet is one direction's mutation deltas, prepared to answer for
+// any pattern p whether some delta combination matches it ("could
+// cov(p) have changed this way?") and, when every magnitude is known,
+// the summed magnitude of those that do — the exact coverage delta.
+// Bit i of the mask of (attribute j, value v) is set iff delta i has
+// value v at attribute j, so ANDing the masks of p's fixed attributes
+// leaves the deltas matching p. A query costs ⌈n/64⌉ words per fixed
+// attribute; the set is read-only, so the repair workers share it.
 type deltaSet struct {
-	pool *index.Pool // nil when the set is empty
 	// known is false when the set itself is unknown (nil input with
-	// nilMeansUnknown): touched() must then assume everything.
+	// nilMeansUnknown): match then assumes every pattern touched.
 	known bool
 	// exact is true when the set is known and every Count is non-zero,
-	// so delta() returns the exact magnitude sum.
+	// so match's sum is the exact magnitude sum.
 	exact bool
+	n     int      // deltas
+	words int      // mask words per (attribute, value): ⌈n/64⌉
+	base  []int    // base[j]: first mask row of attribute j
+	masks []uint64 // row base[j]+v holds words words
+	mags  []int64  // |Count|, or 1 when unknown
 }
 
-// prepDeltas validates and indexes one direction's deltas. role
+// prepDeltas validates and prepares one direction's deltas. role
 // prefixes error messages; nilMeansUnknown selects whether a nil slice
 // means "no mutations" (removed) or "unknown" (added).
 func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bool) (*deltaSet, error) {
@@ -50,9 +57,16 @@ func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bo
 		return s, nil
 	}
 	cards := ix.Cards()
-	codec := pattern.NewKeyCodec(cards)
-	entries := make([]index.Entry, 0, len(deltas))
-	for _, d := range deltas {
+	s.n, s.words = len(deltas), (len(deltas)+63)/64
+	s.base = make([]int, len(cards))
+	rows := 0
+	for j, c := range cards {
+		s.base[j] = rows
+		rows += c
+	}
+	s.masks = make([]uint64, rows*s.words)
+	s.mags = make([]int64, len(deltas))
+	for i, d := range deltas {
 		if err := d.Combo.Validate(cards); err != nil {
 			return nil, fmt.Errorf("mup: %s seed %v: %w", role, d.Combo, err)
 		}
@@ -69,30 +83,59 @@ func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bo
 			s.exact = false
 			mag = 1
 		}
-		entries = append(entries, index.Entry{Key: codec.PackedKey(d.Combo), Count: mag})
+		s.mags[i] = mag
+		for j, v := range d.Combo {
+			s.masks[(s.base[j]+int(v))*s.words+i/64] |= 1 << (i % 64)
+		}
 	}
-	mini := index.BuildFromKeys(ix.Schema(), entries)
-	s.pool = mini.NewPool()
 	return s, nil
 }
 
-// touched reports whether any of the set's combinations matches p —
-// i.e. whether cov(p) could have changed in this direction. An unknown
-// set touches everything.
-func (s *deltaSet) touched(p pattern.Pattern) bool {
+// match reports whether any of the set's combinations matches p — i.e.
+// whether cov(p) could have changed in this direction — and, when sum
+// is set, the summed magnitude of those that do (meaningful only when
+// exact). Without sum it stops at the first match. An unknown set
+// touches everything and sums to 0.
+func (s *deltaSet) match(p pattern.Pattern, sum bool) (touched bool, total int64) {
 	if !s.known {
-		return true
+		return true, 0
 	}
-	return s.pool != nil && s.pool.Coverage(p) > 0
+	for w := 0; w < s.words; w++ {
+		m := ^uint64(0)
+		if w == s.words-1 && s.n%64 != 0 {
+			m = 1<<(s.n%64) - 1 // no deltas past n, even at the root
+		}
+		for j, v := range p {
+			if v != pattern.Wildcard {
+				if m &= s.masks[(s.base[j]+int(v))*s.words+w]; m == 0 {
+					break
+				}
+			}
+		}
+		if m == 0 {
+			continue
+		}
+		if !sum {
+			return true, 0
+		}
+		touched = true
+		for ; m != 0; m &= m - 1 {
+			total += s.mags[w*64+bits.TrailingZeros64(m)]
+		}
+	}
+	return touched, total
 }
 
-// delta returns the summed magnitude of the set's combinations
-// matching p. Only meaningful when exact.
+// touched is match without the sum.
+func (s *deltaSet) touched(p pattern.Pattern) bool {
+	t, _ := s.match(p, false)
+	return t
+}
+
+// delta is match's sum.
 func (s *deltaSet) delta(p pattern.Pattern) int64 {
-	if s.pool == nil {
-		return 0
-	}
-	return s.pool.Coverage(p)
+	_, d := s.match(p, true)
+	return d
 }
 
 // repairNode is one pattern in a repair wave; seed is its index into
@@ -102,8 +145,37 @@ type repairNode struct {
 	seed int
 }
 
+// seedWave validates the old MUPs and returns a repair's first wave:
+// one node per distinct old MUP, in pattern.Compare order, each
+// pattern a copy in one shared slab. Maximality checks blank elements
+// of a node's pattern in place, and the old MUPs are the caller's
+// cached result — a second repair from the same seed, or a reader of
+// that result, may be looking at them — so the waves work on the slab,
+// which the surviving seeds of the result then share. A result's MUPs
+// are sorted already, so duplicates are neighbours.
+func seedWave(old []pattern.Pattern, cards []int, role string) ([]repairNode, error) {
+	d := len(cards)
+	slab := make([]uint8, len(old)*d)
+	wave := make([]repairNode, len(old))
+	sorted := true
+	for i, m := range old {
+		if err := m.Validate(cards); err != nil {
+			return nil, fmt.Errorf("mup: %s seed %v: %w", role, m, err)
+		}
+		p := pattern.Pattern(slab[i*d : (i+1)*d : (i+1)*d])
+		copy(p, m)
+		wave[i] = repairNode{p: p, seed: i}
+		sorted = sorted && (i == 0 || pattern.Compare(old[i-1], m) <= 0)
+	}
+	if !sorted {
+		slices.SortStableFunc(wave, func(a, b repairNode) int { return pattern.Compare(a.p, b.p) })
+	}
+	return slices.CompactFunc(wave, func(a, b repairNode) bool { return a.p.Equal(b.p) }), nil
+}
+
 // emitBuf collects one worker's emitted MUPs with their coverage
 // values; covValid goes false when a value could not be determined.
+// The patterns it is given become the result's: each must be private.
 type emitBuf struct {
 	mups     []pattern.Pattern
 	covs     []int64
@@ -115,7 +187,7 @@ func (b *emitBuf) emit(p pattern.Pattern, c int64, known bool) {
 		b.covValid = false
 		c = 0
 	}
-	b.mups = append(b.mups, p.Clone())
+	b.mups = append(b.mups, p)
 	b.covs = append(b.covs, c)
 }
 
@@ -136,6 +208,13 @@ func (b *emitBuf) emit(p pattern.Pattern, c int64, known bool) {
 // old.Cov present, even the touched MUPs are delta-updated
 // (cov' = cov + Σ added matching) instead of re-probed, so the oracle
 // is probed only under MUPs that actually became covered.
+//
+// The cost is one mask pass over the added set per old MUP — ⌈A/64⌉
+// words per fixed attribute for A added combinations, answering both
+// "touched?" and the matching sum — plus the probes and expansion under
+// the lifted seeds. The old MUPs are copied once into one slab, which
+// the surviving seeds of the result share. Stats.NodesVisited counts
+// the seeds and the expansion nodes the waves visited.
 //
 // old must be the complete MUP result of the same dataset at an
 // earlier (smaller or equal) state under the same Options; ix must
@@ -159,19 +238,15 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 		oldCov = nil
 	}
 	// exact: a touched seed's coverage is old value + added matches.
-	exact := oldCov != nil && add.known && add.exact
+	exact := oldCov != nil && add.exact
 
-	visited := make(map[pattern.PackedKey]bool, len(old.MUPs))
-	wave := make([]repairNode, 0, len(old.MUPs))
-	for i, p := range old.MUPs {
-		if err := p.Validate(cards); err != nil {
-			return nil, fmt.Errorf("mup: repair seed %v: %w", p, err)
-		}
-		if k := key(p); !visited[k] {
-			visited[k] = true
-			wave = append(wave, repairNode{p: p, seed: i})
-		}
+	wave, err := seedWave(old.MUPs, cards, "repair")
+	if err != nil {
+		return nil, err
 	}
+	// visited deduplicates the expansion nodes. Old MUPs are an
+	// antichain, so no child of one is another: seeds need no entry.
+	visited := make(map[pattern.PackedKey]bool)
 
 	probers := make([]index.CoverageProber, workers)
 	for w := range probers {
@@ -191,7 +266,7 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 	}
 
 	covValid := true
-	survivors := 0 // seeds the first wave emits, still in old's order
+	survivors := 0 // seeds the first wave emits, still in Compare order
 	for first := true; len(wave) > 0; first = false {
 		outs := make([]waveOut, workers)
 		for i := range outs {
@@ -224,7 +299,8 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 					// An old MUP untouched by the added set is still
 					// uncovered and still maximal (its parents were
 					// covered and coverage only grew): no probe.
-					if add.known && !add.touched(p) {
+					touched, sum := add.match(p, exact)
+					if !touched {
 						if oldCov != nil {
 							out.emit(p, oldCov[n.seed], true)
 						} else {
@@ -234,7 +310,7 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 					}
 					var c int64
 					if exact {
-						c = oldCov[n.seed] + add.delta(p)
+						c = oldCov[n.seed] + sum
 					} else {
 						c = coverage(p)
 					}
@@ -314,9 +390,21 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 
 // supersetSums replaces h, a table indexed by attribute subset, with
 // its superset sums in place: h[S] = Σ h[T] over T ⊇ S (the zeta
-// transform, d·2^(d−1) adds for 2^d cells).
+// transform, d·2^(d−1) adds for 2^d cells). The two lowest bits are
+// summed together, in one pass over blocks of four cells.
 func supersetSums(h []int64) {
-	for bit := 1; bit < len(h); bit <<= 1 {
+	bit := 1
+	if len(h) >= 4 {
+		for base := 0; base < len(h); base += 4 {
+			q := h[base : base+4 : base+4]
+			q2, q3 := q[2]+q[3], q[3]
+			q[0] += q[1] + q2
+			q[1] += q3
+			q[2] = q2
+		}
+		bit = 4
+	}
+	for ; bit < len(h); bit <<= 1 {
 		for base := 0; base < len(h); base += bit << 1 {
 			lo, hi := h[base:base+bit], h[base+bit:base+2*bit]
 			for i := range lo {
@@ -351,15 +439,19 @@ func supersetSums(h []int64) {
 //
 //   - The cube pass finds the newly uncovered MUPs: patterns that were
 //     covered and are maximal uncovered now. Such a pattern lost
-//     coverage, so it is an ancestor of some removed combination c, and
-//     the ancestors of c are exactly "c with a subset S of its
-//     attributes kept": 2^d patterns, closed under parents. One
-//     index.Oracle.MatchHistogram pass over the distinct combinations
-//     followed by an in-place superset-sum transform gives the exact
-//     current coverage of all of them, and a cell below τ whose parent
-//     cells — the same table — are all at least τ is a MUP by
-//     definition. That needs neither the old verdicts nor the removed
-//     magnitudes, and no oracle probe.
+//     coverage, so it is an ancestor of some removed combination r, and
+//     the ancestors of r are exactly "r with a subset S of its
+//     attributes kept": 2^d patterns, closed under parents. Every one
+//     of them covers r, so when r's own count is still at least τ none
+//     is uncovered and the cube is skipped, at the cost of one count
+//     lookup. Otherwise one index.Oracle.MatchHistogram pass over the
+//     distinct combinations followed by an in-place superset-sum
+//     transform gives the exact current coverage of all of them, and a
+//     cell below τ whose parent cells — the same table — are all at
+//     least τ is a MUP by definition. It is new iff it was covered
+//     before: with exact deltas and old.Cov that is arithmetic
+//     (cov + removed − added ≥ τ), otherwise a probe of the Appendix-B
+//     dominance index over the old MUPs. No oracle probe either way.
 //
 //   - The seed pass revisits the old MUPs, as Repair does. A seed that
 //     became covered re-expands its subtree downward; one that stayed
@@ -367,19 +459,25 @@ func supersetSums(h []int64) {
 //     parent that was covered is uncovered now iff a newly uncovered
 //     MUP from the cube pass dominates it, so that check is one probe
 //     of a dominance index over those few patterns, not of the oracle.
-//     Only a parent that was uncovered before (which the Appendix-B
-//     dominance index over the old MUPs decides) and that an append
-//     may have lifted needs the oracle.
+//     Only a parent that was uncovered before (which the dominance
+//     index over the old MUPs decides) and that an append may have
+//     lifted needs the oracle.
 //
 // The oracle is therefore probed only under seeds an append lifted; a
 // pure-deletion repair with exact deltas and old.Cov issues no probe at
 // all (the surviving seeds' coverage is cov' = cov − removed). The cube
-// pass costs R·(D·d + d·2^d) word operations for R removed and D
-// distinct combinations, chunked across popts.Workers; the seed pass is
-// linear in the old MUP set. Where the ancestor cube would exceed
-// cubeMaxBytes (d > 20) a deletion runs the cold Search instead.
-// Stats.CoverageProbes and Stats.NodesVisited (cube cells plus
-// seed-pass nodes) do not depend on the worker count.
+// pass costs R′·(D·d + d·2^d) word operations for the R′ removed
+// combinations whose count fell below τ, over D distinct combinations,
+// chunked across popts.Workers; the seed pass costs one mask pass over
+// each direction's deltas per old MUP (⌈n/64⌉ words per fixed
+// attribute for n deltas). The dominance index over the old MUPs is
+// built only when it is asked: by the cube pass when some delta is
+// inexact or old.Cov is absent, and before the first expansion wave
+// (which exists only when an append lifted a seed). Where the ancestor
+// cube would exceed cubeMaxBytes (d > 20) a deletion runs the cold
+// Search instead. Stats.NodesVisited counts the cells of the cubes
+// built plus the seed-pass nodes; it and Stats.CoverageProbes do not
+// depend on the worker count.
 func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions) (*Result, error) {
 	opts := popts.Options
 	tau := opts.Threshold
@@ -405,37 +503,36 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 	if len(removed) > 0 && !ancestorCubeFits(d) {
 		return Search(ix, popts)
 	}
+	wave, err := seedWave(old.MUPs, cards, "bidirectional repair")
+	if err != nil {
+		return nil, err
+	}
+	oldCov := old.Cov
+	if oldCov != nil && len(oldCov) != len(old.MUPs) {
+		oldCov = nil
+	}
+	// exact: every coverage the old state had is the current one plus
+	// the removed matches minus the added matches. A surviving seed's
+	// coverage then needs no probe even where a mutation touched it,
+	// and a cube cell's old verdict needs no dominance index.
+	exact := oldCov != nil && rem.exact && add.exact
 
-	// The Appendix-B dominance index over the old MUPs: DominatedBy
-	// proves a pattern was uncovered in the old state; for patterns at
-	// level ≤ bound the converse holds too (the old set is complete up
-	// to its level bound).
-	oldDom := mupindex.New(cards)
-	for _, m := range old.MUPs {
-		if err := m.Validate(cards); err != nil {
-			return nil, fmt.Errorf("mup: bidirectional repair seed %v: %w", m, err)
+	// The Appendix-B dominance index over the old MUPs, built when first
+	// needed: DominatedBy proves a pattern was uncovered in the old
+	// state; for patterns at level ≤ bound the converse holds too (the
+	// old set is complete up to its level bound).
+	var oldProbers []*mupindex.Prober
+	needOld := func() {
+		if oldProbers != nil {
+			return
 		}
-		oldDom.Add(m)
-	}
-	oldProbers := make([]*mupindex.Prober, workers)
-	for w := range oldProbers {
-		oldProbers[w] = oldDom.NewProber()
-	}
-
-	// The seed pass's first wave. Its maximality checks blank one
-	// element of a node's pattern at a time, in place, and the old MUPs
-	// are the caller's cached result — a second repair from the same
-	// seed, or a reader of that result, may be looking at them — so the
-	// wave works on one slab copy, which the surviving seeds of the
-	// result then share.
-	visited := make(map[pattern.PackedKey]bool, len(old.MUPs))
-	wave := make([]repairNode, 0, len(old.MUPs))
-	seeds := make([]uint8, 0, len(old.MUPs)*d)
-	for i, m := range old.MUPs {
-		if k := key(m); !visited[k] {
-			visited[k] = true
-			seeds = append(seeds, m...)
-			wave = append(wave, repairNode{p: seeds[len(seeds)-d : len(seeds) : len(seeds)], seed: i})
+		oldDom := mupindex.New(cards)
+		for _, m := range old.MUPs {
+			oldDom.Add(m)
+		}
+		oldProbers = make([]*mupindex.Prober, workers)
+		for w := range oldProbers {
+			oldProbers[w] = oldDom.NewProber()
 		}
 	}
 
@@ -445,13 +542,28 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 	var fresh emitBuf
 	newDom := mupindex.New(cards)
 	if len(removed) > 0 {
-		outs := make([]emitBuf, workers)
+		if !exact {
+			needOld()
+		}
+		type cubeOut struct {
+			emitBuf
+			cubes int64
+		}
+		outs := make([]cubeOut, workers)
 		runChunks(removed, workers, func(w int, part []Delta, _ int) {
-			out, wasUncovered := &outs[w], oldProbers[w]
-			cube := make([]int64, 1<<d)
+			out := &outs[w]
+			var cube []int64
 			p := make(pattern.Pattern, d)
 			for _, r := range part {
-				clear(cube)
+				if ix.ComboCount(r.Combo) >= tau {
+					continue // every cell covers r: none is uncovered
+				}
+				if cube == nil {
+					cube = make([]int64, 1<<d)
+				} else {
+					clear(cube)
+				}
+				out.cubes++
 				ix.MatchHistogram(r.Combo, cube)
 				supersetSums(cube)
 			cells:
@@ -470,17 +582,21 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 							p[j] = r.Combo[j]
 						}
 					}
-					// Nearly every MUP cell is an old MUP; the key
-					// lookup spares those the dominance probe.
-					if !visited[key(p)] && !wasUncovered.DominatedBy(p) {
-						out.emit(p, c, true)
+					var wasUncovered bool
+					if exact {
+						wasUncovered = c+rem.delta(p)-add.delta(p) < tau
+					} else {
+						wasUncovered = oldProbers[w].DominatedBy(p)
+					}
+					if !wasUncovered {
+						out.emit(p.Clone(), c, true)
 					}
 				}
 			}
 		})
-		res.Stats.NodesVisited += int64(len(removed)) << d
 		seen := make(map[pattern.PackedKey]bool)
 		for w := range outs {
+			res.Stats.NodesVisited += outs[w].cubes << d
 			for i, p := range outs[w].mups {
 				if k := key(p); !seen[k] {
 					seen[k] = true
@@ -496,14 +612,6 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 		newProbers[w] = newDom.NewProber()
 	}
 
-	oldCov := old.Cov
-	if oldCov != nil && len(oldCov) != len(old.MUPs) {
-		oldCov = nil
-	}
-	// exact: a surviving seed's coverage is the old value plus the
-	// added matches minus the removed matches — no probe needed even
-	// for mutation-touched seeds.
-	exact := oldCov != nil && rem.exact && add.known && add.exact
 	// covFill: the result will carry a complete Cov (probing the rare
 	// emitted pattern whose value is not otherwise known). Without old
 	// coverage values the probe-free skips of PR 2 are kept instead.
@@ -553,7 +661,9 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 		emit     bool
 	}
 	covValid := true
-	survivors := 0 // seeds the first wave emits, still in old's order
+	survivors := 0 // seeds the first wave emits, still in Compare order
+	// visited deduplicates the expansion nodes, as in Repair.
+	visited := make(map[pattern.PackedKey]bool)
 	for first := true; len(wave) > 0; first = false {
 		states := make([]nodeState, len(wave))
 
@@ -563,16 +673,16 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 			for i, n := range part {
 				st, p := &states[lo+i], n.p
 				isSeed := n.seed >= 0
+				// One mask pass over the added set answers both whether
+				// p was touched and by how much.
+				touched, sum := add.match(p, isSeed && exact)
 				switch {
-				case isSeed && exact:
-					st.c = oldCov[n.seed] + add.delta(p) - rem.delta(p)
+				case isSeed && oldCov != nil && rem.exact && (exact || !touched):
+					// The old value plus the added matches (none, when
+					// untouched) minus the removed ones.
+					st.c = oldCov[n.seed] + sum - rem.delta(p)
 					st.covKnown = true
-				case isSeed && oldCov != nil && !add.touched(p) && rem.exact:
-					// Nothing matching p was added, so the only change
-					// is the removed matches.
-					st.c = oldCov[n.seed] - rem.delta(p)
-					st.covKnown = true
-				case !add.touched(p):
+				case !touched:
 					// Coverage cannot have risen: an old MUP (or an
 					// old-uncovered expansion node) is still uncovered.
 					st.uncNow = true
@@ -589,8 +699,11 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 		// it, and then that MUP dominates the node too. An old MUP has
 		// no other kind of parent; an expansion node's old-uncovered
 		// parents are still uncovered unless an append lifted them.
+		if !first {
+			needOld()
+		}
 		runChunks(wave, workers, func(w int, part []repairNode, lo int) {
-			wasUncovered, fellBelow := oldProbers[w], newProbers[w]
+			fellBelow := newProbers[w]
 			for i, n := range part {
 				st, p := &states[lo+i], n.p
 				if st.asked {
@@ -611,7 +724,7 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 						continue
 					}
 					p[j] = pattern.Wildcard
-					if wasUncovered.DominatedBy(p) {
+					if oldProbers[w].DominatedBy(p) {
 						if add.touched(p) {
 							st.asked = true
 							asks[w] = append(asks[w], p.Clone())

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"coverage/internal/datagen"
 	"coverage/internal/dataset"
 	"coverage/internal/index"
 	"coverage/internal/pattern"
@@ -349,5 +350,94 @@ func TestRepairBidirectionalThresholdZero(t *testing.T) {
 	}
 	if len(res.MUPs) != 0 {
 		t.Errorf("MUPs = %v, want none at τ=0", res.MUPs)
+	}
+}
+
+// TestDeltaSetMatchesScan holds deltaSet's masks to a literal scan of
+// the delta list: for every pattern of a small lattice, the root
+// included, match must report whether some delta combination is
+// dominated by the pattern and the summed |Count| of those that are
+// (1 for an unknown magnitude). The lists straddle the mask word
+// boundary — 1, 63, 64, 65 and 130 deltas — and mix both signs and
+// zero counts.
+func TestDeltaSetMatchesScan(t *testing.T) {
+	cards := []int{3, 2, 4, 2}
+	ix := index.Build(datagen.Uniform(50, cards, 1))
+	var lattice []pattern.Pattern
+	var walk func(p pattern.Pattern, i int)
+	walk = func(p pattern.Pattern, i int) {
+		if i == len(cards) {
+			lattice = append(lattice, p.Clone())
+			return
+		}
+		for v := -1; v < cards[i]; v++ {
+			p[i] = pattern.Wildcard
+			if v >= 0 {
+				p[i] = uint8(v)
+			}
+			walk(p, i+1)
+		}
+	}
+	walk(make(pattern.Pattern, len(cards)), 0)
+
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		for _, counts := range []string{"positive", "negative", "mixed", "with-zero"} {
+			deltas := make([]Delta, n)
+			for i := range deltas {
+				combo := make(pattern.Pattern, len(cards))
+				for j, c := range cards {
+					combo[j] = uint8(rng.Intn(c))
+				}
+				c := int64(1 + rng.Intn(9))
+				switch {
+				case counts == "negative", counts == "mixed" && rng.Intn(2) == 0:
+					c = -c
+				case counts == "with-zero" && (i == n-1 || rng.Intn(4) == 0):
+					c = 0
+				}
+				deltas[i] = Delta{Combo: combo, Count: c}
+			}
+			s, err := prepDeltas(ix, deltas, "test", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := counts != "with-zero"; s.exact != want {
+				t.Errorf("%d %s deltas: exact = %v, want %v", n, counts, s.exact, want)
+			}
+			for _, p := range lattice {
+				var wantTouched bool
+				var wantSum int64
+				for _, d := range deltas {
+					if p.Dominates(d.Combo) {
+						wantTouched = true
+						wantSum += max(d.Count, -d.Count, 1)
+					}
+				}
+				touched, sum := s.match(p, true)
+				if touched != wantTouched || sum != wantSum {
+					t.Fatalf("%d %s deltas, pattern %v: match = %v, %d; scan = %v, %d", n, counts, p, touched, sum, wantTouched, wantSum)
+				}
+				if got := s.touched(p); got != wantTouched {
+					t.Fatalf("%d %s deltas, pattern %v: touched = %v, scan %v", n, counts, p, got, wantTouched)
+				}
+			}
+		}
+	}
+
+	// An empty set touches nothing; an unknown one touches everything.
+	root := pattern.All(len(cards))
+	for _, c := range []struct {
+		deltas          []Delta
+		nilMeansUnknown bool
+		want            bool
+	}{{nil, false, false}, {[]Delta{}, true, false}, {nil, true, true}} {
+		s, err := prepDeltas(ix, c.deltas, "test", c.nilMeansUnknown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, sum := s.match(root, true); got != c.want || sum != 0 {
+			t.Errorf("deltas %v (nil unknown: %v): root match = %v, %d; want %v, 0", c.deltas, c.nilMeansUnknown, got, sum, c.want)
+		}
 	}
 }
