@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +15,7 @@ import (
 func TestPlanEndpointCachesAndRepairs(t *testing.T) {
 	s := serveFixture(t)
 
-	w := do(t, s, "POST", "/plan", `{"tau": 2, "max_level": 2, "workers": 2}`)
+	w := do(t, s, "POST", "/plan", `{"tau": 2, "max_level": 2}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
@@ -73,27 +72,17 @@ func TestPlanEndpointClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestPlanEndpointWorkersAreEquivalent: the deprecated "workers" field
-// is accepted and ignored, so a /plan body is byte-identical whether a
-// request sends workers 1, 4 or none.
-func TestPlanEndpointWorkersAreEquivalent(t *testing.T) {
-	var first []byte
-	for _, body := range []string{
-		`{"tau": 2, "max_level": 2, "workers": 1}`,
-		`{"tau": 2, "max_level": 2, "workers": 4}`,
-		`{"tau": 2, "max_level": 2}`,
-	} {
-		w := do(t, serveFixture(t), "POST", "/plan", body)
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
-		}
-		if p := decode[planResponse](t, w); len(p.Suggestions) == 0 {
-			t.Fatalf("%s: empty plan %+v", body, p)
-		}
-		if first == nil {
-			first = w.Body.Bytes()
-		} else if !bytes.Equal(w.Body.Bytes(), first) {
-			t.Fatalf("%s: body %s, want %s", body, w.Body, first)
-		}
+// TestPlanEndpointRejectsWorkers: /plan bodies are decoded with
+// DisallowUnknownFields, and "workers" is no longer a field, so a body
+// that sends it is a 400 that runs no search.
+func TestPlanEndpointRejectsWorkers(t *testing.T) {
+	s := serveFixture(t)
+	w := do(t, s, "POST", "/plan", `{"tau": 2, "max_level": 2, "workers": 4}`)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "workers") {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	st := decode[statsResponse](t, do(t, s, "GET", "/stats", ""))
+	if st.PlanCache.Builds != 0 || st.FullSearches != 0 {
+		t.Fatalf("rejected /plan ran a search: plan_cache %+v, full_searches %d", st.PlanCache, st.FullSearches)
 	}
 }

@@ -341,7 +341,7 @@ type planCacheJSON struct {
 
 // shardJSON is one shard core's counters on /stats. The store fields
 // report its count table's slot-fill ratio and the resident bytes of
-// its count and delta-position tables; marginal_bytes is its base
+// its count table and pending delta; marginal_bytes is its base
 // index's marginal table (0 until a /coverage batch builds it).
 type shardJSON struct {
 	Rows           int64   `json:"rows"`
@@ -706,6 +706,8 @@ func (s *server) decodeMutateBatch(w http.ResponseWriter, r *http.Request, verb 
 // ndjsonBatchRows is how many streamed NDJSON rows are buffered before
 // each engine feed: large enough to amortize the engine's per-batch
 // lock and shard work over heavy ingest, small enough to bound memory.
+// The chunk bounds memory only: no feed rebuilds a base, so the
+// engine compacts once, on the first read after the load.
 const ndjsonBatchRows = 4096
 
 // maxStreamBytes caps streamed NDJSON bodies. Streaming exists for
@@ -893,11 +895,6 @@ type planRequest struct {
 	Rate          float64 `json:"rate,omitempty"`
 	MaxLevel      int     `json:"max_level,omitempty"`
 	MinValueCount uint64  `json:"min_value_count,omitempty"`
-	// Workers is accepted and ignored: the greedy search runs on the
-	// request's goroutine. Bodies are decoded with
-	// DisallowUnknownFields, so the field stays for one release to
-	// keep clients that still send it from getting a 400.
-	Workers int `json:"workers,omitempty"`
 }
 
 type suggestionJSON struct {

@@ -113,8 +113,11 @@ func (c *shardCore) applySigned(k pattern.PackedKey, n int64) {
 
 // applyBatch applies a whole signed mutation table atomically from the
 // coordinator's point of view (the coordinator holds the write lock
-// for the entire cross-core mutation), adjusts the core's row count by
-// the table's sum, and compacts if the delta crossed its threshold.
+// for the entire cross-core mutation) and adjusts the core's row count
+// by the table's sum. It never rebuilds the base: the compaction
+// threshold bounds the delta scan a read pays, so the read enforces it
+// (see pastThreshold), and a bulk load or a WAL replay builds each
+// base once, when it is first read, instead of once per batch.
 // The batch's measured distinct-combo count (itself the engine's
 // combos-per-row EWMA made concrete for this batch) is announced to
 // the count tables as an incremental-rehash drain budget rather than
@@ -132,48 +135,42 @@ func (c *shardCore) applyBatch(muts *countstore.Flat) {
 		c.applySigned(k, n)
 		c.rows += n
 	})
-	c.maybeCompact()
 }
 
 // storeBytes is the core's resident table footprint: the count table
-// plus the pending delta-position table. Stats and ResidentBytes both
-// report it, so /stats and the registry's eviction signal agree.
+// plus the pending delta, both its position table and its entry list.
+// Stats and ResidentBytes both report it, so /stats and the registry's
+// eviction signal agree.
 func (c *shardCore) storeBytes() int64 {
-	return c.counts.Mem().Bytes + c.deltaPos.Mem().Bytes
+	return c.counts.Mem().Bytes + c.deltaPos.Mem().Bytes +
+		int64(cap(c.delta))*deltaEntryBytes
 }
+
+// deltaEntryBytes is unsafe.Sizeof(deltaEntry{}) spelled as a
+// constant: two key words plus the count.
+const deltaEntryBytes = 24
 
 // multiplicity returns the live count of one combination key.
 func (c *shardCore) multiplicity(k pattern.PackedKey) int64 { return c.counts.Get(k) }
 
-// maybeCompact rebuilds the base when the accumulated delta crosses
-// the compaction threshold. Thresholds apply per core: each partition
-// compacts on its own (smaller) delta, so with N cores the rebuilds
-// are both N× smaller and independently parallelizable.
-func (c *shardCore) maybeCompact() {
-	if len(c.delta) >= c.opts.compactMinDistinct() &&
-		float64(len(c.delta)) >= c.opts.compactFraction()*float64(c.base.NumDistinct()) {
-		c.rebuild()
-	}
+// pastThreshold reports whether the pending delta has crossed the
+// compaction threshold, past which a read rebuilds the base before it
+// probes. Thresholds apply per core: each partition compacts on its
+// own (smaller) delta, so with N cores the rebuilds are both N×
+// smaller and independently parallelizable.
+func (c *shardCore) pastThreshold() bool {
+	return len(c.delta) >= c.opts.compactMinDistinct() &&
+		float64(len(c.delta)) >= c.opts.compactFraction()*float64(c.base.NumDistinct())
 }
 
-// rebuild rebuilds the base oracle from the full count table and
-// clears the delta.
+// rebuild clears the delta and rebuilds the base oracle from the full
+// count table. The delta goes first, so a collection during the build
+// can reclaim it: after a bulk load it holds every combination.
 func (c *shardCore) rebuild() {
-	c.buildBase()
 	c.delta = nil
 	c.deltaPos = countstore.NewFlat(0)
+	c.buildBase()
 	c.compactions++
-}
-
-// fold compacts any pending delta and returns the base oracle
-// reflecting the partition's full state. The returned index is
-// immutable and remains valid (but stale) after further mutations.
-// Must run under the coordinator's write lock.
-func (c *shardCore) fold() *index.Index {
-	if len(c.delta) > 0 {
-		c.rebuild()
-	}
-	return c.base
 }
 
 // coverageBatch writes the partition's contribution to cov(ps[i]) into

@@ -11,8 +11,9 @@ import (
 // occupancy stays a ratio in (0,1], resident bytes grow with the live
 // set, and the per-shard bytes sum to exactly the ResidentBytes the
 // registry evicts on — with a pending delta, so the delta-position
-// tables are part of both. With a window, the window's bytes join the
-// sum.
+// tables and the delta entry lists are part of both, and a fold that
+// clears the delta gives their bytes back. With a window, the window's
+// bytes join the sum.
 func TestStatsStoreFields(t *testing.T) {
 	compact := make([]int, 20)
 	for i := range compact {
@@ -40,6 +41,20 @@ func TestStatsStoreFields(t *testing.T) {
 		}
 		if rb := e.ResidentBytes(); sum != rb {
 			t.Errorf("%d attributes: shard store bytes sum to %d, ResidentBytes() = %d", len(cards), sum, rb)
+		}
+		var entries int64
+		for i, c := range e.cores {
+			want := deltaEntryBytes * int64(len(c.delta))
+			entries += want
+			if list := st.Shards[i].StoreBytes - c.counts.Mem().Bytes - c.deltaPos.Mem().Bytes; list < want {
+				t.Errorf("%d attributes: shard %d counts %d bytes for its %d pending delta entries, want at least %d",
+					len(cards), i, list, len(c.delta), want)
+			}
+		}
+		e.Oracle() // the fold clears every pending delta
+		if rb := e.ResidentBytes(); rb > sum-entries {
+			t.Errorf("%d attributes: ResidentBytes() = %d after the fold, want at most %d less the %d delta entry bytes",
+				len(cards), rb, sum, entries)
 		}
 		if st.WindowBytes != 0 {
 			t.Errorf("%d attributes: %d window bytes without a window", len(cards), st.WindowBytes)

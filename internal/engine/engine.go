@@ -104,9 +104,10 @@ type Options struct {
 	// Workers is the goroutine count for parallel batch counting, full
 	// MUP searches and repair passes; 0 means GOMAXPROCS.
 	Workers int
-	// CompactFraction triggers a per-core base rebuild when the core's
-	// delta holds more than this fraction of its base's distinct
-	// combinations; 0 means 0.25.
+	// CompactFraction is the compaction threshold: a read that finds
+	// a core's pending delta holding at least this fraction of its
+	// base's distinct combinations rebuilds that core's base before it
+	// probes (mutations never rebuild). 0 means 0.25.
 	CompactFraction float64
 	// CompactMinDistinct is the per-core delta size below which the
 	// fraction trigger is ignored (tiny deltas are cheap to merge on
@@ -953,10 +954,11 @@ func (e *ShardedEngine) applyCoresLocked(muts []*countstore.Flat) {
 // Append validates and adds a batch of rows. The batch is counted into
 // per-core signed maps outside the lock (parallel, one goroutine per
 // core, from inlineBatchRows rows up), then fanned out to the cores
-// under the write lock. No base oracle is rebuilt unless a core's
-// accumulated delta crosses the compaction threshold. With a sliding
-// window configured, rows beyond the bound are evicted oldest-first in
-// the same mutation.
+// under the write lock. No base oracle is rebuilt: the rows join each
+// core's pending delta, and the first read that finds a delta past
+// the compaction threshold rebuilds that core. With a sliding window
+// configured, rows beyond the bound are evicted oldest-first in the
+// same mutation.
 func (e *ShardedEngine) Append(rows [][]uint8) error {
 	if len(rows) == 0 {
 		return nil
@@ -1230,6 +1232,15 @@ func (e *ShardedEngine) CoverageBatchRows(ps []pattern.Pattern) ([]int64, int64,
 	}
 	out := make([]int64, len(ps))
 	e.mu.RLock()
+	if e.pastThresholdLocked() {
+		// A delta past the threshold makes every probe's scan long:
+		// rebuild those cores first, under the write lock, as Oracle
+		// folds. Concurrent readers that raced here re-check under the
+		// write lock and find nothing left to rebuild.
+		e.mu.RUnlock()
+		e.Compact()
+		e.mu.RLock()
+	}
 	defer e.mu.RUnlock()
 	rows := e.rows
 	if len(e.cores) == 1 || len(ps) == 1 {
@@ -1265,25 +1276,62 @@ func (e *ShardedEngine) CoverageBatchRows(ps []pattern.Pattern) ([]int64, int64,
 // foldLocked compacts every core's pending delta (in parallel) and
 // returns the immutable per-core bases. Caller holds the write lock.
 func (e *ShardedEngine) foldLocked() []*index.Index {
+	rebuildCores(e.cores, func(c *shardCore) bool { return len(c.delta) > 0 })
 	bases := make([]*index.Index, len(e.cores))
-	if len(e.cores) == 1 {
-		bases[0] = e.cores[0].fold()
-		return bases
+	for i, c := range e.cores {
+		bases[i] = c.base
+	}
+	return bases
+}
+
+// rebuildCores rebuilds the base of every core that need selects, in
+// parallel when there are several, and returns how many it rebuilt.
+// Caller holds the write lock.
+func rebuildCores(cores []*shardCore, need func(*shardCore) bool) int {
+	var todo []*shardCore
+	for _, c := range cores {
+		if need(c) {
+			todo = append(todo, c)
+		}
+	}
+	if len(todo) == 1 {
+		todo[0].rebuild()
+		return 1
 	}
 	var wg sync.WaitGroup
-	for i, c := range e.cores {
-		if len(c.delta) == 0 {
-			bases[i] = c.base
-			continue
-		}
+	for _, c := range todo {
 		wg.Add(1)
-		go func(i int, c *shardCore) {
+		go func(c *shardCore) {
 			defer wg.Done()
-			bases[i] = c.fold()
-		}(i, c)
+			c.rebuild()
+		}(c)
 	}
 	wg.Wait()
-	return bases
+	return len(todo)
+}
+
+// pastThresholdLocked reports whether any core's pending delta has
+// crossed the compaction threshold. Caller holds the lock (either
+// mode).
+func (e *ShardedEngine) pastThresholdLocked() bool {
+	for _, c := range e.cores {
+		if c.pastThreshold() {
+			return true
+		}
+	}
+	return false
+}
+
+// Compact rebuilds the base of every core whose pending delta has
+// crossed the compaction threshold and returns how many it rebuilt.
+// Mutations never compact and a coverage read compacts through it, so
+// it is for a caller that wants the first read after a burst of
+// mutations to find the engine settled: recovery calls it once after
+// replaying the WAL.
+func (e *ShardedEngine) Compact() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return rebuildCores(e.cores, (*shardCore).pastThreshold)
 }
 
 // Oracle folds any pending deltas and returns a coverage oracle over

@@ -174,6 +174,8 @@ func TestMarginalAfterMutations(t *testing.T) {
 			applyRef(live, rows, -1)
 			check(e, live, "a delete")
 
+			// Appends never compact; the read after each one rebuilds
+			// the cores its delta has carried past the threshold.
 			before := e.Stats().Compactions
 			for e.Stats().Compactions == before {
 				rows = randomRows(rng, cards, 100)
@@ -181,6 +183,9 @@ func TestMarginalAfterMutations(t *testing.T) {
 					t.Fatal(err)
 				}
 				applyRef(live, rows, 1)
+				if _, err := e.Coverage(pattern.All(len(cards))); err != nil {
+					t.Fatal(err)
+				}
 			}
 			check(e, live, "a compaction")
 

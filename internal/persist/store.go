@@ -250,7 +250,10 @@ func (s *Store) genFiles(prefix, suffix string) ([]string, []uint64, error) {
 }
 
 // Recover restores the engine from the newest readable snapshot and
-// replays the WAL tail. It returns ErrNoState when the directory
+// replays the WAL tail, then rebuilds each shard's base whose replayed
+// delta crossed the compaction threshold — replay itself never
+// compacts, so each base is rebuilt at most once and the first read
+// finds the engine settled. It returns ErrNoState when the directory
 // holds no snapshot (fresh start: build an engine and call Attach).
 // After a successful recovery the store is attached to the returned
 // engine and ready for mutations.
@@ -382,6 +385,7 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 		info.Skipped += skipped
 		lastPath, lastGen, lastGoodSize, lastTorn = path, walGens[i], goodSize, torn
 	}
+	eng.Compact()
 
 	// Continue appending to the newest segment, truncating a torn
 	// tail first so fresh records never follow garbage.

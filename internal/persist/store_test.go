@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"coverage/internal/datagen"
 	"coverage/internal/engine"
 	"coverage/internal/mup"
 	"coverage/internal/pattern"
@@ -32,6 +33,83 @@ func attachFresh(t testing.TB, dir string) (*Store, *engine.Engine) {
 		t.Fatal(err)
 	}
 	return s, eng
+}
+
+// TestRecoverCompactsOnce: a WAL of 4 096-row append records — what an
+// NDJSON bulk load writes — replays without rebuilding a base, and
+// Recover then rebuilds each shard's base at most once, leaves no core
+// past the compaction threshold, and answers as the engine that wrote
+// the log.
+func TestRecoverCompactsOnce(t *testing.T) {
+	const rows, chunk, shards = 100000, 4096, 2
+	ds := datagen.Zipf(rows, []int{2, 3, 4, 5, 6, 2, 3, 4, 5, 6}, 1.2, 42)
+	opts := engine.Options{Shards: shards}
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	eng := engine.New(ds.Schema(), opts)
+	if err := s.Attach(eng); err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for lo := 0; lo < rows; lo += chunk {
+		batch := make([][]uint8, 0, chunk)
+		for i := lo; i < min(lo+chunk, rows); i++ {
+			batch = append(batch, ds.Row(i))
+		}
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		records++
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{Engine: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, info, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != records {
+		t.Fatalf("replayed %d WAL records, want %d", info.Replayed, records)
+	}
+	for i, sh := range got.Stats().Shards {
+		if sh.Compactions > 1 {
+			t.Errorf("shard %d rebuilt its base %d times during recovery, want at most once", i, sh.Compactions)
+		}
+	}
+	if n := got.Compact(); n != 0 {
+		t.Errorf("%d cores left past the compaction threshold after recovery", n)
+	}
+
+	cards := ds.Cards()
+	rng := rand.New(rand.NewSource(3))
+	ps := make([]pattern.Pattern, 64)
+	for i := range ps {
+		ps[i] = pattern.All(len(cards))
+		for j, c := range cards {
+			if rng.Intn(2) == 0 {
+				ps[i][j] = uint8(rng.Intn(c))
+			}
+		}
+	}
+	want, err := eng.CoverageBatch(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := got.CoverageBatch(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ps {
+		if have[i] != want[i] {
+			t.Fatalf("cov(%v) = %d after recovery, %d before", ps[i], have[i], want[i])
+		}
+	}
 }
 
 func TestStoreRecoverNoState(t *testing.T) {
