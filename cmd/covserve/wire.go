@@ -90,8 +90,9 @@ func scanCodeRow(dst []uint8, data []byte) (row []uint8, rest []byte, ok bool) {
 }
 
 // rowSlab carves row buffers out of one allocation per `rows` rows. A
-// slab is never recycled: the rows cut from it go to the engine and the
-// commit queue, which may hold them past the call.
+// slab is never recycled: the rows cut from it go to the store, whose
+// group commit holds them until the append returns, and later rows are
+// cut from a fresh slab.
 type rowSlab struct {
 	buf       []uint8
 	dim, rows int

@@ -424,7 +424,6 @@ func (d *StateDelta) Apply(st *State) error {
 			st.Counts[k] = n
 		}
 	}
-	st.CountKeys = nil
 	st.ShardCountKeys = nil
 	st.Rows = d.Rows
 	st.Generation = d.Generation

@@ -18,7 +18,6 @@ import (
 // semantic content.
 func normalizeState(st *State) *State {
 	c := *st
-	c.CountKeys = nil
 	c.ShardCountKeys = nil
 	return &c
 }

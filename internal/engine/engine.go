@@ -474,8 +474,7 @@ type ShardedEngine struct {
 type Engine = ShardedEngine
 
 // mutRec is one mutated combination at one generation, with the net
-// signed multiplicity change (0 when restored from a log format that
-// did not record magnitudes).
+// signed multiplicity change (never 0).
 type mutRec struct {
 	gen   uint64
 	key   pattern.PackedKey
@@ -511,37 +510,24 @@ func (l *mutLog) record(gen uint64, k pattern.PackedKey, count int64, max int) {
 
 // since returns the net multiplicity change per distinct combination
 // mutated after generation gen, and whether the log still reaches back
-// that far. exact reports that every returned net is known; a rec
-// restored without a magnitude poisons its combination's net (the
-// Delta keeps Count 0 = unknown, which still gates repair probes but
-// disables coverage delta-updates). The slice is non-nil whenever ok,
-// so "provably none" and "unknown" stay distinct.
-func (l *mutLog) since(gen uint64, codec *pattern.Codec) (deltas []mup.Delta, exact, ok bool) {
+// that far. The slice is non-nil whenever ok, so "provably none" and
+// "unknown" stay distinct.
+func (l *mutLog) since(gen uint64, codec *pattern.Codec) (deltas []mup.Delta, ok bool) {
 	if gen < l.horizon {
-		return nil, false, false
+		return nil, false
 	}
 	sums := make(map[pattern.PackedKey]int64)
-	unknown := make(map[pattern.PackedKey]bool)
 	for i := len(l.recs) - 1; i >= 0 && l.recs[i].gen > gen; i-- {
-		r := l.recs[i]
-		if r.count == 0 {
-			unknown[r.key] = true
-		}
-		sums[r.key] += r.count
+		sums[l.recs[i].key] += l.recs[i].count
 	}
 	deltas = make([]mup.Delta, 0, len(sums))
-	exact = true
 	for k, n := range sums {
-		if unknown[k] {
-			exact = false
-			n = 0
-		} else if n == 0 {
-			// A known net of zero cannot have changed any coverage.
-			continue
+		// A net of zero cannot have changed any coverage.
+		if n != 0 {
+			deltas = append(deltas, mup.Delta{Combo: codec.Unpack(k), Count: n})
 		}
-		deltas = append(deltas, mup.Delta{Combo: codec.Unpack(k), Count: n})
 	}
-	return deltas, exact, true
+	return deltas, true
 }
 
 // keyRing is a FIFO of row combination keys in arrival order, backing
@@ -1422,9 +1408,9 @@ func (e *ShardedEngine) MUPsAnswer(opts mup.Options) (Answer, error) {
 		// newly uncovered regions and a full search is required. The
 		// added log is an optimization only — when it has overflowed,
 		// nil tells the repair to assume any coverage may have risen.
-		if rm, _, ok := e.removed.since(c.gen, e.codec); ok {
+		if rm, ok := e.removed.since(c.gen, e.codec); ok {
 			seed, removed = c.res, rm
-			if ad, _, ok := e.added.since(c.gen, e.codec); ok {
+			if ad, ok := e.added.since(c.gen, e.codec); ok {
 				added = ad
 			}
 		}

@@ -1105,11 +1105,11 @@ func TestMutLogTrimsInPlace(t *testing.T) {
 			t.Fatalf("recs[%d] = %+v, want record %d of generation 3", i, r, want)
 		}
 	}
-	if _, _, ok := l.since(1, keys); ok {
+	if _, ok := l.since(1, keys); ok {
 		t.Fatal("since(1) answered from behind the horizon")
 	}
-	if deltas, exact, ok := l.since(2, keys); !ok || !exact || len(deltas) != 3 {
-		t.Fatalf("since(2) = %d deltas, exact %v, ok %v, want 3, true, true", len(deltas), exact, ok)
+	if deltas, ok := l.since(2, keys); !ok || len(deltas) != 3 {
+		t.Fatalf("since(2) = %d deltas, ok %v, want 3, true", len(deltas), ok)
 	}
 	gen := uint64(3)
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -450,7 +450,8 @@ func TestRepairDeltaUpdatesCov(t *testing.T) {
 
 // TestShardedRestoreTopologyChange exports a sharded engine's state
 // and restores it at several other shard counts: every restore must
-// answer identically and re-partition exactly along the hash router.
+// answer identically and re-partition exactly along the hash router,
+// and a corrupted state must be rejected.
 func TestShardedRestoreTopologyChange(t *testing.T) {
 	cards := []int{2, 3, 4}
 	schema := testSchema(t, cards)
@@ -504,6 +505,19 @@ func TestShardedRestoreTopologyChange(t *testing.T) {
 		}
 		if len(w.MUPs) != len(g.MUPs) {
 			t.Fatalf("%d shards: %d MUPs, want %d", target, len(g.MUPs), len(w.MUPs))
+		}
+	}
+	// A mutation-log record carries its combination's net change,
+	// never 0: a zero-count record in either log is rejected whole.
+	for _, log := range []string{"removed", "added"} {
+		bad := src.ExportState()
+		recs := bad.Removed.Recs
+		if log == "added" {
+			recs = bad.Added.Recs
+		}
+		recs[len(recs)-1].Count = 0
+		if _, err := NewFromState(bad, Options{Shards: 3}); err == nil {
+			t.Errorf("%s-log record with count 0 accepted", log)
 		}
 	}
 	// A corrupted partition — a key stored on the wrong shard — must

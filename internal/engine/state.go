@@ -30,14 +30,8 @@ type State struct {
 	// string) to its positive multiplicity — the union across all
 	// shard cores.
 	Counts map[string]int64
-	// CountKeys, when non-nil, lists the keys of Counts in strictly
-	// increasing order — the order the single-shard (v1) snapshot
-	// codec stores them in. Restores use it to rebuild the base oracle
-	// without re-sorting; nil falls back to sorting (or to
-	// ShardCountKeys). NewFromState validates the invariant.
-	CountKeys []string
 	// Shards is the number of shard cores the state was captured from
-	// (0 is treated as 1 — e.g. a hand-built or v1-decoded state).
+	// (0 is treated as 1 — e.g. a hand-built state).
 	Shards int
 	// ShardCountKeys, when non-nil, partitions the keys of Counts by
 	// shard core: entry i lists core i's keys in strictly increasing
@@ -71,10 +65,7 @@ type State struct {
 	Cache []CachedSearch
 
 	// Plans holds the cached remediation plans, sorted by their full
-	// configuration key for deterministic serialization. Snapshot
-	// format v3 carries them; v1/v2 states restore with no cached
-	// plans (the first /plan per configuration replans from its
-	// repaired MUP set).
+	// configuration key for deterministic serialization.
 	Plans []CachedPlan
 
 	// Counters are the monotonic operation counters reported by Stats,
@@ -92,8 +83,8 @@ type MutationLog struct {
 }
 
 // MutationRec is one mutated combination at one generation, with the
-// net signed multiplicity change (0 = unknown, from a log format that
-// predates magnitudes).
+// net signed multiplicity change: positive in the added log, negative
+// in the removed log, never 0.
 type MutationRec struct {
 	Gen   uint64
 	Key   string
@@ -402,12 +393,8 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		return nil
 	}
 
-	// The sorted key lists: one per shard, or the single-shard (v1)
-	// list, or none.
+	// The sorted key lists: one per shard, or none.
 	lists := st.ShardCountKeys
-	if lists == nil && st.CountKeys != nil {
-		lists = [][]string{st.CountKeys}
-	}
 	var sum int64
 	switch {
 	case lists != nil:
@@ -499,6 +486,9 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			if r.Gen > st.Generation {
 				return nil, fmt.Errorf("engine: %s log entry %d has generation %d beyond state generation %d",
 					l.name, i, r.Gen, st.Generation)
+			}
+			if r.Count == 0 {
+				return nil, fmt.Errorf("engine: %s log entry %d has count 0", l.name, i)
 			}
 			if r.Count*l.sign < 0 {
 				return nil, fmt.Errorf("engine: %s log entry %d has count %d of the wrong sign", l.name, i, r.Count)

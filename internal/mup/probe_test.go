@@ -368,8 +368,8 @@ func TestRepairBidirectionalBatchesPerLevel(t *testing.T) {
 // TestRepairBidirectionalDeltaProbes pins how the probe count degrades
 // with what the caller knows, the bidirectional analog of
 // TestRepairSkipsUntouchedProbes. The cube pass needs neither the old
-// coverage values nor the removed magnitudes, so the newly uncovered
-// MUP costs no probe in any of the cases; only the surviving seeds do.
+// coverage values nor a known added set, so the newly uncovered MUP
+// costs no probe in any of the cases; only the surviving seeds do.
 func TestRepairBidirectionalDeltaProbes(t *testing.T) {
 	ix, old := probeFixture(t)
 	opts := ParallelOptions{Options: Options{Threshold: 2}}
@@ -403,14 +403,9 @@ func TestRepairBidirectionalDeltaProbes(t *testing.T) {
 		t.Error("exact single-delete repair dropped Cov")
 	}
 
-	// Unknown magnitude: the surviving seeds' values can no longer be
-	// delta-updated and are re-probed, one probe each, to keep Cov.
-	res, got = repair(old, []Delta{{Combo: combo}}, []Delta{})
-	if got == 0 || got > int64(len(old.MUPs)) {
-		t.Errorf("magnitude-less repair issued %d probes, want >0 and ≤ %d (one per surviving seed)", got, len(old.MUPs))
-	}
-	if res.Cov == nil {
-		t.Error("magnitude-less repair dropped Cov")
+	// A delta without a magnitude is not a net change: refused.
+	if _, err := RepairBidirectional(after, old, []Delta{{Combo: combo}}, []Delta{}, opts); err == nil {
+		t.Error("repair accepted a removed delta with count 0")
 	}
 
 	// Without the Cov cache there is nothing to keep exact: no probes,

@@ -13,10 +13,9 @@ import (
 
 // Delta is one distinct value combination whose multiplicity changed
 // since a cached MUP result was computed, with the net signed change:
-// Count > 0 means net rows added, Count < 0 net rows removed, and
-// Count == 0 means the fact of the mutation is known but its magnitude
-// is not (repairs then fall back from delta-updating the coverage
-// values of the surviving MUPs to probing them).
+// Count > 0 means net rows added, Count < 0 net rows removed. A Count
+// of 0 is invalid input — a combination whose net is zero changed no
+// coverage and is left out.
 type Delta struct {
 	Combo pattern.Pattern
 	Count int64
@@ -24,8 +23,8 @@ type Delta struct {
 
 // deltaSet is one direction's mutation deltas, prepared to answer for
 // any pattern p whether some delta combination matches it ("could
-// cov(p) have changed this way?") and, when every magnitude is known,
-// the summed magnitude of those that do — the exact coverage delta.
+// cov(p) have changed this way?") and the summed magnitude of those
+// that do — the exact coverage delta.
 // Bit i of the mask of (attribute j, value v) is set iff delta i has
 // value v at attribute j, so ANDing the masks of p's fixed attributes
 // leaves the deltas matching p. A query costs ⌈n/64⌉ words per fixed
@@ -34,25 +33,18 @@ type deltaSet struct {
 	// known is false when the set itself is unknown (nil input with
 	// nilMeansUnknown): match then assumes every pattern touched.
 	known bool
-	// exact is true when the set is known and every Count is non-zero,
-	// so match's sum is the exact magnitude sum.
-	exact bool
 	n     int      // deltas
 	words int      // mask words per (attribute, value): ⌈n/64⌉
 	base  []int    // base[j]: first mask row of attribute j
 	masks []uint64 // row base[j]+v holds words words
-	mags  []int64  // |Count|, or 1 when unknown
+	mags  []int64  // |Count|
 }
 
 // prepDeltas validates and prepares one direction's deltas. role
 // prefixes error messages; nilMeansUnknown selects whether a nil slice
 // means "no mutations" (removed) or "unknown" (added).
 func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bool) (*deltaSet, error) {
-	s := &deltaSet{known: deltas != nil || !nilMeansUnknown, exact: true}
-	if !s.known {
-		s.exact = false
-		return s, nil
-	}
+	s := &deltaSet{known: deltas != nil || !nilMeansUnknown}
 	if len(deltas) == 0 {
 		return s, nil
 	}
@@ -73,17 +65,10 @@ func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bo
 		if !d.Combo.IsFull() {
 			return nil, fmt.Errorf("mup: %s seed %v is not a full value combination", role, d.Combo)
 		}
-		mag := d.Count
-		if mag < 0 {
-			mag = -mag
+		if d.Count == 0 {
+			return nil, fmt.Errorf("mup: %s seed %v has net count 0", role, d.Combo)
 		}
-		if mag == 0 {
-			// Unknown magnitude: keep the combination for membership
-			// (weight 1 > 0) but the magnitude sums are now unusable.
-			s.exact = false
-			mag = 1
-		}
-		s.mags[i] = mag
+		s.mags[i] = max(d.Count, -d.Count)
 		for j, v := range d.Combo {
 			s.masks[(s.base[j]+int(v))*s.words+i/64] |= 1 << (i % 64)
 		}
@@ -93,9 +78,8 @@ func prepDeltas(ix index.Oracle, deltas []Delta, role string, nilMeansUnknown bo
 
 // match reports whether any of the set's combinations matches p — i.e.
 // whether cov(p) could have changed in this direction — and, when sum
-// is set, the summed magnitude of those that do (meaningful only when
-// exact). Without sum it stops at the first match. An unknown set
-// touches everything and sums to 0.
+// is set, the summed magnitude of those that do. Without sum it stops
+// at the first match. An unknown set touches everything and sums to 0.
 func (s *deltaSet) match(p pattern.Pattern, sum bool) (touched bool, total int64) {
 	if !s.known {
 		return true, 0
@@ -202,12 +186,12 @@ func (b *emitBuf) emit(p pattern.Pattern, c int64, known bool) {
 //
 // added, when non-nil, must list every distinct value combination
 // whose multiplicity increased since old was computed, with the net
-// increase in Count (0 = magnitude unknown); nil means the added set
-// is unknown. With a known added set, an old MUP matched by no added
-// combination is still a MUP without any probe; with exact counts and
-// old.Cov present, even the touched MUPs are delta-updated
-// (cov' = cov + Σ added matching) instead of re-probed, so the oracle
-// is probed only under MUPs that actually became covered.
+// increase in Count; nil means the added set is unknown. With a known
+// added set, an old MUP matched by no added combination is still a MUP
+// without any probe; with old.Cov present, even the touched MUPs are
+// delta-updated (cov' = cov + Σ added matching) instead of re-probed,
+// so the oracle is probed only under MUPs that actually became
+// covered.
 //
 // The cost is one mask pass over the added set per old MUP — ⌈A/64⌉
 // words per fixed attribute for A added combinations, answering both
@@ -238,7 +222,7 @@ func Repair(ix index.Oracle, old *Result, added []Delta, popts ParallelOptions) 
 		oldCov = nil
 	}
 	// exact: a touched seed's coverage is old value + added matches.
-	exact := oldCov != nil && add.exact
+	exact := oldCov != nil && add.known
 
 	wave, err := seedWave(old.MUPs, cards, "repair")
 	if err != nil {
@@ -425,15 +409,13 @@ func supersetSums(h []int64) {
 // removed must contain every distinct value combination whose
 // multiplicity decreased since old was computed (nil means none);
 // added, when non-nil, every one whose multiplicity increased (nil
-// means unknown). Counts carry the net change. A Count of 0 marks the
-// magnitude as unknown, which only disables the coverage delta-updates
-// of the surviving seeds. With old.Cov present and every magnitude
-// known, the deltas are arithmetic inputs (cov' = cov + added −
-// removed), so they must be the true nets — extra combinations or
-// duplicated entries are harmless only while some magnitude is unknown
-// or old.Cov is absent. old must be the complete MUP result of the
-// earlier state under the same Options; ix must reflect the current
-// state. The result is identical to a from-scratch search.
+// means unknown). Counts carry the net change. With old.Cov present and
+// the added set known, the deltas are arithmetic inputs (cov' = cov +
+// added − removed), so they must be the true nets — extra combinations
+// or duplicated entries are harmless only while the added set is
+// unknown or old.Cov is absent. old must be the complete MUP result of
+// the earlier state under the same Options; ix must reflect the
+// current state. The result is identical to a from-scratch search.
 //
 // The repair runs in two passes:
 //
@@ -449,7 +431,7 @@ func supersetSums(h []int64) {
 //     transform gives the exact current coverage of all of them, and a
 //     cell below τ whose parent cells — the same table — are all at
 //     least τ is a MUP by definition. It is new iff it was covered
-//     before: with exact deltas and old.Cov that is arithmetic
+//     before: with a known added set and old.Cov that is arithmetic
 //     (cov + removed − added ≥ τ), otherwise a probe of the Appendix-B
 //     dominance index over the old MUPs. No oracle probe either way.
 //
@@ -464,20 +446,20 @@ func supersetSums(h []int64) {
 //     lifted needs the oracle.
 //
 // The oracle is therefore probed only under seeds an append lifted; a
-// pure-deletion repair with exact deltas and old.Cov issues no probe at
-// all (the surviving seeds' coverage is cov' = cov − removed). The cube
-// pass costs R′·(D·d + d·2^d) word operations for the R′ removed
-// combinations whose count fell below τ, over D distinct combinations,
-// chunked across popts.Workers; the seed pass costs one mask pass over
-// each direction's deltas per old MUP (⌈n/64⌉ words per fixed
-// attribute for n deltas). The dominance index over the old MUPs is
-// built only when it is asked: by the cube pass when some delta is
-// inexact or old.Cov is absent, and before the first expansion wave
-// (which exists only when an append lifted a seed). Where the ancestor
-// cube would exceed cubeMaxBytes (d > 20) a deletion runs the cold
-// Search instead. Stats.NodesVisited counts the cells of the cubes
-// built plus the seed-pass nodes; it and Stats.CoverageProbes do not
-// depend on the worker count.
+// pure-deletion repair with an empty added set and old.Cov issues no
+// probe at all (the surviving seeds' coverage is cov' = cov −
+// removed). The cube pass costs R′·(D·d + d·2^d) word operations for
+// the R′ removed combinations whose count fell below τ, over D
+// distinct combinations, chunked across popts.Workers; the seed pass
+// costs one mask pass over each direction's deltas per old MUP (⌈n/64⌉
+// words per fixed attribute for n deltas). The dominance index over
+// the old MUPs is built only when it is asked: by the cube pass when
+// the added set is unknown or old.Cov is absent, and before the first
+// expansion wave (which exists only when an append lifted a seed).
+// Where the ancestor cube would exceed cubeMaxBytes (d > 20) a
+// deletion runs the cold Search instead. Stats.NodesVisited counts the
+// cells of the cubes built plus the seed-pass nodes; it and
+// Stats.CoverageProbes do not depend on the worker count.
 func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, popts ParallelOptions) (*Result, error) {
 	opts := popts.Options
 	tau := opts.Threshold
@@ -515,7 +497,7 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 	// the removed matches minus the added matches. A surviving seed's
 	// coverage then needs no probe even where a mutation touched it,
 	// and a cube cell's old verdict needs no dominance index.
-	exact := oldCov != nil && rem.exact && add.exact
+	exact := oldCov != nil && add.known
 
 	// The Appendix-B dominance index over the old MUPs, built when first
 	// needed: DominatedBy proves a pattern was uncovered in the old
@@ -677,7 +659,7 @@ func RepairBidirectional(ix index.Oracle, old *Result, removed, added []Delta, p
 				// p was touched and by how much.
 				touched, sum := add.match(p, isSeed && exact)
 				switch {
-				case isSeed && oldCov != nil && rem.exact && (exact || !touched):
+				case isSeed && exact:
 					// The old value plus the added matches (none, when
 					// untouched) minus the removed ones.
 					st.c = oldCov[n.seed] + sum - rem.delta(p)

@@ -117,10 +117,9 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// encodeState serializes an engine.State deterministically in the
-// current (v2, sharded) format: the count map is emitted as one
-// section per shard core, each in sorted key order, so equivalent
-// states encode to identical bytes and snapshot→restore→snapshot is a
+// encodeState serializes an engine.State deterministically in the v3
+// format: the count map is emitted as one section per shard core, each
+// in sorted key order, so equivalent states encode to identical bytes and snapshot→restore→snapshot is a
 // fixed point. A state without per-shard key lists (e.g. hand-built)
 // is emitted as a single section.
 func encodeState(st *engine.State) []byte {
@@ -185,8 +184,7 @@ func encodeState(st *engine.State) []byte {
 		e.varint(c)
 	}
 
-	// v3: the remediation plan-cache sections plus the plan counters,
-	// appended after the v2 payload so older fields keep their offsets.
+	// The remediation plan-cache sections plus the plan counters.
 	encodePlans(e, st.Plans)
 	for _, c := range []int64{
 		st.Counters.PlanProbes, st.Counters.PlanHits, st.Counters.PlanBuilds,
@@ -209,8 +207,7 @@ func encodeLog(e *encoder, l engine.MutationLog) {
 	}
 }
 
-// encodeSearches emits the cached-search section in the current (v2+)
-// layout; the entries must already be in (Tau, MaxLevel) order.
+// encodeSearches emits the cached-search section; the entries must already be in (Tau, MaxLevel) order.
 func encodeSearches(e *encoder, cs []engine.CachedSearch) {
 	e.uvarint(uint64(len(cs)))
 	for _, c := range cs {
@@ -269,15 +266,11 @@ func encodePlans(e *encoder, ps []engine.CachedPlan) {
 	}
 }
 
-// decodeState parses a snapshot payload back into an engine.State.
-// version selects the wire layout: v1 is the single-shard format
-// (one sorted count section, mutation logs without magnitudes, no
-// coverage-value caches); v2 adds the per-shard count sections, the
-// net counts on mutation-log records and the per-MUP coverage values.
+// decodeState parses a v3 snapshot payload back into an engine.State.
 // Structural validity (offsets, lengths) is enforced here; semantic
 // validity (cardinalities, row sums, shard routing, log ordering) is
 // enforced by engine.NewFromState.
-func decodeState(payload []byte, version uint32) (*engine.State, error) {
+func decodeState(payload []byte) (*engine.State, error) {
 	d := &decoder{b: payload}
 	st := &engine.State{}
 
@@ -298,34 +291,22 @@ func decodeState(payload []byte, version uint32) (*engine.State, error) {
 		}
 	}
 
-	if version >= 2 {
-		nShards := d.length(1)
-		if nShards == 0 && d.err == nil {
-			d.fail("snapshot declares zero shards")
-		}
-		st.Shards = nShards
-		st.Counts = make(map[string]int64)
-		st.ShardCountKeys = make([][]string, 0, nShards)
-		for s := 0; s < nShards && d.err == nil; s++ {
-			nKeys := d.length(dim + 1)
-			keys := make([]string, 0, nKeys)
-			for i := 0; i < nKeys && d.err == nil; i++ {
-				k := d.rawString(dim)
-				st.Counts[k] = d.varint()
-				keys = append(keys, k)
-			}
-			st.ShardCountKeys = append(st.ShardCountKeys, keys)
-		}
-	} else {
-		nCounts := d.length(dim + 1)
-		st.Shards = 1
-		st.Counts = make(map[string]int64, nCounts)
-		st.CountKeys = make([]string, 0, nCounts)
-		for i := 0; i < nCounts && d.err == nil; i++ {
+	nShards := d.length(1)
+	if nShards == 0 && d.err == nil {
+		d.fail("snapshot declares zero shards")
+	}
+	st.Shards = nShards
+	st.Counts = make(map[string]int64)
+	st.ShardCountKeys = make([][]string, 0, nShards)
+	for s := 0; s < nShards && d.err == nil; s++ {
+		nKeys := d.length(dim + 1)
+		keys := make([]string, 0, nKeys)
+		for i := 0; i < nKeys && d.err == nil; i++ {
 			k := d.rawString(dim)
 			st.Counts[k] = d.varint()
-			st.CountKeys = append(st.CountKeys, k)
+			keys = append(keys, k)
 		}
+		st.ShardCountKeys = append(st.ShardCountKeys, keys)
 	}
 
 	st.Rows = d.varint()
@@ -353,9 +334,9 @@ func decodeState(payload []byte, version uint32) (*engine.State, error) {
 		}
 	}
 
-	st.Removed = decodeLog(d, dim, version)
-	st.Added = decodeLog(d, dim, version)
-	st.Cache = decodeSearches(d, dim, version)
+	st.Removed = decodeLog(d, dim)
+	st.Added = decodeLog(d, dim)
+	st.Cache = decodeSearches(d, dim)
 
 	for _, p := range []*int64{
 		&st.Counters.Appends, &st.Counters.Deletes, &st.Counters.Evictions,
@@ -365,14 +346,12 @@ func decodeState(payload []byte, version uint32) (*engine.State, error) {
 		*p = d.varint()
 	}
 
-	if version >= 3 {
-		st.Plans = decodePlans(d, dim)
-		for _, p := range []*int64{
-			&st.Counters.PlanProbes, &st.Counters.PlanHits, &st.Counters.PlanBuilds,
-			&st.Counters.PlanRepairs, &st.Counters.PlanRebuilds,
-		} {
-			*p = d.varint()
-		}
+	st.Plans = decodePlans(d, dim)
+	for _, p := range []*int64{
+		&st.Counters.PlanProbes, &st.Counters.PlanHits, &st.Counters.PlanBuilds,
+		&st.Counters.PlanRepairs, &st.Counters.PlanRebuilds,
+	} {
+		*p = d.varint()
 	}
 
 	if err := d.done(); err != nil {
@@ -381,10 +360,8 @@ func decodeState(payload []byte, version uint32) (*engine.State, error) {
 	return st, nil
 }
 
-// decodeLog parses one mutation-log section. v1 records carried no
-// magnitudes; Count stays 0 ("unknown"), which gates repairs but
-// disables coverage delta-updates for the affected spans.
-func decodeLog(d *decoder, dim int, version uint32) engine.MutationLog {
+// decodeLog parses one mutation-log section.
+func decodeLog(d *decoder, dim int) engine.MutationLog {
 	var l engine.MutationLog
 	l.Horizon = d.uvarint()
 	n := d.length(dim + 1)
@@ -393,16 +370,14 @@ func decodeLog(d *decoder, dim int, version uint32) engine.MutationLog {
 		for i := 0; i < n && d.err == nil; i++ {
 			l.Recs[i].Gen = d.uvarint()
 			l.Recs[i].Key = d.rawString(dim)
-			if version >= 2 {
-				l.Recs[i].Count = d.varint()
-			}
+			l.Recs[i].Count = d.varint()
 		}
 	}
 	return l
 }
 
 // decodeSearches parses the cached-search section.
-func decodeSearches(d *decoder, dim int, version uint32) []engine.CachedSearch {
+func decodeSearches(d *decoder, dim int) []engine.CachedSearch {
 	nCache := d.length(1)
 	cache := make([]engine.CachedSearch, 0, nCache)
 	for i := 0; i < nCache && d.err == nil; i++ {
@@ -424,17 +399,15 @@ func decodeSearches(d *decoder, dim int, version uint32) []engine.CachedSearch {
 			copy(p, d.raw(dim))
 			c.MUPs[j] = pattern.Pattern(p)
 		}
-		if version >= 2 {
-			switch hasCov := d.uvarint(); hasCov {
-			case 0:
-			case 1:
-				c.Cov = make([]int64, nm)
-				for j := 0; j < nm && d.err == nil; j++ {
-					c.Cov[j] = d.varint()
-				}
-			default:
-				d.fail("cache entry %d: bad coverage-cache marker %d", i, hasCov)
+		switch hasCov := d.uvarint(); hasCov {
+		case 0:
+		case 1:
+			c.Cov = make([]int64, nm)
+			for j := 0; j < nm && d.err == nil; j++ {
+				c.Cov[j] = d.varint()
 			}
+		default:
+			d.fail("cache entry %d: bad coverage-cache marker %d", i, hasCov)
 		}
 		c.Stats = mup.Stats{
 			Algorithm:      d.str(),
@@ -621,10 +594,10 @@ func decodeDelta(payload []byte) (*engine.StateDelta, int, error) {
 	}
 	dl.Tombstones = d.varint()
 
-	dl.Removed = decodeLog(d, dim, snapshotVersion)
-	dl.Added = decodeLog(d, dim, snapshotVersion)
+	dl.Removed = decodeLog(d, dim)
+	dl.Added = decodeLog(d, dim)
 
-	dl.Cache = decodeSearches(d, dim, snapshotVersion)
+	dl.Cache = decodeSearches(d, dim)
 	nKept := d.length(1)
 	dl.CacheKept = make([]engine.CachedSearchRef, 0, nKept)
 	for i := 0; i < nKept && d.err == nil; i++ {

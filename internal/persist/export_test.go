@@ -7,18 +7,8 @@ import (
 )
 
 // Bridges for the external persist_test package (which can import the
-// registry without a cycle): legacy-format fixture snapshots, the
-// on-disk snapshot name, and the shared engine fixtures/assertions.
-
-// EncodeSnapshotV1ForTest frames a version-1 fixture snapshot.
-func EncodeSnapshotV1ForTest(st *engine.State) []byte {
-	return frameV1(encodeStateV1(st))
-}
-
-// EncodeSnapshotV2ForTest frames a version-2 fixture snapshot.
-func EncodeSnapshotV2ForTest(st *engine.State) []byte {
-	return frameVersion(snapshotVersionV2, encodeStateV2(st))
-}
+// registry without a cycle): the on-disk snapshot name and the shared
+// engine fixtures/assertions.
 
 // SnapshotNameForTest is the on-disk name of generation gen's snapshot.
 func SnapshotNameForTest(gen uint64) string { return snapshotName(gen) }

@@ -3,11 +3,8 @@ package persist
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"coverage/internal/engine"
@@ -15,109 +12,6 @@ import (
 	"coverage/internal/mup"
 	"coverage/internal/pattern"
 )
-
-// encodeStateV2 replicates the version-2 payload layout byte for byte:
-// everything the current format carries except the remediation
-// plan-cache sections and plan counters. It exists only here, as the
-// fixture generator proving the current reader keeps accepting v2
-// snapshots.
-func encodeStateV2(st *engine.State) []byte {
-	e := &encoder{}
-	dim := len(st.Attrs)
-	e.uvarint(uint64(dim))
-	for _, a := range st.Attrs {
-		e.str(a.Name)
-		e.uvarint(uint64(len(a.Values)))
-		for _, v := range a.Values {
-			e.str(v)
-		}
-	}
-	shardKeys := st.ShardCountKeys
-	if shardKeys == nil {
-		keys := make([]string, 0, len(st.Counts))
-		for k := range st.Counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		shardKeys = [][]string{keys}
-	}
-	e.uvarint(uint64(len(shardKeys)))
-	for _, keys := range shardKeys {
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.rawString(k)
-			e.varint(st.Counts[k])
-		}
-	}
-	e.varint(st.Rows)
-	e.uvarint(st.Generation)
-	e.uvarint(uint64(st.Window))
-	e.varint(st.Tombstones)
-	e.uvarint(uint64(len(st.WindowLog)))
-	for _, k := range st.WindowLog {
-		e.rawString(k)
-	}
-	pdKeys := make([]string, 0, len(st.PendingDeletes))
-	for k := range st.PendingDeletes {
-		pdKeys = append(pdKeys, k)
-	}
-	sort.Strings(pdKeys)
-	e.uvarint(uint64(len(pdKeys)))
-	for _, k := range pdKeys {
-		e.rawString(k)
-		e.varint(st.PendingDeletes[k])
-	}
-	for _, l := range []engine.MutationLog{st.Removed, st.Added} {
-		e.uvarint(l.Horizon)
-		e.uvarint(uint64(len(l.Recs)))
-		for _, r := range l.Recs {
-			e.uvarint(r.Gen)
-			e.rawString(r.Key)
-			e.varint(r.Count)
-		}
-	}
-	e.uvarint(uint64(len(st.Cache)))
-	for _, c := range st.Cache {
-		e.varint(c.Tau)
-		e.uvarint(uint64(c.MaxLevel))
-		e.uvarint(c.Gen)
-		e.uvarint(uint64(len(c.MUPs)))
-		for _, p := range c.MUPs {
-			e.raw(p)
-		}
-		if c.Cov == nil {
-			e.uvarint(0)
-		} else {
-			e.uvarint(1)
-			for _, v := range c.Cov {
-				e.varint(v)
-			}
-		}
-		e.str(c.Stats.Algorithm)
-		e.varint(c.Stats.CoverageProbes)
-		e.varint(c.Stats.NodesVisited)
-	}
-	for _, c := range []int64{
-		st.Counters.Appends, st.Counters.Deletes, st.Counters.Evictions,
-		st.Counters.Compactions, st.Counters.FullSearches, st.Counters.Repairs,
-		st.Counters.BidirectionalRepairs, st.Counters.CacheHits,
-	} {
-		e.varint(c)
-	}
-	return e.buf
-}
-
-// frameVersion wraps a payload in snapshot framing with an arbitrary
-// version number.
-func frameVersion(version uint32, payload []byte) []byte {
-	header := make([]byte, snapshotHeaderSize)
-	copy(header, snapshotMagic[:])
-	binary.LittleEndian.PutUint32(header[8:], version)
-	binary.LittleEndian.PutUint64(header[12:], uint64(len(payload)))
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(payload, castagnoli))
-	return append(append(header, payload...), trailer[:]...)
-}
 
 // planfulEngine builds a mutated engine whose plan cache is populated
 // (two configurations, one of them weighted).
@@ -133,36 +27,6 @@ func planfulEngine(t testing.TB, seed int64, ops int) *engine.Engine {
 		t.Fatal(err)
 	}
 	return eng
-}
-
-// TestReadV2Snapshot proves backward compatibility: a version-2
-// (pre-plan-cache) snapshot restores into a query-equivalent engine
-// with an empty plan cache, and the restored engine serves and caches
-// plans afterwards.
-func TestReadV2Snapshot(t *testing.T) {
-	src := mutatedEngine(t, 17, 100)
-	data := frameVersion(snapshotVersionV2, encodeStateV2(src.ExportState()))
-
-	st, err := ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("reading v2 snapshot: %v", err)
-	}
-	if len(st.Plans) != 0 {
-		t.Errorf("v2 decode produced %d cached plans", len(st.Plans))
-	}
-	for _, shards := range []int{1, 4} {
-		restored, err := engine.NewFromState(st, engine.Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("restoring v2 state at %d shards: %v", shards, err)
-		}
-		assertEquivalent(t, src, restored)
-		if _, err := restored.Plan(context.Background(), mup.Options{Threshold: 2}, engine.PlanSpec{MaxLevel: 2}); err != nil {
-			t.Fatalf("planning on a v2-restored engine: %v", err)
-		}
-		if got := restored.Stats().CachedPlans; got != 1 {
-			t.Errorf("restored engine cached %d plans, want 1", got)
-		}
-	}
 }
 
 // TestSnapshotCarriesPlanCache pins the v3 sections: cached plans
@@ -232,12 +96,19 @@ func TestSnapshotCarriesPlanCache(t *testing.T) {
 
 // encodeStateV3WithBasis replicates the v3 payload as it was written
 // while cached plans carried the MUP set their targets were expanded
-// from: the v2 payload, then the plan section with basis(p) in each
-// entry's basis slot, then the plan counters. It exists only here, as
-// the fixture generator proving the current reader still accepts such
-// snapshots.
+// from: everything before the plan section as encodeState writes it,
+// then the plan section with basis(p) in each entry's basis slot, then
+// the plan counters. It exists only here, as the fixture generator
+// proving the current reader still accepts such snapshots.
 func encodeStateV3WithBasis(st *engine.State, basis func(engine.CachedPlan) []pattern.Pattern) []byte {
-	e := &encoder{buf: encodeStateV2(st)}
+	// Without plans and plan counters, encodeState ends in an empty plan
+	// section and five zero counters: six zero bytes to cut.
+	bare := *st
+	bare.Plans = nil
+	bare.Counters.PlanProbes, bare.Counters.PlanHits, bare.Counters.PlanBuilds = 0, 0, 0
+	bare.Counters.PlanRepairs, bare.Counters.PlanRebuilds = 0, 0
+	head := encodeState(&bare)
+	e := &encoder{buf: head[:len(head)-6]}
 	e.uvarint(uint64(len(st.Plans)))
 	for _, p := range st.Plans {
 		e.varint(p.Tau)
@@ -302,7 +173,7 @@ func TestReadV3SnapshotWithPlanBasis(t *testing.T) {
 	if withBasis != len(st.Plans) || withBasis == 0 {
 		t.Fatalf("%d of %d plans have a non-empty basis, want all", withBasis, len(st.Plans))
 	}
-	fixture := frameVersion(snapshotVersion, encodeStateV3WithBasis(st, basis))
+	fixture := reframe(encodeStateV3WithBasis(st, basis))
 	var current bytes.Buffer
 	if _, err := WriteSnapshot(&current, st); err != nil {
 		t.Fatal(err)

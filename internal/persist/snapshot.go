@@ -20,19 +20,14 @@ import (
 //	crc      uint32le  CRC32-C of payload
 var snapshotMagic = [8]byte{'C', 'O', 'V', 'S', 'N', 'A', 'P', 0}
 
-// snapshotVersion is the current snapshot format version: v3 appends
-// the remediation plan-cache sections (and plan counters) to the v2
-// layout, which stores the count map as one section per shard core,
-// magnitudes on the mutation-log records and the per-MUP
-// coverage-value caches. Readers also accept snapshotVersionV2 and
-// snapshotVersionV1 (the single-shard format) for backward
-// compatibility — older snapshots simply restore with an empty plan
-// cache — re-sharding on restore as needed; anything else is rejected
-// with ErrVersion rather than guessed at.
+// snapshotVersion is the one full-snapshot format version: the count
+// map as one section per shard core, net magnitudes on the
+// mutation-log records, the per-MUP coverage-value caches and the
+// remediation plan-cache sections with their counters. Any other
+// version — including the v1 and v2 layouts of the earliest writers —
+// is rejected with ErrVersion rather than guessed at.
 const (
-	snapshotVersion   uint32 = 3
-	snapshotVersionV2 uint32 = 2
-	snapshotVersionV1 uint32 = 1
+	snapshotVersion uint32 = 3
 	// snapshotVersionDelta marks a delta file: the same framing, but
 	// the payload is a StateDelta (codec.go) expressed against an
 	// earlier snapshot, not a full state. Full-snapshot readers keep
@@ -90,10 +85,8 @@ func ReadSnapshotBytes(data []byte) (*engine.State, error) {
 	if [8]byte(data[:8]) != snapshotMagic {
 		return nil, ErrBadMagic
 	}
-	version := binary.LittleEndian.Uint32(data[8:])
-	if version < snapshotVersionV1 || version > snapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads versions %d through %d",
-			ErrVersion, version, snapshotVersionV1, snapshotVersion)
+	if version := binary.LittleEndian.Uint32(data[8:]); version != snapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads version %d", ErrVersion, version, snapshotVersion)
 	}
 	plen := binary.LittleEndian.Uint64(data[12:])
 	if plen != uint64(len(data)-snapshotHeaderSize-4) {
@@ -104,7 +97,7 @@ func ReadSnapshotBytes(data []byte) (*engine.State, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: snapshot payload CRC %08x, trailer says %08x", ErrChecksum, got, want)
 	}
-	return decodeState(payload, version)
+	return decodeState(payload)
 }
 
 // writeSnapshotFile durably writes the state to dir/snap-<gen>.snap:

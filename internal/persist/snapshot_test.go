@@ -78,11 +78,24 @@ func TestSnapshotBadMagic(t *testing.T) {
 	}
 }
 
+// withVersion returns a copy of a snapshot file image whose header
+// declares version. The CRC covers only the payload, so the copy is
+// otherwise well framed.
+func withVersion(data []byte, version uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[8:], version)
+	return out
+}
+
+// TestSnapshotUnknownVersion: v3 is the one full-snapshot format. The
+// v1 and v2 layouts of the earliest writers, a lone delta (v4) and any
+// future version are all refused with ErrVersion, never decoded.
 func TestSnapshotUnknownVersion(t *testing.T) {
 	data := snapshotBytes(t, 2, 40)
-	binary.LittleEndian.PutUint32(data[8:], snapshotVersion+7)
-	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
+	for _, v := range []uint32{0, 1, 2, snapshotVersionDelta, snapshotVersion + 7} {
+		if _, err := ReadSnapshot(bytes.NewReader(withVersion(data, v))); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -190,6 +203,69 @@ func TestSnapshotRejectsTamperedPayload(t *testing.T) {
 	}
 }
 
+// TestSnapshotReshardRoundTrip pins the fallback paths of the current
+// format: a single-shard snapshot restored into a sharded engine and a
+// sharded snapshot restored into a single-shard engine both answer
+// every query identically, and a same-topology re-snapshot of the
+// restored engine is a byte-level fixed point.
+func TestSnapshotReshardRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		srcShards      int
+		restoreShards  int
+		wantShardLists int
+	}{
+		{"single-to-sharded", 1, 4, 1},
+		{"sharded-to-single", 4, 1, 4},
+		{"sharded-to-sharded", 3, 5, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := engine.NewSharded(testSchema(), tc.srcShards, engine.Options{})
+			driveEngine(t, src, 13, 90)
+			var buf bytes.Buffer
+			if _, err := WriteSnapshot(&buf, src.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			st, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.ShardCountKeys) != tc.wantShardLists {
+				t.Fatalf("decoded %d shard key lists, want %d", len(st.ShardCountKeys), tc.wantShardLists)
+			}
+			restored, err := engine.NewFromState(st, engine.Options{Shards: tc.restoreShards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := restored.Shards(); got != tc.restoreShards {
+				t.Fatalf("restored Shards() = %d, want %d", got, tc.restoreShards)
+			}
+			assertEquivalent(t, src, restored)
+
+			// Same-topology round trip from the restored engine is a
+			// byte-level fixed point.
+			var buf2, buf3 bytes.Buffer
+			if _, err := WriteSnapshot(&buf2, restored.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := ReadSnapshot(bytes.NewReader(buf2.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := engine.NewFromState(st2, engine.Options{Shards: tc.restoreShards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := WriteSnapshot(&buf3, again.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
+				t.Error("same-topology snapshot→restore→snapshot is not a fixed point")
+			}
+		})
+	}
+}
+
 // FuzzSnapshotRoundTrip drives a randomized mutation history, then
 // checks that snapshot→restore is lossless (query equivalence) and
 // snapshot→restore→snapshot is a byte-for-byte fixed point.
@@ -227,6 +303,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // engine then restores from garbage.
 func FuzzReadSnapshot(f *testing.F) {
 	f.Add(snapshotBytes(f, 6, 30))
+	f.Add(withVersion(snapshotBytes(f, 6, 30), 1))
+	f.Add(withVersion(snapshotBytes(f, 6, 30), 2))
 	f.Add([]byte("COVSNAP\x00 garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -289,8 +289,8 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 		// namespace it can neither be retried on the next boot nor
 		// counted by the retention policy as one of the two kept
 		// snapshots (which would evict the readable fallback). A
-		// snapshot from a newer format version is healthy, not
-		// damaged — it is left for the binary that can read it.
+		// snapshot in another format version is intact, not damaged —
+		// it is left in place.
 		if !errors.Is(err, ErrVersion) {
 			os.Rename(snaps[i], snaps[i]+".corrupt")
 		}

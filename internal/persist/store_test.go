@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"coverage/internal/datagen"
@@ -330,6 +331,56 @@ func TestStoreCorruptSnapshotFallsBack(t *testing.T) {
 		if _, err := readSnapshotFile(p); err != nil {
 			t.Errorf("retained snapshot %s is unreadable: %v", p, err)
 		}
+	}
+}
+
+// TestStoreOldVersionSnapshotFallsBack: a newest snapshot in the v2
+// layout is refused with ErrVersion, so recovery falls back to the
+// older v3 file and replays the WAL from there. The refused file is
+// intact, not damaged: it stays where it is, not renamed to .corrupt,
+// and the skipped entry names its version.
+func TestStoreOldVersionSnapshotFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := attachFresh(t, dir)
+	rng := rand.New(rand.NewSource(37))
+	driveStore(t, s, eng, rng, 30)
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	driveStore(t, s, eng, rng, 20)
+
+	snaps, _, err := s.genFiles("snap-", ".snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 2 {
+		t.Fatalf("%d snapshots on disk, want a newest and an older one", len(snaps))
+	}
+	newest := snaps[len(snaps)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, withVersion(data, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, info, err := openStore(t, dir).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.SkippedSnapshots) != 1 || !strings.Contains(info.SkippedSnapshots[0], "version 2") {
+		t.Errorf("skipped snapshots = %v, want exactly the v2 file, naming its version", info.SkippedSnapshots)
+	}
+	if info.SnapshotPath != snaps[len(snaps)-2] {
+		t.Errorf("recovered from %s, want the older v3 file %s", info.SnapshotPath, snaps[len(snaps)-2])
+	}
+	assertEquivalent(t, eng, recovered)
+	if _, err := os.Stat(newest); err != nil {
+		t.Errorf("v2 snapshot not left in place: %v", err)
+	}
+	if _, err := os.Stat(newest + ".corrupt"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("v2 snapshot quarantined as corrupt: %v", err)
 	}
 }
 
