@@ -465,14 +465,14 @@ func verifyAgainstShadow(t *testing.T, c *harnessClient, shadow *coverage.Analyz
 }
 
 // startCovserveFollower launches the binary as a read replica of the
-// leader at leaderBase, polling fast so schedules converge quickly.
+// leader at leaderBase. The tail loop long-polls, so a commit reaches
+// it within one round trip.
 func startCovserveFollower(t *testing.T, bin, dataDir, leaderBase string) *covserveProc {
 	t.Helper()
 	return awaitListening(t, exec.Command(bin,
 		"-follow", leaderBase,
 		"-data-dir", dataDir,
 		"-addr", "127.0.0.1:0",
-		"-follow-poll", "25ms",
 		"-wal-sync=false",
 		"-snapshot-interval", "0",
 	), "covserve follower")

@@ -26,24 +26,20 @@ import (
 const maxLagHeader = "X-Max-Lag"
 
 // follower tails a leader covserve: it bootstraps its own data
-// directory from the leader's snapshot chain, then polls GET /wal and
-// replays the records through its own persist.Store — so every applied
-// mutation is durable locally and the follower survives restarts (and
-// promotion to leader) like any covserve.
+// directory from the leader's snapshot chain, then long-polls GET /wal
+// and replays the records through its own persist.Store — so every
+// applied mutation is durable locally and the follower survives
+// restarts (and promotion to leader) like any covserve.
 //
 // Reads are served from the local engine at a bounded, observable
 // staleness; mutations are refused with 403 and a Location pointing at
 // the leader.
 type follower struct {
-	leader    *url.URL
-	client    *http.Client
-	pollEvery time.Duration
-	// waitFor, when positive, turns each tail request into a long poll:
-	// the leader parks it until a commit moves the WAL past our
-	// generation (or waitFor elapses), cutting replication lag from
-	// O(poll interval) to O(RTT). Against a leader that ignores the
-	// wait parameter the follower detects the missing capability header
-	// and falls back to the plain pollEvery cadence.
+	leader *url.URL
+	client *http.Client
+	// waitFor makes each tail request a long poll: the leader parks it
+	// until a commit moves the WAL past our generation (or waitFor
+	// elapses), so replication lag is one RTT.
 	waitFor   time.Duration
 	replicaID string
 	dataDir   string
@@ -60,18 +56,16 @@ type follower struct {
 	leaderGen atomic.Uint64
 	applied   atomic.Int64
 	polls     atomic.Int64
-	streamed  atomic.Int64
 	resyncs   atomic.Int64
-	longPoll  atomic.Bool  // the leader honored our last wait request
 	lastErr   atomic.Value // string
 }
 
 // newFollower boots a follower for the given leader URL: recover the
 // local data directory if it holds state, otherwise bootstrap from the
-// leader's snapshot chain. waitFor > 0 requests long-poll streaming
-// (see the field comment); replicaID, when non-empty, identifies this
-// replica to the leader's /topology.
-func newFollower(dataDir, leaderURL string, pollEvery, waitFor time.Duration, replicaID string, opts persist.Options) (*follower, error) {
+// leader's snapshot chain. waitFor (> 0) is the long-poll wait of each
+// tail request; replicaID, when non-empty, identifies this replica to
+// the leader's /topology.
+func newFollower(dataDir, leaderURL string, waitFor time.Duration, replicaID string, opts persist.Options) (*follower, error) {
 	u, err := url.Parse(leaderURL)
 	if err != nil {
 		return nil, fmt.Errorf("bad leader URL %q: %w", leaderURL, err)
@@ -88,7 +82,6 @@ func newFollower(dataDir, leaderURL string, pollEvery, waitFor time.Duration, re
 	f := &follower{
 		leader:    u,
 		client:    &http.Client{Timeout: timeout},
-		pollEvery: pollEvery,
 		waitFor:   waitFor,
 		replicaID: replicaID,
 		dataDir:   dataDir,
@@ -228,11 +221,7 @@ func (f *follower) tailOnce() (int, error) {
 	u := f.leader.JoinPath("/wal")
 	q := u.Query()
 	q.Set("from", strconv.FormatUint(gen, 10))
-	if f.waitFor > 0 {
-		// An old leader ignores the unknown parameter and answers
-		// immediately, without the capability header — detected below.
-		q.Set("wait", f.waitFor.String())
-	}
+	q.Set("wait", f.waitFor.String())
 	u.RawQuery = q.Encode()
 	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
 	if err != nil {
@@ -240,13 +229,8 @@ func (f *follower) tailOnce() (int, error) {
 	}
 	if f.replicaID != "" {
 		req.Header.Set(replicaIDHeader, f.replicaID)
-		// The contact cadence the leader should expect: the long-poll
-		// wait when streaming, otherwise the poll interval.
-		interval := f.pollEvery
-		if f.waitFor > 0 && f.longPoll.Load() {
-			interval = f.waitFor
-		}
-		req.Header.Set(replicaIntervalHeader, interval.String())
+		// The contact cadence the leader should expect.
+		req.Header.Set(replicaIntervalHeader, f.waitFor.String())
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -266,13 +250,6 @@ func (f *follower) tailOnce() (int, error) {
 	}
 	if lg, err := strconv.ParseUint(resp.Header.Get(generationHeader), 10, 64); err == nil {
 		f.leaderGen.Store(lg)
-	}
-	if f.waitFor > 0 {
-		honored := resp.Header.Get(walWaitHeader) != ""
-		f.longPoll.Store(honored)
-		if honored {
-			f.streamed.Add(1)
-		}
 	}
 
 	// complete=false means the stream ended mid-record (the leader was
@@ -332,13 +309,15 @@ func (f *follower) resync() (int, error) {
 	return 0, nil
 }
 
-// run tails the leader until stop closes. In streaming mode (waitFor
-// set and the leader honoring it) each request long-polls on the
-// leader, so the loop re-issues immediately — lag is one RTT, and an
-// idle leader holds the request instead of being hammered. Against an
-// old leader, or after any error, the loop falls back to the plain
-// pollEvery cadence; errors are recorded in /stats and retried — a
-// follower outliving a leader restart simply resumes.
+// retryAfter is how long the tail loop pauses after a failed request.
+const retryAfter = 200 * time.Millisecond
+
+// run tails the leader until stop closes. Each request long-polls on
+// the leader, so after a success the loop re-issues at once — lag is
+// one RTT, and an idle leader holds the request instead of being
+// hammered. After an error it pauses retryAfter; errors are recorded in
+// /stats and retried — a follower outliving a leader restart simply
+// resumes.
 func (f *follower) run(stop <-chan struct{}) {
 	for {
 		select {
@@ -346,14 +325,13 @@ func (f *follower) run(stop <-chan struct{}) {
 			return
 		default:
 		}
-		_, err := f.pollOnce()
-		if err == nil && f.waitFor > 0 && f.longPoll.Load() {
+		if _, err := f.pollOnce(); err == nil {
 			continue
 		}
 		select {
 		case <-stop:
 			return
-		case <-time.After(f.pollEvery):
+		case <-time.After(retryAfter):
 		}
 	}
 }
@@ -395,8 +373,6 @@ func (f *follower) replicaStats() *replicaJSON {
 		GenerationLag:    lag,
 		AppliedRecords:   f.applied.Load(),
 		Polls:            f.polls.Load(),
-		StreamedPolls:    f.streamed.Load(),
-		LongPolling:      f.longPoll.Load(),
 		Resyncs:          f.resyncs.Load(),
 		LastError:        lastErr,
 	}

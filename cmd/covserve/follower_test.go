@@ -47,12 +47,14 @@ func startLeaderOver(t *testing.T, dir string, an *coverage.Analyzer, opts persi
 	return s, ts
 }
 
+// testWait is the long-poll wait of in-process followers: tests drive
+// pollOnce explicitly, so an idle poll must return quickly.
+const testWait = 10 * time.Millisecond
+
 // startFollower bootstraps a follower of ts into its own directory.
-// The poll interval is huge and the long-poll wait is zero: tests
-// drive pollOnce explicitly and idle polls must return immediately.
 func startFollower(t *testing.T, ts *httptest.Server) *follower {
 	t.Helper()
-	f, err := newFollower(t.TempDir(), ts.URL, time.Hour, 0, "", persist.Options{})
+	f, err := newFollower(t.TempDir(), ts.URL, testWait, "", persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestFollowerRestartRecoversLocally(t *testing.T) {
 	gen := f.engineGen()
 	f.store.Close()
 
-	f2, err := newFollower(f.dataDir, ts.URL, time.Hour, 0, "", persist.Options{})
+	f2, err := newFollower(f.dataDir, ts.URL, testWait, "", persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

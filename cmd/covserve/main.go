@@ -114,10 +114,8 @@ func main() {
 
 		follow = flag.String("follow", "",
 			"run as a read replica of the leader covserve at this URL (requires -data-dir; mutations are refused with a leader redirect)")
-		followPoll = flag.Duration("follow-poll", 200*time.Millisecond,
-			"WAL tail poll interval when following a leader (the fallback cadence when -follow-wait streaming is off or unsupported)")
 		followWait = flag.Duration("follow-wait", 25*time.Second,
-			"long-poll wait per WAL tail request: the leader parks the request until a commit lands, cutting replication lag to one RTT (0 = plain polling)")
+			"long-poll wait per WAL tail request when following a leader: the leader parks the request until a commit lands, so replication lag is one RTT (must be > 0)")
 		replicaID = flag.String("replica-id", "",
 			"stable replica name sent on feed requests for the leader's /topology (default <hostname>-<pid>)")
 
@@ -145,8 +143,8 @@ func main() {
 		if *dataDir == "" {
 			fatal(errors.New("-follow requires -data-dir (the replica persists what it tails)"))
 		}
-		if *followWait < 0 {
-			fatal(errors.New("-follow-wait must be >= 0"))
+		if *followWait <= 0 {
+			fatal(errors.New("-follow-wait must be > 0"))
 		}
 		id := *replicaID
 		if id == "" {
@@ -156,7 +154,7 @@ func main() {
 			}
 			id = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		runFollower(*addr, *dataDir, *follow, *followPoll, *followWait, id, *snapInterval,
+		runFollower(*addr, *dataDir, *follow, *followWait, id, *snapInterval,
 			persist.Options{SyncWAL: *walSync, Engine: engOpts})
 		return
 	}
@@ -225,20 +223,15 @@ func main() {
 }
 
 // runFollower boots and serves a read replica: bootstrap or recover
-// the local data directory, tail the leader's WAL (streaming via
-// long-poll when waitFor > 0, else on the poll interval), checkpoint
-// locally on the snapshot interval, and serve reads (writes are
-// refused with a leader redirect).
-func runFollower(addr, dataDir, leaderURL string, pollEvery, waitFor time.Duration, replicaID string, snapEvery time.Duration, opts persist.Options) {
-	f, err := newFollower(dataDir, leaderURL, pollEvery, waitFor, replicaID, opts)
+// the local data directory, tail the leader's WAL with long-polls of
+// waitFor, checkpoint locally on the snapshot interval, and serve reads
+// (writes are refused with a leader redirect).
+func runFollower(addr, dataDir, leaderURL string, waitFor time.Duration, replicaID string, snapEvery time.Duration, opts persist.Options) {
+	f, err := newFollower(dataDir, leaderURL, waitFor, replicaID, opts)
 	if err != nil {
 		fatal(err)
 	}
-	mode := fmt.Sprintf("poll every %s", pollEvery)
-	if waitFor > 0 {
-		mode = fmt.Sprintf("stream with %s long-polls, fallback poll every %s", waitFor, pollEvery)
-	}
-	log.Printf("covserve: following %s at generation %d as %q (%s)", leaderURL, f.engineGen(), replicaID, mode)
+	log.Printf("covserve: following %s at generation %d as %q (%s long-polls)", leaderURL, f.engineGen(), replicaID, waitFor)
 	stop := make(chan struct{})
 	go f.run(stop)
 	if snapEvery > 0 {

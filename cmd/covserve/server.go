@@ -314,13 +314,8 @@ type replicaJSON struct {
 	GenerationLag    uint64 `json:"generation_lag"`
 	AppliedRecords   int64  `json:"applied_records"`
 	Polls            int64  `json:"polls"`
-	// StreamedPolls counts feed requests the leader long-polled
-	// (honored our wait parameter); LongPolling reports whether the
-	// last contact was one.
-	StreamedPolls int64  `json:"streamed_polls"`
-	LongPolling   bool   `json:"long_polling"`
-	Resyncs       int64  `json:"resyncs"`
-	LastError     string `json:"last_error,omitempty"`
+	Resyncs          int64  `json:"resyncs"`
+	LastError        string `json:"last_error,omitempty"`
 }
 
 // planCacheJSON is the remediation-plan cache section of /stats:
@@ -976,16 +971,9 @@ const walFeedMaxBytes = 4 << 20
 // read responses).
 const generationHeader = "X-Coverage-Generation"
 
-// walWaitHeader is set on /wal responses from servers that honor the
-// `wait` query parameter. An old leader ignores unknown parameters and
-// answers immediately without the header; the follower reads its
-// absence as "long-polling unsupported" and falls back to its plain
-// poll cadence.
-const walWaitHeader = "X-Coverage-Wait"
-
 // replicaIDHeader and replicaIntervalHeader identify a follower on its
 // feed requests: a stable replica name, and how often the leader
-// should expect to hear from it (its wait or poll interval) — the TTL
+// should expect to hear from it (its long-poll wait) — the TTL
 // base for /topology expiry.
 const (
 	replicaIDHeader       = "X-Replica-ID"
@@ -1019,7 +1007,6 @@ func (s *server) handleWALFeed(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		wait = min(parsed, maxWALWait)
-		w.Header().Set(walWaitHeader, wait.String())
 	}
 	s.observeReplica(r, from)
 

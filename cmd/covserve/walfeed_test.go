@@ -56,9 +56,6 @@ func TestWALFeedWaitTimeout(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("long-poll blocked %v past its wait", elapsed)
 	}
-	if hdr.Get(walWaitHeader) == "" {
-		t.Fatalf("missing %s capability header", walWaitHeader)
-	}
 	if hdr.Get(generationHeader) != strconv.FormatUint(gen, 10) {
 		t.Fatalf("generation header %q, want %d", hdr.Get(generationHeader), gen)
 	}
@@ -179,8 +176,8 @@ func TestWALFeedWaitClientDisconnect(t *testing.T) {
 }
 
 // TestWALFeedBadWait pins the parameter validation: garbage or
-// negative waits are 400, and a plain poll (no wait) never sets the
-// capability header.
+// negative waits are 400, and a request without a wait is answered at
+// once instead of parking.
 func TestWALFeedBadWait(t *testing.T) {
 	_, ts := startLeader(t, t.TempDir(), persist.Options{})
 	for _, q := range []string{"wait=teapot", "wait=-5s"} {
@@ -188,8 +185,12 @@ func TestWALFeedBadWait(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", q, status)
 		}
 	}
-	if _, _, hdr := feedGet(t, ts.URL+"/wal?from=0", nil); hdr.Get(walWaitHeader) != "" {
-		t.Errorf("plain poll carries %s = %q", walWaitHeader, hdr.Get(walWaitHeader))
+	start := time.Now()
+	if status, _, _ := feedGet(t, ts.URL+"/wal?from=0", nil); status != http.StatusOK {
+		t.Errorf("no wait: status %d, want 200", status)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("request without a wait parked for %v", elapsed)
 	}
 }
 
@@ -206,11 +207,12 @@ func waitForFeedWaiters(t *testing.T, store *persist.Store, n int64) {
 	t.Fatalf("feed waiters never reached %d (now %d)", n, store.Stats().FeedWaiters)
 }
 
-// TestFollowerStreams: a follower with a long-poll wait detects the
-// leader's capability, streams records, and reports it under /stats.
+// TestFollowerStreams: the tail loop long-polls — it catches up with a
+// commit at once, parks on an idle leader instead of re-polling, and
+// registers in the leader's topology.
 func TestFollowerStreams(t *testing.T) {
 	leaderSrv, ts := startLeader(t, t.TempDir(), persist.Options{})
-	f, err := newFollower(t.TempDir(), ts.URL, time.Hour, 150*time.Millisecond, "stream-test", persist.Options{})
+	f, err := newFollower(t.TempDir(), ts.URL, 150*time.Millisecond, "stream-test", persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +231,12 @@ func TestFollowerStreams(t *testing.T) {
 	if f.engineGen() != leaderGen {
 		t.Fatalf("follower at generation %d, leader at %d", f.engineGen(), leaderGen)
 	}
-	if !f.longPoll.Load() {
-		t.Fatal("follower did not detect the leader's long-poll capability")
-	}
-	if f.streamed.Load() == 0 {
-		t.Fatal("no streamed polls counted")
+	// Idle for 450 ms: each request parks for the 150 ms wait, so only
+	// a handful are issued.
+	polls := f.polls.Load()
+	time.Sleep(450 * time.Millisecond)
+	if n := f.polls.Load() - polls; n > 6 {
+		t.Fatalf("%d polls against an idle leader in 450ms, want long-polls of 150ms", n)
 	}
 
 	// The leader's topology lists the replica.

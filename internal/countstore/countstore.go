@@ -5,8 +5,8 @@
 //   - Flat is the mutable table under every shard core, batch
 //     accumulator and tombstone set: open-addressed linear probing with
 //     inline key+count slots, tombstone-free deletion via backward
-//     shift, and an incremental rehash so growth never takes a multi-ms
-//     stall.
+//     shift, and growth by doubling in place: the insert that crosses
+//     3/4 load copies the whole table (see Flat.grow for its cost).
 //   - Probe is the immutable table inside the base coverage oracles:
 //     built once, then probed by the deepest level of every MUP search.
 //

@@ -105,70 +105,35 @@ func TestFlatBackwardShiftWrappedCluster(t *testing.T) {
 }
 
 func TestFlatIncrementalRehash(t *testing.T) {
-	// Insert enough keys to trigger growth, then verify: (1) a rehash
-	// actually started, (2) while draining, every key — migrated or
-	// not — resolves through Get, (3) the drain completes within a
-	// bounded number of mutating ops (budget ≥ 2 slots/op guarantees
-	// termination before the next growth), (4) nothing is lost.
+	// Growth doubles the table in place: across several chained
+	// doublings, with deletes between them, every key keeps its count
+	// and Len and Range agree with the oracle right after each one.
 	f := NewFlat(0)
-	want := map[pattern.PackedKey]int64{}
-	n := 0
-	for f.Grows() == 0 {
-		k := key(uint64(n), 1)
-		f.Add(k, int64(n)+1)
-		want[k] = int64(n) + 1
-		n++
-		if n > 1<<20 {
-			t.Fatal("no growth after 1M inserts")
+	want := refMap{}
+	n := uint64(0)
+	for g := int64(1); g <= 6; g++ {
+		before := f.Cap()
+		for f.Grows() < g {
+			k := key(n, 1)
+			f.Add(k, int64(n)+1)
+			want[k] = int64(n) + 1
+			n++
 		}
-	}
-	if !f.Draining() {
-		t.Skip("growth completed synchronously; incremental path not exercised")
-	}
-	// Mid-drain: all keys must resolve.
-	for k, v := range want {
-		if got := f.Get(k); got != v {
-			t.Fatalf("mid-drain Get(%v)=%d want %d", k, got, v)
+		if f.Cap() != 2*before {
+			t.Fatalf("growth %d: Cap %d -> %d, want a doubling", g, before, f.Cap())
 		}
-	}
-	// Each further op drains ≥ migrateBudget-…; bound the number of
-	// ops needed to finish the drain by slots/1 (each op examines at
-	// least one slot).
-	oldCap := f.Cap() / 2
-	probe := key(1<<40, 1) // absent key: Add(+1)/Add(-1) churn
-	for ops := 0; f.Draining(); ops++ {
-		f.Add(probe, 1)
-		f.Add(probe, -1)
-		if ops > oldCap {
-			t.Fatalf("rehash not drained after %d ops over old capacity %d", ops, oldCap)
+		checkReachable(t, f)
+		checkContents(t, f, want)
+		// Delete every third key: backward shifts in the grown table.
+		for i := uint64(0); i < n; i += 3 {
+			k := key(i, 1)
+			if c := want[k]; c != 0 {
+				f.Add(k, -c)
+				delete(want, k)
+			}
 		}
-	}
-	for k, v := range want {
-		if got := f.Get(k); got != v {
-			t.Fatalf("post-drain Get(%v)=%d want %d", k, got, v)
-		}
-	}
-	if f.Len() != len(want) {
-		t.Fatalf("Len=%d want %d", f.Len(), len(want))
-	}
-}
-
-func TestFlatRehashBudgetBoundsStall(t *testing.T) {
-	// The incremental guarantee: no single Add migrates more than
-	// migrateBudget old slots. Verify structurally — right after a
-	// growth of a table with N live keys, the old table still holds
-	// almost all of them (a stop-the-world copy would hold zero).
-	f := NewFlat(0)
-	i := uint64(0)
-	for f.Grows() < 4 {
-		f.Add(key(i, 2), 1)
-		i++
-	}
-	if !f.Draining() {
-		t.Fatal("expected drain in progress right after growth")
-	}
-	if f.oldLive < migrateBudget {
-		t.Fatalf("old table nearly empty (%d live) immediately after growth: growth stalled to copy", f.oldLive)
+		checkReachable(t, f)
+		checkContents(t, f, want)
 	}
 }
 
@@ -186,33 +151,36 @@ func TestFlatReserveAvoidsMidBatchGrowth(t *testing.T) {
 }
 
 func TestFlatGrowMidDrainKeepsAllEntries(t *testing.T) {
-	// Regression: grow() used to drain a prior in-progress rehash with
-	// a budget of only len(old) slots — short by up to oldLive steps,
-	// since a full drain pays one step per scanned slot plus one per
-	// removal — then overwrite f.old, silently dropping whatever
-	// remained. A forced growth right after one starts (old table still
-	// nearly full) hits exactly that window.
+	// Growth triggered from Set and from Add on a table whose clusters
+	// have been reshaped by deletes keeps every entry: Set and Add
+	// alternate as the inserting op, earlier keys are deleted or
+	// overwritten in between, and the contents are checked after each
+	// doubling.
 	f := NewFlat(0)
-	want := map[pattern.PackedKey]int64{}
-	for i := uint64(0); !f.Draining(); i++ {
-		f.Add(key(i, 9), int64(i)+1)
-		want[key(i, 9)] = int64(i) + 1
-	}
-	f.grow(f.Len() + 1000)
-	if f.Len() != len(want) {
-		t.Fatalf("Len=%d after growth mid-drain, want %d", f.Len(), len(want))
-	}
-	for k, v := range want {
-		if got := f.Get(k); got != v {
-			t.Fatalf("Get(%v)=%d want %d: entry dropped by mid-drain growth", k, got, v)
+	want := refMap{}
+	rng := rand.New(rand.NewSource(9))
+	for i := uint64(0); f.Grows() < 8; i++ {
+		k := key(i, 9)
+		grows := f.Grows()
+		if i%2 == 0 {
+			f.Set(k, int64(i)+1)
+		} else {
+			f.Add(k, int64(i)+1)
 		}
-	}
-	// A second forced growth while the first one's rehash may still be
-	// draining must preserve everything too.
-	f.grow(f.Len() + 100_000)
-	for k, v := range want {
-		if got := f.Get(k); got != v {
-			t.Fatalf("after chained growth: Get(%v)=%d want %d", k, got, v)
+		want[k] = int64(i) + 1
+		if rng.Intn(4) == 0 {
+			old := key(uint64(rng.Int63n(int64(i)+1)), 9)
+			if rng.Intn(2) == 0 {
+				f.Set(old, 0)
+				delete(want, old)
+			} else if c := want[old]; c != 0 {
+				f.Set(old, -c)
+				want[old] = -c
+			}
+		}
+		if f.Grows() != grows {
+			checkReachable(t, f)
+			checkContents(t, f, want)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // immutable base oracles: built once (inserts only), then probed
 // millions of times by the deepest-level coverage fast path. It
 // trades Flat's mutation machinery (backward-shift deletes,
-// incremental rehash, negation) for a SWAR group layout in the style
+// negation) for a SWAR group layout in the style
 // of Swiss tables: slots are grouped 8-wide, each group summarized by
 // one uint64 of control bytes (0 = empty, else 0x80 | the hash's top
 // tag bits), so a probe tests a whole group against the key's tag
@@ -175,8 +175,8 @@ func (p *Probe) insert(k pattern.PackedKey, n int64) {
 
 // grow rehashes into a doubled table. Builders size the table exactly
 // up front (the distinct-combo count is known), so this is the
-// defensive path, not the expected one — a stop-the-world copy is
-// fine here where Flat needs incremental draining.
+// defensive path, not the expected one. It is the same stop-the-world
+// copy Flat.grow makes.
 func (p *Probe) grow() {
 	old := *p
 	groups := (int(p.gmask) + 1) * 2

@@ -56,19 +56,21 @@ func checkContents(t *testing.T, f *Flat, want refMap) {
 }
 
 // TestStoreEquivalenceSchedule drives Flat through a randomized
-// schedule of signed adds, absolute sets, deletes-to-zero, negations
-// and drain announcements, comparing Get/Add returns/Len after every
-// step and the full Range contents at the end against the map oracle.
+// schedule of signed adds, absolute sets, deletes-to-zero and
+// negations, comparing Get/Add returns/Len after every step and the
+// full Range contents at the end against the map oracle. The key set is
+// wide enough that each seed crosses several doublings with
+// backward-shift deletes between them.
 func TestStoreEquivalenceSchedule(t *testing.T) {
-	const keyBits = 10
+	const keyBits = 16
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		flat, ref := NewFlat(0), refMap{}
-		keys := make([]pattern.PackedKey, 64)
+		keys := make([]pattern.PackedKey, 2000)
 		for i := range keys {
 			keys[i] = pattern.PackedKey{uint64(rng.Intn(1 << keyBits)), 0}
 		}
-		for step := 0; step < 5000; step++ {
+		for step := 0; step < 20000; step++ {
 			k := keys[rng.Intn(len(keys))]
 			switch op := rng.Intn(20); {
 			case op < 10: // signed add
@@ -87,8 +89,6 @@ func TestStoreEquivalenceSchedule(t *testing.T) {
 			case op < 16:
 				flat.Negate()
 				ref.negate()
-			case op < 17:
-				flat.ExpectInserts(rng.Intn(200))
 			default: // read
 				if got, want := flat.Get(k), ref[k]; got != want {
 					t.Fatalf("seed %d step %d: Get(%v) = %d, oracle %d", seed, step, k, got, want)
@@ -99,5 +99,8 @@ func TestStoreEquivalenceSchedule(t *testing.T) {
 			}
 		}
 		checkContents(t, flat, ref)
+		if flat.Grows() < 4 {
+			t.Fatalf("seed %d: only %d doublings; the schedule should cross several", seed, flat.Grows())
+		}
 	}
 }

@@ -118,16 +118,7 @@ func (c *shardCore) applySigned(k pattern.PackedKey, n int64) {
 // threshold bounds the delta scan a read pays, so the read enforces it
 // (see pastThreshold), and a bulk load or a WAL replay builds each
 // base once, when it is first read, instead of once per batch.
-// The batch's measured distinct-combo count (itself the engine's
-// combos-per-row EWMA made concrete for this batch) is announced to
-// the count tables as an incremental-rehash drain budget rather than
-// reserved as whole slot arrays: most batch combos usually already
-// exist, so up-front sizing for all of them systematically
-// over-allocated, while the announced budget just guarantees any
-// in-progress rehash retires within the batch.
 func (c *shardCore) applyBatch(muts *countstore.Flat) {
-	c.counts.ExpectInserts(muts.Len())
-	c.deltaPos.ExpectInserts(muts.Len())
 	muts.Range(func(k pattern.PackedKey, n int64) {
 		if n == 0 {
 			return

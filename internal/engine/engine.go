@@ -763,7 +763,6 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []*countstore.Flat {
 			return []*countstore.Flat{countstore.NewFlat(0)}
 		}
 		merged := shards[0]
-		merged.ExpectInserts(len(rows) - merged.Len())
 		for _, m := range shards[1:] {
 			m.Range(func(k pattern.PackedKey, c int64) { merged.Add(k, c) })
 		}
@@ -825,7 +824,7 @@ const defaultComboRate = 0.25
 
 // batchHint sizes an accumulator for a batch slice of rows rows using
 // the measured combos-per-row rate, so flat tables are born at their
-// final capacity instead of rehashing mid-batch.
+// final capacity instead of doubling mid-batch.
 func (e *ShardedEngine) batchHint(rows int) int {
 	r := math.Float64frombits(e.comboRate.Load())
 	if !(r > 0 && r <= 1) {

@@ -620,7 +620,7 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			core := newShardCore(schema, opts)
 			core.compactions = 0
 			part := parts[i]
-			core.counts.ExpectInserts(len(part))
+			core.counts = countstore.NewFlat(len(part))
 			for _, en := range part {
 				core.counts.Set(en.Key, en.Count)
 				core.rows += en.Count

@@ -181,6 +181,12 @@ type Store struct {
 	baseline *engine.DeltaBaseline
 	chainLen int
 
+	// refused holds the generations of the full snapshots Recover
+	// passed over with ErrVersion. Such a file is intact, only in
+	// another format, so cleanup neither counts it among the kept
+	// fulls nor deletes it. Guarded by mu.
+	refused map[uint64]bool
+
 	// broken is the sticky failure set when a WAL append fails after
 	// the engine already accepted the mutation: the in-memory state is
 	// now ahead of the log, and logging any further mutation would
@@ -277,6 +283,7 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 	info := &RecoverInfo{}
 	var st *engine.State
 	var snapGen uint64
+	refused := map[uint64]bool{}
 	for i := len(snaps) - 1; i >= 0; i-- {
 		st, err = readSnapshotFile(snaps[i])
 		if err == nil {
@@ -290,8 +297,10 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 		// counted by the retention policy as one of the two kept
 		// snapshots (which would evict the readable fallback). A
 		// snapshot in another format version is intact, not damaged —
-		// it is left in place.
-		if !errors.Is(err, ErrVersion) {
+		// it is left in place, and remembered so retention skips it.
+		if errors.Is(err, ErrVersion) {
+			refused[snapGens[i]] = true
+		} else {
 			os.Rename(snaps[i], snaps[i]+".corrupt")
 		}
 	}
@@ -431,6 +440,7 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 	s.recoveredGen = lastPersistGen
 	s.replayed = int64(info.Replayed)
 	s.tornDropped = info.TornTailDropped
+	s.refused = refused
 	// Re-anchor the delta chain only when the engine stands exactly at
 	// the newest persisted snapshot (the clean park→restore shape): a
 	// replayed WAL tail means the disk chain is behind the engine, and
@@ -800,25 +810,32 @@ func (s *Store) Snapshot() (*SnapshotResult, error) {
 }
 
 // cleanup prunes old files after a successful snapshot at gen: the
-// two newest full snapshots are kept (the older as a fallback against
-// at-rest damage of the newer), plus every delta and WAL segment at or
-// after the oldest kept full image. Deltas between the two kept fulls
-// stay because they are the older full's chain — a base is never
-// pruned out from under a delta that still names it, and vice versa.
+// two newest readable full snapshots are kept (the older as a fallback
+// against at-rest damage of the newer), plus every delta and WAL
+// segment at or after the oldest kept full image. Deltas between the
+// two kept fulls stay because they are the older full's chain — a base
+// is never pruned out from under a delta that still names it, and vice
+// versa. A full Recover refused for its version is never counted nor
+// deleted: counting it would prune the readable fallback below it.
 func (s *Store) cleanup(gen uint64) {
 	snaps, snapGens, err := s.genFiles("snap-", ".snap")
 	if err != nil {
 		return
 	}
+	s.mu.Lock()
+	refused := s.refused
+	s.mu.Unlock()
 	keepFrom := gen
 	var kept int
 	for i := len(snaps) - 1; i >= 0; i-- {
-		if kept < 2 {
+		switch {
+		case refused[snapGens[i]]:
+		case kept < 2:
 			kept++
 			keepFrom = snapGens[i]
-			continue
+		default:
+			os.Remove(snaps[i])
 		}
-		os.Remove(snaps[i])
 	}
 	deltas, deltaGens, err := s.genFiles("snap-", ".delta")
 	if err != nil {

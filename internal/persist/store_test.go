@@ -384,6 +384,85 @@ func TestStoreOldVersionSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestStoreRetentionKeepsReadableFallback: a full snapshot Recover
+// refused for its version is not one of the two fulls retention keeps.
+// From a v3 gen-0 file and a v2-headered gen-27 file, recovery falls
+// back to gen 0; the next snapshot must leave gen 0, the WAL from gen 0
+// and the refused file on disk, so a later recovery with the newest
+// file damaged still reaches the acknowledged state.
+func TestStoreRetentionKeepsReadableFallback(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := attachFresh(t, dir)
+	rng := rand.New(rand.NewSource(41))
+	cards := eng.Cards()
+	for eng.Generation() < 27 {
+		if err := s.Append(randomBatch(rng, cards, 1+rng.Intn(5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A full image at gen 27 in the v2 layout; the WAL still runs from
+	// gen 0, so recovery can replay past it from the older file.
+	v2, _, err := writeSnapshotFile(dir, eng.CaptureState().State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v2, withVersion(data, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openStore(t, dir)
+	eng, info, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotGeneration != 0 || len(info.SkippedSnapshots) != 1 {
+		t.Fatalf("recovered gen %d skipping %v, want gen 0 past the v2 file", info.SnapshotGeneration, info.SkippedSnapshots)
+	}
+	driveStore(t, s, eng, rng, 20)
+	res, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delta || res.Generation <= 27 {
+		t.Fatalf("snapshot = %+v, want a full image past gen 27", res)
+	}
+	for _, name := range []string{snapshotName(0), walName(0), snapshotName(27)} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s pruned by retention: %v", name, err)
+		}
+	}
+	driveStore(t, s, eng, rng, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Damage the newest full: recovery quarantines it, refuses the v2
+	// file again, and replays the kept WAL from gen 0.
+	newest, err := os.ReadFile(res.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest[len(newest)/2] ^= 0x10
+	if err := os.WriteFile(res.Path, newest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, info, err := openStore(t, dir).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotGeneration != 0 {
+		t.Errorf("recovered from gen %d, want the gen-0 fallback", info.SnapshotGeneration)
+	}
+	assertEquivalent(t, eng, recovered)
+}
+
 // TestStoreFailsStopOnWALError: once a WAL write fails after the
 // engine applied the mutation, the store must refuse further
 // mutations (a generation gap in the log would poison every future
