@@ -102,6 +102,67 @@ func TestDurableServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestStatsAfterRestartListsRefusedAndRuns: after a restart the persist
+// section of /stats names the full snapshots the boot refused for their
+// format version and the engine batches its WAL replay took. A full
+// image at generation 3 rewritten in the v2 layout is refused; recovery
+// falls back to the attach image and replays the three logged
+// mutations, an append, a delete and an append, as one run.
+func TestStatsAfterRestartListsRefusedAndRuns(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := coverage.ReadCSV(strings.NewReader("sex,race\nmale,white\nfemale,black\n"), coverage.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := coverage.NewAnalyzer(ds)
+	store, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Attach(an.Engine()); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(an, store)
+	do(t, s, "POST", "/append", `{"rows": [["female", "white"]]}`)
+	do(t, s, "POST", "/delete", `{"rows": [["male", "white"]]}`)
+	do(t, s, "POST", "/append", `{"rows": [["male", "black"]]}`)
+	if st := decode[statsResponse](t, do(t, s, "GET", "/stats", "")); len(st.Persist.RefusedSnapshots) != 0 || st.Persist.ReplayRuns != 0 {
+		t.Fatalf("fresh server: persist stats = %+v", st.Persist)
+	}
+	var buf bytes.Buffer
+	if _, err := persist.WriteSnapshot(&buf, an.Engine().ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	v2[8], v2[9], v2[10], v2[11] = 2, 0, 0, 0 // the format version, little-endian
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", 3)), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	eng, info, err := store2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotGeneration != 0 || info.Replayed != 3 || info.ReplayRuns != 1 {
+		t.Fatalf("recovery info = %+v, want gen 0 + 3 records in 1 run", info)
+	}
+	st := decode[statsResponse](t, do(t, newServer(coverage.NewAnalyzerFromEngine(eng), store2), "GET", "/stats", ""))
+	if p := st.Persist; p.ReplayedWALRecords != 3 || p.ReplayRuns != 1 || len(p.RefusedSnapshots) != 1 || p.RefusedSnapshots[0] != 3 {
+		t.Errorf("persist stats after restart = %+v, want 3 records in 1 run and refused snapshot [3]", p)
+	}
+	if st.Rows != 3 || st.Generation != 3 {
+		t.Errorf("restarted server at %d rows, generation %d, want 3 and 3", st.Rows, st.Generation)
+	}
+}
+
 // TestMutationStatus pins the durable-failure status mapping: store
 // infrastructure errors are 503 (retryable, server's fault); anything
 // else keeps the handler's client-fault status.

@@ -278,8 +278,8 @@ func buildAnalyzer(dataDir, csvPath, columns, demo string, walSync bool, engOpts
 		if csvPath != "" || demo != "" {
 			log.Printf("covserve: ignoring -csv/-demo: recovering existing state from %s", dataDir)
 		}
-		log.Printf("covserve: recovered snapshot generation %d + %d delta(s) + %d WAL record(s) in %s",
-			info.SnapshotGeneration, info.DeltasApplied, info.Replayed, info.Duration.Round(time.Millisecond))
+		log.Printf("covserve: recovered snapshot generation %d + %d delta(s) + %d WAL record(s) in %d batch(es) in %s",
+			info.SnapshotGeneration, info.DeltasApplied, info.Replayed, info.ReplayRuns, info.Duration.Round(time.Millisecond))
 		for _, skipped := range info.SkippedSnapshots {
 			log.Printf("covserve: WARNING: skipped unreadable snapshot %s", skipped)
 		}

@@ -357,11 +357,17 @@ type persistStats struct {
 	WALRecords             int64  `json:"wal_records"`
 	WALBytes               int64  `json:"wal_bytes"`
 	// RecoveredSnapshotGeneration and ReplayedWALRecords describe this
-	// process's boot; TornWALTailDropped reports whether a torn record
-	// from the previous crash was truncated away.
-	RecoveredSnapshotGeneration uint64 `json:"recovered_snapshot_generation"`
-	ReplayedWALRecords          int64  `json:"replayed_wal_records"`
-	TornWALTailDropped          bool   `json:"torn_wal_tail_dropped"`
+	// process's boot, ReplayRuns the engine batches that replayed those
+	// records (one per run of consecutive appends and deletes);
+	// TornWALTailDropped reports whether a torn record from the
+	// previous crash was truncated away. RefusedSnapshots lists the
+	// generations of full snapshots the boot passed over for their
+	// format version: left on disk, and kept out of retention.
+	RecoveredSnapshotGeneration uint64   `json:"recovered_snapshot_generation"`
+	ReplayedWALRecords          int64    `json:"replayed_wal_records"`
+	ReplayRuns                  int64    `json:"replay_runs"`
+	TornWALTailDropped          bool     `json:"torn_wal_tail_dropped"`
+	RefusedSnapshots            []uint64 `json:"refused_snapshots"`
 	// DeltaSnapshots counts snapshots written as deltas against the
 	// previous one; DeltaChainLength is how many deltas currently
 	// stack on the newest full image.
@@ -432,7 +438,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			WALBytes:                    ps.WALBytes,
 			RecoveredSnapshotGeneration: ps.RecoveredSnapshotGeneration,
 			ReplayedWALRecords:          ps.ReplayedRecords,
+			ReplayRuns:                  ps.ReplayRuns,
 			TornWALTailDropped:          ps.TornTailDropped,
+			RefusedSnapshots:            ps.RefusedSnapshots,
 		}
 		resp.Persist.DeltaSnapshots = ps.DeltaSnapshots
 		resp.Persist.DeltaChainLength = ps.DeltaChainLength

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"coverage/internal/pattern"
@@ -372,7 +373,7 @@ func exportRecsSince(recs []mutRec, gen uint64, codec *pattern.Codec) []Mutation
 	if start == len(recs) {
 		return nil
 	}
-	return exportRecs(recs[start:], codec)
+	return exportRecs(slices.Clone(recs[start:]), codec)
 }
 
 // Apply layers the delta onto the state it was captured against,

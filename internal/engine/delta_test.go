@@ -358,9 +358,10 @@ func TestWindowOrderByPageOccupancy(t *testing.T) {
 }
 
 // TestWindowEvictionRemovedLogDeterministic: engines with one mutation
-// history export one removed log. Eviction records the combinations it
-// retracts in the order it first popped them, so the log (and every
-// snapshot written from it) does not depend on map iteration order.
+// history export one removed log. Each generation's records are
+// exported in packed-key order, so the log (and every snapshot written
+// from it) does not depend on where a count table placed the evicted
+// combinations.
 func TestWindowEvictionRemovedLogDeterministic(t *testing.T) {
 	schema := testSchema(t, []int{2, 2, 2, 2})
 	all := make([][]uint8, 16)

@@ -490,13 +490,28 @@ type mutLog struct {
 	horizon uint64
 }
 
-// record appends one mutation at gen, trimming the oldest half (on
-// whole-generation boundaries, so the horizon stays exact) when the
-// log outgrows max. The survivors move to the front of the same array,
-// so a log that has reached max allocates nothing more: ingest and WAL
-// replay record every combination they mutate.
-func (l *mutLog) record(gen uint64, k pattern.PackedKey, count int64, max int) {
-	l.recs = append(l.recs, mutRec{gen: gen, key: k, count: count})
+// recordGen records one generation's mutations read from signed
+// per-core tables: the increases when increases is set, else the
+// decreases. They go in the tables' slot order; exportRecs puts each
+// generation's records in packed-key order when a snapshot is taken,
+// which keeps the sort off the mutation path.
+func (l *mutLog) recordGen(gen uint64, tables []*countstore.Flat, increases bool, max int) {
+	for _, m := range tables {
+		m.Range(func(k pattern.PackedKey, n int64) {
+			if n > 0 == increases {
+				l.recs = append(l.recs, mutRec{gen: gen, key: k, count: n})
+			}
+		})
+	}
+	l.trim(max)
+}
+
+// trim drops the oldest half of a log that has outgrown max, on whole-
+// generation boundaries so the horizon stays exact. The survivors move
+// to the front of the same array, so a log that has reached max
+// allocates nothing more: ingest and WAL replay record every
+// combination they mutate.
+func (l *mutLog) trim(max int) {
 	if len(l.recs) <= max {
 		return
 	}
@@ -814,8 +829,9 @@ func (e *ShardedEngine) countBatch(rows [][]uint8) []*countstore.Flat {
 // and applied on the calling goroutine instead of one goroutine per
 // core: waking another thread for a few dozen rows costs more than
 // counting them (a 100-row Append on two cores takes 26 µs here and
-// 57 through the fan-out), and every WAL record a restart replays
-// would pay the wake-up again.
+// 57 through the fan-out). A WAL replay run (PrepareRun) is held to
+// the same bound over all of its rows, so a restart pays the wake-up
+// once per run, not once per record.
 const inlineBatchRows = 512
 
 // defaultComboRate seeds the distinct-combos-per-row estimate before
@@ -957,12 +973,7 @@ func (e *ShardedEngine) Append(rows [][]uint8) error {
 	defer e.mu.Unlock()
 	e.gen++
 	e.appends++
-	logSize := e.opts.removedLogSize()
-	for _, m := range muts {
-		m.Range(func(k pattern.PackedKey, c int64) {
-			e.added.record(e.gen, k, c, logSize)
-		})
-	}
+	e.added.recordGen(e.gen, muts, true, e.opts.removedLogSize())
 	if e.log != nil {
 		for _, row := range rows {
 			e.log.push(e.codec.PackedKey(row))
@@ -1008,19 +1019,18 @@ func (e *ShardedEngine) Delete(rows [][]uint8) error {
 	}
 	e.gen++
 	e.deletes++
-	logSize := e.opts.removedLogSize()
 	for _, m := range need {
-		m.Range(func(k pattern.PackedKey, c int64) {
-			e.removed.record(e.gen, k, -c, logSize)
-			if e.log != nil {
+		if e.log != nil {
+			m.Range(func(k pattern.PackedKey, c int64) {
 				e.pendingDeletes.Add(k, c)
 				e.tombstones += c
-			}
-		})
+			})
+		}
 		// The batch held the positive multiplicities to validate
 		// against; the cores apply it as a retraction.
 		m.Negate()
 	}
+	e.removed.recordGen(e.gen, need, false, e.opts.removedLogSize())
 	e.rows -= int64(len(rows))
 	e.applyCoresLocked(need)
 	return nil
@@ -1141,16 +1151,13 @@ func (e *ShardedEngine) Window() int {
 // value) as it goes. The retractions are merged into the per-core
 // mutation maps (so the whole append-plus-evictions mutation reaches
 // each core as one atomic signed batch) and recorded in the removed
-// log with their net counts, in first-pop order so that one mutation
-// history always yields one removed log. Caller holds the write lock
-// with the generation already advanced for this mutation.
+// log with their net counts. Caller holds the write lock with the
+// generation already advanced for this mutation.
 func (e *ShardedEngine) evictIntoLocked(muts []*countstore.Flat) {
 	if e.window <= 0 || e.log == nil || e.rows <= int64(e.window) {
 		return
 	}
-	n := len(e.cores)
 	evicted := countstore.NewFlat(0)
-	var order []pattern.PackedKey
 	for e.rows > int64(e.window) {
 		k := e.log.pop()
 		e.windowEvicted++
@@ -1159,18 +1166,15 @@ func (e *ShardedEngine) evictIntoLocked(muts []*countstore.Flat) {
 			e.tombstones--
 			continue
 		}
-		if evicted.Add(k, 1) == 1 {
-			order = append(order, k)
-		}
+		evicted.Add(k, -1)
 		e.rows--
 		e.evictions++
 	}
-	logSize := e.opts.removedLogSize()
-	for _, k := range order {
-		c := evicted.Get(k)
-		muts[shardOf(e.codec, k, n)].Add(k, -c)
-		e.removed.record(e.gen, k, -c, logSize)
-	}
+	n := len(e.cores)
+	evicted.Range(func(k pattern.PackedKey, c int64) {
+		muts[shardOf(e.codec, k, n)].Add(k, c)
+	})
+	e.removed.recordGen(e.gen, []*countstore.Flat{evicted}, false, e.opts.removedLogSize())
 }
 
 // distinctLocked sums the per-core live distinct counts.

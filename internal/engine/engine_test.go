@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"coverage/internal/countstore"
 	"coverage/internal/dataset"
 	"coverage/internal/index"
 	"coverage/internal/mup"
@@ -1091,11 +1092,17 @@ func TestMutLogTrimsInPlace(t *testing.T) {
 	key := func(i int) pattern.PackedKey { return keys.PackedKey(pattern.Pattern{uint8(i % 4), uint8(i / 4 % 4)}) }
 	const max = 8
 	var l mutLog
-	// Generations of three records each: the ninth record overflows the
-	// log, the cut at 9 - max/2 = 5 falls inside generation 2 and moves
-	// up to its end.
-	for i := 0; i < 9; i++ {
-		l.record(uint64(1+i/3), key(i), int64(i+1), max)
+	// Generations of three records each: the third overflows the log,
+	// the cut at 9 - max/2 = 5 falls inside generation 2 and moves up to
+	// its end.
+	for g := 0; g < 3; g++ {
+		tables := make([]*countstore.Flat, 3)
+		for j := range tables {
+			i := 3*g + j
+			tables[j] = countstore.NewFlat(0)
+			tables[j].Set(key(i), int64(i+1))
+		}
+		l.recordGen(uint64(1+g), tables, true, max)
 	}
 	if l.horizon != 2 || len(l.recs) != 3 {
 		t.Fatalf("horizon %d with %d records, want 2 with 3", l.horizon, len(l.recs))
@@ -1112,11 +1119,14 @@ func TestMutLogTrimsInPlace(t *testing.T) {
 		t.Fatalf("since(2) = %d deltas, ok %v, want 3, true", len(deltas), ok)
 	}
 	gen := uint64(3)
+	m := countstore.NewFlat(0)
+	for i := 0; i < 3; i++ {
+		m.Set(key(i), 1)
+	}
+	tables := []*countstore.Flat{m}
 	if allocs := testing.AllocsPerRun(100, func() {
 		gen++
-		for i := 0; i < 3; i++ {
-			l.record(gen, key(i), 1, max)
-		}
+		l.recordGen(gen, tables, true, max)
 	}); allocs != 0 {
 		t.Fatalf("%.1f allocations per recorded generation on a full log, want 0", allocs)
 	}

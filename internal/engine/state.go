@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -224,16 +226,11 @@ func (e *ShardedEngine) CaptureState() *Capture {
 		Generation: e.gen,
 		Window:     e.window,
 		Tombstones: e.tombstones,
-		Removed: MutationLog{
-			Horizon: e.removed.horizon,
-			Recs:    exportRecs(e.removed.recs, e.codec),
-		},
-		Added: MutationLog{
-			Horizon: e.added.horizon,
-			Recs:    exportRecs(e.added.recs, e.codec),
-		},
-		Counters: e.countersLocked(),
+		Removed:    MutationLog{Horizon: e.removed.horizon},
+		Added:      MutationLog{Horizon: e.added.horizon},
+		Counters:   e.countersLocked(),
 	}
+	removed, added := slices.Clone(e.removed.recs), slices.Clone(e.added.recs)
 	windowEvicted, windowEpoch := e.windowEvicted, e.windowEpoch
 	if e.log != nil {
 		st.WindowLog = keyStrings(e.codec, e.log.live())
@@ -260,6 +257,8 @@ func (e *ShardedEngine) CaptureState() *Capture {
 	}
 	e.mu.RUnlock()
 
+	st.Removed.Recs = exportRecs(removed, e.codec)
+	st.Added.Recs = exportRecs(added, e.codec)
 	sortSearches(st.Cache)
 	sort.Slice(st.Plans, func(i, j int) bool { return st.Plans[i].keyLess(st.Plans[j]) })
 
@@ -350,7 +349,26 @@ func countMap(codec *pattern.Codec, f *countstore.Flat) map[string]int64 {
 	return m
 }
 
+// exportRecs converts a log's records to their State form, each
+// generation's in packed-key order. The log keeps them in the order
+// they were recorded, which follows the slot order of the tables they
+// were read from; sorting them here makes snapshot bytes a function of
+// the mutation history alone, not of the shard count or of where a
+// table placed its keys. It sorts recs in place: pass a copy.
 func exportRecs(recs []mutRec, codec *pattern.Codec) []MutationRec {
+	for lo := 0; lo < len(recs); {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].gen == recs[lo].gen {
+			hi++
+		}
+		slices.SortFunc(recs[lo:hi], func(a, b mutRec) int {
+			if c := cmp.Compare(a.key[1], b.key[1]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.key[0], b.key[0])
+		})
+		lo = hi
+	}
 	out := make([]MutationRec, len(recs))
 	for i, r := range recs {
 		out[i] = MutationRec{Gen: r.gen, Key: keyString(codec, r.key), Count: r.count}

@@ -40,10 +40,12 @@
 // Recover loads the newest readable snapshot (falling back past
 // snapshots that fail their checksum or carry an unknown version) and
 // replays every WAL segment at or after it, in order. Records are
-// stamped with the engine generation they produced: append and delete
-// records are applied only when they advance the restored generation
-// by exactly one, making replay idempotent; window records are
-// idempotent by construction and always applied. The restored engine
+// stamped with the engine generation they produced and are applied
+// only when they advance the restored generation by exactly one, making
+// replay idempotent. Consecutive append and delete records replay as
+// one engine batch per run, counted straight from the log's bytes; a
+// window record ends a run, and an engine with a window replays record
+// by record. The restored engine
 // answers every coverage and MUP query identically to one that lived
 // through the same mutation history — including incremental cache
 // repair, because the mutation logs and cached MUP sets travel in the

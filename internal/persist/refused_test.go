@@ -159,3 +159,74 @@ func TestRegistryAcquireRefusesSchemaPastLimits(t *testing.T) {
 		assertSameFiles(t, name, files, dirFiles(t, filepath.Join(dir, "tenants", name)))
 	}
 }
+
+// TestStatsListsRefusedSnapshots: the retention scenario of
+// TestStoreRetentionKeepsReadableFallback, read through Stats. From a
+// readable gen-0 image and a v2-headered gen-27 image, recovery falls
+// back to gen 0; Stats lists generation 27 as refused, and still does
+// after a later full snapshot, which leaves the file in place.
+func TestStatsListsRefusedSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	schema := dataset.MustSchema([]dataset.Attribute{
+		{Name: "a", Values: []string{"p", "q"}},
+		{Name: "b", Values: []string{"x", "y", "z"}},
+	})
+	s, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(schema, engine.Options{})
+	if err := s.Attach(eng); err != nil {
+		t.Fatal(err)
+	}
+	appendUntil := func(s *persist.Store, eng *engine.Engine, gen uint64) {
+		for i := 0; eng.Generation() < gen; i++ {
+			if err := s.Append([][]uint8{{uint8(i % 2), uint8(i % 3)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendUntil(s, eng, 27)
+	var buf bytes.Buffer
+	if _, err := persist.WriteSnapshot(&buf, eng.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	v2[8], v2[9], v2[10], v2[11] = 2, 0, 0, 0 // the format version, little-endian
+	refused := filepath.Join(dir, persist.SnapshotNameForTest(27))
+	if err := os.WriteFile(refused, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().RefusedSnapshots; len(got) != 0 {
+		t.Fatalf("store that recovered nothing lists refused snapshots %v", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	eng, info, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotGeneration != 0 {
+		t.Fatalf("recovered gen %d, want the gen-0 fallback", info.SnapshotGeneration)
+	}
+	if got := s.Stats().RefusedSnapshots; len(got) != 1 || got[0] != 27 {
+		t.Fatalf("refused snapshots after recovery = %v, want [27]", got)
+	}
+	appendUntil(s, eng, 40)
+	if res, err := s.Snapshot(); err != nil || res.Delta {
+		t.Fatalf("snapshot = %+v, %v, want a full image", res, err)
+	}
+	if got := s.Stats().RefusedSnapshots; len(got) != 1 || got[0] != 27 {
+		t.Fatalf("refused snapshots after a snapshot = %v, want [27]", got)
+	}
+	if _, err := os.Stat(refused); err != nil {
+		t.Fatalf("refused snapshot pruned: %v", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,9 +80,18 @@ type Stats struct {
 	// records were replayed on top of it.
 	RecoveredSnapshotGeneration uint64
 	ReplayedRecords             int64
+	// ReplayRuns is the number of engine batches that replay applied:
+	// one per run of consecutive append and delete records, one per
+	// record replayed on its own (see RecoverInfo.ReplayRuns).
+	ReplayRuns int64
 	// TornTailDropped reports whether recovery truncated a torn WAL
 	// tail.
 	TornTailDropped bool
+	// RefusedSnapshots lists, in ascending order, the generations of
+	// the full snapshots the last Recover passed over because they are
+	// in another format version. They stay on disk, and retention
+	// neither counts nor deletes them.
+	RefusedSnapshots []uint64
 }
 
 // RecoverInfo describes one recovery.
@@ -103,6 +113,11 @@ type RecoverInfo struct {
 	Segments int
 	Replayed int
 	Skipped  int
+	// ReplayRuns is the number of engine batches the replay applied:
+	// each run of consecutive append and delete records commits as one
+	// batch, and each record replayed on its own (a window change, or
+	// any record while the engine has a window) is one more.
+	ReplayRuns int
 	// TornTailDropped reports whether the final segment had a torn
 	// tail that was truncated away.
 	TornTailDropped bool
@@ -171,6 +186,7 @@ type Store struct {
 	lastSnapDuration time.Duration
 	recoveredGen     uint64
 	replayed         int64
+	replayRuns       int64
 	tornDropped      bool
 
 	// baseline anchors the next delta snapshot: the exact coordinates
@@ -385,13 +401,14 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 		if torn && i != len(wals)-1 {
 			return nil, nil, fmt.Errorf("%w: segment %s has a torn tail but is not the newest segment", ErrCorrupt, path)
 		}
-		applied, skipped, err := replaySegment(eng, recs)
+		applied, skipped, runs, err := replaySegment(eng, recs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("persist: replaying %s: %w", path, err)
 		}
 		info.Segments++
 		info.Replayed += applied
 		info.Skipped += skipped
+		info.ReplayRuns += runs
 		lastPath, lastGen, lastGoodSize, lastTorn = path, walGens[i], goodSize, torn
 	}
 	eng.Compact()
@@ -439,6 +456,7 @@ func (s *Store) Recover() (*engine.Engine, *RecoverInfo, error) {
 	// checkpoint" stays answerable when that checkpoint was a delta.
 	s.recoveredGen = lastPersistGen
 	s.replayed = int64(info.Replayed)
+	s.replayRuns = int64(info.ReplayRuns)
 	s.tornDropped = info.TornTailDropped
 	s.refused = refused
 	// Re-anchor the delta chain only when the engine stands exactly at
@@ -1014,8 +1032,14 @@ func (s *Store) Stats() Stats {
 		LastSnapshotDurationNs:      s.lastSnapDuration.Nanoseconds(),
 		RecoveredSnapshotGeneration: s.recoveredGen,
 		ReplayedRecords:             s.replayed,
+		ReplayRuns:                  s.replayRuns,
 		TornTailDropped:             s.tornDropped,
+		RefusedSnapshots:            make([]uint64, 0, len(s.refused)),
 	}
+	for gen := range s.refused {
+		st.RefusedSnapshots = append(st.RefusedSnapshots, gen)
+	}
+	slices.Sort(st.RefusedSnapshots)
 	st.WALGroupCommits = s.groupCommits
 	st.WALGroupRecords = s.groupRecords
 	st.CoalescedAppends = s.coalescedAppends

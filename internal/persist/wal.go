@@ -45,12 +45,25 @@ const (
 	opWindow byte = 3
 )
 
-// walRecord is one decoded WAL record.
+// walRecord is one decoded WAL record. rows views the record's payload
+// in the buffer it was parsed from, nrows × dim bytes with row i at
+// rows[i*dim:(i+1)*dim]: nothing is copied, and nothing the engine
+// keeps refers to it (the window ring holds packed keys).
 type walRecord struct {
 	op      byte
 	gen     uint64
-	rows    [][]uint8 // opAppend/opDelete
-	maxRows int       // opWindow
+	rows    []byte // opAppend/opDelete
+	maxRows int    // opWindow
+}
+
+// rowViews returns the packed rows of b, dim bytes each, as
+// capacity-clipped views of b.
+func rowViews(b []byte, dim int) [][]uint8 {
+	rows := make([][]uint8, len(b)/dim)
+	for i := range rows {
+		rows[i] = b[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
 }
 
 // walWriter appends records to one open segment file. It is not safe
@@ -256,14 +269,9 @@ func parseWALRecord(data []byte, off int64, dim int) (rec walRecord, next int64,
 		if dim <= 0 || nrows64 > uint64(len(rest)) || nrows64*uint64(dim) != uint64(len(rest)) {
 			return rec, 0, false
 		}
-		// One copy of the payload for the whole record, the rows
-		// capacity-clipped views of it. The slab is never recycled: the
-		// engine's window ring may keep the rows.
-		slab := append([]uint8(nil), rest...)
-		rec.rows = make([][]uint8, nrows64)
-		for i := range rec.rows {
-			rec.rows[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
-		}
+		// The rows stay where they are: replay reads them from the
+		// buffer, and the engine keeps none of them.
+		rec.rows = rest[:len(rest):len(rest)]
 	case opWindow:
 		maxRows, n := binary.Uvarint(rest)
 		if n <= 0 || n != len(rest) {
@@ -286,7 +294,8 @@ const (
 )
 
 // WALRecord is the exported form of one WAL record, as handed to a
-// feed consumer by DecodeWALStream.
+// feed consumer by DecodeWALStream. Rows view the decoded stream's
+// bytes.
 type WALRecord struct {
 	Op      byte
 	Gen     uint64
@@ -299,7 +308,8 @@ type WALRecord struct {
 // whether the stream ended exactly on a record boundary; a false means
 // the tail was torn (the leader was mid-append, or the transfer was
 // cut) and the consumer should keep the intact prefix and re-request
-// from its new position.
+// from its new position. The records' rows view data, which the caller
+// must not modify while it uses them.
 func DecodeWALStream(data []byte, dim int) (recs []WALRecord, complete bool) {
 	off := int64(0)
 	for off < int64(len(data)) {
@@ -307,7 +317,11 @@ func DecodeWALStream(data []byte, dim int) (recs []WALRecord, complete bool) {
 		if !ok {
 			return recs, false
 		}
-		recs = append(recs, WALRecord{Op: rec.op, Gen: rec.gen, Rows: rec.rows, MaxRows: rec.maxRows})
+		var rows [][]uint8
+		if rec.op != opWindow {
+			rows = rowViews(rec.rows, dim)
+		}
+		recs = append(recs, WALRecord{Op: rec.op, Gen: rec.gen, Rows: rows, MaxRows: rec.maxRows})
 		off = next
 	}
 	return recs, true
@@ -323,28 +337,72 @@ func DecodeWALStream(data []byte, dim int) (recs []WALRecord, complete bool) {
 // feed from an older generation. A generation gap means the log and
 // snapshot disagree and recovery aborts rather than restoring a
 // silently divergent engine.
-func replaySegment(eng *engine.Engine, recs []walRecord) (applied, skipped int, err error) {
+//
+// Consecutive append and delete records are replayed in runs: each run
+// is handed to the engine as one batch (engine.PrepareRun, CommitRun),
+// its rows counted straight from the record bytes, so replay costs the
+// distinct combinations a run touches rather than one engine mutation
+// per record. A window record ends a run, and so does a record with no
+// rows; both, and every record while the engine has a window (whose
+// ring must see the rows in arrival order), are applied one by one.
+// A record the engine refuses — a value code past its cardinality, a
+// delete of more rows than are present at its point in the log — is
+// ErrCorrupt, and a refused run leaves the engine as it was before the
+// run. batches counts the engine batches applied: one per run, one per
+// record applied on its own.
+func replaySegment(eng *engine.Engine, recs []walRecord) (applied, skipped, batches int, err error) {
+	dim := len(eng.Cards())
+	var run []engine.RunRecord
+	first := 0 // index of the run's first record
+	flush := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		r, err := eng.PrepareRun(run)
+		if err == nil {
+			err = eng.CommitRun(r)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: replaying WAL records %d–%d: %w", ErrCorrupt, first, first+len(run)-1, err)
+		}
+		applied += len(run)
+		batches++
+		run = run[:0]
+		return nil
+	}
 	for i, rec := range recs {
-		gen := eng.Generation()
+		gen := eng.Generation() + uint64(len(run))
 		if rec.gen <= gen {
 			skipped++
 			continue
 		}
 		if rec.gen != gen+1 {
-			return applied, skipped, fmt.Errorf("%w: WAL record %d jumps from generation %d to %d", ErrCorrupt, i, gen, rec.gen)
+			return applied, skipped, batches, fmt.Errorf("%w: WAL record %d jumps from generation %d to %d", ErrCorrupt, i, gen, rec.gen)
+		}
+		if rec.op != opWindow && len(rec.rows) > 0 && (len(run) > 0 || eng.Window() == 0) {
+			if len(run) == 0 {
+				first = i
+			}
+			run = append(run, engine.RunRecord{Delete: rec.op == opDelete, Rows: rec.rows})
+			continue
+		}
+		if err := flush(); err != nil {
+			return applied, skipped, batches, err
 		}
 		switch rec.op {
 		case opAppend:
-			err = eng.Append(rec.rows)
+			err = eng.Append(rowViews(rec.rows, dim))
 		case opDelete:
-			err = eng.Delete(rec.rows)
+			err = eng.Delete(rowViews(rec.rows, dim))
 		case opWindow:
 			eng.SetWindow(rec.maxRows)
 		}
 		if err != nil {
-			return applied, skipped, fmt.Errorf("persist: replaying WAL record %d: %w", i, err)
+			return applied, skipped, batches, fmt.Errorf("%w: replaying WAL record %d: %w", ErrCorrupt, i, err)
 		}
 		applied++
+		batches++
 	}
-	return applied, skipped, nil
+	err = flush()
+	return applied, skipped, batches, err
 }
