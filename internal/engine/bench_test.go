@@ -16,32 +16,45 @@ import (
 // weight (13 fields, still well under 128 bits).
 var benchCards = []int{8, 6, 5, 4, 7, 3, 5, 6, 4, 3, 5, 4, 6}
 
-// BenchmarkEngineAppend measures the batch ingest hot path — count,
-// shard-local route, fan-out apply — at 1 and 4 shard cores. Run with
-// -cpu 1,4: with one processor the sharded cells price the routing
-// overhead alone; with four they measure the parallel win the packed
-// keys and the contiguous per-core slices exist to unlock. batch=100 is
-// the size a WAL record usually carries, under inlineBatchRows: it runs
-// on the calling goroutine, so its sharded cells price routing alone at
-// any processor count.
+// BenchmarkEngineAppend measures the live write path — one-record
+// runs, counted per core and applied under the write lock — over a
+// 20 000-row engine at 1, 2 and 4 shard cores. batch=100 is the size a
+// WAL record usually carries, under inlineBatchRows: it runs on the
+// calling goroutine at any processor count. batch=4096 is the
+// service's NDJSON bulk-load chunk, counted on every worker. The
+// op=append+delete cells append the batch and delete it again, so
+// every iteration also prices the commit's overdraw check. Run with
+// -cpu 1,4 to price the fan-out apart from the counting.
 func BenchmarkEngineAppend(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	seed := randomRows(rng, benchCards, 20000)
-	for _, rows := range []int{100, 1000} {
+	for _, rows := range []int{100, 4096} {
 		batch := randomRows(rng, benchCards, rows)
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("batch=%d/shards=%d", rows, shards), func(b *testing.B) {
-				e := NewSharded(testSchema(b, benchCards), shards, Options{})
-				if err := e.Append(seed); err != nil {
-					b.Fatal(err)
+		for _, shards := range []int{1, 2, 4} {
+			for _, del := range []bool{false, true} {
+				op := "append"
+				if del {
+					op = "append+delete"
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := e.Append(batch); err != nil {
+				b.Run(fmt.Sprintf("batch=%d/shards=%d/op=%s", rows, shards, op), func(b *testing.B) {
+					e := NewSharded(testSchema(b, benchCards), shards, Options{})
+					if err := e.Append(seed); err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := e.Append(batch); err != nil {
+							b.Fatal(err)
+						}
+						if !del {
+							continue
+						}
+						if err := e.Delete(batch); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -9,13 +9,17 @@
 // immutable base oracle (an index.Index over its partition's distinct
 // combinations) plus a small signed delta of combinations mutated
 // since its base was built, compacting independently when its delta
-// grows past a fraction of its base. Mutation batches are counted into
-// per-core signed maps and fanned out in parallel — each core merges
-// its slice under the coordinator's single write lock, so a batch is
-// atomic for readers while the per-core map merges (the ingest
-// bottleneck) run on separate goroutines; a batch too small to repay
-// the thread wake-ups (inlineBatchRows) stays on the caller's. Point
-// coverage queries merge base and delta on read, summed across cores.
+// grows past a fraction of its base. Every mutation is a run of append
+// and delete records (PrepareRun, CommitRun): Append and Delete are
+// runs of one record, WAL replay commits longer ones. A run is counted
+// into per-core signed tables outside the lock, its rows split across
+// the workers, then checked against the counts and applied under the
+// coordinator's single write lock — each core merging its table on its
+// own goroutine, so a batch is atomic for readers while the per-core
+// merges (the ingest bottleneck) run in parallel; a batch too small to
+// repay the thread wake-ups (inlineBatchRows) stays on the caller's.
+// Point coverage queries merge base and delta on read, summed across
+// cores.
 //
 // MUP searches are cached per (threshold, level bound) at the
 // coordinator. A cold search is mup.Search over an oracle that sums the
@@ -101,8 +105,9 @@ type Options struct {
 	// and the per-core compactions; coverage and MUP answers are
 	// identical for every shard count.
 	Shards int
-	// Workers is the goroutine count for parallel batch counting, full
-	// MUP searches and repair passes; 0 means GOMAXPROCS.
+	// Workers is the goroutine count for counting a mutation of
+	// inlineBatchRows rows or more, full MUP searches and repair
+	// passes; 0 means GOMAXPROCS.
 	Workers int
 	// CompactFraction is the compaction threshold: a read that finds
 	// a core's pending delta holding at least this fraction of its
@@ -615,15 +620,7 @@ func NewFromDataset(ds *dataset.Dataset, opts Options) *Engine {
 	for k, combo := range dd.Combos {
 		parts[shardOfRow(combo, n)].Set(e.codec.PackedKey(combo), dd.Counts[k])
 	}
-	var wg sync.WaitGroup
-	for i, c := range e.cores {
-		wg.Add(1)
-		go func(c *shardCore, part *countstore.Flat) {
-			defer wg.Done()
-			c.seed(part)
-		}(c, parts[i])
-	}
-	wg.Wait()
+	fanOut(n, func(i int) { e.cores[i].seed(parts[i]) })
 	for _, c := range e.cores {
 		e.rows += c.rows
 	}
@@ -739,99 +736,13 @@ func (e *ShardedEngine) bodyBytesLocked() int64 {
 	return b
 }
 
-// validateRows checks every row against the schema before any
-// mutation, so a rejected batch leaves the engine untouched.
-func (e *ShardedEngine) validateRows(rows [][]uint8) error {
-	for n, row := range rows {
-		if len(row) != len(e.cards) {
-			return fmt.Errorf("engine: row %d has %d values, schema has %d attributes", n, len(row), len(e.cards))
-		}
-		for i, v := range row {
-			if int(v) >= e.cards[i] {
-				return fmt.Errorf("engine: row %d: value %d for attribute %q exceeds cardinality %d",
-					n, v, e.schema.Attr(i).Name, e.cards[i])
-			}
-		}
-	}
-	return nil
-}
-
-// countBatch counts the batch's combinations into one signed map per
-// core, outside the engine lock. With one core the batch is chunked
-// across workers and merged (the classic parallel count); with many,
-// a single lightweight partition pass routes each row to its core as
-// an already-packed key (one hash plus one pack per row, no per-row
-// allocation), so every core receives one contiguous key slice and its
-// table is built by its own goroutine — the inserts, which dominate
-// ingest, run fully in parallel with no cross-core merge.
-// A batch under inlineBatchRows is counted on the calling goroutine.
-func (e *ShardedEngine) countBatch(rows [][]uint8) []*countstore.Flat {
-	n := len(e.cores)
-	inline := len(rows) < inlineBatchRows
-	if n == 1 {
-		workers := e.opts.workers()
-		if inline {
-			workers = 1
-		}
-		shards := e.shardCounts(rows, workers)
-		if len(shards) == 0 {
-			return []*countstore.Flat{countstore.NewFlat(0)}
-		}
-		merged := shards[0]
-		for _, m := range shards[1:] {
-			m.Range(func(k pattern.PackedKey, c int64) { merged.Add(k, c) })
-		}
-		e.observeRate(merged.Len(), len(rows))
-		return []*countstore.Flat{merged}
-	}
-	parts := make([][]pattern.PackedKey, n)
-	per := len(rows)/n + 16
-	for i := range parts {
-		parts[i] = make([]pattern.PackedKey, 0, per)
-	}
-	for _, row := range rows {
-		s := shardOfRow(row, n)
-		parts[s] = append(parts[s], e.codec.PackedKey(row))
-	}
-	out := make([]*countstore.Flat, n)
-	count := func(i int) {
-		m := countstore.NewFlat(e.batchHint(len(parts[i])))
-		for _, k := range parts[i] {
-			m.Add(k, 1)
-		}
-		out[i] = m
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		switch {
-		case len(parts[i]) == 0:
-			out[i] = countstore.NewFlat(0)
-		case inline:
-			count(i)
-		default:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				count(i)
-			}(i)
-		}
-	}
-	wg.Wait()
-	distinct := 0
-	for _, m := range out {
-		distinct += m.Len()
-	}
-	e.observeRate(distinct, len(rows))
-	return out
-}
-
-// inlineBatchRows is the batch size below which a mutation is counted
-// and applied on the calling goroutine instead of one goroutine per
-// core: waking another thread for a few dozen rows costs more than
-// counting them (a 100-row Append on two cores takes 26 µs here and
-// 57 through the fan-out). A WAL replay run (PrepareRun) is held to
-// the same bound over all of its rows, so a restart pays the wake-up
-// once per run, not once per record.
+// inlineBatchRows is the run size, in rows, below which a mutation is
+// counted and applied on the calling goroutine instead of one goroutine
+// per worker and per core: waking another thread for a few dozen rows
+// costs more than counting them (a 100-row Append on two cores of a
+// 2-core Xeon takes 17–19 µs inline and 31–33 µs fanned out). A WAL replay
+// run is held to the same bound over all of its rows, so a restart
+// pays the wake-up once per run, not once per record.
 const inlineBatchRows = 512
 
 // defaultComboRate seeds the distinct-combos-per-row estimate before
@@ -865,175 +776,79 @@ func (e *ShardedEngine) observeRate(distinct, rows int) {
 	e.comboRate.Store(math.Float64bits(next))
 }
 
-// shardCounts partitions rows into contiguous chunks, one per worker,
-// and counts each chunk's combinations into a private table. An empty
-// batch (or a non-positive worker count) returns no shards rather
-// than indexing one that does not exist.
-func (e *ShardedEngine) shardCounts(rows [][]uint8, workers int) []*countstore.Flat {
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 0 {
-		return nil
-	}
-	chunk := (len(rows) + workers - 1) / workers
-	// Rounding chunk up can leave the last workers without rows; size
-	// the shard slice by the chunks actually spawned so every entry is
-	// a live table (the merge in countBatch iterates them all).
-	nChunks := (len(rows) + chunk - 1) / chunk
-	shards := make([]*countstore.Flat, nChunks)
-	count := func(w int, part [][]uint8) {
-		m := countstore.NewFlat(e.batchHint(len(part)))
-		for _, row := range part {
-			m.Add(e.codec.PackedKey(row), 1)
-		}
-		shards[w] = m
-	}
-	if nChunks == 1 {
-		count(0, rows)
-		return shards
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < nChunks; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(w int, part [][]uint8) {
-			defer wg.Done()
-			count(w, part)
-		}(w, rows[lo:hi])
-	}
-	wg.Wait()
-	return shards
-}
-
 // applyCoresLocked fans the per-core signed mutation maps out to the
 // cores — in parallel when more than one core has work and the batch
 // holds at least inlineBatchRows combinations, one after another on
 // the calling goroutine otherwise. Caller holds the write lock, which
 // is what makes the cross-core batch atomic for readers.
 func (e *ShardedEngine) applyCoresLocked(muts []*countstore.Flat) {
-	busy := 0
-	last := -1
-	combos := 0
+	combos, busy := 0, 0
+	for _, m := range muts {
+		combos += m.Len()
+		busy += min(m.Len(), 1)
+	}
+	if busy > 1 && combos >= inlineBatchRows {
+		fanOut(len(muts), func(i int) { e.cores[i].applyBatch(muts[i]) })
+		return
+	}
 	for i, m := range muts {
-		if m.Len() > 0 {
-			busy++
-			last = i
-			combos += m.Len()
-		}
-	}
-	switch {
-	case busy == 0:
-	case busy == 1:
-		e.cores[last].applyBatch(muts[last])
-	case combos < inlineBatchRows:
-		for i, m := range muts {
-			if m.Len() > 0 {
-				e.cores[i].applyBatch(m)
-			}
-		}
-	default:
-		var wg sync.WaitGroup
-		for i, m := range muts {
-			if m.Len() == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(c *shardCore, m *countstore.Flat) {
-				defer wg.Done()
-				c.applyBatch(m)
-			}(e.cores[i], m)
-		}
-		wg.Wait()
+		e.cores[i].applyBatch(m)
 	}
 }
 
-// Append validates and adds a batch of rows. The batch is counted into
-// per-core signed maps outside the lock (parallel, one goroutine per
-// core, from inlineBatchRows rows up), then fanned out to the cores
-// under the write lock. No base oracle is rebuilt: the rows join each
-// core's pending delta, and the first read that finds a delta past
-// the compaction threshold rebuilds that core. With a sliding window
-// configured, rows beyond the bound are evicted oldest-first in the
-// same mutation.
-func (e *ShardedEngine) Append(rows [][]uint8) error {
-	if len(rows) == 0 {
-		return nil
+// fanOut calls fn(0), …, fn(n-1), each on its own goroutine when n > 1,
+// and returns when all have returned.
+func fanOut(n int, fn func(int)) {
+	if n == 1 {
+		fn(0)
+		return
 	}
-	if err := e.validateRows(rows); err != nil {
-		return err
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
 	}
-	muts := e.countBatch(rows)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gen++
-	e.appends++
-	e.added.recordGen(e.gen, muts, true, e.opts.removedLogSize())
-	if e.log != nil {
-		for _, row := range rows {
-			e.log.push(e.codec.PackedKey(row))
-		}
-	}
-	e.rows += int64(len(rows))
-	e.evictIntoLocked(muts)
-	e.applyCoresLocked(muts)
-	return nil
+	wg.Wait()
 }
 
-// Delete validates and retracts a batch of rows. The whole batch is
-// atomic: if any row's combination lacks the multiplicity to delete,
-// the engine is left untouched and an error returned. Rows with equal
-// value combinations are indistinguishable, so under a sliding window
-// a delete retracts the oldest matching occurrences (the log entries
-// are tombstoned and reconciled lazily when eviction reaches them).
-func (e *ShardedEngine) Delete(rows [][]uint8) error {
+// Append validates and adds a batch of rows: a run of one append
+// record (PrepareRun, CommitRun). No base oracle is rebuilt: the rows
+// join each core's pending delta, and the first read that finds a
+// delta past the compaction threshold rebuilds that core. With a
+// sliding window configured, rows beyond the bound are evicted
+// oldest-first in the same mutation. An empty batch changes nothing.
+func (e *ShardedEngine) Append(rows [][]uint8) error { return e.mutate(rows, false) }
+
+// Delete validates and retracts a batch of rows: a run of one delete
+// record. The whole batch is atomic: if any row's combination lacks
+// the multiplicity to delete, the engine is left untouched and an
+// error returned. Rows with equal value combinations are
+// indistinguishable, so under a sliding window a delete retracts the
+// oldest matching occurrences (the log entries are tombstoned and
+// reconciled lazily when eviction reaches them).
+func (e *ShardedEngine) Delete(rows [][]uint8) error { return e.mutate(rows, true) }
+
+// mutate packs rows back to back and commits them as a one-record run.
+func (e *ShardedEngine) mutate(rows [][]uint8, del bool) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	if err := e.validateRows(rows); err != nil {
+	dim := len(e.cards)
+	slab := make([]byte, 0, len(rows)*dim)
+	for n, row := range rows {
+		if len(row) != dim {
+			return fmt.Errorf("engine: row %d has %d values, schema has %d attributes", n, len(row), dim)
+		}
+		slab = append(slab, row...)
+	}
+	r, err := e.PrepareRun([]RunRecord{{Delete: del, Rows: slab}})
+	if err != nil {
 		return err
 	}
-	need := e.countBatch(rows)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, m := range need {
-		var err error
-		m.Range(func(k pattern.PackedKey, c int64) {
-			if err != nil {
-				return
-			}
-			if have := e.cores[i].multiplicity(k); have < c {
-				err = fmt.Errorf("engine: cannot delete %d row(s) of combination %v: only %d present",
-					c, e.codec.Unpack(k), have)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	e.gen++
-	e.deletes++
-	for _, m := range need {
-		if e.log != nil {
-			m.Range(func(k pattern.PackedKey, c int64) {
-				e.pendingDeletes.Add(k, c)
-				e.tombstones += c
-			})
-		}
-		// The batch held the positive multiplicities to validate
-		// against; the cores apply it as a retraction.
-		m.Negate()
-	}
-	e.removed.recordGen(e.gen, need, false, e.opts.removedLogSize())
-	e.rows -= int64(len(rows))
-	e.applyCoresLocked(need)
-	return nil
+	return e.CommitRun(r)
 }
 
 // SetWindow configures a sliding window of at most maxRows live rows;
@@ -1243,17 +1058,10 @@ func (e *ShardedEngine) CoverageBatchRows(ps []pattern.Pattern) ([]int64, int64,
 		return out, rows, nil
 	}
 	partial := make([][]int64, len(e.cores))
-	var wg sync.WaitGroup
-	for ci, core := range e.cores {
-		wg.Add(1)
-		go func(ci int, core *shardCore) {
-			defer wg.Done()
-			vec := make([]int64, len(ps))
-			core.coverageBatch(ps, ms, vec)
-			partial[ci] = vec
-		}(ci, core)
-	}
-	wg.Wait()
+	fanOut(len(e.cores), func(ci int) {
+		partial[ci] = make([]int64, len(ps))
+		e.cores[ci].coverageBatch(ps, ms, partial[ci])
+	})
 	for _, vec := range partial {
 		for i, c := range vec {
 			out[i] += c
@@ -1283,19 +1091,7 @@ func rebuildCores(cores []*shardCore, need func(*shardCore) bool) int {
 			todo = append(todo, c)
 		}
 	}
-	if len(todo) == 1 {
-		todo[0].rebuild()
-		return 1
-	}
-	var wg sync.WaitGroup
-	for _, c := range todo {
-		wg.Add(1)
-		go func(c *shardCore) {
-			defer wg.Done()
-			c.rebuild()
-		}(c)
-	}
-	wg.Wait()
+	fanOut(len(todo), func(i int) { todo[i].rebuild() })
 	return len(todo)
 }
 

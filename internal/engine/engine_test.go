@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,19 +61,28 @@ func fullDataset(t testing.TB, schema *dataset.Schema, batches [][][]uint8) *dat
 	return ds
 }
 
+// TestAppendValidation: a row of the wrong width or with a value past
+// its cardinality is refused, and an empty batch, appended or deleted,
+// is accepted and leaves the rows and the generation alone, on one
+// core and on several.
 func TestAppendValidation(t *testing.T) {
-	e := New(testSchema(t, []int{2, 3}), Options{})
-	if err := e.Append([][]uint8{{0}}); err == nil {
-		t.Error("short row accepted")
-	}
-	if err := e.Append([][]uint8{{0, 3}}); err == nil {
-		t.Error("out-of-cardinality value accepted")
-	}
-	if err := e.Append(nil); err != nil {
-		t.Errorf("empty batch rejected: %v", err)
-	}
-	if got := e.Rows(); got != 0 {
-		t.Errorf("rows = %d after rejected appends, want 0", got)
+	for _, shards := range []int{1, 4} {
+		e := NewSharded(testSchema(t, []int{2, 3}), shards, Options{})
+		if err := e.Append([][]uint8{{0}}); err == nil {
+			t.Error("short row accepted")
+		}
+		if err := e.Append([][]uint8{{0, 3}}); err == nil {
+			t.Error("out-of-cardinality value accepted")
+		}
+		if err := e.Append(nil); err != nil {
+			t.Errorf("empty batch rejected: %v", err)
+		}
+		if err := e.Delete([][]uint8{}); err != nil {
+			t.Errorf("empty delete rejected: %v", err)
+		}
+		if got, gen := e.Rows(), e.Generation(); got != 0 || gen != 0 {
+			t.Errorf("shards=%d: rows %d at generation %d after rejected and empty batches, want 0 at 0", shards, got, gen)
+		}
 	}
 }
 
@@ -964,6 +975,129 @@ func TestConcurrentMutations(t *testing.T) {
 	}
 }
 
+// TestConcurrentWriters races four writers that append and delete
+// rows of the same five combinations — batches of a few rows and of
+// more than inlineBatchRows — against readers. A quarter of the
+// deletes also ask for a sixth combination no writer appends, so they
+// must be refused. Each writer keeps the net change of the mutations
+// the engine accepted. A refused delete must change nothing and an
+// accepted one must apply whole, so the final counts equal the sum of
+// the accepted changes; no reader may see a negative count or counts
+// that do not sum to the row total. Run under -race.
+func TestConcurrentWriters(t *testing.T) {
+	cards := []int{2, 3}
+	schema := testSchema(t, cards)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := NewSharded(schema, shards, Options{Workers: 2})
+			absent := []uint8{1, 2}
+			var combos []pattern.Pattern
+			pattern.EnumerateAll(cards, func(p pattern.Pattern) bool {
+				if p.Level() == len(cards) {
+					combos = append(combos, p.Clone())
+				}
+				return true
+			})
+
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						counts, rows, err := e.CoverageBatchRows(combos)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						var sum int64
+						for i, c := range counts {
+							if c < 0 {
+								t.Errorf("cov(%v) = %d", combos[i], c)
+								return
+							}
+							sum += c
+						}
+						if sum != rows {
+							t.Errorf("counts sum to %d at %d rows", sum, rows)
+							return
+						}
+					}
+				}()
+			}
+
+			accepted := make([]map[string]int64, 4)
+			refused := make([]int, 4)
+			var writers sync.WaitGroup
+			for w := range accepted {
+				accepted[w] = map[string]int64{}
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					rng := rand.New(rand.NewSource(int64(31 + w)))
+					for op := 0; op < 60; op++ {
+						n := 1 + rng.Intn(12)
+						if rng.Intn(8) == 0 {
+							n = inlineBatchRows + rng.Intn(200)
+						}
+						rows := randomRows(rng, cards, n)
+						for i, row := range rows {
+							if string(row) == string(absent) {
+								rows[i] = []uint8{0, 0}
+							}
+						}
+						if rng.Intn(2) == 0 {
+							if err := e.Append(rows); err != nil {
+								t.Error(err)
+								return
+							}
+							applyRef(accepted[w], rows, 1)
+							continue
+						}
+						overdraw := rng.Intn(4) == 0
+						if overdraw {
+							rows = append(rows, absent)
+						}
+						switch err := e.Delete(rows); {
+						case err == nil && !overdraw:
+							applyRef(accepted[w], rows, -1)
+						case err != nil && strings.Contains(err.Error(), "cannot delete"):
+							refused[w]++
+						default:
+							t.Errorf("delete (overdrawing: %v) answered %v", overdraw, err)
+							return
+						}
+					}
+				}(w)
+			}
+			writers.Wait()
+			close(stop)
+			readers.Wait()
+
+			want := map[string]int64{}
+			for w, m := range accepted {
+				for k, n := range m {
+					if want[k] += n; want[k] == 0 {
+						delete(want, k)
+					}
+				}
+				if refused[w] == 0 {
+					t.Errorf("writer %d had no delete refused", w)
+				}
+			}
+			if got := e.ExportState().Counts; !reflect.DeepEqual(got, want) {
+				t.Fatalf("counts %v, the accepted mutations sum to %v", got, want)
+			}
+		})
+	}
+}
+
 // TestIndexSnapshot checks Oracle() folds the delta in and yields an
 // oracle equivalent to a fresh build.
 func TestIndexSnapshot(t *testing.T) {
@@ -993,38 +1127,32 @@ func TestIndexSnapshot(t *testing.T) {
 	}
 }
 
-// TestAppendSmallBatchManyWorkers pins the shardCounts chunk rounding:
-// with more workers than ceil(rows/chunk) chunks (say 5 rows across 4
-// workers), the trailing workers get no rows and their count tables
-// must not enter the merge as nils.
+// TestAppendSmallBatchManyWorkers: every batch is counted whole, also
+// when the workers outnumber the rows' chunks. A batch under
+// inlineBatchRows is counted on one worker whatever Workers says; one
+// of inlineBatchRows+1 rows over 300 workers is cut into chunks of 2
+// rows, and the last 43 workers get none.
 func TestAppendSmallBatchManyWorkers(t *testing.T) {
-	for rows := 1; rows <= 9; rows++ {
-		for workers := 1; workers <= 8; workers++ {
-			e := New(testSchema(t, []int{2, 3, 4}), Options{Workers: workers})
-			batch := make([][]uint8, rows)
-			for i := range batch {
-				batch[i] = []uint8{uint8(i % 2), uint8(i % 3), uint8(i % 4)}
-			}
-			if err := e.Append(batch); err != nil {
-				t.Fatalf("rows=%d workers=%d: %v", rows, workers, err)
-			}
-			if got := e.Stats().Rows; got != int64(rows) {
-				t.Fatalf("rows=%d workers=%d: engine holds %d rows", rows, workers, got)
-			}
-			// Append counts a batch this small on one worker, so ask
-			// for the chunking itself as well.
-			counted := 0
-			for w, m := range e.shardCounts(batch, workers) {
-				if m == nil {
-					t.Fatalf("rows=%d workers=%d: chunk %d has no table", rows, workers, w)
-				}
-				m.Range(func(_ pattern.PackedKey, n int64) { counted += int(n) })
-			}
-			if counted != rows {
-				t.Fatalf("rows=%d workers=%d: chunks count %d rows", rows, workers, counted)
-			}
+	check := func(rows, workers int) {
+		t.Helper()
+		e := New(testSchema(t, []int{2, 3, 4}), Options{Workers: workers})
+		batch := make([][]uint8, rows)
+		for i := range batch {
+			batch[i] = []uint8{uint8(i % 2), uint8(i % 3), uint8(i % 4)}
+		}
+		if err := e.Append(batch); err != nil {
+			t.Fatalf("rows=%d workers=%d: %v", rows, workers, err)
+		}
+		if got := e.Stats().Rows; got != int64(rows) {
+			t.Fatalf("rows=%d workers=%d: engine holds %d rows", rows, workers, got)
 		}
 	}
+	for rows := 1; rows <= 9; rows++ {
+		for workers := 1; workers <= 8; workers++ {
+			check(rows, workers)
+		}
+	}
+	check(inlineBatchRows+1, 300)
 }
 
 // TestInlineBatchThreshold: a batch is counted and applied on the

@@ -54,33 +54,6 @@ func TestStatsDistinctCountsDeltaResident(t *testing.T) {
 	}
 }
 
-// TestShardCountsEmptyBatch is the regression for the worker-clamp
-// panic: an empty row batch clamps the worker count to zero, and
-// shardCounts must answer with no shards instead of indexing one that
-// does not exist. countBatch must survive the same input on both the
-// single-core and the routed multi-core path.
-func TestShardCountsEmptyBatch(t *testing.T) {
-	se := NewSharded(testSchema(t, []int{2, 3}), 1, Options{})
-	if got := se.shardCounts(nil, 8); len(got) != 0 {
-		t.Fatalf("shardCounts(no rows) returned %d shards, want none", len(got))
-	}
-	if got := se.shardCounts([][]uint8{}, 0); len(got) != 0 {
-		t.Fatalf("shardCounts(workers=0) returned %d shards, want none", len(got))
-	}
-	for _, shards := range []int{1, 4} {
-		e := NewSharded(testSchema(t, []int{2, 3}), shards, Options{})
-		muts := e.countBatch(nil)
-		if len(muts) != shards {
-			t.Fatalf("countBatch(no rows) on %d cores returned %d maps", shards, len(muts))
-		}
-		for i, m := range muts {
-			if m.Len() != 0 {
-				t.Fatalf("countBatch(no rows) core %d map has %d entries", i, m.Len())
-			}
-		}
-	}
-}
-
 // TestShardProberCoverageBatch pins the merged fan-out probe: a batch
 // against the sharded prober must answer exactly like per-pattern
 // probes, count one logical probe per pattern, and cost a single

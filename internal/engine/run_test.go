@@ -54,6 +54,7 @@ func TestRunMatchesRecordByRecord(t *testing.T) {
 				}
 				live := map[string]int64{}
 				applyRef(live, seed, 1)
+				appends, deletes := int64(1), int64(0)
 				for round := 0; round < 12; round++ {
 					var run []RunRecord
 					for n := 1 + rng.Intn(30); len(run) < n; {
@@ -68,12 +69,14 @@ func TestRunMatchesRecordByRecord(t *testing.T) {
 								t.Fatal(err)
 							}
 							applyRef(live, rows, -1)
+							deletes++
 						} else {
 							rows = randomRows(rng, cards, 1+rng.Intn(200))
 							if err := ref.Append(rows); err != nil {
 								t.Fatal(err)
 							}
 							applyRef(live, rows, 1)
+							appends++
 						}
 						run = append(run, RunRecord{Delete: del, Rows: packRows(rows)})
 					}
@@ -81,7 +84,18 @@ func TestRunMatchesRecordByRecord(t *testing.T) {
 						t.Fatalf("round %d: %v", round, err)
 					}
 				}
+				// Append and Delete are runs of one record themselves, so
+				// the engines are also held to the reference counts.
 				w, g := ref.ExportState(), got.ExportState()
+				var rows int64
+				for _, n := range live {
+					rows += n
+				}
+				if !reflect.DeepEqual(g.Counts, live) || g.Rows != rows || g.Generation != uint64(appends+deletes) ||
+					g.Counters.Appends != appends || g.Counters.Deletes != deletes {
+					t.Fatalf("runs left %d rows at generation %d after %d appends and %d deletes, want %d rows (counts equal: %v)",
+						g.Rows, g.Generation, g.Counters.Appends, g.Counters.Deletes, rows, reflect.DeepEqual(g.Counts, live))
+				}
 				if !reflect.DeepEqual(w.Counts, g.Counts) || w.Rows != g.Rows || w.Generation != g.Generation {
 					t.Fatalf("runs left rows %d at generation %d, records %d at %d (counts equal: %v)",
 						g.Rows, g.Generation, w.Rows, w.Generation, reflect.DeepEqual(w.Counts, g.Counts))
@@ -100,19 +114,34 @@ func TestRunMatchesRecordByRecord(t *testing.T) {
 						t.Fatal(err)
 					}
 					mustEqualResults(t, fmt.Sprintf("τ=%d", tau), gr, wr)
+					nr, err := mup.Naive(refIndex(schema, live), mup.Options{Threshold: tau})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(gr.MUPs) != len(nr.MUPs) {
+						t.Fatalf("τ=%d: %d MUPs, the reference counts have %d", tau, len(gr.MUPs), len(nr.MUPs))
+					}
+					for i := range nr.MUPs {
+						if !gr.MUPs[i].Equal(nr.MUPs[i]) {
+							t.Fatalf("τ=%d: MUPs[%d] = %v, the reference counts give %v", tau, i, gr.MUPs[i], nr.MUPs[i])
+						}
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestRunRefusals: each refused run leaves the engine exactly as it
-// was. A delete that overdraws a combination at its point in the run is
-// refused even when appends later in the run make up for it — also
-// when the delete and the appends land in different workers' chunks —
-// and so is a value code past its attribute's cardinality. A run
-// prepared before another mutation, or any run on a windowed engine, is
-// refused too.
+// TestRunRefusals: PrepareRun refuses a record that is not a whole
+// number of rows and a value code past its attribute's cardinality;
+// CommitRun refuses a delete that overdraws a combination at its point
+// in the run, even when appends later in the run make up for it — also
+// when the delete and the appends land in different workers' chunks.
+// Every refused run leaves the engine exactly as it was. A run is
+// checked against the counts it commits onto, not those it was
+// prepared beside: one prepared before another append commits after
+// it. On a windowed engine a one-record run commits and evicts exactly
+// as Append and Delete do, and a two-record run is refused.
 func TestRunRefusals(t *testing.T) {
 	cards := []int{3, 4, 2}
 	schema := testSchema(t, cards)
@@ -141,16 +170,6 @@ func TestRunRefusals(t *testing.T) {
 				name, want string
 				run        []RunRecord
 			}{
-				{"overdraw then make up", "past its count", []RunRecord{
-					{Rows: many(y, 600)},
-					{Delete: true, Rows: many(x, 1)},
-					{Rows: many(x, 2)},
-				}},
-				{"overdraw across chunks", "past its count", []RunRecord{
-					{Rows: many(x, 300)},
-					{Delete: true, Rows: many(x, 301)},
-					{Rows: many(x, 400)},
-				}},
 				{"code past cardinality", "exceeds cardinality", []RunRecord{
 					{Rows: many(y, 10)},
 					{Rows: []byte{0, 4, 0}},
@@ -162,6 +181,40 @@ func TestRunRefusals(t *testing.T) {
 				_, err := e.PrepareRun(tc.run)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("%s: PrepareRun error %v, want one containing %q", tc.name, err, tc.want)
+				}
+				untouched(tc.name)
+			}
+			for _, tc := range []struct {
+				name string
+				run  []RunRecord
+			}{
+				{"overdraw then make up", []RunRecord{
+					{Rows: many(y, 600)},
+					{Delete: true, Rows: many(x, 1)},
+					{Rows: many(x, 2)},
+				}},
+				{"overdraw across chunks", []RunRecord{
+					{Rows: many(x, 300)},
+					{Delete: true, Rows: many(x, 301)},
+					{Rows: many(x, 400)},
+				}},
+				// With 4 workers the deletes fill chunk 0 and the appends
+				// chunks 1–3, so the low point is a chunk boundary.
+				{"overdraw at the end of a chunk", []RunRecord{
+					{Delete: true, Rows: many(y, 175)},
+					{Rows: many(y, 525)},
+				}},
+				{"overdraw by the net", []RunRecord{
+					{Rows: many(x, 2)},
+					{Delete: true, Rows: many(y, 3)},
+				}},
+			} {
+				r, err := e.PrepareRun(tc.run)
+				if err != nil {
+					t.Fatalf("%s: PrepareRun: %v", tc.name, err)
+				}
+				if err := e.CommitRun(r); err == nil || !strings.Contains(err.Error(), "cannot delete") {
+					t.Fatalf("%s: CommitRun error %v, want an overdraw", tc.name, err)
 				}
 				untouched(tc.name)
 			}
@@ -177,23 +230,66 @@ func TestRunRefusals(t *testing.T) {
 				t.Fatalf("counts %v after a run netting to zero, want %v", c, before.Counts)
 			}
 
-			r, err := e.PrepareRun([]RunRecord{{Rows: many(x, 1)}})
+			// A delete prepared while x is absent commits once an append
+			// has brought x in.
+			r, err := e.PrepareRun([]RunRecord{{Delete: true, Rows: many(x, 1)}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Append([][]uint8{x}); err != nil {
+			if err := e.Append([][]uint8{x, x}); err != nil {
 				t.Fatal(err)
 			}
-			before = e.ExportState()
-			if err := e.CommitRun(r); err == nil {
-				t.Fatal("a run prepared before an append committed after it")
+			gen := e.Generation()
+			if err := e.CommitRun(r); err != nil {
+				t.Fatalf("a run prepared before an append: %v", err)
 			}
-			untouched("stale run")
+			if g, c := e.Generation(), e.ExportState().Counts; g != gen+1 || c[string(x)] != 1 {
+				t.Fatalf("generation %d with %d of x after the run, want %d with 1", g, c[string(x)], gen+1)
+			}
 
-			e.SetWindow(100)
+			// A window of 3 rows: the append evicts its own oldest a, the
+			// delete tombstones b, and the next append pops b's tombstone
+			// and evicts c.
+			e = NewSharded(schema, 2, Options{Workers: workers})
+			e.SetWindow(3)
+			a, b, c, d := x, y, []uint8{1, 2, 0}, []uint8{0, 1, 1}
+			for step, tc := range []struct {
+				rec                 RunRecord
+				counts              map[string]int64
+				log                 [][]uint8
+				tombstones, evicted int64
+				removed             []uint8
+			}{
+				{RunRecord{Rows: packRows([][]uint8{a, b, c, a})},
+					map[string]int64{string(a): 1, string(b): 1, string(c): 1}, [][]uint8{b, c, a}, 0, 1, a},
+				{RunRecord{Delete: true, Rows: packRows([][]uint8{b})},
+					map[string]int64{string(a): 1, string(c): 1}, [][]uint8{b, c, a}, 1, 1, b},
+				{RunRecord{Rows: packRows([][]uint8{d, d})},
+					map[string]int64{string(a): 1, string(d): 2}, [][]uint8{a, d, d}, 0, 2, c},
+			} {
+				if err := commitRun(e, []RunRecord{tc.rec}); err != nil {
+					t.Fatalf("windowed step %d: %v", step, err)
+				}
+				st := e.ExportState()
+				var log []string
+				for _, row := range tc.log {
+					log = append(log, string(row))
+				}
+				rm := st.Removed.Recs[len(st.Removed.Recs)-1]
+				if !reflect.DeepEqual(st.Counts, tc.counts) || !reflect.DeepEqual(st.WindowLog, log) ||
+					st.Tombstones != tc.tombstones || e.Stats().Evictions != tc.evicted ||
+					rm != (MutationRec{Gen: st.Generation, Key: string(tc.removed), Count: -1}) {
+					t.Fatalf("windowed step %d: counts %v, window %q, %d tombstones, %d evictions, last removed %+v",
+						step, st.Counts, st.WindowLog, st.Tombstones, e.Stats().Evictions, rm)
+				}
+			}
 			before = e.ExportState()
-			if _, err := e.PrepareRun([]RunRecord{{Rows: many(x, 1)}}); err == nil {
-				t.Fatal("a windowed engine prepared a run")
+			r, err = e.PrepareRun([]RunRecord{{Rows: many(x, 1)}, {Rows: many(y, 1)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CommitRun(r); err == nil || !strings.Contains(err.Error(), "sliding window") {
+				t.Fatalf("a windowed engine committed a two-record run: %v", err)
 			}
 			untouched("windowed engine")
 		})

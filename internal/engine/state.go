@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"coverage/internal/countstore"
 	"coverage/internal/dataset"
@@ -630,26 +629,20 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			parts[s] = append(parts[s], index.Entry{Key: key, Count: c})
 		}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			core := newShardCore(schema, opts)
-			core.compactions = 0
-			part := parts[i]
-			core.counts = countstore.NewFlat(len(part))
-			for _, en := range part {
-				core.counts.Set(en.Key, en.Count)
-				core.rows += en.Count
-			}
-			// Key lists in value order are checked, not sorted again.
-			core.base = index.BuildFromKeys(schema, part)
-			core.pool = core.base.NewPool()
-			e.cores[i] = core
-		}(i)
-	}
-	wg.Wait()
+	fanOut(n, func(i int) {
+		core := newShardCore(schema, opts)
+		core.compactions = 0
+		part := parts[i]
+		core.counts = countstore.NewFlat(len(part))
+		for _, en := range part {
+			core.counts.Set(en.Key, en.Count)
+			core.rows += en.Count
+		}
+		// Key lists in value order are checked, not sorted again.
+		core.base = index.BuildFromKeys(schema, part)
+		core.pool = core.base.NewPool()
+		e.cores[i] = core
+	})
 
 	if st.Window > 0 {
 		e.log = &keyRing{keys: make([]pattern.PackedKey, len(st.WindowLog))}

@@ -44,8 +44,8 @@
 // only when they advance the restored generation by exactly one, making
 // replay idempotent. Consecutive append and delete records replay as
 // one engine batch per run, counted straight from the log's bytes; a
-// window record ends a run, and an engine with a window replays record
-// by record. The restored engine
+// window record ends a run, and while the engine has a window each
+// record is a run of one. The restored engine
 // answers every coverage and MUP query identically to one that lived
 // through the same mutation history — including incremental cache
 // repair, because the mutation logs and cached MUP sets travel in the

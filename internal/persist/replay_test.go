@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"coverage/internal/dataset"
@@ -106,6 +107,48 @@ func (o walOp) apply(eng *engine.Engine) error {
 	}
 }
 
+// countModel is the reference FuzzWALReplay holds recovered counts to:
+// the live rows, oldest first while a window is on. A delete retracts
+// the oldest live copy of each row, and the window drops the oldest
+// rows past its bound. The rows present when a window is switched on
+// are ordered by value: the engine orders them by the occupancy of
+// their key pages first, and every combination of the fuzzed schemas
+// (at most 9 key bits) lies on one page.
+type countModel struct {
+	rows   []string
+	window int
+}
+
+func (m *countModel) apply(o walOp) {
+	switch o.op {
+	case opAppend:
+		for _, r := range o.rows {
+			m.rows = append(m.rows, string(r))
+		}
+	case opDelete:
+		for _, r := range o.rows {
+			i := slices.Index(m.rows, string(r))
+			m.rows = slices.Delete(m.rows, i, i+1)
+		}
+	default:
+		if m.window == 0 {
+			slices.Sort(m.rows)
+		}
+		m.window = o.maxRows
+	}
+	if m.window > 0 && len(m.rows) > m.window {
+		m.rows = m.rows[len(m.rows)-m.window:]
+	}
+}
+
+func (m *countModel) counts() map[string]int64 {
+	c := make(map[string]int64)
+	for _, r := range m.rows {
+		c[r]++
+	}
+	return c
+}
+
 // FuzzWALReplay drives a random history of appends, deletes and window
 // changes over a 3- or 4-attribute schema through a store, optionally
 // snapshotting mid-way after a τ=2 search (so a cached MUP set is
@@ -116,7 +159,9 @@ func (o walOp) apply(eng *engine.Engine) error {
 // fed the surviving records one at a time: coverage of every pattern,
 // rows, generation, window and MUPs at τ = 1, 2 (repaired from the
 // restored cache) and 5 — and again after a further snapshot and
-// recovery.
+// recovery. Append and Delete commit through the same runs, so the
+// recovered counts are also held to a count model of the surviving
+// history.
 func FuzzWALReplay(f *testing.F) {
 	f.Add(int64(1), uint8(40), false, uint8(20), uint8(0), uint32(0), uint8(2))
 	f.Add(int64(2), uint8(70), true, uint8(0), uint8(1), uint32(9000), uint8(1))
@@ -235,6 +280,7 @@ func FuzzWALReplay(f *testing.F) {
 			return
 		}
 		ref := engine.New(schema, engine.Options{})
+		var model countModel
 		for _, op := range hist {
 			if ref.Generation() == target {
 				break
@@ -242,6 +288,10 @@ func FuzzWALReplay(f *testing.F) {
 			if err := op.apply(ref); err != nil {
 				t.Fatal(err)
 			}
+			model.apply(op)
+		}
+		if c, want := got.ExportState().Counts, model.counts(); !reflect.DeepEqual(c, want) {
+			t.Fatalf("recovered counts %v, the surviving history leaves %v", c, want)
 		}
 		assertEquivalent(t, ref, got)
 

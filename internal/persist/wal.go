@@ -342,16 +342,16 @@ func DecodeWALStream(data []byte, dim int) (recs []WALRecord, complete bool) {
 // is handed to the engine as one batch (engine.PrepareRun, CommitRun),
 // its rows counted straight from the record bytes, so replay costs the
 // distinct combinations a run touches rather than one engine mutation
-// per record. A window record ends a run, and so does a record with no
-// rows; both, and every record while the engine has a window (whose
-// ring must see the rows in arrival order), are applied one by one.
-// A record the engine refuses — a value code past its cardinality, a
-// delete of more rows than are present at its point in the log — is
-// ErrCorrupt, and a refused run leaves the engine as it was before the
-// run. batches counts the engine batches applied: one per run, one per
-// record applied on its own.
+// per record. While the engine has a window, whose ring must see the
+// rows in arrival order, every append or delete record is a run of its
+// own. A window record ends a run and is applied on its own; so is a
+// record with no rows, which changes nothing. A record the engine
+// refuses — a value code past its cardinality, a delete of more rows
+// than are present at its point in the log — is ErrCorrupt, and a
+// refused run leaves the engine as it was before the run. batches
+// counts the engine batches applied: one per run, one per record
+// applied on its own.
 func replaySegment(eng *engine.Engine, recs []walRecord) (applied, skipped, batches int, err error) {
-	dim := len(eng.Cards())
 	var run []engine.RunRecord
 	first := 0 // index of the run's first record
 	flush := func() error {
@@ -379,26 +379,23 @@ func replaySegment(eng *engine.Engine, recs []walRecord) (applied, skipped, batc
 		if rec.gen != gen+1 {
 			return applied, skipped, batches, fmt.Errorf("%w: WAL record %d jumps from generation %d to %d", ErrCorrupt, i, gen, rec.gen)
 		}
-		if rec.op != opWindow && len(rec.rows) > 0 && (len(run) > 0 || eng.Window() == 0) {
+		if rec.op != opWindow && len(rec.rows) > 0 {
 			if len(run) == 0 {
 				first = i
 			}
 			run = append(run, engine.RunRecord{Delete: rec.op == opDelete, Rows: rec.rows})
+			if eng.Window() > 0 {
+				if err := flush(); err != nil {
+					return applied, skipped, batches, err
+				}
+			}
 			continue
 		}
 		if err := flush(); err != nil {
 			return applied, skipped, batches, err
 		}
-		switch rec.op {
-		case opAppend:
-			err = eng.Append(rowViews(rec.rows, dim))
-		case opDelete:
-			err = eng.Delete(rowViews(rec.rows, dim))
-		case opWindow:
+		if rec.op == opWindow {
 			eng.SetWindow(rec.maxRows)
-		}
-		if err != nil {
-			return applied, skipped, batches, fmt.Errorf("%w: replaying WAL record %d: %w", ErrCorrupt, i, err)
 		}
 		applied++
 		batches++
