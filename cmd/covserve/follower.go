@@ -27,9 +27,10 @@ const maxLagHeader = "X-Max-Lag"
 
 // follower tails a leader covserve: it bootstraps its own data
 // directory from the leader's snapshot chain, then long-polls GET /wal
-// and replays the records through its own persist.Store — so every
-// applied mutation is durable locally and the follower survives
-// restarts (and promotion to leader) like any covserve.
+// and hands each response to its own persist.Store (ApplyWAL), which
+// replays the records as recovery does and logs their bytes verbatim —
+// so every applied mutation is durable locally and the follower
+// survives restarts (and promotion to leader) like any covserve.
 //
 // Reads are served from the local engine at a bounded, observable
 // staleness; mutations are refused with 403 and a Location pointing at
@@ -214,7 +215,6 @@ var errResync = errors.New("follower: WAL feed unusable from this generation")
 func (f *follower) tailOnce() (int, error) {
 	f.mu.RLock()
 	store := f.store
-	dim := f.an.Dataset().Dim()
 	gen := f.an.Engine().Generation()
 	f.mu.RUnlock()
 
@@ -244,7 +244,7 @@ func (f *follower) tailOnce() (int, error) {
 	case resp.StatusCode != http.StatusOK:
 		return 0, fmt.Errorf("leader /wal: %s", resp.Status)
 	case readErr != nil:
-		// A transfer torn mid-record is fine — the decoder keeps the
+		// A transfer torn mid-record is fine — the store keeps the
 		// intact prefix and the next poll re-requests the rest.
 		data = data[:0]
 	}
@@ -252,37 +252,18 @@ func (f *follower) tailOnce() (int, error) {
 		f.leaderGen.Store(lg)
 	}
 
-	// complete=false means the stream ended mid-record (the leader was
-	// appending, or the transfer tore): apply the intact prefix and
-	// re-request from the new position next poll.
-	recs, _ := persist.DecodeWALStream(data, dim)
-	applied := 0
-	for _, rec := range recs {
-		cur := f.engineGen()
-		if rec.Gen <= cur {
-			continue
-		}
-		if rec.Gen != cur+1 {
-			// A hole in the feed: the leader no longer serves the
-			// records between us and rec. Resync from the chain.
-			n, err := f.resync()
-			return applied + n, err
-		}
-		switch rec.Op {
-		case persist.WALOpAppend:
-			err = store.Append(rec.Rows)
-		case persist.WALOpDelete:
-			err = store.Delete(rec.Rows)
-		case persist.WALOpWindow:
-			err = store.SetWindow(rec.MaxRows)
-		default:
-			err = fmt.Errorf("%w: unknown op %d at generation %d", errResync, rec.Op, rec.Gen)
-		}
-		if err != nil {
-			return applied, fmt.Errorf("applying generation %d: %w", rec.Gen, err)
-		}
-		applied++
-		f.applied.Add(1)
+	// The store applies the intact prefix (a stream torn mid-record is
+	// re-requested from the new position next poll) and logs it as one
+	// group commit. ErrGone is a hole in the feed: the leader no longer
+	// serves the records between us and its next one.
+	applied, err := store.ApplyWAL(data)
+	f.applied.Add(int64(applied))
+	if errors.Is(err, persist.ErrGone) {
+		n, err := f.resync()
+		return applied + n, err
+	}
+	if err != nil {
+		return applied, fmt.Errorf("applying the leader's WAL: %w", err)
 	}
 	return applied, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -145,6 +146,52 @@ func TestFollowerTailsLeader(t *testing.T) {
 	// The leader's /stats has no replica section.
 	if decode[statsResponse](t, do(t, leaderSrv, "GET", "/stats", "")).Replica != nil {
 		t.Error("leader /stats reports a replica section")
+	}
+}
+
+// TestFollowerCatchUpOneGroupCommit: a follower that catches up many
+// records from one feed response logs them with one WAL group commit —
+// one write, one fsync — and its segment holds the leader's bytes for
+// those generations.
+func TestFollowerCatchUpOneGroupCommit(t *testing.T) {
+	leaderSrv, ts := startLeader(t, t.TempDir(), persist.Options{})
+	f := startFollower(t, ts)
+	from := f.engineGen()
+	labels := []string{`["male", "white"]`, `["female", "black"]`, `["male", "other"]`}
+	const n = 60
+	for i := range n {
+		do(t, leaderSrv, "POST", "/append", `{"rows": [`+labels[i%3]+`, `+labels[(i+1)%3]+`]}`)
+		if i%10 == 9 {
+			do(t, leaderSrv, "POST", "/delete", `{"rows": [`+labels[i%3]+`]}`)
+		}
+	}
+	leaderGen := leaderSrv.an.Engine().Generation()
+
+	before := f.store.Stats()
+	applied, err := f.pollOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(applied) != leaderGen-from || f.engineGen() != leaderGen {
+		t.Fatalf("applied %d records to generation %d, leader at %d from %d", applied, f.engineGen(), leaderGen, from)
+	}
+	after := f.store.Stats()
+	if commits := after.WALGroupCommits - before.WALGroupCommits; commits != 1 {
+		t.Fatalf("%d WAL group commits for %d records from one feed response, want 1", commits, applied)
+	}
+	if recs := after.WALGroupRecords - before.WALGroupRecords; recs != int64(applied) {
+		t.Fatalf("the group carried %d records, want %d", recs, applied)
+	}
+	want, _, err := leaderSrv.store.WALSince(from, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := f.store.WALSince(from, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("follower logged %d bytes that are not the leader's %d", len(got), len(want))
 	}
 }
 

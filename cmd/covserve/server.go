@@ -373,14 +373,13 @@ type persistStats struct {
 	// stack on the newest full image.
 	DeltaSnapshots   int64 `json:"delta_snapshots"`
 	DeltaChainLength int   `json:"delta_chain_length"`
-	// The commit pipeline: coalesced write+fsync calls, the records
-	// they carried (records ÷ commits = group size), append requests
-	// merged into a groupmate's engine batch, the newest durably
+	// The commit pipeline: write+fsync calls, the records they
+	// carried (one per request, or one per record of a follower's
+	// feed; records ÷ commits = group size), the newest durably
 	// logged generation, and feed long-pollers currently parked on
 	// the commit hub.
 	WALGroupCommits   int64  `json:"wal_group_commits"`
 	WALGroupRecords   int64  `json:"wal_grouped_records"`
-	CoalescedAppends  int64  `json:"coalesced_appends"`
 	DurableGeneration uint64 `json:"durable_generation"`
 	FeedWaiters       int64  `json:"feed_waiters"`
 }
@@ -446,7 +445,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Persist.DeltaChainLength = ps.DeltaChainLength
 		resp.Persist.WALGroupCommits = ps.WALGroupCommits
 		resp.Persist.WALGroupRecords = ps.WALGroupRecords
-		resp.Persist.CoalescedAppends = ps.CoalescedAppends
 		resp.Persist.DurableGeneration = ps.DurableGeneration
 		resp.Persist.FeedWaiters = ps.FeedWaiters
 	}
@@ -968,7 +966,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // Replication feed. A follower bootstraps by downloading the snapshot
 // chain (GET /chain, GET /chain/{name}) into its own data directory,
 // recovering from it, and then tailing GET /wal?from=<gen> — the raw
-// framed, per-record-CRC WAL stream persist.DecodeWALStream parses.
+// framed, per-record-CRC WAL stream persist.Store.ApplyWAL replays.
 
 // walFeedMaxBytes caps one /wal response; the follower resumes from
 // the generation of the last record it received.

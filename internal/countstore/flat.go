@@ -166,12 +166,6 @@ func (f *Flat) Range(fn func(k pattern.PackedKey, n int64)) {
 	}
 }
 
-func (f *Flat) Negate() {
-	for i := range f.slots {
-		f.slots[i].n = -f.slots[i].n
-	}
-}
-
 func (f *Flat) Mem() Mem {
 	return Mem{
 		Live:  f.Len(),

@@ -185,7 +185,7 @@ func TestFlatGrowMidDrainKeepsAllEntries(t *testing.T) {
 	}
 }
 
-func TestFlatSetAndNegate(t *testing.T) {
+func TestFlatSet(t *testing.T) {
 	f := NewFlat(4)
 	f.Set(key(1, 0), 5)
 	f.Set(key(2, 0), -3)
@@ -196,9 +196,5 @@ func TestFlatSetAndNegate(t *testing.T) {
 	}
 	if got, l := f.Get(key(2, 0)), f.Len(); got != 0 || l != 1 {
 		t.Fatalf("after Set 0: Get=%d Len=%d", got, l)
-	}
-	f.Negate()
-	if got := f.Get(key(1, 0)); got != -7 {
-		t.Fatalf("after Negate: Get=%d want -7", got)
 	}
 }

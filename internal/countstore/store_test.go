@@ -25,12 +25,6 @@ func (m refMap) set(k pattern.PackedKey, n int64) {
 	m[k] = n
 }
 
-func (m refMap) negate() {
-	for k, n := range m {
-		m[k] = -n
-	}
-}
-
 // checkContents compares Flat's full Range contents and self-reported
 // footprint against the oracle.
 func checkContents(t *testing.T, f *Flat, want refMap) {
@@ -56,8 +50,8 @@ func checkContents(t *testing.T, f *Flat, want refMap) {
 }
 
 // TestStoreEquivalenceSchedule drives Flat through a randomized
-// schedule of signed adds, absolute sets, deletes-to-zero and
-// negations, comparing Get/Add returns/Len after every step and the
+// schedule of signed adds, absolute sets and deletes-to-zero,
+// comparing Get/Add returns/Len after every step and the
 // full Range contents at the end against the map oracle. The key set is
 // wide enough that each seed crosses several doublings with
 // backward-shift deletes between them.
@@ -86,9 +80,6 @@ func TestStoreEquivalenceSchedule(t *testing.T) {
 				c := ref[k]
 				flat.Add(k, -c)
 				ref.add(k, -c)
-			case op < 16:
-				flat.Negate()
-				ref.negate()
 			default: // read
 				if got, want := flat.Get(k), ref[k]; got != want {
 					t.Fatalf("seed %d step %d: Get(%v) = %d, oracle %d", seed, step, k, got, want)

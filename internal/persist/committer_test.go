@@ -74,8 +74,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 
 // TestGroupCommitPerRequestErrors drives commitGroup directly with a
 // mixed batch: a request the engine rejects must hear its own error
-// while its groupmates commit, even when they arrived as one
-// coalescible append run.
+// while its groupmates, appends on either side of it, commit.
 func TestGroupCommitPerRequestErrors(t *testing.T) {
 	dir := t.TempDir()
 	s, eng := attachFresh(t, dir)
@@ -109,59 +108,83 @@ func TestGroupCommitPerRequestErrors(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalescesConsecutiveAppends pins the log shape: a run
-// of consecutive appends becomes one record at one generation, while a
-// delete or window change in between splits the run, preserving the
-// apply order on replay.
-func TestGroupCommitCoalescesConsecutiveAppends(t *testing.T) {
+// TestGroupCommitOneRecordPerRequest pins the log shape: every request
+// in a group is applied and logged as its own record, at its own
+// generation and holding only its own rows, in arrival order — and the
+// group still costs one write.
+func TestGroupCommitOneRecordPerRequest(t *testing.T) {
 	dir := t.TempDir()
 	s, eng := attachFresh(t, dir)
 	defer s.Close()
 	base := eng.Generation()
+	commits := s.Stats().WALGroupCommits
 
 	mk := func(op byte, rows [][]uint8, maxRows int) *commitReq {
 		return &commitReq{op: op, rows: rows, maxRows: maxRows, errc: make(chan error, 1)}
 	}
-	a1 := mk(opAppend, [][]uint8{{0, 0, 0}}, 0)
-	a2 := mk(opAppend, [][]uint8{{1, 1, 1}}, 0)
-	w := mk(opWindow, nil, 500)
-	a3 := mk(opAppend, [][]uint8{{0, 2, 2}}, 0)
-	s.commitGroup([]*commitReq{a1, a2, w, a3})
-	for _, req := range []*commitReq{a1, a2, w, a3} {
+	group := []*commitReq{
+		mk(opAppend, [][]uint8{{0, 0, 0}}, 0),
+		mk(opAppend, [][]uint8{{1, 1, 1}, {1, 2, 3}}, 0),
+		mk(opWindow, nil, 500),
+		mk(opAppend, [][]uint8{{0, 2, 2}}, 0),
+	}
+	s.commitGroup(group)
+	for _, req := range group {
 		if err := <-req.errc; err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Two appends coalesced + window + append = 3 mutations.
-	if got := eng.Generation(); got != base+3 {
-		t.Fatalf("generation %d, want %d", got, base+3)
+	if got := eng.Generation(); got != base+4 {
+		t.Fatalf("generation %d, want %d", got, base+4)
 	}
-	if st := s.Stats(); st.CoalescedAppends != 1 {
-		t.Fatalf("coalesced appends %d, want 1", st.CoalescedAppends)
+	st := s.Stats()
+	if st.WALGroupCommits != commits+1 || st.CoalescedAppends != 0 {
+		t.Fatalf("%d group commits, %d coalesced appends; want 1 and 0", st.WALGroupCommits-commits, st.CoalescedAppends)
 	}
 	data, _, err := s.WALSince(base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, complete := DecodeWALStream(data, 3)
-	if !complete {
-		t.Fatal("torn feed")
-	}
-	wantOps := []byte{WALOpAppend, WALOpWindow, WALOpAppend}
-	if len(recs) != len(wantOps) {
-		t.Fatalf("%d records, want %d", len(recs), len(wantOps))
+	recs, complete := feedRecords(data, 3)
+	if !complete || len(recs) != len(group) {
+		t.Fatalf("%d records (complete=%v), want %d", len(recs), complete, len(group))
 	}
 	for i, rec := range recs {
-		if rec.Op != wantOps[i] {
-			t.Fatalf("record %d op %d, want %d", i, rec.Op, wantOps[i])
+		req := group[i]
+		if rec.op != req.op || rec.gen != base+uint64(i)+1 || rec.maxRows != req.maxRows {
+			t.Fatalf("record %d: op %d gen %d window %d, want op %d gen %d window %d",
+				i, rec.op, rec.gen, rec.maxRows, req.op, base+uint64(i)+1, req.maxRows)
 		}
-		if rec.Gen != base+uint64(i)+1 {
-			t.Fatalf("record %d gen %d, want %d", i, rec.Gen, base+uint64(i)+1)
+		if want := slices.Concat(req.rows...); string(rec.rows) != string(want) {
+			t.Fatalf("record %d holds rows %v, want %v", i, rec.rows, want)
 		}
 	}
-	if len(recs[0].Rows) != 2 {
-		t.Fatalf("coalesced record carries %d rows, want 2", len(recs[0].Rows))
+}
+
+// TestEmptyMutationsNotLogged: an append or delete with no rows
+// changes nothing, so it writes no record, makes no group commit and
+// leaves the generation where it was.
+func TestEmptyMutationsNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := attachFresh(t, dir)
+	defer s.Close()
+	if err := s.Append([][]uint8{{0, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	before, gen := s.Stats(), eng.Generation()
+	if err := s.Append(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete([][]uint8{}); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if after.WALRecords != before.WALRecords || after.WALGroupCommits != before.WALGroupCommits ||
+		after.WALBytes != before.WALBytes || eng.Generation() != gen {
+		t.Fatalf("empty mutations moved the log: %d → %d records, %d → %d group commits, %d → %d bytes, generation %d → %d",
+			before.WALRecords, after.WALRecords, before.WALGroupCommits, after.WALGroupCommits,
+			before.WALBytes, after.WALBytes, gen, eng.Generation())
 	}
 }
 
@@ -483,35 +506,39 @@ func TestHandoffUnderClose(t *testing.T) {
 
 	// The log past the preload holds exactly the acknowledged
 	// mutations: the same rows appended and deleted, the same number of
-	// window changes (coalescing merges appends, never drops them).
+	// window changes.
 	data, _, err := s2.WALSince(base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, complete := DecodeWALStream(data, len(cards))
+	recs, complete := feedRecords(data, len(cards))
 	if !complete {
 		t.Fatal("torn log after a clean Close")
 	}
-	tally := func(op byte, rows [][]uint8, sign int, into map[string]int) {
-		for _, r := range rows {
+	tally := func(op byte, rows []uint8, sign int, into map[string]int) {
+		for r := range slices.Chunk(rows, len(cards)) {
 			into[string([]byte{op})+string(r)] += sign
 		}
 	}
 	diff := map[string]int{}
-	windows := 0
+	windows, nacked := 0, 0
 	for _, log := range logs {
 		for _, m := range log {
-			tally(m.op, m.rows, 1, diff)
+			tally(m.op, slices.Concat(m.rows...), 1, diff)
 			if m.op == opWindow {
 				windows++
 			}
+			nacked++
 		}
 	}
 	for _, rec := range recs {
-		tally(rec.Op, rec.Rows, -1, diff)
-		if rec.Op == WALOpWindow {
+		tally(rec.op, rec.rows, -1, diff)
+		if rec.op == opWindow {
 			windows--
 		}
+	}
+	if len(recs) != nacked {
+		t.Fatalf("%d records for %d acknowledged mutations, want one each", len(recs), nacked)
 	}
 	for k, v := range diff {
 		if v != 0 {
@@ -525,7 +552,7 @@ func TestHandoffUnderClose(t *testing.T) {
 		t.Fatal("no mutation committed before Close")
 	}
 	st := s.Stats()
-	t.Logf("%d records in %d groups, %d appends coalesced", len(recs), st.WALGroupCommits, st.CoalescedAppends)
+	t.Logf("%d records in %d groups", len(recs), st.WALGroupCommits)
 }
 
 // TestCloseDrainsPipeline: mutations in flight when Close lands either

@@ -173,3 +173,18 @@ func deletableRows(rng *rand.Rand, eng *engine.Engine, n int) [][]uint8 {
 	}
 	return rows
 }
+
+// feedRecords parses a headerless stream of framed WAL records — the
+// bytes WALSince serves — and reports whether it ended on a record
+// boundary. Each record's rows view data.
+func feedRecords(data []byte, dim int) (recs []walRecord, complete bool) {
+	for off := int64(0); off < int64(len(data)); {
+		rec, next, ok := parseWALRecord(data, off, dim)
+		if !ok {
+			return recs, false
+		}
+		recs = append(recs, rec)
+		off = next
+	}
+	return recs, true
+}

@@ -26,8 +26,9 @@
 // Snapshots are written to a temporary file, fsynced, renamed into
 // place and the directory fsynced — a crash mid-snapshot leaves the
 // previous snapshot as the recovery root. Every WAL record carries its
-// own length and CRC32-C, is written with a single write call, and is
-// optionally fsynced (Options.SyncWAL); a torn tail — a partial or
+// own length and CRC32-C; each mutation request is one record, and the
+// records of one commit group are written with a single write call and
+// optionally one fsync (Options.SyncWAL); a torn tail — a partial or
 // bit-flipped final record — is detected on replay and truncated away
 // cleanly. WAL rotation happens at snapshot time: the store captures
 // the engine state, opens the next segment, and only then encodes and
@@ -50,6 +51,15 @@
 // through the same mutation history — including incremental cache
 // repair, because the mutation logs and cached MUP sets travel in the
 // snapshot.
+//
+// # Replication
+//
+// WALSince serves the framed records past a generation, byte for byte
+// as logged. A follower hands them to its own store's ApplyWAL, which
+// replays them exactly as recovery replays a segment and logs the
+// applied records' bytes verbatim as one group commit, so the
+// follower's log matches the leader's and a whole feed response costs
+// one fsync.
 package persist
 
 import "errors"

@@ -59,14 +59,14 @@ type Stats struct {
 	// segment since the last rotation.
 	WALRecords int64
 	WALBytes   int64
-	// WALGroupCommits counts coalesced write+sync calls made by the
-	// commit pipeline since the store was opened; WALGroupRecords
-	// counts the records they carried, so records-per-fsync is their
-	// ratio. CoalescedAppends counts append requests that were merged
-	// into a groupmate's engine batch (and WAL record) instead of
-	// paying their own.
-	WALGroupCommits  int64
-	WALGroupRecords  int64
+	// WALGroupCommits counts the write+sync calls made by the commit
+	// pipeline and ApplyWAL since the store was opened; WALGroupRecords
+	// counts the records they carried — one per mutation request, one
+	// per applied feed record — so records-per-fsync is their ratio.
+	WALGroupCommits int64
+	WALGroupRecords int64
+	// CoalescedAppends is always 0: every request is logged as its own
+	// record. It stays until the benchmark stops reading it.
 	CoalescedAppends int64
 	// DurableGeneration is the newest generation whose WAL record has
 	// been written (and, with SyncWAL, fsynced); FeedWaiters is the
@@ -175,9 +175,8 @@ type Store struct {
 	commitCh    chan struct{}
 	feedWaiters int64
 
-	groupCommits     int64
-	groupRecords     int64
-	coalescedAppends int64
+	groupCommits int64
+	groupRecords int64
 
 	snapshots        int64
 	deltaSnapshots   int64
@@ -537,16 +536,23 @@ func (s *Store) Engine() *engine.Engine {
 // The WAL record is written only after the engine accepts the batch,
 // so a rejected batch leaves no trace; mutations are serialized so the
 // log order is the apply order. The call returns once the record's
-// group has committed — acknowledgement means durable. Batches from
-// concurrent callers landing in the same group are merged into one
-// engine batch and one WAL record — one write-lock acquisition, one
-// fsync — while each caller still hears about its own rows.
+// group has committed — acknowledgement means durable. Every request
+// is applied and logged as its own record; requests from concurrent
+// callers landing in the same group share one write and one fsync.
+// A batch with no rows changes nothing and logs nothing.
 func (s *Store) Append(rows [][]uint8) error {
+	if len(rows) == 0 {
+		return nil
+	}
 	return s.submit(&commitReq{op: opAppend, rows: rows})
 }
 
-// Delete applies a delete batch to the engine and durably logs it.
+// Delete applies a delete batch to the engine and durably logs it. A
+// batch with no rows changes nothing and logs nothing.
 func (s *Store) Delete(rows [][]uint8) error {
+	if len(rows) == 0 {
+		return nil
+	}
 	return s.submit(&commitReq{op: opDelete, rows: rows})
 }
 
@@ -555,167 +561,165 @@ func (s *Store) SetWindow(maxRows int) error {
 	return s.submit(&commitReq{op: opWindow, maxRows: maxRows})
 }
 
-// Per-request commit status inside a group.
-const (
-	reqPending  byte = iota // not reached (a groupmate broke the store first)
-	reqRejected             // engine refused it; no record, store intact
-	reqFramed               // applied and encoded into the group write
-	reqStranded             // applied but its record could not be framed
-)
-
-// commitGroup commits one group: every request's engine apply, one
-// coalesced WAL write, one fsync. Runs of consecutive append requests
-// are merged into a single engine batch and a single record (one
-// generation covers them all); deletes and window changes commit
-// individually, in arrival order, so the log order equals the apply
-// order. A WAL write failure after any engine apply trips the sticky
-// broken state, exactly like the single-record path did: the log must
-// not advance past the gap, so the store fails stop until a snapshot
-// re-establishes a durable root.
-func (s *Store) commitGroup(batch []*commitReq) {
-	s.mu.Lock()
+// usableLocked reports why the store cannot take a mutation: it is not
+// attached to an engine, or a WAL failure broke it. Called with mu
+// held.
+func (s *Store) usableLocked() error {
 	if s.eng == nil || s.wal == nil {
-		s.mu.Unlock()
-		for _, req := range batch {
-			req.errc <- fmt.Errorf("%w: store is not attached to an engine", ErrUnavailable)
-		}
-		return
+		return fmt.Errorf("%w: store is not attached to an engine", ErrUnavailable)
 	}
 	if s.broken != nil {
-		err := s.failedErr()
+		return s.failedErr()
+	}
+	return nil
+}
+
+// commitGroup commits one group: each request applied to the engine
+// and framed as its own record, in arrival order, so the log order
+// equals the apply order and a rejected request never touches its
+// groupmates; then one WAL write and one fsync for the whole group. A
+// failed write after the engine applied trips the sticky broken state
+// (logGroup): the log must not advance past the gap, so the store
+// fails stop until a snapshot re-establishes a durable root.
+func (s *Store) commitGroup(batch []*commitReq) {
+	s.mu.Lock()
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
 		for _, req := range batch {
 			req.errc <- err
 		}
 		return
 	}
-
-	status := make([]byte, len(batch))
-	rejections := make([]error, len(batch))
+	errs := make([]error, len(batch))
+	logged := make([]bool, len(batch))
 	buf := s.wal.scratch[:0]
-	nrecs := 0
-	var maxLogged uint64
-	var frameErr error // first encode failure; poisons the rest of the group
-
-	frame := func(op byte, rows [][]uint8, maxRows int) bool {
+	n := 0
+	var gen uint64
+	for i, req := range batch {
+		if s.broken != nil {
+			errs[i] = s.failedErr() // a groupmate broke the store
+			continue
+		}
+		switch req.op {
+		case opAppend:
+			errs[i] = s.eng.Append(req.rows)
+		case opDelete:
+			errs[i] = s.eng.Delete(req.rows)
+		case opWindow:
+			s.eng.SetWindow(req.maxRows)
+		}
+		if errs[i] != nil {
+			continue // refused: no record, store intact
+		}
 		prev := len(buf)
-		next, err := s.wal.encodeRecord(buf, op, s.eng.Generation(), rows, maxRows)
+		next, err := s.wal.encodeRecord(buf, req.op, s.eng.Generation(), req.rows, req.maxRows)
 		if err != nil {
 			buf = next[:prev]
-			frameErr = err
 			s.broken = err
-			return false
+			errs[i] = unlogged(err)
+			continue
 		}
 		buf = next
-		nrecs++
-		maxLogged = s.eng.Generation()
-		return true
+		n++
+		gen = s.eng.Generation()
+		logged[i] = true
 	}
-
-	for i := 0; i < len(batch) && frameErr == nil; {
-		req := batch[i]
-		j := i + 1
-		if req.op == opAppend {
-			for j < len(batch) && batch[j].op == opAppend {
-				j++
-			}
-		}
-		switch {
-		case req.op == opAppend && j-i > 1:
-			total := 0
-			for k := i; k < j; k++ {
-				total += len(batch[k].rows)
-			}
-			merged := make([][]uint8, 0, total)
-			for k := i; k < j; k++ {
-				merged = append(merged, batch[k].rows...)
-			}
-			if err := s.eng.Append(merged); err != nil {
-				// The merged batch was refused — one requester's bad
-				// rows must not fail its groupmates, so fall back to
-				// per-request applies.
-				for k := i; k < j && frameErr == nil; k++ {
-					if aerr := s.eng.Append(batch[k].rows); aerr != nil {
-						status[k] = reqRejected
-						rejections[k] = aerr
-						continue
-					}
-					if frame(opAppend, batch[k].rows, 0) {
-						status[k] = reqFramed
-					} else {
-						status[k] = reqStranded
-					}
-				}
-			} else {
-				s.coalescedAppends += int64(j - i - 1)
-				ok := frame(opAppend, merged, 0)
-				for k := i; k < j; k++ {
-					if ok {
-						status[k] = reqFramed
-					} else {
-						status[k] = reqStranded
-					}
-				}
-			}
-		default:
-			var err error
-			switch req.op {
-			case opAppend:
-				err = s.eng.Append(req.rows)
-			case opDelete:
-				err = s.eng.Delete(req.rows)
-			case opWindow:
-				s.eng.SetWindow(req.maxRows)
-			}
-			if err != nil {
-				status[i] = reqRejected
-				rejections[i] = err
-			} else if frame(req.op, req.rows, req.maxRows) {
-				status[i] = reqFramed
-			} else {
-				status[i] = reqStranded
-			}
-		}
-		i = j
-	}
-
 	var werr error
-	if nrecs > 0 {
-		werr = s.wal.writeGroup(buf, nrecs)
-		if werr != nil {
-			s.broken = werr
-		}
-		s.groupCommits++
-		s.groupRecords += int64(nrecs)
+	if n > 0 {
+		werr = s.logGroup(buf, n, gen)
 	}
 	s.wal.scratch = buf[:0]
-	unavailable := s.broken != nil
-	var brokenErr error
-	if unavailable {
-		brokenErr = s.failedErr()
-	}
 	s.mu.Unlock()
 
-	if nrecs > 0 && werr == nil {
-		s.notifyCommit(maxLogged)
-	}
-
-	for k, req := range batch {
-		switch status[k] {
-		case reqRejected:
-			req.errc <- rejections[k]
-		case reqFramed:
-			if werr != nil {
-				req.errc <- fmt.Errorf("%w: %w (mutation applied in memory but not logged; store refuses further mutations until a snapshot succeeds)", ErrUnavailable, werr)
-			} else {
-				req.errc <- nil
-			}
-		case reqStranded:
-			req.errc <- fmt.Errorf("%w: %w (mutation applied in memory but not logged; store refuses further mutations until a snapshot succeeds)", ErrUnavailable, frameErr)
-		default: // reqPending: a groupmate broke the store before this one ran
-			req.errc <- brokenErr
+	for i, req := range batch {
+		if logged[i] && werr != nil {
+			errs[i] = unlogged(werr)
 		}
+		req.errc <- errs[i]
 	}
+}
+
+// ApplyWAL applies a leader's WAL feed — the framed records WALSince
+// serves — to the engine the way recovery replays a segment
+// (replaySegment: runs of records, one by one while windowed), then
+// logs the applied records' bytes verbatim as one group commit, so
+// the local log matches the leader's byte for byte and a whole feed
+// response costs one write and one fsync. Records at or below the
+// engine's generation are skipped. Only the intact prefix of data is
+// read: a torn tail is not an error, the next request re-reads it. A
+// feed whose next record skips past the engine's generation plus one
+// is an error wrapping ErrGone — the records in between are no longer
+// served, so the caller must resync from a snapshot chain. A record
+// the engine refuses is ErrCorrupt; the records applied before it are
+// still logged, so the engine is never ahead of the log unless the
+// store is broken. applied counts the records applied.
+func (s *Store) ApplyWAL(data []byte) (applied int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.usableLocked(); err != nil {
+		return 0, err
+	}
+	// recs are the records past the engine's generation, contiguous in
+	// data from start; ends[i] is where recs[i] ends.
+	var recs []walRecord
+	var ends []int64
+	start := int64(0)
+	want := s.eng.Generation() + 1
+	for off := int64(0); ; {
+		rec, next, ok := parseWALRecord(data, off, s.wal.dim)
+		if !ok {
+			break
+		}
+		if rec.gen > want {
+			err = fmt.Errorf("%w: the feed jumps from generation %d to %d", ErrGone, want-1, rec.gen)
+			break
+		}
+		if rec.gen < want {
+			if len(recs) > 0 {
+				break // out of order: the next request starts past it
+			}
+			start = next
+		} else {
+			recs = append(recs, rec)
+			ends = append(ends, next)
+			want++
+		}
+		off = next
+	}
+	applied, _, _, rerr := replaySegment(s.eng, recs)
+	if rerr != nil {
+		err = rerr
+	}
+	if applied == 0 {
+		return 0, err
+	}
+	if werr := s.logGroup(data[start:ends[applied-1]], applied, s.eng.Generation()); werr != nil {
+		return applied, unlogged(werr)
+	}
+	return applied, err
+}
+
+// logGroup is the tail every commit shares: one write of buf, which
+// frames n records ending at generation gen, and (with SyncWAL) one
+// fsync; then the group counters, and either the sticky broken state
+// on a failed write or a wake-up for the feed waiters. Called with mu
+// held.
+func (s *Store) logGroup(buf []byte, n int, gen uint64) error {
+	err := s.wal.writeGroup(buf, n)
+	s.groupCommits++
+	s.groupRecords += int64(n)
+	if err != nil {
+		s.broken = err
+		return err
+	}
+	s.notifyCommit(gen)
+	return nil
+}
+
+// unlogged reports a mutation the engine applied but the WAL did not
+// take.
+func unlogged(err error) error {
+	return fmt.Errorf("%w: %w (mutation applied in memory but not logged; store refuses further mutations until a snapshot succeeds)", ErrUnavailable, err)
 }
 
 func (s *Store) failedErr() error {
@@ -877,7 +881,7 @@ func (s *Store) cleanup(gen uint64) {
 
 // WALSince collects the raw framed WAL records with generations past
 // fromGen, in order, concatenated — the byte stream `GET /wal` serves
-// and DecodeWALStream parses. maxBytes (0 = unbounded) caps the
+// and a follower's ApplyWAL replays. maxBytes (0 = unbounded) caps the
 // response at a record boundary once at least that many bytes have
 // accumulated; the follower re-requests from its new position. The
 // returned generation is the engine's current one, read after the
@@ -1042,7 +1046,6 @@ func (s *Store) Stats() Stats {
 	slices.Sort(st.RefusedSnapshots)
 	st.WALGroupCommits = s.groupCommits
 	st.WALGroupRecords = s.groupRecords
-	st.CoalescedAppends = s.coalescedAppends
 	if s.wal != nil {
 		st.WALRecords = s.wal.records
 		st.WALBytes = s.wal.bytes

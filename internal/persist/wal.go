@@ -56,16 +56,6 @@ type walRecord struct {
 	maxRows int    // opWindow
 }
 
-// rowViews returns the packed rows of b, dim bytes each, as
-// capacity-clipped views of b.
-func rowViews(b []byte, dim int) [][]uint8 {
-	rows := make([][]uint8, len(b)/dim)
-	for i := range rows {
-		rows[i] = b[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return rows
-}
-
 // walWriter appends records to one open segment file. It is not safe
 // for concurrent use; the Store serializes access.
 type walWriter struct {
@@ -284,59 +274,15 @@ func parseWALRecord(data []byte, off int64, dim int) (rec walRecord, next int64,
 	return rec, off + 8 + plen, true
 }
 
-// Exported WAL op codes, mirrored from the internal ones — the
-// follower's tailing loop switches on them to route each feed record
-// through its own store's mutation path.
-const (
-	WALOpAppend byte = opAppend
-	WALOpDelete byte = opDelete
-	WALOpWindow byte = opWindow
-)
-
-// WALRecord is the exported form of one WAL record, as handed to a
-// feed consumer by DecodeWALStream. Rows view the decoded stream's
-// bytes.
-type WALRecord struct {
-	Op      byte
-	Gen     uint64
-	Rows    [][]uint8 // WALOpAppend / WALOpDelete
-	MaxRows int       // WALOpWindow
-}
-
-// DecodeWALStream decodes a headerless stream of framed WAL records —
-// the byte shape WALSince serves over `GET /wal`. complete reports
-// whether the stream ended exactly on a record boundary; a false means
-// the tail was torn (the leader was mid-append, or the transfer was
-// cut) and the consumer should keep the intact prefix and re-request
-// from its new position. The records' rows view data, which the caller
-// must not modify while it uses them.
-func DecodeWALStream(data []byte, dim int) (recs []WALRecord, complete bool) {
-	off := int64(0)
-	for off < int64(len(data)) {
-		rec, next, ok := parseWALRecord(data, off, dim)
-		if !ok {
-			return recs, false
-		}
-		var rows [][]uint8
-		if rec.op != opWindow {
-			rows = rowViews(rec.rows, dim)
-		}
-		recs = append(recs, WALRecord{Op: rec.op, Gen: rec.gen, Rows: rows, MaxRows: rec.maxRows})
-		off = next
-	}
-	return recs, true
-}
-
 // replaySegment applies a segment's records to the engine. Every
 // mutation — append, delete and window change alike — advances the
 // engine's generation by exactly one, so replay gates each record on
 // its stamped generation: a record at or below the engine's current
 // generation is already reflected (in the snapshot, or by an earlier
-// replay) and is skipped, which makes replay idempotent end to end —
-// the property the WAL-tailing follower leans on when it re-reads a
-// feed from an older generation. A generation gap means the log and
-// snapshot disagree and recovery aborts rather than restoring a
-// silently divergent engine.
+// replay) and is skipped, which makes replay idempotent end to end. A
+// generation gap means the log and snapshot disagree and recovery
+// aborts rather than restoring a silently divergent engine. A
+// follower's ApplyWAL replays the leader's feed through here too.
 //
 // Consecutive append and delete records are replayed in runs: each run
 // is handed to the engine as one batch (engine.PrepareRun, CommitRun),

@@ -104,7 +104,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 				b.StopTimer()
 				st := s.Stats()
 				if st.WALGroupCommits > 0 {
-					b.ReportMetric(float64(st.WALGroupRecords+st.CoalescedAppends)/float64(st.WALGroupCommits), "records/commit")
+					b.ReportMetric(float64(st.WALGroupRecords)/float64(st.WALGroupCommits), "records/commit")
 				}
 			})
 		}

@@ -233,8 +233,8 @@ func TestWALGenerationGap(t *testing.T) {
 }
 
 // TestWALSinceStream pins the follower feed: every record past the
-// requested generation, across segment rotations, parseable by
-// DecodeWALStream, gen-contiguous, and bounded by the returned leader
+// requested generation, across segment rotations, framed whole,
+// gen-contiguous, and bounded by the returned leader
 // generation.
 func TestWALSinceStream(t *testing.T) {
 	dir := t.TempDir()
@@ -262,27 +262,27 @@ func TestWALSinceStream(t *testing.T) {
 	if leaderGen != eng.Generation() {
 		t.Fatalf("leader generation %d, engine at %d", leaderGen, eng.Generation())
 	}
-	recs, complete := DecodeWALStream(data, len(cards))
+	recs, complete := feedRecords(data, len(cards))
 	if !complete {
 		t.Fatal("stream from a quiescent leader not complete")
 	}
 	if len(recs) != 6 {
 		t.Fatalf("decoded %d records, want 6", len(recs))
 	}
-	wantOps := []byte{WALOpAppend, WALOpAppend, WALOpAppend, WALOpAppend, WALOpWindow, WALOpDelete}
+	wantOps := []byte{opAppend, opAppend, opAppend, opAppend, opWindow, opDelete}
 	for i, r := range recs {
-		if r.Gen != uint64(i+1) {
-			t.Fatalf("record %d at generation %d, want %d", i, r.Gen, i+1)
+		if r.gen != uint64(i+1) {
+			t.Fatalf("record %d at generation %d, want %d", i, r.gen, i+1)
 		}
-		if r.Op != wantOps[i] {
-			t.Fatalf("record %d op %d, want %d", i, r.Op, wantOps[i])
+		if r.op != wantOps[i] {
+			t.Fatalf("record %d op %d, want %d", i, r.op, wantOps[i])
 		}
-		if r.Gen > leaderGen {
+		if r.gen > leaderGen {
 			t.Fatalf("record %d past the reported leader generation", i)
 		}
 	}
-	if recs[4].MaxRows != 10 {
-		t.Fatalf("window record carries %d, want 10", recs[4].MaxRows)
+	if recs[4].maxRows != 10 {
+		t.Fatalf("window record carries %d, want 10", recs[4].maxRows)
 	}
 
 	// A mid-stream request returns only the suffix.
@@ -290,8 +290,8 @@ func TestWALSinceStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, complete = DecodeWALStream(data, len(cards))
-	if !complete || len(recs) != 2 || recs[0].Gen != 5 {
+	recs, complete = feedRecords(data, len(cards))
+	if !complete || len(recs) != 2 || recs[0].gen != 5 {
 		t.Fatalf("suffix from gen 4: %d records complete=%v, want 2 starting at 5", len(recs), complete)
 	}
 
@@ -300,7 +300,7 @@ func TestWALSinceStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, complete := DecodeWALStream(data, len(cards)); !complete || len(recs) != 0 {
+	if recs, complete := feedRecords(data, len(cards)); !complete || len(recs) != 0 {
 		t.Fatalf("stream at the tip: %d records complete=%v, want none", len(recs), complete)
 	}
 }
@@ -324,18 +324,18 @@ func TestWALSinceMaxBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, complete := DecodeWALStream(capped, len(cards))
+	recs, complete := feedRecords(capped, len(cards))
 	if !complete {
 		t.Fatal("capped stream does not end on a record boundary")
 	}
 	if len(recs) == 0 || len(recs) >= 10 {
 		t.Fatalf("capped stream carries %d records, want a strict prefix", len(recs))
 	}
-	rest, _, err := s.WALSince(recs[len(recs)-1].Gen, 0)
+	rest, _, err := s.WALSince(recs[len(recs)-1].gen, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restRecs, complete := DecodeWALStream(rest, len(cards))
+	restRecs, complete := feedRecords(rest, len(cards))
 	if !complete || len(recs)+len(restRecs) != 10 {
 		t.Fatalf("resume after cap: %d + %d records, want 10 total", len(recs), len(restRecs))
 	}
@@ -374,50 +374,6 @@ func TestWALSinceGone(t *testing.T) {
 	}
 }
 
-// TestDecodeWALStreamTornTail checks a truncated transfer yields the
-// intact prefix and complete=false, so the follower keeps what parsed
-// and re-requests the rest.
-func TestDecodeWALStreamTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s, eng := attachFresh(t, dir)
-	cards := eng.Cards()
-	for i := 0; i < 3; i++ {
-		if err := s.Append([][]uint8{{0, 0, uint8(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, _, err := s.WALSince(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, complete := DecodeWALStream(data, len(cards))
-	if !complete || len(recs) != 3 {
-		t.Fatalf("baseline stream: %d records complete=%v", len(recs), complete)
-	}
-	for cut := 1; cut < len(data); cut++ {
-		got, complete := DecodeWALStream(data[:cut], len(cards))
-		if complete && cut < len(data) {
-			// Only boundary cuts may read complete; verify by
-			// re-encoding length.
-			total := 0
-			for range got {
-				total++
-			}
-			if total == 3 {
-				t.Fatalf("cut %d of %d claims the full stream", cut, len(data))
-			}
-		}
-		if len(got) > 3 {
-			t.Fatalf("cut %d decoded %d records from a 3-record stream", cut, len(got))
-		}
-		for i, r := range got {
-			if r.Gen != uint64(i+1) {
-				t.Fatalf("cut %d: record %d at generation %d", cut, i, r.Gen)
-			}
-		}
-	}
-}
-
 // TestParseWALRecordAllocs pins the decode cost recovery and the
 // follower's feed pay per record: none, whatever the row count. The
 // rows are a capacity-clipped view of the record's bytes in the input
@@ -442,9 +398,10 @@ func TestParseWALRecordAllocs(t *testing.T) {
 		if !ok || next != int64(len(data)) || len(rec.rows) != nrows*dim || cap(rec.rows) != nrows*dim {
 			t.Fatalf("%d-row record: ok=%v next=%d of %d, %d row bytes (cap %d)", nrows, ok, next, len(data), len(rec.rows), cap(rec.rows))
 		}
-		for r, row := range rowViews(rec.rows, dim) {
-			if len(row) != dim || cap(row) != dim || row[0] != uint8(r) || row[1] != uint8(r>>8) || row[4] != 4 {
-				t.Fatalf("%d-row record: row %d = %v (cap %d)", nrows, r, row, cap(row))
+		for r := range nrows {
+			row := rec.rows[r*dim : (r+1)*dim]
+			if row[0] != uint8(r) || row[1] != uint8(r>>8) || row[4] != 4 {
+				t.Fatalf("%d-row record: row %d = %v", nrows, r, row)
 			}
 		}
 		// The rows view the input buffer.
