@@ -188,11 +188,23 @@ func TestMutationStatus(t *testing.T) {
 
 var (
 	covserveBinOnce sync.Once
+	covserveBinDir  string
 	covserveBin     string
 	covserveBinErr  error
 )
 
-// buildCovserveBinary compiles the covserve command once per test run.
+// TestMain removes the directory buildCovserveBinary built the covserve
+// binary in, whether the build succeeded or failed.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if covserveBinDir != "" {
+		os.RemoveAll(covserveBinDir)
+	}
+	os.Exit(code)
+}
+
+// buildCovserveBinary compiles the covserve command once per test run
+// into a temporary directory that TestMain removes.
 func buildCovserveBinary(t *testing.T) string {
 	t.Helper()
 	covserveBinOnce.Do(func() {
@@ -201,6 +213,7 @@ func buildCovserveBinary(t *testing.T) string {
 			covserveBinErr = err
 			return
 		}
+		covserveBinDir = dir
 		bin := filepath.Join(dir, "covserve")
 		cmd := exec.Command("go", "build", "-o", bin, ".")
 		if out, err := cmd.CombinedOutput(); err != nil {

@@ -13,14 +13,14 @@ import (
 // lands on the same core, snapshots can be re-partitioned
 // deterministically on restore, and the per-core distinct combination
 // sets stay disjoint — which is what makes coverage, totals and
-// distinct counts additive across cores.
-func shardOfRow(row []uint8, n int) int {
+// distinct counts additive across cores. It takes a row or a State key.
+func shardOfRow[R ~[]uint8 | ~string](row R, n int) int {
 	if n <= 1 {
 		return 0
 	}
 	h := uint64(14695981039346656037)
-	for _, b := range row {
-		h ^= uint64(b)
+	for i := 0; i < len(row); i++ {
+		h ^= uint64(row[i])
 		h *= 1099511628211
 	}
 	return int(h % uint64(n))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"coverage/internal/pattern"
 )
@@ -95,7 +96,8 @@ func (p CachedPlan) refKey() planRefKey {
 // to the unchanged ones, and the (small) full copies of the pending
 // deletes and counters. Applied onto the baseline's State it
 // reproduces the later state exactly; the cost of producing one is
-// O(changes + caches), not O(state).
+// O(changes + caches), not O(state). Its keyed tables are KeyCount
+// lists in strictly increasing raw-key order, like State's.
 type StateDelta struct {
 	// FromGeneration is the baseline generation this delta applies to;
 	// Generation is the state it produces.
@@ -105,10 +107,8 @@ type StateDelta struct {
 
 	// Counts holds the new absolute multiplicity of every combination
 	// mutated since FromGeneration; 0 means the combination was
-	// removed. CountKeys lists the keys sorted, for deterministic
-	// encoding.
-	Counts    map[string]int64
-	CountKeys []string
+	// removed.
+	Counts []KeyCount
 
 	// Window is the new window bound. WindowDrop is how many entries to
 	// drop from the front of the baseline's window log; WindowAppend
@@ -117,7 +117,7 @@ type StateDelta struct {
 	Window         int
 	WindowDrop     int
 	WindowAppend   []string
-	PendingDeletes map[string]int64
+	PendingDeletes []KeyCount
 	Tombstones     int64
 
 	// Removed and Added carry the new horizons and only the records
@@ -179,25 +179,21 @@ func (e *ShardedEngine) CaptureDelta(base *DeltaBaseline) (*StateDelta, *DeltaBa
 		Counters:       e.countersLocked(),
 	}
 
-	// Changed combos: union of the log tails past the baseline, each
-	// resolved to its current absolute multiplicity.
-	d.Counts = make(map[string]int64)
-	collect := func(recs []mutRec) {
+	// Changed combos: the keys of the log tails past the baseline, in
+	// value order and each once, resolved to their current absolute
+	// multiplicities.
+	var touched []pattern.PackedKey
+	for _, recs := range [][]mutRec{e.removed.recs, e.added.recs} {
 		for i := len(recs) - 1; i >= 0 && recs[i].gen > base.Generation; i-- {
-			k := keyString(e.codec, recs[i].key)
-			if _, seen := d.Counts[k]; seen {
-				continue
-			}
-			d.Counts[k] = e.cores[shardOf(e.codec, recs[i].key, len(e.cores))].multiplicity(recs[i].key)
+			touched = append(touched, recs[i].key)
 		}
 	}
-	collect(e.removed.recs)
-	collect(e.added.recs)
-	d.CountKeys = make([]string, 0, len(d.Counts))
-	for k := range d.Counts {
-		d.CountKeys = append(d.CountKeys, k)
+	slices.SortFunc(touched, e.codec.CompareValues)
+	touched = slices.Compact(touched)
+	d.Counts = slices.Grow(d.Counts, len(touched)) // none stays nil
+	for _, k := range touched {
+		d.Counts = append(d.Counts, KeyCount{Key: keyString(e.codec, k), Count: e.cores[shardOf(e.codec, k, len(e.cores))].multiplicity(k)})
 	}
-	sort.Strings(d.CountKeys)
 
 	// Window: within one epoch the log evolves only by popping the
 	// front and pushing the tail, so the new log is the baseline log
@@ -221,7 +217,7 @@ func (e *ShardedEngine) CaptureDelta(base *DeltaBaseline) (*StateDelta, *DeltaBa
 			return nil, nil, false // baseline claims entries past our tail
 		}
 		d.WindowAppend = keyStrings(e.codec, e.log.live()[off:])
-		d.PendingDeletes = countMap(e.codec, e.pendingDeletes)
+		d.PendingDeletes = countList(e.codec, e.pendingDeletes)
 	}
 
 	// Mutation-log tails plus current horizons.
@@ -377,23 +373,28 @@ func exportRecsSince(recs []mutRec, gen uint64, codec *pattern.Codec) []Mutation
 }
 
 // Apply layers the delta onto the state it was captured against,
-// mutating st in place: counts are patched key by key, the window log
-// is re-derived from the drop/append pair, the mutation logs from the
-// kept prefix plus the tail, and the caches from the kept references
-// plus the new payloads. The per-shard key lists are invalidated (the
-// restore re-partitions — the delta's saving is on the write path).
-// Structural mismatches (wrong baseline generation, a drop longer than
-// the log, a reference to a cache entry the state does not hold) are
-// all checked before the first mutation, so a rejected delta returns
-// an error with st untouched — the caller keeps the base state and
-// catches up through the WAL instead.
+// mutating st in place: each shard's count list is merged with its
+// share of the delta's counts, the window log is re-derived from the
+// drop/append pair, the mutation logs from the kept prefix plus the
+// tail, and the caches from the kept references plus the new payloads.
+// The result is in the form CaptureState produces, so a restore at the
+// same shard count builds every core straight from its list.
+// Everything is checked before the first mutation (the baseline
+// generation, the delta's counts non-negative in strictly increasing
+// key order, a drop no longer than the log, every kept cache or plan
+// reference held by the state), so a rejected delta returns an error
+// with st untouched — the caller keeps the base state and catches up
+// through the WAL instead.
 func (d *StateDelta) Apply(st *State) error {
 	if st.Generation != d.FromGeneration {
 		return fmt.Errorf("engine: delta from generation %d applied to state at %d", d.FromGeneration, st.Generation)
 	}
-	for _, k := range d.CountKeys {
-		if d.Counts[k] < 0 {
-			return fmt.Errorf("engine: delta count of %v is negative (%d)", pattern.Pattern(k), d.Counts[k])
+	for i, kc := range d.Counts {
+		if kc.Count < 0 {
+			return fmt.Errorf("engine: delta count of %v is negative (%d)", pattern.Pattern(kc.Key), kc.Count)
+		}
+		if i > 0 && d.Counts[i-1].Key >= kc.Key {
+			return fmt.Errorf("engine: delta count keys not strictly increasing at entry %d", i)
 		}
 	}
 	if d.Window > 0 && d.WindowDrop > len(st.WindowLog) {
@@ -418,14 +419,19 @@ func (d *StateDelta) Apply(st *State) error {
 		}
 	}
 
-	for k, n := range d.Counts {
-		if n == 0 {
-			delete(st.Counts, k)
-		} else {
-			st.Counts[k] = n
+	if len(st.Counts) == 0 {
+		st.Counts = make([][]KeyCount, 1)
+	}
+	shares := make([][]KeyCount, len(st.Counts))
+	for _, kc := range d.Counts {
+		s := shardOfRow(kc.Key, len(shares))
+		shares[s] = append(shares[s], kc)
+	}
+	for s, share := range shares {
+		if len(share) > 0 {
+			st.Counts[s] = mergeCounts(st.Counts[s], share)
 		}
 	}
-	st.ShardCountKeys = nil
 	st.Rows = d.Rows
 	st.Generation = d.Generation
 
@@ -434,9 +440,6 @@ func (d *StateDelta) Apply(st *State) error {
 	// baseline state carries a window log to drop from and append to.
 	st.Window = d.Window
 	if d.Window > 0 {
-		if d.WindowDrop > len(st.WindowLog) {
-			return fmt.Errorf("engine: delta drops %d window entries, state has %d", d.WindowDrop, len(st.WindowLog))
-		}
 		log := make([]string, 0, len(st.WindowLog)-d.WindowDrop+len(d.WindowAppend))
 		log = append(log, st.WindowLog[d.WindowDrop:]...)
 		log = append(log, d.WindowAppend...)
@@ -470,6 +473,30 @@ func (d *StateDelta) Apply(st *State) error {
 
 	st.Counters = d.Counters
 	return nil
+}
+
+// mergeCounts merges a sorted count list with sorted new absolute
+// counts of some of its keys and others, in one pass: a new count
+// replaces the key's, and 0 drops it. An empty result is nil.
+func mergeCounts(list, changes []KeyCount) []KeyCount {
+	out := make([]KeyCount, 0, len(list)+len(changes))
+	i := 0
+	for _, kc := range changes {
+		j, found := slices.BinarySearchFunc(list[i:], kc.Key, func(e KeyCount, k string) int { return strings.Compare(e.Key, k) })
+		out = append(out, list[i:i+j]...)
+		i += j
+		if found {
+			i++
+		}
+		if kc.Count > 0 {
+			out = append(out, kc)
+		}
+	}
+	out = append(out, list[i:]...)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // spliceLog reconstructs a mutation log from the baseline's records

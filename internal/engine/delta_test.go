@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,22 +15,36 @@ import (
 	"coverage/internal/mup"
 )
 
-// normalizeState strips the restore-acceleration key lists (a delta
-// apply invalidates them by design) so states can be compared by
-// semantic content.
-func normalizeState(st *State) *State {
-	c := *st
-	c.ShardCountKeys = nil
-	return &c
+// countsOf flattens a state's per-shard count lists into one map, for
+// tests that read multiplicities by key or compare states of different
+// shard counts.
+func countsOf(st *State) map[string]int64 {
+	m := map[string]int64{}
+	for _, list := range st.Counts {
+		for _, kc := range list {
+			m[kc.Key] = kc.Count
+		}
+	}
+	return m
 }
 
-// assertStatesEqual compares two states field by field for readable
-// failures.
+// assertStatesEqual compares two states whole, naming the diverging
+// fields for readable failures. States of different shard counts
+// compare their counts flattened.
 func assertStatesEqual(t *testing.T, got, want *State) {
 	t.Helper()
-	g, w := normalizeState(got), normalizeState(want)
+	g, w := *got, *want
+	if len(g.Counts) != len(w.Counts) {
+		if !maps.Equal(countsOf(&g), countsOf(&w)) {
+			t.Errorf("counts diverge across %d and %d shards", len(g.Counts), len(w.Counts))
+		}
+		g.Counts, w.Counts = nil, nil
+	}
+	if reflect.DeepEqual(g, w) {
+		return
+	}
 	if !reflect.DeepEqual(g.Counts, w.Counts) {
-		t.Errorf("counts diverge: %d vs %d entries", len(g.Counts), len(w.Counts))
+		t.Errorf("counts diverge: %v vs %v", g.Counts, w.Counts)
 	}
 	if g.Rows != w.Rows || g.Generation != w.Generation || g.Window != w.Window || g.Tombstones != w.Tombstones {
 		t.Errorf("scalars diverge: rows %d/%d gen %d/%d window %d/%d tombstones %d/%d",
@@ -55,6 +71,7 @@ func assertStatesEqual(t *testing.T, got, want *State) {
 	if g.Counters != w.Counters {
 		t.Errorf("counters diverge: %+v vs %+v", g.Counters, w.Counters)
 	}
+	t.Errorf("states diverge")
 }
 
 // assertEquivalent checks two engines answer queries identically:
@@ -142,9 +159,8 @@ func TestDeltaCaptureApplyRoundTrip(t *testing.T) {
 			// Unwindowed, the touched-key set must stay well below the
 			// full count map — the O(changes) property. (Windowed,
 			// eviction legitimately churns most of a small map.)
-			if !windowed && len(d.Counts) >= len(e.ExportState().Counts) {
-				t.Errorf("delta carries %d counts, full map holds %d — not O(changes)",
-					len(d.Counts), len(e.ExportState().Counts))
+			if distinct := len(countsOf(e.ExportState())); !windowed && len(d.Counts) >= distinct {
+				t.Errorf("delta carries %d counts, the state holds %d — not O(changes)", len(d.Counts), distinct)
 			}
 
 			applied := baseState
@@ -163,34 +179,56 @@ func TestDeltaCaptureApplyRoundTrip(t *testing.T) {
 }
 
 // TestDeltaChain layers several deltas and checks the final state
-// matches, exercising the baseline hand-off between captures.
+// matches, exercising the baseline hand-off between captures. The
+// applied chain keeps one list per core of the live engine, so a
+// restore at the same shard count builds every core straight from its
+// list, and the restored engine exports the live engine's state whole.
 func TestDeltaChain(t *testing.T) {
 	cards := []int{3, 3, 2}
 	schema := testSchema(t, cards)
-	e := NewSharded(schema, 1, Options{})
-	rng := rand.New(rand.NewSource(5))
-	if err := e.Append(randomRows(rng, cards, 50)); err != nil {
-		t.Fatal(err)
-	}
-	e.SetWindow(40)
-
-	capture := e.CaptureState()
-	st := capture.State()
-	base := capture.Baseline()
-	for link := 0; link < 5; link++ {
-		if err := e.Append(randomRows(rng, cards, 5+rng.Intn(10))); err != nil {
+	for _, shards := range []int{1, 3} {
+		e := NewSharded(schema, shards, Options{})
+		rng := rand.New(rand.NewSource(5))
+		if err := e.Append(randomRows(rng, cards, 50)); err != nil {
 			t.Fatal(err)
 		}
-		d, next, ok := e.CaptureDelta(base)
-		if !ok {
-			t.Fatalf("link %d not expressible", link)
+		e.SetWindow(40)
+
+		capture := e.CaptureState()
+		st := capture.State()
+		base := capture.Baseline()
+		for link := 0; link < 5; link++ {
+			if err := e.Append(randomRows(rng, cards, 5+rng.Intn(10))); err != nil {
+				t.Fatal(err)
+			}
+			if batch := drawDeletableEngine(rng, e, 2); len(batch) > 0 {
+				if err := e.Delete(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, next, ok := e.CaptureDelta(base)
+			if !ok {
+				t.Fatalf("shards=%d link %d not expressible", shards, link)
+			}
+			if err := d.Apply(st); err != nil {
+				t.Fatalf("shards=%d link %d: %v", shards, link, err)
+			}
+			base = next
 		}
-		if err := d.Apply(st); err != nil {
-			t.Fatalf("link %d: %v", link, err)
+		live := e.ExportState()
+		assertStatesEqual(t, st, live)
+		if len(st.Counts) != e.Shards() {
+			t.Fatalf("applied chain holds %d count lists for %d shards", len(st.Counts), e.Shards())
 		}
-		base = next
+		restored, err := NewFromState(st, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.ExportState(); !reflect.DeepEqual(got, live) {
+			assertStatesEqual(t, got, live)
+			t.Fatalf("shards=%d: the restored chain exports another state than the live engine", shards)
+		}
 	}
-	assertStatesEqual(t, st, e.ExportState())
 }
 
 // TestDeltaFallbacks enumerates the conditions under which a delta is
@@ -274,18 +312,29 @@ func TestDeltaFallbacks(t *testing.T) {
 }
 
 // TestDeltaApplyRejectsMismatch checks Apply refuses — without
-// mutating the state — when the delta does not chain.
+// mutating the state — every delta that does not chain onto it or is
+// malformed: the wrong baseline generation, a negative count, a
+// repeated or backward count key, a window drop longer than the log,
+// and a kept cache or plan reference the state does not hold.
 func TestDeltaApplyRejectsMismatch(t *testing.T) {
 	cards := []int{3, 3, 2}
 	schema := testSchema(t, cards)
-	e := NewSharded(schema, 1, Options{})
+	e := NewSharded(schema, 2, Options{})
 	rng := rand.New(rand.NewSource(3))
 	if err := e.Append(randomRows(rng, cards, 30)); err != nil {
+		t.Fatal(err)
+	}
+	e.SetWindow(25)
+	if _, err := e.MUPs(mup.Options{Threshold: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Plan(context.Background(), mup.Options{Threshold: 2}, PlanSpec{MaxLevel: 2}); err != nil {
 		t.Fatal(err)
 	}
 	capture := e.CaptureState()
 	st := capture.State()
 	base := capture.Baseline()
+	pristine := e.ExportState()
 	if err := e.Append(randomRows(rng, cards, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -293,15 +342,42 @@ func TestDeltaApplyRejectsMismatch(t *testing.T) {
 	if !ok {
 		t.Fatal("delta not expressible")
 	}
+	if len(d.Counts) < 2 {
+		t.Fatalf("precondition: the delta carries %d counts, want at least 2", len(d.Counts))
+	}
 
 	wrong := e.ExportState() // at the delta's END generation, not its start
-	before := normalizeState(wrong)
-	beforeCounts := len(before.Counts)
 	if err := d.Apply(wrong); err == nil {
 		t.Fatal("delta applied onto the wrong generation")
 	}
-	if len(wrong.Counts) != beforeCounts || wrong.Generation != d.Generation {
+	if !reflect.DeepEqual(wrong, e.ExportState()) {
 		t.Error("rejected apply mutated the state")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(d *StateDelta)
+	}{
+		{"negative count", func(d *StateDelta) { d.Counts[1].Count = -1 }},
+		{"repeated key", func(d *StateDelta) { d.Counts[1].Key = d.Counts[0].Key }},
+		{"backward key", func(d *StateDelta) { d.Counts[0], d.Counts[1] = d.Counts[1], d.Counts[0] }},
+		{"window drop past the log", func(d *StateDelta) { d.WindowDrop = len(st.WindowLog) + 1 }},
+		{"kept search the state lacks", func(d *StateDelta) {
+			d.CacheKept = append(slices.Clone(d.CacheKept), CachedSearchRef{Tau: 99, Gen: d.FromGeneration})
+		}},
+		{"kept plan the state lacks", func(d *StateDelta) {
+			d.PlansKept = append(slices.Clone(d.PlansKept), CachedPlanRef{Tau: 99, MaxLevel: 1, Gen: d.FromGeneration})
+		}},
+	} {
+		bad := *d
+		bad.Counts = slices.Clone(d.Counts)
+		tc.corrupt(&bad)
+		if err := bad.Apply(st); err == nil {
+			t.Errorf("%s: applied", tc.name)
+		}
+		if !reflect.DeepEqual(st, pristine) {
+			t.Fatalf("%s: the refused apply mutated the state", tc.name)
+		}
 	}
 
 	// The right state still applies.

@@ -1091,7 +1091,7 @@ func TestConcurrentWriters(t *testing.T) {
 					t.Errorf("writer %d had no delete refused", w)
 				}
 			}
-			if got := e.ExportState().Counts; !reflect.DeepEqual(got, want) {
+			if got := countsOf(e.ExportState()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("counts %v, the accepted mutations sum to %v", got, want)
 			}
 		})

@@ -91,10 +91,10 @@ func TestRunMatchesRecordByRecord(t *testing.T) {
 				for _, n := range live {
 					rows += n
 				}
-				if !reflect.DeepEqual(g.Counts, live) || g.Rows != rows || g.Generation != uint64(appends+deletes) ||
+				if !reflect.DeepEqual(countsOf(g), live) || g.Rows != rows || g.Generation != uint64(appends+deletes) ||
 					g.Counters.Appends != appends || g.Counters.Deletes != deletes {
 					t.Fatalf("runs left %d rows at generation %d after %d appends and %d deletes, want %d rows (counts equal: %v)",
-						g.Rows, g.Generation, g.Counters.Appends, g.Counters.Deletes, rows, reflect.DeepEqual(g.Counts, live))
+						g.Rows, g.Generation, g.Counters.Appends, g.Counters.Deletes, rows, reflect.DeepEqual(countsOf(g), live))
 				}
 				if !reflect.DeepEqual(w.Counts, g.Counts) || w.Rows != g.Rows || w.Generation != g.Generation {
 					t.Fatalf("runs left rows %d at generation %d, records %d at %d (counts equal: %v)",
@@ -243,7 +243,7 @@ func TestRunRefusals(t *testing.T) {
 			if err := e.CommitRun(r); err != nil {
 				t.Fatalf("a run prepared before an append: %v", err)
 			}
-			if g, c := e.Generation(), e.ExportState().Counts; g != gen+1 || c[string(x)] != 1 {
+			if g, c := e.Generation(), countsOf(e.ExportState()); g != gen+1 || c[string(x)] != 1 {
 				t.Fatalf("generation %d with %d of x after the run, want %d with 1", g, c[string(x)], gen+1)
 			}
 
@@ -276,11 +276,11 @@ func TestRunRefusals(t *testing.T) {
 					log = append(log, string(row))
 				}
 				rm := st.Removed.Recs[len(st.Removed.Recs)-1]
-				if !reflect.DeepEqual(st.Counts, tc.counts) || !reflect.DeepEqual(st.WindowLog, log) ||
+				if !reflect.DeepEqual(countsOf(st), tc.counts) || !reflect.DeepEqual(st.WindowLog, log) ||
 					st.Tombstones != tc.tombstones || e.Stats().Evictions != tc.evicted ||
 					rm != (MutationRec{Gen: st.Generation, Key: string(tc.removed), Count: -1}) {
 					t.Fatalf("windowed step %d: counts %v, window %q, %d tombstones, %d evictions, last removed %+v",
-						step, st.Counts, st.WindowLog, st.Tombstones, e.Stats().Evictions, rm)
+						step, countsOf(st), st.WindowLog, st.Tombstones, e.Stats().Evictions, rm)
 				}
 			}
 			before = e.ExportState()

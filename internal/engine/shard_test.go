@@ -467,8 +467,8 @@ func TestShardedRestoreTopologyChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := src.ExportState()
-	if len(st.ShardCountKeys) != 3 {
-		t.Fatalf("exported %d shard key lists, want 3", len(st.ShardCountKeys))
+	if len(st.Counts) != 3 {
+		t.Fatalf("exported %d count lists, want 3", len(st.Counts))
 	}
 	for _, target := range []int{1, 2, 3, 5} {
 		restored, err := NewFromState(st, Options{Shards: target})
@@ -523,10 +523,10 @@ func TestShardedRestoreTopologyChange(t *testing.T) {
 	// A corrupted partition — a key stored on the wrong shard — must
 	// be rejected whole.
 	bad := src.ExportState()
-	if len(bad.ShardCountKeys[0]) == 0 || len(bad.ShardCountKeys[1]) == 0 {
+	if len(bad.Counts[0]) == 0 || len(bad.Counts[1]) == 0 {
 		t.Skip("degenerate partition")
 	}
-	bad.ShardCountKeys[0], bad.ShardCountKeys[1] = bad.ShardCountKeys[1], bad.ShardCountKeys[0]
+	bad.Counts[0], bad.Counts[1] = bad.Counts[1], bad.Counts[0]
 	if _, err := NewFromState(bad, Options{Shards: 3}); err == nil {
 		t.Error("mis-routed shard partition accepted")
 	}

@@ -20,27 +20,22 @@ import (
 // across the restart. It is the unit of persistence — package persist
 // encodes it to the snapshot format and back.
 //
-// The pending deltas are deliberately absent: Counts is the merged
-// combo→multiplicity map (bases + deltas), so a restored engine starts
+// The pending deltas are deliberately absent: Counts holds the merged
+// multiplicities (bases + deltas), so a restored engine starts
 // compacted. Coverage answers are unaffected; only the DeltaDistinct
 // statistic resets.
+//
+// Every keyed table is a KeyCount list in strictly increasing raw-key
+// byte order; an empty list is nil.
 type State struct {
 	// Attrs is the schema: attribute names and value dictionaries.
 	Attrs []dataset.Attribute
-	// Counts maps every distinct value combination (raw value-code
-	// string) to its positive multiplicity — the union across all
-	// shard cores.
-	Counts map[string]int64
-	// Shards is the number of shard cores the state was captured from
-	// (0 is treated as 1 — e.g. a hand-built state).
-	Shards int
-	// ShardCountKeys, when non-nil, partitions the keys of Counts by
-	// shard core: entry i lists core i's keys in strictly increasing
-	// order, and membership follows the hash router for len() cores.
-	// Restores with a matching shard count rebuild every core's base
-	// directly (in parallel) without re-hashing or re-sorting; a
-	// different target shard count re-partitions from Counts.
-	ShardCountKeys [][]string
+	// Counts holds every distinct value combination with its positive
+	// multiplicity, one list per shard core: list i holds the keys the
+	// hash router sends to core i of len(Counts). A restore onto
+	// len(Counts) cores builds each core straight from its list; any
+	// other shard count re-partitions the lists.
+	Counts [][]KeyCount
 	// Rows is the live row count; it must equal the sum of Counts.
 	Rows int64
 	// Generation is the mutation-batch counter the cached searches and
@@ -53,7 +48,7 @@ type State struct {
 	// holds the tombstone multiplicities awaiting eviction.
 	Window         int
 	WindowLog      []string
-	PendingDeletes map[string]int64
+	PendingDeletes []KeyCount
 	Tombstones     int64
 
 	// Removed and Added are the bounded mutation logs that seed
@@ -72,6 +67,13 @@ type State struct {
 	// Counters are the monotonic operation counters reported by Stats,
 	// preserved so /stats stays continuous across restarts.
 	Counters Counters
+}
+
+// KeyCount is one value combination, as its raw value-code string, with
+// a multiplicity.
+type KeyCount struct {
+	Key   string
+	Count int64
 }
 
 // MutationLog is the serializable form of one bounded mutation log.
@@ -200,15 +202,15 @@ type Capture struct {
 }
 
 // ExportState captures and materializes the engine's full state for
-// serialization. Callers that must not stall while the combo→count
-// maps are merged (e.g. a store holding its mutation lock) should use
+// serialization. Callers that must not stall while the per-core count
+// lists are merged (e.g. a store holding its mutation lock) should use
 // CaptureState and materialize later.
 func (e *ShardedEngine) ExportState() *State {
 	return e.CaptureState().State()
 }
 
 // CaptureState snapshots the engine's state. The bulk of the state —
-// the per-core base oracles' combo→count maps — is immutable and
+// the per-core base oracles' combo→count tables — is immutable and
 // shared by reference, so the engine's read lock is held only long
 // enough to copy the small mutable residue (the pending deltas, window
 // log, mutation logs and cache headers). Concurrent queries, which
@@ -220,7 +222,6 @@ func (e *ShardedEngine) CaptureState() *Capture {
 		cores[i] = coreSnapshot{base: c.base, delta: append([]deltaEntry(nil), c.delta...)}
 	}
 	st := &State{
-		Shards:     len(e.cores),
 		Rows:       e.rows,
 		Generation: e.gen,
 		Window:     e.window,
@@ -233,7 +234,7 @@ func (e *ShardedEngine) CaptureState() *Capture {
 	windowEvicted, windowEpoch := e.windowEvicted, e.windowEpoch
 	if e.log != nil {
 		st.WindowLog = keyStrings(e.codec, e.log.live())
-		st.PendingDeletes = countMap(e.codec, e.pendingDeletes)
+		st.PendingDeletes = countList(e.codec, e.pendingDeletes)
 	}
 	st.Cache = make([]CachedSearch, 0, len(e.cache))
 	for key, c := range e.cache {
@@ -292,36 +293,22 @@ func (c *Capture) Baseline() *DeltaBaseline {
 
 // State completes the capture: each core's base and delta are merged
 // in packed form against the immutable base snapshots, with no engine
-// lock involved, and only the merged result is converted to the union
-// Counts plus the per-shard key lists, which come out of the merge
-// already sorted. Idempotent; the same State is returned on repeated
-// calls.
+// lock involved, into the core's sorted list. Idempotent; the same
+// State is returned on repeated calls.
 func (c *Capture) State() *State {
 	if c.st.Counts != nil {
 		return c.st
 	}
-	total := 0
-	for _, core := range c.cores {
-		total += core.base.NumDistinct() + len(core.delta)
-	}
-	counts := make(map[string]int64, total)
-	shardKeys := make([][]string, len(c.cores))
+	counts := make([][]KeyCount, len(c.cores))
 	var entries []index.Entry
 	for i, core := range c.cores {
 		entries = core.base.AppendEntries(entries[:0])
 		for _, d := range core.delta {
 			entries = append(entries, index.Entry{Key: d.key, Count: d.count})
 		}
-		entries = index.Normalize(c.codec, entries)
-		keys := make([]string, len(entries))
-		for j, en := range entries {
-			keys[j] = keyString(c.codec, en.Key)
-			counts[keys[j]] = en.Count
-		}
-		shardKeys[i] = keys
+		counts[i] = keyCounts(c.codec, index.Normalize(c.codec, entries))
 	}
 	c.st.Counts = counts
-	c.st.ShardCountKeys = shardKeys
 	return c.st
 }
 
@@ -341,11 +328,25 @@ func keyStrings(codec *pattern.Codec, keys []pattern.PackedKey) []string {
 	return out
 }
 
-// countMap converts a count table to its State form.
-func countMap(codec *pattern.Codec, f *countstore.Flat) map[string]int64 {
-	m := make(map[string]int64, f.Len())
-	f.Range(func(k pattern.PackedKey, n int64) { m[keyString(codec, k)] = n })
-	return m
+// keyCounts converts normalized entries to their State form, in order;
+// none is nil.
+func keyCounts(codec *pattern.Codec, entries []index.Entry) []KeyCount {
+	if len(entries) == 0 {
+		return nil
+	}
+	out := make([]KeyCount, len(entries))
+	for i, en := range entries {
+		out[i] = KeyCount{Key: keyString(codec, en.Key), Count: en.Count}
+	}
+	return out
+}
+
+// countList converts a count table of positive counts to its State
+// form.
+func countList(codec *pattern.Codec, f *countstore.Flat) []KeyCount {
+	entries := make([]index.Entry, 0, f.Len())
+	f.Range(func(k pattern.PackedKey, n int64) { entries = append(entries, index.Entry{Key: k, Count: n}) })
+	return keyCounts(codec, index.Normalize(codec, entries))
 }
 
 // exportRecs converts a log's records to their State form, each
@@ -377,19 +378,19 @@ func exportRecs(recs []mutRec, codec *pattern.Codec) []MutationRec {
 
 // NewFromState rebuilds an engine from a captured State. The state is
 // validated before any construction — combination keys against the
-// schema, the row count against the multiplicity sum, the shard
-// partition against the hash router, window and tombstone accounting,
+// schema, list order, the routing of every key to its list, the row
+// count against the multiplicity sum, window and tombstone accounting,
 // log ordering and cache generations — so a corrupted or hand-edited
 // state is rejected whole rather than restored partially.
 //
 // The shard count is opts.Shards when set (falling back to the
-// COVSHARDS override, then to the snapshot's own shard count), so a
-// snapshot written by a single-shard engine restores into a sharded
-// one and vice versa: when the target count matches the snapshot's the
-// per-shard key lists rebuild every core directly (in parallel), and
-// otherwise the union is re-partitioned through the hash router. The
-// returned engine answers every coverage and MUP query identically to
-// the engine the state was exported from.
+// COVSHARDS override, then to len(st.Counts)), so a snapshot written by
+// a single-shard engine restores into a sharded one and vice versa:
+// when the target count is len(st.Counts) every core is built straight
+// from its list (in parallel), and only a different count re-partitions
+// the lists through the hash router. The returned engine answers every
+// coverage and MUP query identically to the engine the state was
+// exported from.
 func NewFromState(st *State, opts Options) (*Engine, error) {
 	schema, err := dataset.NewSchema(st.Attrs)
 	if err != nil {
@@ -410,51 +411,26 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		return nil
 	}
 
-	// The sorted key lists: one per shard, or none.
-	lists := st.ShardCountKeys
+	// Every key valid, strictly increasing within its list, routed to
+	// it, and its count positive.
+	lists := st.Counts
 	var sum int64
-	switch {
-	case lists != nil:
-		// Validate through the key lists: every key valid, present,
-		// positive, strictly increasing within its list and routed to
-		// it; equal total lengths then make the lists a partition of the
-		// map's keys.
-		total := 0
-		for s, keys := range lists {
-			for i, k := range keys {
-				if err := validKey("count", k); err != nil {
-					return nil, err
-				}
-				if i > 0 && keys[i-1] >= k {
-					return nil, fmt.Errorf("engine: shard %d count keys not strictly increasing at entry %d", s, i)
-				}
-				if got := shardOf(codec, codec.PackedKeyString(k), len(lists)); got != s {
-					return nil, fmt.Errorf("engine: combination %v stored on shard %d, router says %d of %d",
-						pattern.Pattern(k), s, got, len(lists))
-				}
-				c, ok := st.Counts[k]
-				if !ok {
-					return nil, fmt.Errorf("engine: shard %d key %v missing from the count map", s, pattern.Pattern(k))
-				}
-				if c <= 0 {
-					return nil, fmt.Errorf("engine: combination %v has non-positive multiplicity %d", pattern.Pattern(k), c)
-				}
-				sum += c
-			}
-			total += len(keys)
-		}
-		if total != len(st.Counts) {
-			return nil, fmt.Errorf("engine: %d sorted count keys for %d count entries", total, len(st.Counts))
-		}
-	default:
-		for k, c := range st.Counts {
-			if err := validKey("count", k); err != nil {
+	for s, list := range lists {
+		for i, kc := range list {
+			if err := validKey("count", kc.Key); err != nil {
 				return nil, err
 			}
-			if c <= 0 {
-				return nil, fmt.Errorf("engine: combination %v has non-positive multiplicity %d", pattern.Pattern(k), c)
+			if i > 0 && list[i-1].Key >= kc.Key {
+				return nil, fmt.Errorf("engine: shard %d count keys not strictly increasing at entry %d", s, i)
 			}
-			sum += c
+			if got := shardOfRow(kc.Key, len(lists)); got != s {
+				return nil, fmt.Errorf("engine: combination %v stored on shard %d, router says %d of %d",
+					pattern.Pattern(kc.Key), s, got, len(lists))
+			}
+			if kc.Count <= 0 {
+				return nil, fmt.Errorf("engine: combination %v has non-positive multiplicity %d", pattern.Pattern(kc.Key), kc.Count)
+			}
+			sum += kc.Count
 		}
 	}
 	if sum != st.Rows {
@@ -464,14 +440,17 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: negative window %d", st.Window)
 	}
 	var pendingSum int64
-	for k, c := range st.PendingDeletes {
-		if err := validKey("pending-delete", k); err != nil {
+	for i, kc := range st.PendingDeletes {
+		if err := validKey("pending-delete", kc.Key); err != nil {
 			return nil, err
 		}
-		if c <= 0 {
-			return nil, fmt.Errorf("engine: pending delete of %v has non-positive multiplicity %d", pattern.Pattern(k), c)
+		if i > 0 && st.PendingDeletes[i-1].Key >= kc.Key {
+			return nil, fmt.Errorf("engine: pending-delete keys not strictly increasing at entry %d", i)
 		}
-		pendingSum += c
+		if kc.Count <= 0 {
+			return nil, fmt.Errorf("engine: pending delete of %v has non-positive multiplicity %d", pattern.Pattern(kc.Key), kc.Count)
+		}
+		pendingSum += kc.Count
 	}
 	if pendingSum != st.Tombstones {
 		return nil, fmt.Errorf("engine: state claims %d tombstones but pending deletes sum to %d", st.Tombstones, pendingSum)
@@ -561,19 +540,13 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 	}
 
 	// Resolve the target shard count: explicit option, then the
-	// COVSHARDS override, then the snapshot's own topology — capped
+	// COVSHARDS override, then the state's own list count — capped
 	// like every other path, so a crafted snapshot declaring millions
 	// of (empty) shard sections cannot spawn unbounded cores; past the
 	// cap the state simply re-shards.
-	n := 0
+	n := min(max(len(lists), 1), maxShards)
 	if opts.Shards > 0 || envShards() > 0 {
 		n = opts.shardCount()
-	} else if len(st.ShardCountKeys) > 0 {
-		n = min(len(st.ShardCountKeys), maxShards)
-	} else if st.Shards > 0 {
-		n = min(st.Shards, maxShards)
-	} else {
-		n = 1
 	}
 
 	e := &ShardedEngine{
@@ -612,21 +585,22 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 
 	parts := make([][]index.Entry, n)
 	if len(lists) == n {
-		// Matching topology: each core rebuilds from its key list.
-		for i, keys := range lists {
-			parts[i] = make([]index.Entry, len(keys))
-			for j, k := range keys {
-				parts[i][j] = index.Entry{Key: codec.PackedKeyString(k), Count: st.Counts[k]}
+		// Matching topology: each core builds from its list.
+		for i, list := range lists {
+			parts[i] = make([]index.Entry, len(list))
+			for j, kc := range list {
+				parts[i][j] = index.Entry{Key: codec.PackedKeyString(kc.Key), Count: kc.Count}
 			}
 		}
 	} else {
 		// Re-shard on restore: route every combination through the
 		// hash router for the target count; the builder sorts each
 		// partition into value order.
-		for k, c := range st.Counts {
-			key := codec.PackedKeyString(k)
-			s := shardOf(codec, key, n)
-			parts[s] = append(parts[s], index.Entry{Key: key, Count: c})
+		for _, list := range lists {
+			for _, kc := range list {
+				s := shardOfRow(kc.Key, n)
+				parts[s] = append(parts[s], index.Entry{Key: codec.PackedKeyString(kc.Key), Count: kc.Count})
+			}
 		}
 	}
 	fanOut(n, func(i int) {
@@ -650,8 +624,8 @@ func NewFromState(st *State, opts Options) (*Engine, error) {
 			e.log.keys[i] = codec.PackedKeyString(k)
 		}
 		e.pendingDeletes = countstore.NewFlat(len(st.PendingDeletes))
-		for k, c := range st.PendingDeletes {
-			e.pendingDeletes.Set(codec.PackedKeyString(k), c)
+		for _, kc := range st.PendingDeletes {
+			e.pendingDeletes.Set(codec.PackedKeyString(kc.Key), kc.Count)
 		}
 		e.tombstones = st.Tombstones
 	}

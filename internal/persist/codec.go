@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"coverage/internal/dataset"
 	"coverage/internal/engine"
@@ -26,6 +25,16 @@ func (e *encoder) rawString(s string) { e.buf = append(e.buf, s...) }
 func (e *encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// keyCounts emits a keyed table: its length, then each raw key and its
+// count, in the list's (strictly increasing) order.
+func (e *encoder) keyCounts(list []engine.KeyCount) {
+	e.uvarint(uint64(len(list)))
+	for _, kc := range list {
+		e.rawString(kc.Key)
+		e.varint(kc.Count)
+	}
 }
 
 // decoder consumes a snapshot payload. Errors are sticky: after the
@@ -107,6 +116,25 @@ func (d *decoder) str() string {
 	return string(d.raw(n))
 }
 
+// keyCounts reads a keyed table of dim-byte keys, which must strictly
+// increase: a repeated or backward key is ErrCorrupt. An empty table is
+// nil.
+func (d *decoder) keyCounts(dim int) []engine.KeyCount {
+	n := d.length(dim + 1)
+	if n == 0 {
+		return nil
+	}
+	list := make([]engine.KeyCount, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		kc := engine.KeyCount{Key: d.rawString(dim), Count: d.varint()}
+		if i > 0 && list[i-1].Key >= kc.Key {
+			d.fail("keyed table not strictly increasing at entry %d", i)
+		}
+		list = append(list, kc)
+	}
+	return list
+}
+
 func (d *decoder) done() error {
 	if d.err != nil {
 		return d.err
@@ -118,12 +146,15 @@ func (d *decoder) done() error {
 }
 
 // encodeState serializes an engine.State deterministically in the v3
-// format: the count map is emitted as one section per shard core, each
-// in sorted key order, so equivalent states encode to identical bytes and snapshot→restore→snapshot is a
-// fixed point. A state without per-shard key lists (e.g. hand-built)
-// is emitted as a single section.
+// format: one count section per shard list and the pending deletes,
+// each in the state's sorted key order, so equivalent states encode to
+// identical bytes and snapshot→restore→snapshot is a fixed point.
 func encodeState(st *engine.State) []byte {
-	e := &encoder{buf: make([]byte, 0, 64+len(st.Counts)*(len(st.Attrs)+2))}
+	distinct := 0
+	for _, list := range st.Counts {
+		distinct += len(list)
+	}
+	e := &encoder{buf: make([]byte, 0, 64+distinct*(len(st.Attrs)+2))}
 	dim := len(st.Attrs)
 	e.uvarint(uint64(dim))
 	for _, a := range st.Attrs {
@@ -134,22 +165,9 @@ func encodeState(st *engine.State) []byte {
 		}
 	}
 
-	shardKeys := st.ShardCountKeys
-	if shardKeys == nil {
-		keys := make([]string, 0, len(st.Counts))
-		for k := range st.Counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		shardKeys = [][]string{keys}
-	}
-	e.uvarint(uint64(len(shardKeys)))
-	for _, keys := range shardKeys {
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.rawString(k)
-			e.varint(st.Counts[k])
-		}
+	e.uvarint(uint64(len(st.Counts)))
+	for _, list := range st.Counts {
+		e.keyCounts(list)
 	}
 
 	e.varint(st.Rows)
@@ -161,16 +179,7 @@ func encodeState(st *engine.State) []byte {
 	for _, k := range st.WindowLog {
 		e.rawString(k)
 	}
-	pdKeys := make([]string, 0, len(st.PendingDeletes))
-	for k := range st.PendingDeletes {
-		pdKeys = append(pdKeys, k)
-	}
-	sort.Strings(pdKeys)
-	e.uvarint(uint64(len(pdKeys)))
-	for _, k := range pdKeys {
-		e.rawString(k)
-		e.varint(st.PendingDeletes[k])
-	}
+	e.keyCounts(st.PendingDeletes)
 
 	encodeLog(e, st.Removed)
 	encodeLog(e, st.Added)
@@ -267,9 +276,9 @@ func encodePlans(e *encoder, ps []engine.CachedPlan) {
 }
 
 // decodeState parses a v3 snapshot payload back into an engine.State.
-// Structural validity (offsets, lengths) is enforced here; semantic
-// validity (cardinalities, row sums, shard routing, log ordering) is
-// enforced by engine.NewFromState.
+// Structural validity (offsets, lengths, key order within a keyed
+// table) is enforced here; semantic validity (cardinalities, row sums,
+// shard routing, log ordering) is enforced by engine.NewFromState.
 func decodeState(payload []byte) (*engine.State, error) {
 	d := &decoder{b: payload}
 	st := &engine.State{}
@@ -295,18 +304,9 @@ func decodeState(payload []byte) (*engine.State, error) {
 	if nShards == 0 && d.err == nil {
 		d.fail("snapshot declares zero shards")
 	}
-	st.Shards = nShards
-	st.Counts = make(map[string]int64)
-	st.ShardCountKeys = make([][]string, 0, nShards)
+	st.Counts = make([][]engine.KeyCount, 0, nShards)
 	for s := 0; s < nShards && d.err == nil; s++ {
-		nKeys := d.length(dim + 1)
-		keys := make([]string, 0, nKeys)
-		for i := 0; i < nKeys && d.err == nil; i++ {
-			k := d.rawString(dim)
-			st.Counts[k] = d.varint()
-			keys = append(keys, k)
-		}
-		st.ShardCountKeys = append(st.ShardCountKeys, keys)
+		st.Counts = append(st.Counts, d.keyCounts(dim))
 	}
 
 	st.Rows = d.varint()
@@ -325,14 +325,7 @@ func decodeState(payload []byte) (*engine.State, error) {
 			st.WindowLog[i] = d.rawString(dim)
 		}
 	}
-	nPD := d.length(dim + 1)
-	if nPD > 0 {
-		st.PendingDeletes = make(map[string]int64, nPD)
-		for i := 0; i < nPD && d.err == nil; i++ {
-			k := d.rawString(dim)
-			st.PendingDeletes[k] = d.varint()
-		}
-	}
+	st.PendingDeletes = d.keyCounts(dim)
 
 	st.Removed = decodeLog(d, dim)
 	st.Added = decodeLog(d, dim)
@@ -478,17 +471,13 @@ func decodePlans(d *decoder, dim int) []engine.CachedPlan {
 // schema dimension (raw keys carry no per-key length); it is stored in
 // the payload so a reader needs no side channel.
 func encodeDelta(dl *engine.StateDelta, dim int) []byte {
-	e := &encoder{buf: make([]byte, 0, 128+len(dl.CountKeys)*(dim+2))}
+	e := &encoder{buf: make([]byte, 0, 128+len(dl.Counts)*(dim+2))}
 	e.uvarint(uint64(dim))
 	e.uvarint(dl.FromGeneration)
 	e.uvarint(dl.Generation)
 	e.varint(dl.Rows)
 
-	e.uvarint(uint64(len(dl.CountKeys)))
-	for _, k := range dl.CountKeys {
-		e.rawString(k)
-		e.varint(dl.Counts[k])
-	}
+	e.keyCounts(dl.Counts)
 
 	e.uvarint(uint64(dl.Window))
 	e.uvarint(uint64(dl.WindowDrop))
@@ -496,16 +485,7 @@ func encodeDelta(dl *engine.StateDelta, dim int) []byte {
 	for _, k := range dl.WindowAppend {
 		e.rawString(k)
 	}
-	pdKeys := make([]string, 0, len(dl.PendingDeletes))
-	for k := range dl.PendingDeletes {
-		pdKeys = append(pdKeys, k)
-	}
-	sort.Strings(pdKeys)
-	e.uvarint(uint64(len(pdKeys)))
-	for _, k := range pdKeys {
-		e.rawString(k)
-		e.varint(dl.PendingDeletes[k])
-	}
+	e.keyCounts(dl.PendingDeletes)
 	e.varint(dl.Tombstones)
 
 	encodeLog(e, dl.Removed)
@@ -544,7 +524,8 @@ func encodeDelta(dl *engine.StateDelta, dim int) []byte {
 
 // decodeDelta parses a delta payload. The returned dim is the schema
 // dimension the delta was encoded for; callers verify it against the
-// base state before applying.
+// base state before applying. A count or pending-delete key that
+// repeats or goes backwards is ErrCorrupt.
 func decodeDelta(payload []byte) (*engine.StateDelta, int, error) {
 	d := &decoder{b: payload}
 	dl := &engine.StateDelta{}
@@ -558,14 +539,7 @@ func decodeDelta(payload []byte) (*engine.StateDelta, int, error) {
 	dl.Generation = d.uvarint()
 	dl.Rows = d.varint()
 
-	nCounts := d.length(dim + 1)
-	dl.Counts = make(map[string]int64, nCounts)
-	dl.CountKeys = make([]string, 0, nCounts)
-	for i := 0; i < nCounts && d.err == nil; i++ {
-		k := d.rawString(dim)
-		dl.Counts[k] = d.varint()
-		dl.CountKeys = append(dl.CountKeys, k)
-	}
+	dl.Counts = d.keyCounts(dim)
 
 	window := d.uvarint()
 	if window > math.MaxInt32 {
@@ -584,14 +558,7 @@ func decodeDelta(payload []byte) (*engine.StateDelta, int, error) {
 			dl.WindowAppend[i] = d.rawString(dim)
 		}
 	}
-	nPD := d.length(dim + 1)
-	if dl.Window > 0 || nPD > 0 {
-		dl.PendingDeletes = make(map[string]int64, nPD)
-		for i := 0; i < nPD && d.err == nil; i++ {
-			k := d.rawString(dim)
-			dl.PendingDeletes[k] = d.varint()
-		}
-	}
+	dl.PendingDeletes = d.keyCounts(dim)
 	dl.Tombstones = d.varint()
 
 	dl.Removed = decodeLog(d, dim)

@@ -1,11 +1,17 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -409,4 +415,151 @@ func fmtSscanGen(name, prefix, suffix string, gen *uint64) (int, error) {
 	}
 	*gen = g
 	return 1, nil
+}
+
+// TestDeltaRefusesUnorderedKeys: a delta's count and pending-delete
+// keys must strictly increase. A delta file whose keys repeat or go
+// backwards (its CRC intact) is ErrCorrupt at read time, and recovery
+// quarantines it and restores the base state plus the WAL, whole.
+func TestDeltaRefusesUnorderedKeys(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := attachFresh(t, dir)
+	rng := rand.New(rand.NewSource(33))
+	appendBatches(t, s, eng, rng, 8)
+	if err := s.SetWindow(20); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Snapshot(); err != nil || res.Delta {
+		t.Fatalf("snapshot after a window change: %+v, %v; want a full image", res, err)
+	}
+	appendBatches(t, s, eng, rng, 3)
+	if err := s.Delete(deletableRows(rng, eng, 4)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Snapshot()
+	if err != nil || !res.Delta {
+		t.Fatalf("snapshot: %+v, %v; want a delta", res, err)
+	}
+	data, err := os.ReadFile(res.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, dim, err := ReadDeltaBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dl.Counts) < 2 || len(dl.PendingDeletes) < 2 {
+		t.Fatalf("precondition: the delta carries %d counts and %d pending deletes, want 2 of each",
+			len(dl.Counts), len(dl.PendingDeletes))
+	}
+
+	var bad []byte
+	for _, tc := range []struct {
+		name    string
+		corrupt func(d *engine.StateDelta)
+	}{
+		{"repeated count key", func(d *engine.StateDelta) { d.Counts[1].Key = d.Counts[0].Key }},
+		{"backward count key", func(d *engine.StateDelta) { d.Counts[0], d.Counts[1] = d.Counts[1], d.Counts[0] }},
+		{"repeated pending-delete key", func(d *engine.StateDelta) { d.PendingDeletes[1].Key = d.PendingDeletes[0].Key }},
+		{"backward pending-delete key", func(d *engine.StateDelta) {
+			d.PendingDeletes[0], d.PendingDeletes[1] = d.PendingDeletes[1], d.PendingDeletes[0]
+		}},
+	} {
+		d := *dl
+		d.Counts, d.PendingDeletes = slices.Clone(dl.Counts), slices.Clone(dl.PendingDeletes)
+		tc.corrupt(&d)
+		var buf bytes.Buffer
+		if _, err := WriteDelta(&buf, &d, dim); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadDeltaBytes(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: read error %v, want ErrCorrupt", tc.name, err)
+		}
+		bad = buf.Bytes()
+	}
+
+	if err := os.WriteFile(res.Path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir)
+	recovered, info, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.DeltasApplied != 0 || len(info.SkippedSnapshots) != 1 || !strings.Contains(info.SkippedSnapshots[0], filepath.Base(res.Path)) {
+		t.Fatalf("recovery applied %d deltas and skipped %v, want the unordered delta skipped", info.DeltasApplied, info.SkippedSnapshots)
+	}
+	if _, err := os.Stat(res.Path + ".corrupt"); err != nil {
+		t.Errorf("the unordered delta was not quarantined: %v", err)
+	}
+	assertEquivalent(t, eng, recovered)
+	if got, want := countsOf(recovered.ExportState()), countsOf(eng.ExportState()); !maps.Equal(got, want) {
+		t.Fatalf("recovered counts %v, want %v", got, want)
+	}
+}
+
+// FuzzReadDelta hammers the delta decoder with arbitrary bytes, read
+// both as a whole file and as a payload framed with a valid header and
+// CRC, and applies whatever parses onto a fixed base state: every step
+// must return a typed error or succeed, never panic, and a refused
+// Apply must leave the base exactly as it was.
+func FuzzReadDelta(f *testing.F) {
+	eng := engine.NewSharded(testSchema(), 2, engine.Options{Workers: 1})
+	driveEngine(f, eng, 7, 40)
+	eng.SetWindow(30)
+	capture := eng.CaptureState()
+	base := capture.Baseline()
+	driveEngine(f, eng, 8, 20)
+	dl, _, ok := eng.CaptureDelta(base)
+	if !ok {
+		f.Fatal("the seed delta is not expressible")
+	}
+	var seed, full bytes.Buffer
+	if _, err := WriteDelta(&seed, dl, len(eng.Cards())); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := WriteSnapshot(&full, capture.State()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add(seed.Bytes()[snapshotHeaderSize : seed.Len()-4])
+	f.Add(withVersion(seed.Bytes(), snapshotVersion))
+	f.Add([]byte("COVSNAP\x00 garbage"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		framed := make([]byte, snapshotHeaderSize, snapshotHeaderSize+len(data)+4)
+		copy(framed, snapshotMagic[:])
+		binary.LittleEndian.PutUint32(framed[8:], snapshotVersionDelta)
+		binary.LittleEndian.PutUint64(framed[12:], uint64(len(data)))
+		framed = binary.LittleEndian.AppendUint32(append(framed, data...), crc32.Checksum(data, castagnoli))
+		for _, img := range [][]byte{data, framed} {
+			dl, _, err := ReadDeltaBytes(img)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) &&
+					!errors.Is(err, ErrVersion) && !errors.Is(err, ErrBadMagic) {
+					t.Fatalf("untyped read error: %v", err)
+				}
+				continue
+			}
+			st, err := ReadSnapshotBytes(full.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pristine, err := ReadSnapshotBytes(full.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dl.Apply(st); err != nil {
+				if !reflect.DeepEqual(st, pristine) {
+					t.Fatalf("a refused apply (%v) changed the base state", err)
+				}
+				continue
+			}
+			// An applied delta yields a state that restores or is refused
+			// by validation — no panics either way.
+			if _, err := engine.NewFromState(st, engine.Options{}); err != nil {
+				t.Logf("applied but rejected by validation: %v", err)
+			}
+		}
+	})
 }

@@ -36,6 +36,19 @@ func randomBatch(rng *rand.Rand, cards []int, n int) [][]uint8 {
 	return rows
 }
 
+// countsOf flattens a state's per-shard count lists into one map, for
+// tests that read multiplicities by key or compare states of different
+// shard counts.
+func countsOf(st *engine.State) map[string]int64 {
+	m := map[string]int64{}
+	for _, list := range st.Counts {
+		for _, kc := range list {
+			m[kc.Key] = kc.Count
+		}
+	}
+	return m
+}
+
 // allPatterns enumerates the full pattern graph of the cards vector.
 func allPatterns(cards []int) []pattern.Pattern {
 	var out []pattern.Pattern

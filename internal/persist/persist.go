@@ -1,8 +1,8 @@
 // Package persist makes the coverage engine's state durable: a
 // versioned, checksummed binary snapshot of the full engine state
-// (schema, combo→count map, sliding-window ring, tombstones,
-// generation counters and the per-(τ, level) MUP caches) plus an
-// append-only write-ahead log of signed mutation batches, so a
+// (schema, per-shard combo→count tables, sliding-window ring,
+// tombstones, generation counters and the per-(τ, level) MUP caches)
+// plus an append-only write-ahead log of signed mutation batches, so a
 // restarted process replays only the WAL tail written since the last
 // snapshot instead of recomputing everything from raw rows.
 //

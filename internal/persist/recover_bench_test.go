@@ -10,18 +10,22 @@ import (
 	"coverage/internal/engine"
 )
 
-// BenchmarkRecover prices Store.Recover on the two WAL shapes the
-// service restarts from, with SyncWAL off:
+// BenchmarkRecover prices Store.Recover on the shapes the service
+// restarts from, with SyncWAL off:
 //
 //   - ingest: a 100 000-row AirBnB snapshot at 2 shards plus 2 000
 //     append records of 100 rows each;
+//   - chain: the same snapshot, then 8 deltas (the default
+//     MaxDeltaChain) of 25 append records each, then a tail of 200
+//     append records, all of 100 rows;
 //   - refresh: an empty snapshot, 25 bulk records of 4 096 rows, then
 //     tail records of 100 rows that alternately append a batch and
 //     delete it again.
 //
 // Each iteration opens the directory afresh and recovers it; closing
 // the store (a WAL fsync) is not timed. ms/op is the recovery's
-// wall-clock time and records/op the WAL records it replayed.
+// wall-clock time, records/op the WAL records it replayed and
+// deltas/op the delta files it applied.
 func BenchmarkRecover(b *testing.B) {
 	b.Run("ingest", func(b *testing.B) {
 		dir := b.TempDir()
@@ -36,6 +40,35 @@ func BenchmarkRecover(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		benchRecover(b, dir, 2)
+	})
+	b.Run("chain", func(b *testing.B) {
+		dir := b.TempDir()
+		ds := datagen.AirBnB(100000, 13, 1)
+		s := openStore(b, dir)
+		if err := s.Attach(engine.NewFromDataset(ds, engine.Options{Shards: 2})); err != nil {
+			b.Fatal(err)
+		}
+		pool := datagen.AirBnB(40000, 13, 2)
+		r := 0
+		appendRecords := func(n int) {
+			for ; n > 0; n-- {
+				if err := s.Append(datasetRows(pool, r*100, 100)); err != nil {
+					b.Fatal(err)
+				}
+				r++
+			}
+		}
+		for link := 0; link < 8; link++ {
+			appendRecords(25)
+			if res, err := s.Snapshot(); err != nil || !res.Delta {
+				b.Fatalf("link %d: snapshot %+v, %v; want a delta", link, res, err)
+			}
+		}
+		appendRecords(200)
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +117,7 @@ func datasetRows(ds *dataset.Dataset, lo, n int) [][]uint8 {
 // reports the mean recovery time and the records each replayed.
 func benchRecover(b *testing.B, dir string, shards int) {
 	var elapsed time.Duration
-	replayed := 0
+	replayed, deltas := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Open(dir, Options{Engine: engine.Options{Shards: shards}})
@@ -97,7 +130,7 @@ func benchRecover(b *testing.B, dir string, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		replayed = info.Replayed
+		replayed, deltas = info.Replayed, info.DeltasApplied
 		b.StopTimer()
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
@@ -106,4 +139,5 @@ func benchRecover(b *testing.B, dir string, shards int) {
 	}
 	b.ReportMetric(float64(elapsed.Microseconds())/1e3/float64(b.N), "ms/op")
 	b.ReportMetric(float64(replayed), "records/op")
+	b.ReportMetric(float64(deltas), "deltas/op")
 }

@@ -31,8 +31,7 @@ func refusedStates() map[string]*engine.State {
 		row := string(make([]byte, len(attrs)))
 		return &engine.State{
 			Attrs:      attrs,
-			Counts:     map[string]int64{row: 5},
-			Shards:     1,
+			Counts:     [][]engine.KeyCount{{{Key: row, Count: 5}}},
 			Rows:       5,
 			Generation: 3,
 		}

@@ -290,7 +290,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			model.apply(op)
 		}
-		if c, want := got.ExportState().Counts, model.counts(); !reflect.DeepEqual(c, want) {
+		if c, want := countsOf(got.ExportState()), model.counts(); !reflect.DeepEqual(c, want) {
 			t.Fatalf("recovered counts %v, the surviving history leaves %v", c, want)
 		}
 		assertEquivalent(t, ref, got)

@@ -230,8 +230,8 @@ func TestSnapshotReshardRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(st.ShardCountKeys) != tc.wantShardLists {
-				t.Fatalf("decoded %d shard key lists, want %d", len(st.ShardCountKeys), tc.wantShardLists)
+			if len(st.Counts) != tc.wantShardLists {
+				t.Fatalf("decoded %d count lists, want %d", len(st.Counts), tc.wantShardLists)
 			}
 			restored, err := engine.NewFromState(st, engine.Options{Shards: tc.restoreShards})
 			if err != nil {
